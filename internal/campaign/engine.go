@@ -95,15 +95,14 @@ type engineMetrics struct {
 	misses   *obs.Counter
 	inflight *obs.Gauge
 	jobH     *obs.Histogram
-	// Lake appends are best-effort (the cache stays the source of
-	// truth), but silent analytics loss is an operator problem: these
-	// count failed appends/flushes so alerts can fire on them.
+	// Failed lake appends and flushes (LakeFailureCounters).
 	lakeAppendF *obs.Counter
 	lakeFlushF  *obs.Counter
 }
 
 func newEngineMetrics(o *obs.Observer) engineMetrics {
 	reg := o.Registry()
+	lakeAppendF, lakeFlushF := LakeFailureCounters(reg)
 	return engineMetrics{
 		jobs:     reg.Counter("hsas_campaign_jobs_total", "campaign jobs completed (cached or simulated)"),
 		hits:     reg.Counter("hsas_campaign_cache_hits_total", "campaign jobs served from the content-addressed cache"),
@@ -111,8 +110,8 @@ func newEngineMetrics(o *obs.Observer) engineMetrics {
 		inflight: reg.Gauge("hsas_campaign_jobs_inflight", "closed-loop simulations currently running"),
 		jobH: reg.Histogram("hsas_campaign_job_seconds", "wall time per simulated campaign job",
 			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}),
-		lakeAppendF: reg.Counter("hsas_lake_append_failures_total", "result-lake appends that failed (analytics rows lost; the cache is unaffected)"),
-		lakeFlushF:  reg.Counter("hsas_lake_flush_failures_total", "result-lake flushes that failed (buffered analytics rows lost)"),
+		lakeAppendF: lakeAppendF,
+		lakeFlushF:  lakeFlushF,
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"hsas/internal/lake"
+	"hsas/internal/obs"
 	"hsas/internal/sim"
 )
 
@@ -12,6 +13,16 @@ import (
 // the analytical projection of the content-addressed cache: the cache
 // answers point lookups by key, the lake answers fleet aggregations
 // by scan, and rows carry the key so the two cross-reference.
+
+// LakeFailureCounters returns the counters of failed result-lake
+// appends and flushes on reg. Lake writes are best-effort (the cache
+// stays the source of truth), but silent analytics loss is an operator
+// problem, so every runner that writes the lake (Engine and
+// internal/fabric's coordinator) counts its failures here for alerts.
+func LakeFailureCounters(reg *obs.Registry) (appendFailures, flushFailures *obs.Counter) {
+	return reg.Counter("hsas_lake_append_failures_total", "result-lake appends that failed (analytics rows lost; the cache is unaffected)"),
+		reg.Counter("hsas_lake_flush_failures_total", "result-lake flushes that failed (buffered analytics rows lost)")
+}
 
 // LakeResultRow flattens a normalized spec and its result onto the
 // lake's result schema. Exported for internal/fabric, whose coordinator

@@ -133,6 +133,8 @@ type coordMetrics struct {
 	retries        *obs.Counter
 	steals         *obs.Counter
 	deadWorkers    *obs.Counter
+	lakeAppendF    *obs.Counter
+	lakeFlushF     *obs.Counter
 }
 
 // workerJobs / leaseSeconds are the per-worker series (labeled by the
@@ -187,6 +189,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		client = &http.Client{}
 	}
 	reg := cfg.Obs.Registry()
+	lakeAppendF, lakeFlushF := campaign.LakeFailureCounters(reg)
 	return &Coordinator{cfg: cfg, client: client, met: coordMetrics{
 		reg:            reg,
 		leasesInflight: reg.Gauge("hsas_fabric_leases_inflight", "lease requests currently streaming"),
@@ -197,6 +200,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		retries:        reg.Counter("hsas_fabric_retries_total", "lease transport retries"),
 		steals:         reg.Counter("hsas_fabric_steals_total", "jobs stolen from long-outstanding leases"),
 		deadWorkers:    reg.Counter("hsas_fabric_dead_workers_total", "workers abandoned after consecutive failures"),
+		lakeAppendF:    lakeAppendF,
+		lakeFlushF:     lakeFlushF,
 	}}, nil
 }
 
@@ -421,19 +426,24 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 		lakeMu.Lock()
 		defer lakeMu.Unlock()
 		if err := c.cfg.Lake.AppendResult(campaign.LakeResultRow(lakeCampaign, &u.spec, u.key, res, cached)); err != nil {
+			c.met.lakeAppendF.Inc()
 			o.Logger().Warn("fabric: lake append failed", "key", u.key[:12], "err", err)
 		}
 		if len(traceCSV) > 0 {
-			if pts, err := trace.ReadCSV(bytes.NewReader(traceCSV)); err == nil {
-				if err := c.cfg.Lake.AppendTrace(campaign.LakeTraceRows(lakeCampaign, u.key, pts)...); err != nil {
-					o.Logger().Warn("fabric: lake trace append failed", "key", u.key[:12], "err", err)
-				}
+			pts, err := trace.ReadCSV(bytes.NewReader(traceCSV))
+			if err == nil {
+				err = c.cfg.Lake.AppendTrace(campaign.LakeTraceRows(lakeCampaign, u.key, pts)...)
+			}
+			if err != nil {
+				c.met.lakeAppendF.Inc()
+				o.Logger().Warn("fabric: lake trace append failed", "key", u.key[:12], "err", err)
 			}
 		}
 	}
 	defer func() {
 		if c.cfg.Lake != nil {
 			if err := c.cfg.Lake.Flush(); err != nil {
+				c.met.lakeFlushF.Inc()
 				o.Logger().Warn("fabric: lake flush failed", "err", err)
 			}
 		}

@@ -210,30 +210,70 @@ func DemosaicBilinearInto(raw *raster.Bayer, out *raster.RGB, workers int) *rast
 }
 
 func demosaicRows(raw *raster.Bayer, out *raster.RGB, y0, y1 int) {
-	w := raw.W
+	w, h := raw.W, raw.H
 	for y := y0; y < y1; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			switch raster.ColorAt(x, y) {
-			case raster.CFARed:
-				out.R[i] = raw.At(x, y)
-				out.G[i] = avg4(raw.At(x-1, y), raw.At(x+1, y), raw.At(x, y-1), raw.At(x, y+1))
-				out.B[i] = avg4(raw.At(x-1, y-1), raw.At(x+1, y-1), raw.At(x-1, y+1), raw.At(x+1, y+1))
-			case raster.CFABlue:
-				out.B[i] = raw.At(x, y)
-				out.G[i] = avg4(raw.At(x-1, y), raw.At(x+1, y), raw.At(x, y-1), raw.At(x, y+1))
-				out.R[i] = avg4(raw.At(x-1, y-1), raw.At(x+1, y-1), raw.At(x-1, y+1), raw.At(x+1, y+1))
-			default: // green: red/blue neighbors depend on the row parity
-				out.G[i] = raw.At(x, y)
-				if y%2 == 0 { // R G R G row: horizontal neighbors are red
-					out.R[i] = avg2(raw.At(x-1, y), raw.At(x+1, y))
-					out.B[i] = avg2(raw.At(x, y-1), raw.At(x, y+1))
-				} else { // G B G B row: horizontal neighbors are blue
-					out.B[i] = avg2(raw.At(x-1, y), raw.At(x+1, y))
-					out.R[i] = avg2(raw.At(x, y-1), raw.At(x, y+1))
-				}
+		if y == 0 || y == h-1 || w < 3 {
+			for x := 0; x < w; x++ {
+				demosaicPixel(raw, out, x, y)
 			}
+			continue
 		}
+		demosaicPixel(raw, out, 0, y)
+		demosaicInterior(raw, out, y)
+		demosaicPixel(raw, out, w-1, y)
+	}
+}
+
+// demosaicPixel reconstructs one pixel, mirroring the mosaic at the
+// frame border.
+func demosaicPixel(raw *raster.Bayer, out *raster.RGB, x, y int) {
+	i := y*raw.W + x
+	switch raster.ColorAt(x, y) {
+	case raster.CFARed:
+		out.R[i] = raw.At(x, y)
+		out.G[i] = avg4(raw.At(x-1, y), raw.At(x+1, y), raw.At(x, y-1), raw.At(x, y+1))
+		out.B[i] = avg4(raw.At(x-1, y-1), raw.At(x+1, y-1), raw.At(x-1, y+1), raw.At(x+1, y+1))
+	case raster.CFABlue:
+		out.B[i] = raw.At(x, y)
+		out.G[i] = avg4(raw.At(x-1, y), raw.At(x+1, y), raw.At(x, y-1), raw.At(x, y+1))
+		out.R[i] = avg4(raw.At(x-1, y-1), raw.At(x+1, y-1), raw.At(x-1, y+1), raw.At(x+1, y+1))
+	default: // green: red/blue neighbors depend on the row parity
+		out.G[i] = raw.At(x, y)
+		if y%2 == 0 { // R G R G row: horizontal neighbors are red
+			out.R[i] = avg2(raw.At(x-1, y), raw.At(x+1, y))
+			out.B[i] = avg2(raw.At(x, y-1), raw.At(x, y+1))
+		} else { // G B G B row: horizontal neighbors are blue
+			out.B[i] = avg2(raw.At(x-1, y), raw.At(x+1, y))
+			out.R[i] = avg2(raw.At(x, y-1), raw.At(x, y+1))
+		}
+	}
+}
+
+// demosaicInterior is demosaicPixel for x in [1, w-1) of an interior row
+// y, where no neighbor needs mirroring: the same averages over the
+// neighbor rows up, mid and dn, one loop per CFA color of the row.
+func demosaicInterior(raw *raster.Bayer, out *raster.RGB, y int) {
+	w := raw.W
+	up, mid, dn := raw.Pix[(y-1)*w:y*w], raw.Pix[y*w:(y+1)*w], raw.Pix[(y+1)*w:(y+2)*w]
+	oR, oG, oB := out.R[y*w:(y+1)*w], out.G[y*w:(y+1)*w], out.B[y*w:(y+1)*w]
+	// own is the non-green color this row samples (red at even x of an
+	// R G R G row, blue at odd x of a G B G B row); other is the color
+	// sampled by the rows above and below. The rest of the row is green.
+	own, other := oR, oB
+	first := 2
+	if y%2 == 1 {
+		own, other = oB, oR
+		first = 1
+	}
+	for x := first; x < w-1; x += 2 {
+		own[x] = mid[x]
+		oG[x] = avg4(mid[x-1], mid[x+1], up[x], dn[x])
+		other[x] = avg4(up[x-1], up[x+1], dn[x-1], dn[x+1])
+	}
+	for x := 3 - first; x < w-1; x += 2 {
+		oG[x] = mid[x]
+		own[x] = avg2(mid[x-1], mid[x+1])
+		other[x] = avg2(up[x], dn[x])
 	}
 }
 
@@ -271,38 +311,90 @@ func DenoiseBilateralInto(img, out *raster.RGB, workers int) *raster.RGB {
 	return out
 }
 
+// denoiseSpatial holds the 3×3 spatial weights spatial[dy+1] *
+// spatial[dx+1] of the bilateral filter, dy-major, for gaussian taps
+// 0.60, 1.0, 0.60 at |d| = 1, 0, 1.
+var denoiseSpatial = func() (k [9]float32) {
+	spatial := [3]float32{0.60, 1.0, 0.60}
+	for dy := range spatial {
+		for dx := range spatial {
+			k[3*dy+dx] = spatial[dy] * spatial[dx]
+		}
+	}
+	return k
+}()
+
+const denoiseInv2s2 = float32(1 / (2 * denoiseRangeSigma * denoiseRangeSigma))
+
 func denoiseRows(img, out *raster.RGB, y0, y1 int) {
 	w, h := img.W, img.H
-	spatial := [3]float32{0.60, 1.0, 0.60} // gaussian taps at |d| = 1, 0, 1
-	inv2s2 := float32(1 / (2 * denoiseRangeSigma * denoiseRangeSigma))
 	planes := [3][2][]float32{{img.R, out.R}, {img.G, out.G}, {img.B, out.B}}
 	for _, p := range planes {
 		src, dst := p[0], p[1]
 		for y := y0; y < y1; y++ {
-			for x := 0; x < w; x++ {
-				c := src[y*w+x]
-				var sum, wsum float32
-				for dy := -1; dy <= 1; dy++ {
-					yy := y + dy
-					if yy < 0 || yy >= h {
-						continue
-					}
-					for dx := -1; dx <= 1; dx++ {
-						xx := x + dx
-						if xx < 0 || xx >= w {
-							continue
-						}
-						v := src[yy*w+xx]
-						d := v - c
-						wt := spatial[dy+1] * spatial[dx+1] * expFast(-d*d*inv2s2)
-						sum += wt * v
-						wsum += wt
-					}
+			if y == 0 || y == h-1 || w < 3 {
+				for x := 0; x < w; x++ {
+					dst[y*w+x] = denoisePixel(src, w, h, x, y)
 				}
-				dst[y*w+x] = sum / wsum
+				continue
 			}
+			dst[y*w] = denoisePixel(src, w, h, 0, y)
+			denoiseInterior(src[(y-1)*w:y*w], src[y*w:(y+1)*w], src[(y+1)*w:(y+2)*w], dst[y*w:(y+1)*w])
+			dst[y*w+w-1] = denoisePixel(src, w, h, w-1, y)
 		}
 	}
+}
+
+// denoisePixel filters one pixel of a w×h plane, skipping taps outside
+// the frame.
+func denoisePixel(src []float32, w, h, x, y int) float32 {
+	c := src[y*w+x]
+	var sum, wsum float32
+	for dy := -1; dy <= 1; dy++ {
+		yy := y + dy
+		if yy < 0 || yy >= h {
+			continue
+		}
+		for dx := -1; dx <= 1; dx++ {
+			xx := x + dx
+			if xx < 0 || xx >= w {
+				continue
+			}
+			sum, wsum = bilateralTap(sum, wsum, denoiseSpatial[3*(dy+1)+dx+1], src[yy*w+xx], c)
+		}
+	}
+	return sum / wsum
+}
+
+// denoiseInterior is denoisePixel for x in [1, w-1) of an interior row
+// whose neighbor rows are up, mid and dn: all nine taps exist, so they
+// run unrolled in denoisePixel's order (float32 sums depend on it).
+func denoiseInterior(up, mid, dn, dst []float32) {
+	k := &denoiseSpatial
+	n := len(mid)
+	up, dn, dst = up[:n], dn[:n], dst[:n]
+	for x := 1; x < n-1; x++ {
+		c := mid[x]
+		var sum, wsum float32
+		sum, wsum = bilateralTap(sum, wsum, k[0], up[x-1], c)
+		sum, wsum = bilateralTap(sum, wsum, k[1], up[x], c)
+		sum, wsum = bilateralTap(sum, wsum, k[2], up[x+1], c)
+		sum, wsum = bilateralTap(sum, wsum, k[3], mid[x-1], c)
+		sum, wsum = bilateralTap(sum, wsum, k[4], c, c)
+		sum, wsum = bilateralTap(sum, wsum, k[5], mid[x+1], c)
+		sum, wsum = bilateralTap(sum, wsum, k[6], dn[x-1], c)
+		sum, wsum = bilateralTap(sum, wsum, k[7], dn[x], c)
+		sum, wsum = bilateralTap(sum, wsum, k[8], dn[x+1], c)
+		dst[x] = sum / wsum
+	}
+}
+
+// bilateralTap adds the tap v with spatial weight s to the running sums
+// of the pixel whose center value is c.
+func bilateralTap(sum, wsum, s, v, c float32) (float32, float32) {
+	d := v - c
+	wt := s * expFast(-d*d*denoiseInv2s2)
+	return sum + wt*v, wsum + wt
 }
 
 // expFast is a fast exponential approximation adequate for filter weights
@@ -406,20 +498,87 @@ func ApplyToneMapWorkers(img *raster.RGB, workers int) {
 	w := img.W
 	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
-			row := ch[y0*w : y1*w]
-			for i, v := range row {
-				row[i] = toneCurve(v)
-			}
+			toneRow(ch[y0*w : y1*w])
 		}
 	})
 }
 
+// toneToe is where the tone curve leaves its linear toe for the power
+// segment.
+const toneToe float32 = 0.0031
+
+// toneCurve is the reference transfer curve. toneRow computes the same
+// bits faster on [toneToe, 1] and calls toneCurve everywhere else.
 func toneCurve(v float32) float32 {
 	if v <= 0 {
 		return 0
 	}
-	if v < 0.0031 {
+	if v < toneToe {
 		return 12.92 * v
 	}
 	return float32(1.055*math.Pow(float64(v), 1/2.4) - 0.055)
+}
+
+// Table fast path of the power segment. An input v = 2^e * m with m in
+// [1, 2) and e in [toneExpMin, 0] splits as m = x_k * (1 + r), where x_k
+// is m truncated to toneMantBits fraction bits, so 0 <= r < 2^-10 and
+// v^(1/2.4) = 2^(e/2.4) * x_k^(1/2.4) * (1+r)^(1/2.4). The first two
+// factors are tabulated; the third is its binomial series through r^4,
+// whose remainder is below 2^-55 relative.
+const (
+	toneExponent = 1 / 2.4
+	toneMantBits = 10
+	toneLowBits  = 23 - toneMantBits // float32 fraction bits below the index
+	toneExpMin   = -9                // float32 exponent of toneToe
+	toneC1       = toneExponent
+	toneC2       = toneC1 * (toneExponent - 1) / 2
+	toneC3       = toneC2 * (toneExponent - 2) / 3
+	toneC4       = toneC3 * (toneExponent - 3) / 4
+)
+
+// toneMant holds x_k^(1/2.4) and 2^-23/x_k for every table interval k;
+// toneExp holds 2^(e/2.4). Together they take 16.1 KB.
+var (
+	toneMant = func() (t [1 << toneMantBits]struct{ pow, inv float64 }) {
+		for k := range t {
+			x := 1 + float64(k)/(1<<toneMantBits)
+			t[k].pow = math.Pow(x, toneExponent)
+			t[k].inv = 1 / (x * (1 << 23))
+		}
+		return t
+	}()
+	toneExp = func() (t [1 - toneExpMin]float64) {
+		for i := range t {
+			t[i] = math.Pow(2, float64(i+toneExpMin)*toneExponent)
+		}
+		return t
+	}()
+)
+
+// toneRow applies toneCurve to row in place. On [toneToe, 1] it
+// evaluates the curve in float64 from the tables; that result differs
+// from toneCurve's by far less than 2^10 units in the last place of a
+// float64, so it rounds to the same float32 unless it lies within 2^10
+// of a float32 rounding boundary (the low 29 fraction bits near 2^28).
+// Those rare inputs, and every input outside [toneToe, 1] (NaN, the toe,
+// values above 1 when the gamut map is skipped), take toneCurve itself.
+// TestToneCurveFastExhaustive checks every float32 of the domain.
+func toneRow(row []float32) {
+	for i, v := range row {
+		if !(v >= toneToe && v <= 1) {
+			row[i] = toneCurve(v)
+			continue
+		}
+		b := math.Float32bits(v)
+		e := int(b>>23) - 127
+		m := &toneMant[b>>toneLowBits&(1<<toneMantBits-1)]
+		r := float64(b&(1<<toneLowBits-1)) * m.inv
+		p := toneExp[e-toneExpMin] * m.pow * (1 + r*(toneC1+r*(toneC2+r*(toneC3+r*toneC4))))
+		y := 1.055*p - 0.055
+		if math.Float64bits(y)&(1<<29-1)-(1<<28-1<<10) < 1<<11 {
+			row[i] = toneCurve(v)
+			continue
+		}
+		row[i] = float32(y)
+	}
 }

@@ -24,7 +24,7 @@ func Im2colQ(x []float32, c, h, w, k, stride, pad int, inv float32, padded8, col
 	}
 	for ic := 0; ic < c; ic++ {
 		for y := 0; y < h; y++ {
-			quantizeRow(x[(ic*h+y)*w:(ic*h+y+1)*w], inv, src[(ic*ph+y+pad)*pw+pad:])
+			Quantize8Slice(x[(ic*h+y)*w:(ic*h+y+1)*w], inv, src[(ic*ph+y+pad)*pw+pad:])
 		}
 	}
 	p := oh * ow
@@ -48,15 +48,5 @@ func Im2colQ(x []float32, c, h, w, k, stride, pad int, inv float32, padded8, col
 				}
 			}
 		}
-	}
-}
-
-// quantizeRow quantizes one image row into dst.
-func quantizeRow(src []float32, inv float32, dst []int8) {
-	if len(dst) < len(src) {
-		panic("mat: quantizeRow destination shorter than source")
-	}
-	for t, v := range src {
-		dst[t] = Quantize8(v, inv)
 	}
 }

@@ -159,22 +159,29 @@ func (d *Detector) scoreBEV(img *raster.RGB, roi ROI) *raster.Gray {
 // may be a recycled buffer with arbitrary contents.
 func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
 	w, h := d.BevW, d.BevH
-	rPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.R}
-	gPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.G}
-	bPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.B}
+	iw, ih := img.W, img.H
 	for row := 0; row < h; row++ {
 		dist := d.rowToDist(roi, row)
 		left, right := roi.LatAt(dist)
 		for col := 0; col < w; col++ {
 			lat := left + (right-left)*float64(col)/float64(w-1)
 			u, v, ok := d.Geo.GroundToImage(dist, lat)
-			if !ok || u < 0 || v < 0 || u > float64(img.W-1) || v > float64(img.H-1) {
+			// Rejecting NaN here writes the 0 that sampling NaN
+			// coordinates would score.
+			if !ok || !(u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)) {
 				out.Pix[row*w+col] = 0
 				continue
 			}
-			r := qz(rPlane.Sample(u, v), d.Quantize)
-			g := qz(gPlane.Sample(u, v), d.Quantize)
-			b := qz(bPlane.Sample(u, v), d.Quantize)
+			// The bilinear footprint of raster.Gray.Sample at (u, v),
+			// which needs no clamping here, shared by the three planes.
+			x0, y0 := int(u), int(v)
+			x1, y1 := min(x0+1, iw-1), min(y0+1, ih-1)
+			fx := float32(u - float64(x0))
+			fy := float32(v - float64(y0))
+			i00, i10, i01, i11 := y0*iw+x0, y0*iw+x1, y1*iw+x0, y1*iw+x1
+			r := qz(bilinear(img.R, i00, i10, i01, i11, fx, fy), d.Quantize)
+			g := qz(bilinear(img.G, i00, i10, i01, i11, fx, fy), d.Quantize)
+			b := qz(bilinear(img.B, i00, i10, i01, i11, fx, fy), d.Quantize)
 			luma := 0.2126*r + 0.7152*g + 0.0722*b
 			chroma := r - b
 			if chroma < 0 {
@@ -184,6 +191,12 @@ func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *ras
 		}
 	}
 	return out
+}
+
+// bilinear is raster.Gray.Sample's interpolation over the samples at
+// the four indices, evaluated in the same order so the bits match.
+func bilinear(pix []float32, i00, i10, i01, i11 int, fx, fy float32) float32 {
+	return pix[i00]*(1-fx)*(1-fy) + pix[i10]*fx*(1-fy) + pix[i01]*(1-fx)*fy + pix[i11]*fx*fy
 }
 
 // qz quantizes a sample to 8 bits, emulating the PR input buffer.

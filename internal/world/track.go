@@ -49,9 +49,30 @@ type Track struct {
 	Segments  []Segment
 	LaneWidth float64
 
-	starts []Pose    // pose of the centerline at the start of each segment
-	cum    []float64 // cumulative arclength at the start of each segment
+	starts []Pose     // pose of the centerline at the start of each segment
+	cum    []float64  // cumulative arclength at the start of each segment
+	frames []segFrame // per-segment constants of Locate
 	total  float64
+}
+
+// segFrame holds what projecting a point onto a segment needs from its
+// start pose alone, computed once in NewTrack: the heading's cosine and
+// sine on a straight; the arc centre, the signed radius and the start's
+// polar angle about the centre on an arc.
+type segFrame struct {
+	cos, sin  float64 // straight
+	cx, cy, r float64 // arc: centre and signed radius 1/k
+	phi0      float64 // arc: Atan2 of the start point about the centre
+}
+
+func newSegFrame(start Pose, k float64) segFrame {
+	if math.Abs(k) < 1e-12 {
+		return segFrame{cos: math.Cos(start.Theta), sin: math.Sin(start.Theta)}
+	}
+	r := 1 / k
+	cx := start.X - r*math.Sin(start.Theta)
+	cy := start.Y + r*math.Cos(start.Theta)
+	return segFrame{cx: cx, cy: cy, r: r, phi0: math.Atan2(start.Y-cy, start.X-cx)}
 }
 
 // NewTrack assembles a track from segments, precomputing segment start
@@ -70,6 +91,7 @@ func NewTrack(segments []Segment, laneWidth float64) *Track {
 			panic(fmt.Sprintf("world: segment length %v must be positive", seg.Length))
 		}
 		t.starts = append(t.starts, p)
+		t.frames = append(t.frames, newSegFrame(p, seg.Curvature))
 		t.cum = append(t.cum, t.total)
 		t.total += seg.Length
 		p = advance(p, seg.Curvature, seg.Length)
@@ -240,7 +262,7 @@ func (t *Track) Locate(x, y, hint, behind, ahead, maxLat float64) (s, lat float6
 		if t.cum[i]+seg.Length < lo || t.cum[i] > hi {
 			continue
 		}
-		sl, la, in := segmentLocate(t.starts[i], seg.Curvature, seg.Length, x, y)
+		sl, la, in := t.frames[i].locate(t.starts[i], seg.Curvature, seg.Length, x, y)
 		if !in || math.Abs(la) > maxLat {
 			continue
 		}
@@ -259,32 +281,28 @@ func (t *Track) Locate(x, y, hint, behind, ahead, maxLat float64) (s, lat float6
 	return s, bestLat, true
 }
 
-// segmentLocate projects (x, y) into a single segment's (s, lat) frame.
-func segmentLocate(start Pose, k, length, x, y float64) (s, lat float64, ok bool) {
-	dx, dy := x-start.X, y-start.Y
+// locate projects (x, y) into the (s, lat) frame of the segment that
+// starts at start with curvature k and the given length.
+func (f *segFrame) locate(start Pose, k, length, x, y float64) (s, lat float64, ok bool) {
 	if math.Abs(k) < 1e-12 {
-		c, sn := math.Cos(start.Theta), math.Sin(start.Theta)
-		s = c*dx + sn*dy
-		lat = -sn*dx + c*dy
+		dx, dy := x-start.X, y-start.Y
+		s = f.cos*dx + f.sin*dy
+		lat = -f.sin*dx + f.cos*dy
 		return s, lat, s >= -1e-9 && s <= length+1e-9
 	}
-	r := 1 / k
-	cx := start.X - r*math.Sin(start.Theta)
-	cy := start.Y + r*math.Cos(start.Theta)
-	vx, vy := x-cx, y-cy
+	vx, vy := x-f.cx, y-f.cy
 	rad := math.Hypot(vx, vy)
 	if rad < 1e-9 {
 		return 0, 0, false
 	}
 	// lat = 1/k - sign(k)*radius (positive left of travel direction).
 	if k > 0 {
-		lat = r - rad
+		lat = f.r - rad
 	} else {
-		lat = rad + r // r negative
+		lat = rad + f.r // r negative
 	}
 	phi := math.Atan2(vy, vx)
-	phi0 := math.Atan2(start.Y-cy, start.X-cx)
-	s = normAngle(phi-phi0) / k
+	s = normAngle(phi-f.phi0) / k
 	return s, lat, s >= -1e-9 && s <= length+1e-9
 }
 
