@@ -7,8 +7,10 @@
 //	lkas-worker -addr :8091 -cache-dir /var/lib/lkas-cache
 //
 // Endpoints: POST /v1/lease (batch execution, NDJSON result stream),
-// GET /v1/cache/{key} and /v1/cache/{key}/trace (federated cache),
-// GET /healthz, GET /metrics. With -cache-dir the cache survives
+// POST /v1/cache/lookup (federated cache, many keys per request, NDJSON
+// hit stream), GET /v1/cache/{key} and /v1/cache/{key}/trace (federated
+// cache, one key), GET /healthz, GET /metrics. -max-lease-bytes bounds
+// both POST bodies. With -cache-dir the cache survives
 // restarts, so a re-leased batch after a crash re-simulates only what
 // was in flight; with -lake-dir the node also keeps a columnar lake of
 // everything it computes.
@@ -54,7 +56,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.lakeDir, "lake-dir", "", "node-local columnar result-lake directory (empty = disabled)")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers per lease (0 = all CPUs)")
 	fs.IntVar(&o.kernels, "kernel-workers", 0, "per-run image/GEMM kernel goroutines (0 = CPUs/workers)")
-	fs.Int64Var(&o.maxLeaseBytes, "max-lease-bytes", 64<<20, "largest accepted lease request body in bytes")
+	fs.Int64Var(&o.maxLeaseBytes, "max-lease-bytes", 64<<20, "largest accepted lease or cache-lookup request body in bytes")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn or error")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -212,6 +212,21 @@ func (j JobSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// ValidKey reports whether s has the form Key produces: 64 lowercase
+// hex digits. Keys arriving from outside the program are checked with
+// it before they name anything on disk.
+func ValidKey(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // JobResult is the cached outcome of one closed-loop run: everything
 // downstream consumers (Table III assembly, the Fig. 6/8 analyses, the
 // HTTP API) need, without re-simulating.

@@ -65,6 +65,24 @@ func TestKeyIsStableAcrossEquivalentSpellings(t *testing.T) {
 	}
 }
 
+// TestValidKeyAcceptsOnlyContentAddresses: every key Key produces is
+// valid, and nothing else that could name a path is.
+func TestValidKeyAcceptsOnlyContentAddresses(t *testing.T) {
+	k, err := JobSpec{Situation: testSit(), Camera: camera.Scaled(64, 32), Case: 1, Seed: 9}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ValidKey(k) {
+		t.Fatalf("ValidKey(%q) = false for a key Key produced", k)
+	}
+	for _, bad := range []string{"", "nope", k[:63], k + "0", strings.ToUpper(k),
+		"../../" + k[6:], k[:62] + "/x", k[:63] + "g", k[:63] + "\x00"} {
+		if ValidKey(bad) {
+			t.Errorf("ValidKey(%q) = true", bad)
+		}
+	}
+}
+
 func TestKeyDiscriminatesOutcomeAffectingFields(t *testing.T) {
 	base := JobSpec{Situation: testSit(), Camera: camera.Scaled(192, 96), Case: 1, Seed: 1}
 	mutate := map[string]func(*JobSpec){

@@ -16,6 +16,7 @@ import (
 	"hsas/internal/campaign"
 	"hsas/internal/lake"
 	"hsas/internal/obs"
+	"hsas/internal/sim"
 	"hsas/internal/trace"
 )
 
@@ -51,8 +52,9 @@ type CoordinatorConfig struct {
 	// and its unfinished jobs re-queue (default 2m — comfortably above
 	// one closed-loop simulation).
 	LeaseTTL time.Duration
-	// RequestTimeout bounds the non-streaming requests (cache probes;
-	// also the lease connect+first-byte phase). Default 10s.
+	// RequestTimeout is the per-line liveness deadline on a federated
+	// cache lookup stream, re-armed on every line like LeaseTTL.
+	// Default 10s.
 	RequestTimeout time.Duration
 	// MaxRetries is the number of consecutive transport failures
 	// before a worker is declared dead and abandoned (default 3).
@@ -194,7 +196,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		reg:            reg,
 		leasesInflight: reg.Gauge("hsas_fabric_leases_inflight", "lease requests currently streaming"),
 		remoteHits:     reg.Counter("hsas_fabric_remote_cache_hits_total", "unique jobs resolved by a peer's federated cache"),
-		remoteMisses:   reg.Counter("hsas_fabric_remote_cache_misses_total", "federated cache probes that found nothing"),
+		remoteMisses:   reg.Counter("hsas_fabric_remote_cache_misses_total", "unique jobs no peer's federated cache could serve"),
 		remoteFills:    reg.Counter("hsas_fabric_remote_cache_fills_total", "local cache fills from remote results (read-through)"),
 		requeues:       reg.Counter("hsas_fabric_requeues_total", "jobs re-queued after a failed or expired lease"),
 		retries:        reg.Counter("hsas_fabric_retries_total", "lease transport retries"),
@@ -419,7 +421,7 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 		lakeCampaign = "adhoc"
 	}
 	var lakeMu sync.Mutex
-	appendLake := func(u *job, res *campaign.JobResult, cached bool, traceCSV []byte) {
+	appendLake := func(u *job, res *campaign.JobResult, cached bool, tr receivedTrace) {
 		if c.cfg.Lake == nil {
 			return
 		}
@@ -429,12 +431,11 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 			c.met.lakeAppendF.Inc()
 			o.Logger().Warn("fabric: lake append failed", "key", u.key[:12], "err", err)
 		}
-		if len(traceCSV) > 0 {
-			pts, err := trace.ReadCSV(bytes.NewReader(traceCSV))
-			if err == nil {
-				err = c.cfg.Lake.AppendTrace(campaign.LakeTraceRows(lakeCampaign, u.key, pts)...)
-			}
-			if err != nil {
+		switch {
+		case tr.err != nil:
+			c.met.lakeAppendF.Inc() // the trace's rows are lost; complete logged why
+		case tr.csv != nil:
+			if err := c.cfg.Lake.AppendTrace(campaign.LakeTraceRows(lakeCampaign, u.key, tr.pts)...); err != nil {
 				c.met.lakeAppendF.Inc()
 				o.Logger().Warn("fabric: lake trace append failed", "key", u.key[:12], "err", err)
 			}
@@ -465,13 +466,16 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 	// complete checkpoints a resolved job (cache fill, lake row, hook)
 	// and marks it done. Duplicate results — steal races, a worker
 	// volunteering a key it wasn't leased — are dropped after the
-	// first: determinism makes them byte-identical anyway.
-	complete := func(u *job, res *campaign.JobResult, traceCSV []byte, cached bool) bool {
+	// first: determinism makes them byte-identical anyway. A trace
+	// that failed to parse is not cached; the result still is.
+	complete := func(u *job, res *campaign.JobResult, tr receivedTrace, cached bool) bool {
 		if !st.markDone(u.key) {
 			return false
 		}
-		if len(traceCSV) > 0 {
-			if err := c.cfg.Cache.PutTrace(u.key, traceCSV); err != nil {
+		if tr.err != nil {
+			o.Logger().Warn("fabric: dropping a trace that does not parse", "key", u.key[:12], "err", tr.err)
+		} else if tr.csv != nil {
+			if err := c.cfg.Cache.PutTrace(u.key, tr.csv); err != nil {
 				o.Logger().Warn("fabric: trace cache fill failed", "key", u.key[:12], "err", err)
 			}
 		}
@@ -479,7 +483,7 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 			o.Logger().Warn("fabric: cache fill failed", "key", u.key[:12], "err", err)
 		}
 		fill(u, res)
-		appendLake(u, res, cached, traceCSV)
+		appendLake(u, res, cached, tr)
 		fire(campaign.JobEvent{Index: u.indices[0], Indices: u.indices, Spec: &u.spec,
 			Result: res, Cached: cached, Worker: -1})
 		return true
@@ -498,7 +502,7 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 			if st.markDone(u.key) {
 				stats.LocalHits++
 				fill(u, res)
-				appendLake(u, res, true, nil)
+				appendLake(u, res, true, receivedTrace{})
 				fire(campaign.JobEvent{Index: u.indices[0], Indices: u.indices, Spec: &u.spec,
 					Result: res, Cached: true, Worker: -1})
 			}
@@ -509,43 +513,43 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 		st.inPend[u.key] = true
 	}
 
-	// Phase 2: remote cache tier — probe peers for each miss
-	// (read-through with local fill). Bounded concurrency; each key
-	// starts at a peer chosen by its first key byte so a fleet-wide
-	// resubmit spreads probe load.
+	// Phase 2: remote cache tier — one streamed lookup per peer, all at
+	// once, each carrying every miss (read-through with local fill;
+	// first result wins when several peers hold a key).
+	var statMu sync.Mutex
 	if len(misses) > 0 && ctx.Err() == nil {
-		sem := make(chan struct{}, 8)
-		var probeWG sync.WaitGroup
-		var statMu sync.Mutex
-		for _, u := range misses {
-			u := u
-			probeWG.Add(1)
-			sem <- struct{}{}
+		req := lookupRequest{Keys: make([]string, len(misses)), Trace: make([]bool, len(misses))}
+		for i, u := range misses {
+			req.Keys[i], req.Trace[i] = u.key, u.spec.RecordTrace
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			return results, stats, fmt.Errorf("fabric: encoding cache lookup: %w", err)
+		}
+		var wg sync.WaitGroup
+		for _, wurl := range c.cfg.Workers {
+			wg.Add(1)
 			go func() {
-				defer probeWG.Done()
-				defer func() { <-sem }()
-				res, traceCSV, ok := c.probeRemote(ctx, u)
-				if !ok {
-					c.met.remoteMisses.Inc()
-					return
-				}
-				if complete(u, res, traceCSV, true) {
-					c.met.remoteHits.Inc()
-					c.met.remoteFills.Inc()
-					statMu.Lock()
-					stats.RemoteHits++
-					statMu.Unlock()
+				defer wg.Done()
+				n, err := c.lookup(ctx, wurl, body, st, complete)
+				statMu.Lock()
+				stats.RemoteHits += n
+				statMu.Unlock()
+				if err != nil {
+					o.Logger().Info("fabric: cache lookup incomplete", "worker", wurl, "hits", n, "err", err)
 				}
 			}()
 		}
-		probeWG.Wait()
+		wg.Wait()
+		c.met.remoteHits.Add(int64(stats.RemoteHits))
+		c.met.remoteFills.Add(int64(stats.RemoteHits))
+		c.met.remoteMisses.Add(int64(len(misses) - stats.RemoteHits))
 	}
 
 	// Phase 3: lease the remaining misses across the fleet. Each
 	// worker gets a goroutine that loops taking batches; idle workers
 	// steal from stragglers; a worker exceeding MaxRetries consecutive
 	// transport failures is abandoned.
-	var statMu sync.Mutex
 	var lastErr error
 	setErr := func(err error) {
 		statMu.Lock()
@@ -695,11 +699,13 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 		stats.FallbackSimulated = lstats.Simulated
 		for i, u := range rem {
 			res := lres[i]
-			var traceCSV []byte
+			var tr receivedTrace
 			if u.spec.RecordTrace {
-				traceCSV, _, _ = c.cfg.Cache.GetTrace(u.key)
+				if csv, ok, _ := c.cfg.Cache.GetTrace(u.key); ok {
+					tr = parseTrace(csv)
+				}
 			}
-			complete(u, res, traceCSV, false)
+			complete(u, res, tr, false)
 		}
 	}
 
@@ -713,105 +719,63 @@ func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([
 	return results, stats, nil
 }
 
-// probeRemote asks peers for a cached result (and trace, when the job
-// records one). The starting peer is picked by the key's first byte so
-// probes spread across the fleet; each probe walks all peers.
-func (c *Coordinator) probeRemote(ctx context.Context, u *job) (*campaign.JobResult, []byte, bool) {
-	n := len(c.cfg.Workers)
-	start := 0
-	if len(u.key) > 0 {
-		start = int(u.key[0]) % n
+// receivedTrace is a trace artefact as a job's result brought it in,
+// parsed once: the points feed the lake, and a trace whose parse
+// failed (err) is neither cached nor projected.
+type receivedTrace struct {
+	csv []byte
+	pts []sim.TracePoint
+	err error
+}
+
+func parseTrace(csv []byte) receivedTrace {
+	pts, err := trace.ReadCSV(bytes.NewReader(csv))
+	if err != nil {
+		return receivedTrace{err: fmt.Errorf("parsing trace: %w", err)}
 	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			return nil, nil, false
+	return receivedTrace{csv: csv, pts: pts}
+}
+
+// completeFunc is RunFabric's complete: checkpoint one resolved job,
+// reporting whether this call was the first result for it.
+type completeFunc func(u *job, res *campaign.JobResult, tr receivedTrace, cached bool) bool
+
+// lookup asks one peer for every key in body (an encoded
+// lookupRequest) and completes the hits it streams back. A hit counts
+// only for a key of this campaign, and for a record_trace job only
+// with a trace that parses; anything else stays a miss for the lease
+// phase. Returns the jobs newly completed by this peer.
+func (c *Coordinator) lookup(ctx context.Context, wurl string, body []byte, st *runState, complete completeFunc) (int, error) {
+	n := 0
+	err := c.stream(ctx, wurl+"/v1/cache/lookup", body, c.cfg.RequestTimeout, func(line leaseLine) {
+		u := st.byKey[line.Key]
+		if u == nil || line.Result == nil {
+			return
 		}
-		base := c.cfg.Workers[(start+i)%n]
-		res, ok := c.fetchResult(ctx, base, u.key)
-		if !ok {
-			continue
-		}
-		var traceCSV []byte
+		var tr receivedTrace
 		if u.spec.RecordTrace {
-			csv, ok := c.fetchTrace(ctx, base, u.key)
-			if !ok {
-				continue // result without its trace: keep probing
+			if tr = parseTrace(line.Trace); tr.err != nil {
+				return
 			}
-			traceCSV = csv
 		}
-		return res, traceCSV, true
-	}
-	return nil, nil, false
-}
-
-func (c *Coordinator) fetchResult(ctx context.Context, base, key string) (*campaign.JobResult, bool) {
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	var res campaign.JobResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, false
-	}
-	return &res, true
-}
-
-func (c *Coordinator) fetchTrace(ctx context.Context, base, key string) ([]byte, bool) {
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/cache/"+key+"/trace", nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false
-	}
-	// Served traces were validated worker-side, but defend anyway: a
-	// torn proxy response must not poison the local cache.
-	if _, err := trace.ReadCSV(bytes.NewReader(b)); err != nil {
-		return nil, false
-	}
-	return b, true
+		if complete(u, line.Result, tr, true) {
+			n++
+		}
+	})
+	return n, err
 }
 
 // lease POSTs one batch to a worker and consumes the NDJSON result
-// stream, completing jobs as lines arrive. A per-line watchdog cancels
-// the request if the worker streams nothing for LeaseTTL, so a hung or
-// killed worker surfaces as an error here and the caller re-queues.
-// Returns the number of jobs newly completed by this lease.
+// stream, completing jobs as lines arrive. The stream's per-line
+// watchdog runs at LeaseTTL, so a hung or killed worker surfaces as an
+// error here and the caller re-queues. Returns the number of jobs newly
+// completed by this lease.
 func (c *Coordinator) lease(ctx context.Context, wurl string, batch []*job,
-	st *runState, lakeCampaign string, complete func(*job, *campaign.JobResult, []byte, bool) bool,
+	st *runState, lakeCampaign string, complete completeFunc,
 	stats *FabricStats, statMu *sync.Mutex) (int, error) {
 
-	byKey := make(map[string]*job, len(batch))
 	specs := make([]campaign.JobSpec, len(batch))
 	for i, u := range batch {
-		byKey[u.key] = u
 		specs[i] = u.spec
 	}
 	body, err := json.Marshal(leaseRequest{Campaign: lakeCampaign, Jobs: specs})
@@ -819,70 +783,28 @@ func (c *Coordinator) lease(ctx context.Context, wurl string, batch []*job,
 		return 0, fmt.Errorf("encoding lease: %w", err)
 	}
 
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(lctx, http.MethodPost, wurl+"/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-
-	// The watchdog covers connect + first byte too: arm before Do.
-	watchdog := time.AfterFunc(c.cfg.LeaseTTL, cancel)
-	defer watchdog.Stop()
-
 	c.met.leasesInflight.Add(1)
 	defer c.met.leasesInflight.Add(-1)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("lease request: %w", err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("lease rejected: %s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-
 	nDone := 0
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var line leaseLine
-		if err := dec.Decode(&line); err != nil {
-			if err == io.EOF {
-				return nDone, fmt.Errorf("lease stream ended without trailer")
-			}
-			if lctx.Err() != nil && ctx.Err() == nil {
-				return nDone, fmt.Errorf("lease expired (no line for %s)", c.cfg.LeaseTTL)
-			}
-			return nDone, fmt.Errorf("lease stream: %w", err)
+	err = c.stream(ctx, wurl+"/v1/lease", body, c.cfg.LeaseTTL, func(line leaseLine) {
+		if line.Error != "" || line.Result == nil {
+			return
 		}
-		watchdog.Reset(c.cfg.LeaseTTL)
-		if line.Done {
-			if line.Error != "" {
-				return nDone, fmt.Errorf("worker engine: %s", line.Error)
-			}
-			return nDone, nil
+		// A key outside this lease is a volunteered result — e.g. the
+		// worker finished a batch whose lease already expired and was
+		// re-queued. Determinism makes any worker's result canonical,
+		// so accept it as long as the key belongs to this campaign.
+		// byKey on the run state is immutable after the dedup phase,
+		// so the read is safe.
+		u := st.byKey[line.Key]
+		if u == nil {
+			return
 		}
-		if line.Error != "" || line.Result == nil || line.Key == "" {
-			continue
+		var tr receivedTrace
+		if len(line.Trace) > 0 {
+			tr = parseTrace(line.Trace)
 		}
-		u, ok := byKey[line.Key]
-		if !ok {
-			// A volunteered result for a key outside this lease —
-			// e.g. the worker finished a batch whose lease already
-			// expired and was re-queued. Determinism makes any
-			// worker's result canonical, so accept it as long as the
-			// key belongs to this campaign. byKey on the run state is
-			// immutable after the dedup phase, so the read is safe.
-			u = st.byKey[line.Key]
-			if u == nil {
-				continue
-			}
-		}
-		if complete(u, line.Result, line.Trace, false) {
+		if complete(u, line.Result, tr, false) {
 			nDone++
 			statMu.Lock()
 			if line.Cached {
@@ -892,6 +814,62 @@ func (c *Coordinator) lease(ctx context.Context, wurl string, batch []*job,
 			}
 			statMu.Unlock()
 		}
+	})
+	if err != nil {
+		return nDone, fmt.Errorf("lease: %w", err)
+	}
+	return nDone, nil
+}
+
+// stream POSTs body to url and decodes the NDJSON leaseLine response,
+// calling onLine for each line before the done trailer. ttl is a
+// per-line watchdog: armed before the request (covering connect and
+// first byte) and re-armed on every line, so a peer that stalls is cut
+// off within one ttl however long the whole stream runs.
+func (c *Coordinator) stream(ctx context.Context, url string, body []byte, ttl time.Duration, onLine func(leaseLine)) error {
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	req, err := http.NewRequestWithContext(sctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+
+	watchdog := time.AfterFunc(ttl, cancel)
+	defer watchdog.Stop()
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return fmt.Errorf("request: %w", err)
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		_ = resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("rejected: %s: %s", resp.Status, bytes.TrimSpace(b))
+	}
+
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var line leaseLine
+		if err := dec.Decode(&line); err != nil {
+			if err == io.EOF {
+				return errors.New("stream ended without trailer")
+			}
+			if sctx.Err() != nil && ctx.Err() == nil {
+				return fmt.Errorf("expired (no line for %s)", ttl)
+			}
+			return fmt.Errorf("stream: %w", err)
+		}
+		watchdog.Reset(ttl)
+		if line.Done {
+			if line.Error != "" {
+				return fmt.Errorf("worker engine: %s", line.Error)
+			}
+			return nil
+		}
+		onLine(line)
 	}
 }
 

@@ -31,8 +31,20 @@
 //
 // Federated cache endpoints served by every worker:
 //
+//	POST /v1/cache/lookup {"keys": [key, ...], "trace": [bool, ...]}
+//	→ 200 application/x-ndjson, one lease line per hit
+//	  {"key": ..., "result": {...}, "cached": true, "trace": base64}
+//	  terminated by a trailer {"done": true, "cache_hits": n}.
 //	GET /v1/cache/{key}        → 200 JobResult JSON | 404
 //	GET /v1/cache/{key}/trace  → 200 trace CSV      | 404
+//
+// Before leasing anything the coordinator sends every key its own cache
+// lacks to all peers at once, one lookup each, and reads each stream
+// under the same per-line watchdog as a lease (RequestTimeout instead
+// of the lease TTL). trace[i] asks for key i's trace as well: a hit
+// without its trace, or with one that does not parse, is a miss. Keys
+// must be content addresses (64 lowercase hex digits); anything else
+// is a 400. The GET point lookups are for operators and scripts.
 package fabric
 
 import (
@@ -49,6 +61,14 @@ import (
 type leaseRequest struct {
 	Campaign string             `json:"campaign,omitempty"`
 	Jobs     []campaign.JobSpec `json:"jobs"`
+}
+
+// lookupRequest is the POST /v1/cache/lookup body: content addresses
+// to read from the worker's cache, with Trace[i] set when key i's job
+// records a trace (its hit must then carry the trace too).
+type lookupRequest struct {
+	Keys  []string `json:"keys"`
+	Trace []bool   `json:"trace"`
 }
 
 // leaseLine is one NDJSON line of a lease response stream: either a

@@ -141,7 +141,7 @@ func TestWorkerFederatedCacheEndpoints(t *testing.T) {
 	w, srv := newTestWorker(t)
 
 	// Miss first.
-	resp, err := http.Get(srv.URL + "/v1/cache/nope")
+	resp, err := http.Get(srv.URL + "/v1/cache/" + strings.Repeat("0", 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestCoordinatorFederatedCacheReadThrough(t *testing.T) {
 	}
 
 	// A fresh coordinator with a cold local cache must resolve both
-	// jobs through GET /v1/cache/{key} — zero leases, zero sims.
+	// jobs through POST /v1/cache/lookup — zero leases, zero sims.
 	cold := campaign.NewMemCache()
 	co, err := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}, Cache: cold})
 	if err != nil {

@@ -18,9 +18,10 @@ type WorkerConfig struct {
 	KernelWorkers int
 	// Cache is the node's local content-addressed cache; leased jobs
 	// resolve against it before simulating, and every entry is served
-	// to the fleet via GET /v1/cache/{key}. Nil uses an in-memory
-	// cache (a worker must cache: the lease protocol reads traces and
-	// the resubmit-is-free guarantee back out of it).
+	// to the fleet via POST /v1/cache/lookup and GET /v1/cache/{key}.
+	// Nil uses an in-memory cache (a worker must cache: the lease
+	// protocol reads traces and the resubmit-is-free guarantee back out
+	// of it).
 	Cache campaign.Cache
 	// Lake, when set, keeps a node-local analytical lake of every job
 	// this worker completes.
@@ -28,8 +29,8 @@ type WorkerConfig struct {
 	// Obs receives worker logs and metrics (lease counters, the local
 	// engine's campaign metrics, federated cache hit/miss counters).
 	Obs *obs.Observer
-	// MaxLeaseBytes bounds a single lease request body; 0 defaults to
-	// 64 MiB (roughly 100k jobs).
+	// MaxLeaseBytes bounds a single lease or lookup request body; 0
+	// defaults to 64 MiB (roughly 100k jobs).
 	MaxLeaseBytes int64
 }
 
@@ -45,8 +46,8 @@ type Worker struct {
 type workerMetrics struct {
 	leases     *obs.Counter
 	leaseJobs  *obs.Counter
-	cacheHits  *obs.Counter // GET /v1/cache served
-	cacheMiss  *obs.Counter // GET /v1/cache 404s
+	cacheHits  *obs.Counter // results served by a point or bulk lookup
+	cacheMiss  *obs.Counter // results a lookup found missing
 	traceHits  *obs.Counter
 	traceMiss  *obs.Counter
 	leaseBusy  *obs.Gauge
@@ -67,9 +68,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		leases:    reg.Counter("hsas_fabric_worker_leases_total", "lease batches accepted by this worker"),
 		leaseJobs: reg.Counter("hsas_fabric_worker_lease_jobs_total", "jobs received across all lease batches"),
 		cacheHits: reg.Counter("hsas_fabric_cache_serve_hits_total", "federated cache lookups served (result found)"),
-		cacheMiss: reg.Counter("hsas_fabric_cache_serve_misses_total", "federated cache lookups that 404ed"),
+		cacheMiss: reg.Counter("hsas_fabric_cache_serve_misses_total", "federated cache lookups that found no result"),
 		traceHits: reg.Counter("hsas_fabric_trace_serve_hits_total", "federated trace lookups served"),
-		traceMiss: reg.Counter("hsas_fabric_trace_serve_misses_total", "federated trace lookups that 404ed"),
+		traceMiss: reg.Counter("hsas_fabric_trace_serve_misses_total", "federated trace lookups that found no trace"),
 		leaseBusy: reg.Gauge("hsas_fabric_worker_leases_inflight", "lease batches currently executing"),
 		leaseBatch: reg.Histogram("hsas_fabric_worker_lease_batch_jobs", "jobs per lease batch",
 			[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384}),
@@ -82,13 +83,19 @@ func (w *Worker) Cache() campaign.Cache { return w.cfg.Cache }
 // Handler returns the worker's HTTP API:
 //
 //	POST /v1/lease             execute a job batch, stream NDJSON results
+//	POST /v1/cache/lookup      federated cache, bulk: stream NDJSON hits
 //	GET  /v1/cache/{key}       federated cache: result JSON or 404
 //	GET  /v1/cache/{key}/trace federated cache: trace CSV or 404
 //	GET  /healthz              liveness
 //	GET  /metrics              Prometheus exposition
+//
+// The cache endpoints accept only content addresses (64 lowercase hex
+// digits, as campaign.JobSpec.Key produces) and answer 400 to anything
+// else, so no key can name a file outside the cache directory.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", w.handleLease)
+	mux.HandleFunc("POST /v1/cache/lookup", w.handleCacheLookup)
 	mux.HandleFunc("GET /v1/cache/{key}", w.handleCacheGet)
 	mux.HandleFunc("GET /v1/cache/{key}/trace", w.handleCacheTrace)
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
@@ -172,40 +179,139 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	emit(trailer)
 }
 
-// handleCacheGet serves the federated cache tier: a peer (or a
-// coordinator probing before scheduling) reads this node's cached
-// result for a key.
+// handleCacheLookup serves the federated cache tier in bulk: one
+// request carries every key a coordinator is missing, and the response
+// streams one NDJSON leaseLine per hit (Cached set, Trace for keys whose
+// job records one), then a trailer with the hit count. A result whose
+// trace is missing or fails the cache's validation is a miss, as on the
+// point lookups.
+func (w *Worker) handleCacheLookup(rw http.ResponseWriter, r *http.Request) {
+	var req lookupRequest
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.cfg.MaxLeaseBytes))
+	if err := dec.Decode(&req); err != nil {
+		writeError(rw, http.StatusBadRequest, "decoding lookup request: %v", err)
+		return
+	}
+	if len(req.Keys) == 0 {
+		writeError(rw, http.StatusBadRequest, "lookup request carries no keys")
+		return
+	}
+	if len(req.Trace) != len(req.Keys) {
+		writeError(rw, http.StatusBadRequest, "lookup request has %d keys but %d trace flags", len(req.Keys), len(req.Trace))
+		return
+	}
+	for _, key := range req.Keys {
+		if !campaign.ValidKey(key) {
+			writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+			return
+		}
+	}
+
+	rw.Header().Set("Content-Type", "application/x-ndjson")
+	rw.Header().Set("X-Accel-Buffering", "no")
+	rw.WriteHeader(http.StatusOK)
+	flusher, _ := rw.(http.Flusher)
+	enc := json.NewEncoder(rw)
+	hits := 0
+	for i, key := range req.Keys {
+		if r.Context().Err() != nil {
+			return // the coordinator hung up
+		}
+		// A read error is logged and served as a miss: the coordinator
+		// then leases the job instead.
+		res, ok, err := w.getResult(key)
+		if err != nil {
+			w.cfg.Obs.Logger().Warn("fabric: cache read failed", "key", key[:12], "err", err)
+		}
+		if !ok {
+			continue
+		}
+		line := leaseLine{Key: key, Result: res, Cached: true}
+		if req.Trace[i] {
+			if line.Trace, ok, err = w.getTrace(key); err != nil {
+				w.cfg.Obs.Logger().Warn("fabric: cache trace read failed", "key", key[:12], "err", err)
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := enc.Encode(line); err != nil {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		hits++
+	}
+	_ = enc.Encode(leaseLine{Done: true, CacheHits: hits})
+}
+
+// handleCacheGet serves one key of the federated cache tier.
 func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	res, ok, err := w.cfg.Cache.Get(key)
+	if !campaign.ValidKey(key) {
+		writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+		return
+	}
+	res, ok, err := w.getResult(key)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, "cache read: %v", err)
 		return
 	}
 	if !ok {
-		w.met.cacheMiss.Inc()
 		writeError(rw, http.StatusNotFound, "no cached result for %s", key)
 		return
 	}
-	w.met.cacheHits.Inc()
 	writeJSON(rw, http.StatusOK, res)
 }
 
 // handleCacheTrace serves a cached trace CSV for record_trace jobs.
 func (w *Worker) handleCacheTrace(rw http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	csv, ok, err := w.cfg.Cache.GetTrace(key)
+	if !campaign.ValidKey(key) {
+		writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+		return
+	}
+	csv, ok, err := w.getTrace(key)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, "cache trace read: %v", err)
 		return
 	}
 	if !ok {
-		w.met.traceMiss.Inc()
 		writeError(rw, http.StatusNotFound, "no cached trace for %s", key)
 		return
 	}
-	w.met.traceHits.Inc()
 	rw.Header().Set("Content-Type", "text/csv")
 	rw.WriteHeader(http.StatusOK)
 	_, _ = rw.Write(csv)
+}
+
+// getResult reads a validated key's result for the federated tier,
+// counting the serve as a hit or a miss; a read error counts as
+// neither.
+func (w *Worker) getResult(key string) (*campaign.JobResult, bool, error) {
+	res, ok, err := w.cfg.Cache.Get(key)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case ok:
+		w.met.cacheHits.Inc()
+	default:
+		w.met.cacheMiss.Inc()
+	}
+	return res, ok, nil
+}
+
+// getTrace is getResult for a key's trace CSV.
+func (w *Worker) getTrace(key string) ([]byte, bool, error) {
+	csv, ok, err := w.cfg.Cache.GetTrace(key)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case ok:
+		w.met.traceHits.Inc()
+	default:
+		w.met.traceMiss.Inc()
+	}
+	return csv, ok, nil
 }

@@ -2,8 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hsas/internal/camera"
+	"hsas/internal/knobs"
+	"hsas/internal/sim"
+	"hsas/internal/world"
 )
 
 // FuzzReadCSV: the trace loader must never panic on malformed input —
@@ -29,4 +35,63 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatal("points returned alongside an error")
 		}
 	})
+}
+
+// FuzzReadCSVMatchesOracle: ReadCSV's split-on-commas path must agree
+// with the encoding/csv loader on every input, accepting and rejecting
+// the same files and returning the same points (nil for header-only).
+func FuzzReadCSVMatchesOracle(f *testing.F) {
+	var good bytes.Buffer
+	rec := &Recorder{Points: syntheticPoints()[:3]}
+	rec.Points[1].Fault = "noise+drop"
+	if err := rec.WriteCSV(&good); err != nil {
+		f.Fatal(err)
+	}
+	header := strings.Join(csvHeader, ",") + "\n"
+	row := "0.025,0.2,1,0.1,0.1,true,true,0.01,S0,1,50,25,24.60,,false\n"
+	f.Add(good.Bytes())
+	f.Add([]byte(header + strings.Replace(row, "S0", `"S0"`, 1)))     // a quoted field
+	f.Add([]byte(strings.ReplaceAll(header+row+row, "\n", "\r\n")))   // CRLF line endings
+	f.Add([]byte("\n" + header + "\n\n" + row + "\n" + row + "\n\n")) // blank lines
+	f.Add([]byte(header + row + strings.TrimSuffix(row, "\n")))       // last row without a newline
+	f.Add([]byte(header + row + "0.05,0.4,1,0.1\n"))                  // a ragged row
+	f.Add([]byte(header))                                             // header-only
+	f.Add([]byte("time_s,s_m,sector,yl_true,yl_meas,det_ok,raw_det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\n" +
+		"0.025,0.2,1,0.1,0.1,true,true,0.01,S0,1,50,25,24.60\n")) // legacy 13 columns
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadCSV(bytes.NewReader(data))
+		want, werr := readCSVRecords(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ReadCSV err = %v, encoding/csv err = %v", err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadCSV points differ from encoding/csv:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// BenchmarkReadCSV loads a recorded 96×48 closed-loop trace.
+func BenchmarkReadCSV(b *testing.B) {
+	rec := &Recorder{}
+	if _, err := sim.Run(sim.Config{
+		Track:  world.SituationTrack(world.PaperSituations[0]),
+		Camera: camera.Scaled(96, 48),
+		Case:   knobs.Case4,
+		Seed:   1,
+		Trace:  rec.Add,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := rec.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(csv.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(bytes.NewReader(csv.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

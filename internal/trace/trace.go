@@ -7,11 +7,14 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	"hsas/internal/sim"
 )
@@ -73,73 +76,171 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV loads points written by WriteCSV.
+// ReadCSV loads points written by WriteCSV. A header-only trace loads
+// as nil points.
+//
+// Input with no '"' and no '\r' — everything WriteCSV emits — takes a
+// split-on-commas path: one string conversion, fields as substrings,
+// points preallocated from the newline count. Anything else goes
+// through encoding/csv (readCSVRecords), which also serves the tests
+// as the oracle the split path must match.
 func ReadCSV(r io.Reader) ([]sim.TracePoint, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
+	var buf bytes.Buffer
+	if n, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(n.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("trace: reading CSV: %w", err)
+	}
+	b := buf.Bytes()
+	if bytes.IndexByte(b, '"') >= 0 || bytes.IndexByte(b, '\r') >= 0 {
+		return readCSVRecords(bytes.NewReader(b))
+	}
+	return readPlainCSV(string(b))
+}
+
+// readCSVRecords is the general loader: encoding/csv splits the
+// records, so quoting and CRLF line ends follow RFC 4180.
+func readCSVRecords(r io.Reader) ([]sim.TracePoint, error) {
+	rows, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, err
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
+		return nil, errEmpty
 	}
-	if len(rows[0]) != len(csvHeader) && len(rows[0]) != legacyFields {
-		return nil, fmt.Errorf("trace: header has %d fields, want %d (or the legacy %d)",
-			len(rows[0]), len(csvHeader), legacyFields)
+	if err := checkHeader(len(rows[0])); err != nil {
+		return nil, err
 	}
 	var out []sim.TracePoint
 	for i, row := range rows[1:] {
-		var p sim.TracePoint
-		var errs []error
-		f := func(j int) float64 {
-			v, err := strconv.ParseFloat(row[j], 64)
-			if err != nil {
-				errs = append(errs, err)
-			}
-			return v
-		}
-		n := func(j int) int {
-			v, err := strconv.Atoi(row[j])
-			if err != nil {
-				errs = append(errs, err)
-			}
-			return v
-		}
-		p.TimeS = f(0)
-		p.S = f(1)
-		p.Sector = n(2)
-		p.YLTrue = f(3)
-		p.YLMeas = f(4)
-		detOK, berr := strconv.ParseBool(row[5])
-		if berr != nil {
-			errs = append(errs, berr)
-		}
-		p.DetOK = detOK
-		rawOK, berr := strconv.ParseBool(row[6])
-		if berr != nil {
-			errs = append(errs, berr)
-		}
-		p.RawDetOK = rawOK
-		p.Steer = f(7)
-		p.Setting.ISP = row[8]
-		p.Setting.ROI = n(9)
-		p.Setting.SpeedKmph = f(10)
-		p.HMs = f(11)
-		p.TauMs = f(12)
-		if len(row) > legacyFields {
-			p.Fault = row[13]
-			degraded, berr := strconv.ParseBool(row[14])
-			if berr != nil {
-				errs = append(errs, berr)
-			}
-			p.Degraded = degraded
-		}
-		if len(errs) > 0 {
-			return nil, fmt.Errorf("trace: row %d: %v", i+2, errs[0])
+		p, err := parseRow(row, i+2)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// readPlainCSV loads a trace holding no '"' and no '\r', splitting it
+// exactly as encoding/csv would: blank lines are skipped, the last
+// line may lack its newline, and every record must have the header's
+// field count.
+func readPlainCSV(s string) ([]sim.TracePoint, error) {
+	var (
+		out    []sim.TracePoint
+		fields []string // one record, fields per record fixed by the header
+		rec    int      // records read, header included
+	)
+	for line := 0; len(s) > 0; {
+		var l string
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			l, s = s[:i], s[i+1:]
+		} else {
+			l, s = s, ""
+		}
+		line++
+		if l == "" {
+			continue
+		}
+		rec++
+		if rec == 1 {
+			nf := strings.Count(l, ",") + 1
+			if err := checkHeader(nf); err != nil {
+				return nil, err
+			}
+			fields = make([]string, nf)
+			continue
+		}
+		nf := len(fields)
+		if strings.Count(l, ",")+1 != nf {
+			return nil, fmt.Errorf("trace: record on line %d: wrong number of fields", line)
+		}
+		for j := 0; j < nf-1; j++ {
+			i := strings.IndexByte(l, ',')
+			fields[j], l = l[:i], l[i+1:]
+		}
+		fields[nf-1] = l
+		p, err := parseRow(fields, rec)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = make([]sim.TracePoint, 0, strings.Count(s, "\n")+1)
+		}
+		out = append(out, p)
+	}
+	if rec == 0 {
+		return nil, errEmpty
+	}
+	return out, nil
+}
+
+var errEmpty = errors.New("trace: empty CSV")
+
+// checkHeader accepts the current schema's field count or the legacy
+// one.
+func checkHeader(n int) error {
+	if n != len(csvHeader) && n != legacyFields {
+		return fmt.Errorf("trace: header has %d fields, want %d (or the legacy %d)",
+			n, len(csvHeader), legacyFields)
+	}
+	return nil
+}
+
+// parseRow decodes one data record; rec is its 1-based record number
+// (the header is record 1) for error messages.
+func parseRow(row []string, rec int) (sim.TracePoint, error) {
+	var p sim.TracePoint
+	var errs []error
+	f := func(j int) float64 {
+		v, err := strconv.ParseFloat(row[j], 64)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		return v
+	}
+	n := func(j int) int {
+		v, err := strconv.Atoi(row[j])
+		if err != nil {
+			errs = append(errs, err)
+		}
+		return v
+	}
+	p.TimeS = f(0)
+	p.S = f(1)
+	p.Sector = n(2)
+	p.YLTrue = f(3)
+	p.YLMeas = f(4)
+	detOK, berr := strconv.ParseBool(row[5])
+	if berr != nil {
+		errs = append(errs, berr)
+	}
+	p.DetOK = detOK
+	rawOK, berr := strconv.ParseBool(row[6])
+	if berr != nil {
+		errs = append(errs, berr)
+	}
+	p.RawDetOK = rawOK
+	p.Steer = f(7)
+	p.Setting.ISP = row[8]
+	p.Setting.ROI = n(9)
+	p.Setting.SpeedKmph = f(10)
+	p.HMs = f(11)
+	p.TauMs = f(12)
+	if len(row) > legacyFields {
+		p.Fault = row[13]
+		degraded, berr := strconv.ParseBool(row[14])
+		if berr != nil {
+			errs = append(errs, berr)
+		}
+		p.Degraded = degraded
+	}
+	if len(errs) > 0 {
+		return sim.TracePoint{}, fmt.Errorf("trace: row %d: %v", rec, errs[0])
+	}
+	return p, nil
 }
 
 // Metrics summarizes a trace.
