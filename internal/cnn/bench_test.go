@@ -7,7 +7,7 @@ import (
 )
 
 // Benchmarks for the CNN compute engine. The /naive variants run the
-// retained reference kernels from reference.go; /gemm is the lowered
+// retained reference kernels from reference_test.go; /gemm is the lowered
 // serial path (the steady-state frame-cycle configuration, 0 allocs/op
 // after warm-up); /par adds intra-layer GEMM parallelism; /int8 is the
 // quantized serial path (quant.go), the ≥2×-over-/gemm target BENCH.md

@@ -8,7 +8,7 @@ import (
 
 // The golden tests pin the GEMM-lowered Conv2D and Dense passes
 // bit-identical to the retained naive reference implementations in
-// reference.go, across odd geometries (stride 2, pad 1, non-square,
+// reference_test.go, across odd geometries (stride 2, pad 1, non-square,
 // InC=1, 1×1 projection kernels) and kernel worker counts.
 
 func assertBits(t *testing.T, what string, got, want []float32) {

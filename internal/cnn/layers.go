@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hsas/internal/mat"
@@ -36,7 +37,7 @@ func growF32(buf []float32, n int) []float32 {
 // col2im (dx). All scratch (patch matrix, padded copy, gradients) is
 // pooled per layer, so steady-state inference allocates nothing and
 // training reuses its buffers across minibatches. The lowered passes are
-// bit-identical to the naive reference convolution in reference.go
+// bit-identical to the naive reference convolution in reference_test.go
 // (golden-tested) for every kernel worker count.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
@@ -190,12 +191,15 @@ func (r *ReLU) Forward(x *Tensor, train bool) *Tensor {
 		return out
 	}
 	out := ensureTensor(&r.out, x.C, x.H, x.W)
+	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		// Branch-free and bit-exact: activation signs are near random, so
+		// a sign branch mispredicts every other element. The mask is set
+		// only when uint32(b-1) < 0x7f800000, i.e. v > 0 (+subnormal up
+		// to +Inf); −0, negatives and NaN come out as +0, as v > 0 gives.
+		b := math.Float32bits(v)
+		mask := uint32((uint64(b-1) - 0x7f800000) >> 32)
+		dst[i] = math.Float32frombits(b & mask)
 	}
 	return out
 }
@@ -332,7 +336,7 @@ func (g *GlobalAvgPool) Backward(grad *Tensor) *Tensor {
 // Dense is a fully connected layer over a flattened input. Forward is a
 // GEMV (row-dots of W against the input), backward a rank-1 dW update and
 // a transposed GEMV for dx — all on the mat kernels, bit-identical to the
-// scalar reference in reference.go.
+// scalar reference in reference_test.go.
 type Dense struct {
 	In, Out int
 	W, B    *Param

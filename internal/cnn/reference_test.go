@@ -1,10 +1,11 @@
 package cnn
 
-// Retained naive reference implementations for Conv2D and Dense. These
-// are the readable, obviously-correct six-loop kernels the GEMM-lowered
-// hot paths in layers.go replaced; the golden tests pin the lowered
-// passes bit-identical to them, and the benchmarks use them as the
-// baseline for the speedup claims in BENCH.md.
+// Retained naive reference implementations for Conv2D, Dense and ReLU.
+// These are the readable, obviously-correct kernels the GEMM-lowered and
+// branch-free hot paths in layers.go replaced; the golden tests pin the
+// production passes bit-identical to them, and the benchmarks use them
+// as the baseline for the speedup claims in BENCH.md. They live in a
+// _test.go file so none of them is compiled into the production build.
 //
 // Accumulation-order notes (what makes bitwise equality possible):
 //   - forward and dW/dB accumulate in the same order as the original
@@ -15,6 +16,9 @@ package cnn
 //   - dx is written as a direct transposed convolution in (ic, ky, kx)-
 //     major, (oy, ox)-minor order with the oc-sum innermost, matching
 //     the GemmT-then-Col2im accumulation order of the lowered path.
+//   - every product is rounded to float32 before its add: the explicit
+//     conversion forbids fusing the pair into an FMA, as in the mat
+//     kernels, so the comparison holds on every target.
 
 // refConvForward computes c's forward pass on x directly.
 func refConvForward(c *Conv2D, x *Tensor) *Tensor {
@@ -41,7 +45,7 @@ func refConvForward(c *Conv2D, x *Tensor) *Tensor {
 							if ix < 0 || ix >= x.W {
 								continue
 							}
-							sum += c.W.Data[rowW+kx] * x.Data[rowX+ix]
+							sum += float32(c.W.Data[rowW+kx] * x.Data[rowX+ix])
 						}
 					}
 				}
@@ -83,7 +87,7 @@ func refConvBackward(c *Conv2D, x, grad *Tensor, dW, dB []float32) *Tensor {
 							if ix < 0 || ix >= x.W {
 								continue
 							}
-							dW[rowW+kx] += g * x.Data[rowX+ix]
+							dW[rowW+kx] += float32(g * x.Data[rowX+ix])
 						}
 					}
 				}
@@ -109,7 +113,7 @@ func refConvBackward(c *Conv2D, x, grad *Tensor, dW, dB []float32) *Tensor {
 						}
 						var t float32
 						for oc := 0; oc < c.OutC; oc++ {
-							t += c.W.Data[((oc*c.InC+ic)*c.K+ky)*c.K+kx] * grad.Data[(oc*oh+oy)*ow+ox]
+							t += float32(c.W.Data[((oc*c.InC+ic)*c.K+ky)*c.K+kx] * grad.Data[(oc*oh+oy)*ow+ox])
 						}
 						dx.Data[(ic*x.H+iy)*x.W+ix] += t
 					}
@@ -127,7 +131,7 @@ func refDenseForward(d *Dense, x *Tensor) *Tensor {
 		s := d.B.Data[o]
 		row := o * d.In
 		for i, v := range x.Data {
-			s += d.W.Data[row+i] * v
+			s += float32(d.W.Data[row+i] * v)
 		}
 		out.Data[o] = s
 	}
@@ -146,24 +150,44 @@ func refDenseBackward(d *Dense, x, grad *Tensor, dW, dB []float32) *Tensor {
 		dB[o] += g
 		row := o * d.In
 		for i, v := range x.Data {
-			dW[row+i] += g * v
-			dx.Data[i] += g * d.W.Data[row+i]
+			dW[row+i] += float32(g * v)
+			dx.Data[i] += float32(g * d.W.Data[row+i])
 		}
 	}
 	return dx
 }
 
+// branchyReLU is the ReLU the branch-free ReLU.Forward replaced: v when
+// v > 0, else +0 (for −0 and NaN too).
+func branchyReLU(v float32) float32 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+// refReLU applies branchyReLU element-wise into a fresh tensor.
+func refReLU(x *Tensor) *Tensor {
+	out := NewTensor(x.C, x.H, x.W)
+	for i, v := range x.Data {
+		out.Data[i] = branchyReLU(v)
+	}
+	return out
+}
+
 // refForward runs one layer's inference forward pass through the naive
-// reference kernels, decomposing composite layers; layers with no GEMM
-// lowering fall through to their normal Forward.
+// reference kernels, decomposing composite layers; layers with no
+// reference kernel fall through to their normal Forward.
 func refForward(l Layer, x *Tensor) *Tensor {
 	switch v := l.(type) {
 	case *Conv2D:
 		return refConvForward(v, x)
 	case *Dense:
 		return refDenseForward(v, x)
+	case *ReLU:
+		return refReLU(x)
 	case *Residual:
-		main := refForward(v.Conv2, v.relu1.Forward(refForward(v.Conv1, x), false))
+		main := refForward(v.Conv2, refReLU(refForward(v.Conv1, x)))
 		skip := x
 		if v.Proj != nil {
 			skip = refForward(v.Proj, x)
@@ -172,7 +196,7 @@ func refForward(l Layer, x *Tensor) *Tensor {
 		for i := range sum.Data {
 			sum.Data[i] = main.Data[i] + skip.Data[i]
 		}
-		return v.relu2.Forward(sum, false)
+		return refReLU(sum)
 	default:
 		return l.Forward(x, false)
 	}

@@ -2,15 +2,24 @@
 // solvers in this package (sized for 4–8 state controller design), these
 // operate on the large row-major matrices produced by the im2col conv
 // lowering, so they are cache-blocked, unrolled, and row-partitioned
-// across goroutines.
+// across goroutines. On amd64 with AVX2 (the hasAVX2 probe; the kernel
+// itself needs only AVX), Gemm's rows run through an 8-lane vector
+// microkernel (gemm_amd64.s); gemmNN is the pure-Go fallback elsewhere.
 //
 // Determinism contract: every output element accumulates its contraction
-// terms strictly in increasing index order, one term per statement, for
-// every blocking factor and worker count. Workers partition disjoint
-// output rows and never share accumulators, so results are bit-identical
-// for any worker count — the same property the image kernels guarantee
-// via raster.ParallelRows, and the property the cnn golden tests pin
-// against the naive reference convolution.
+// terms strictly in increasing index order, one rounded product and one
+// rounded sum per term, for every blocking factor, worker count and
+// dispatch decision. A vector lane is one output element: VMULPS then
+// VADDPS round exactly like the scalar `v += a*b`, and no kernel uses a
+// fused multiply-add, whose single rounding would move result bits.
+// Workers partition disjoint output rows and never share accumulators,
+// so results are bit-identical for any worker count and with or without
+// the vector kernel — the same property the image kernels guarantee via
+// raster.ParallelRows, and the property the cnn golden tests pin against
+// the naive reference convolution. NaN payloads are the one exception:
+// when both operands are NaN the hardware returns the first, and the
+// compiler does not pin the operand order of commutative operations, so
+// which NaN comes out may differ; that a NaN comes out does not.
 package mat
 
 import (
@@ -25,8 +34,11 @@ import (
 const gemmKC = 240
 
 // gemmMinParallelWork is the m·n·k product below which the goroutine
-// fan-out costs more than it saves and the kernels stay serial.
-const gemmMinParallelWork = 1 << 15
+// fan-out costs more than it saves and the kernels stay serial. With
+// the AVX kernel, BenchmarkGemmConvShapes puts the two-worker break-even
+// near 4.6·10⁵ (parity at 8×800×72 and 16×200×144, a loss at 8×1152×27
+// and below, a win only at the 8×3200×27 lane stem); see BENCH.md.
+const gemmMinParallelWork = 1 << 19
 
 // Gemm computes C = A·B (m×k times k×n, row-major float32), adding into
 // the existing C when accumulate is true and overwriting it otherwise.
@@ -37,11 +49,38 @@ func Gemm(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
 	// zero-alloc inference path the parallel branch's goroutine capture
 	// would otherwise force a heap allocation per call.
 	if w := resolveWorkers(m, gemmWorkers(m, n, k, workers)); w <= 1 {
-		gemmNN(0, m, n, k, a, b, c, accumulate)
+		gemmRows(0, m, n, k, a, b, c, accumulate)
 	} else {
 		parallelRowRange(m, w, func(i0, i1 int) {
-			gemmNN(i0, i1, n, k, a, b, c, accumulate)
+			gemmRows(i0, i1, n, k, a, b, c, accumulate)
 		})
+	}
+}
+
+// gemmRows computes C rows [i0, i1) of A·B: whole 8-column tiles through
+// the AVX microkernel and the last n%8 columns through a scalar loop with
+// the same per-element order, or all of it through gemmNN without AVX.
+func gemmRows(i0, i1, n, k int, a, b, c []float32, accumulate bool) {
+	if !hasAVX2 {
+		gemmNN(i0, i1, n, k, a, b, c, accumulate)
+		return
+	}
+	if !accumulate {
+		clear(c[i0*n : i1*n])
+	}
+	nv := n &^ 7
+	if nv > 0 {
+		gemmF32TileAVX(&a[i0*k], &b[0], &c[i0*n], i1-i0, n, k, nv)
+	}
+	for i := i0; i < i1; i++ {
+		ai := a[i*k : i*k+k]
+		for j := nv; j < n; j++ {
+			v := c[i*n+j]
+			for kk, av := range ai {
+				v += float32(av * b[kk*n+j])
+			}
+			c[i*n+j] = v
+		}
 	}
 }
 

@@ -74,46 +74,6 @@ func Quantize8Slice(src []float32, inv float32, dst []int8) {
 // fan-out threshold sits higher than gemmMinParallelWork.
 const gemm8MinParallelWork = 1 << 16
 
-// Gemm8 computes C = A·B where A is m×k int8 and B is k×n int8 (both
-// row-major packed panels), overwriting the int32 C — the quantized
-// analog of Gemm's broadcast-axpy kernel: each A element is widened
-// once and swept along a contiguous B row, so the hot loop does one
-// byte load per multiply. workers bounds the goroutines used (<= 1 or
-// small problems run serial); the result is bit-identical for every
-// worker count.
-func Gemm8(m, n, k int, a, b []int8, c []int32, workers int) {
-	checkGemm("Gemm8", m, k, k, n, m, n, len(a), len(b), len(c))
-	if w := gemm8Workers(m, n, k, workers); w <= 1 {
-		gemm8NN(0, m, n, k, a, b, c)
-	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
-			gemm8NN(i0, i1, n, k, a, b, c)
-		})
-	}
-}
-
-// gemm8NN is the int8 A·B kernel over C rows [i0, i1), mirroring
-// gemmNN's blocking and unroll; the loop bodies live in kernels8.go.
-func gemm8NN(i0, i1, n, k int, a, b []int8, c []int32) {
-	for i := i0; i < i1; i++ {
-		ci := c[i*n : i*n+n]
-		ai := a[i*k : i*k+k]
-		clear(ci)
-		for k0 := 0; k0 < k; k0 += gemmKC {
-			k1 := min(k0+gemmKC, k)
-			kk := k0
-			for ; kk+4 <= k1; kk += 4 {
-				axpy8x4(int32(ai[kk]), int32(ai[kk+1]), int32(ai[kk+2]), int32(ai[kk+3]),
-					b[kk*n:kk*n+n], b[(kk+1)*n:(kk+1)*n+n],
-					b[(kk+2)*n:(kk+2)*n+n], b[(kk+3)*n:(kk+3)*n+n], ci)
-			}
-			for ; kk < k1; kk++ {
-				axpy8x1(int32(ai[kk]), b[kk*n:kk*n+n], ci)
-			}
-		}
-	}
-}
-
 // Gemm8NT computes C = A·Bᵀ where A is m×k int8 and B is n×k int8 (both
 // contraction operands row-contiguous — packed panels), overwriting the
 // int32 C. This is the GEMV shape the quantized dense layer uses (B is

@@ -140,6 +140,44 @@ func TestScale8(t *testing.T) {
 	}
 }
 
+// Gemm8 is the int8 oracle: C = A·B where A is m×k int8 and B is k×n
+// int8 (both row-major packed panels), overwriting the int32 C, through
+// the blocked pure-Go kernel with the A widening done inline. The
+// production Gemm8Wide must match it exactly. workers bounds the
+// goroutines used (<= 1 or small problems run serial).
+func Gemm8(m, n, k int, a, b []int8, c []int32, workers int) {
+	checkGemm("Gemm8", m, k, k, n, m, n, len(a), len(b), len(c))
+	if w := gemm8Workers(m, n, k, workers); w <= 1 {
+		gemm8NN(0, m, n, k, a, b, c)
+	} else {
+		parallelRowRange(m, w, func(i0, i1 int) {
+			gemm8NN(i0, i1, n, k, a, b, c)
+		})
+	}
+}
+
+// gemm8NN is the int8 A·B kernel over C rows [i0, i1), mirroring
+// gemmNN's blocking and unroll on the production kernels8.go bodies.
+func gemm8NN(i0, i1, n, k int, a, b []int8, c []int32) {
+	for i := i0; i < i1; i++ {
+		ci := c[i*n : i*n+n]
+		ai := a[i*k : i*k+k]
+		clear(ci)
+		for k0 := 0; k0 < k; k0 += gemmKC {
+			k1 := min(k0+gemmKC, k)
+			kk := k0
+			for ; kk+4 <= k1; kk += 4 {
+				axpy8x4(int32(ai[kk]), int32(ai[kk+1]), int32(ai[kk+2]), int32(ai[kk+3]),
+					b[kk*n:kk*n+n], b[(kk+1)*n:(kk+1)*n+n],
+					b[(kk+2)*n:(kk+2)*n+n], b[(kk+3)*n:(kk+3)*n+n], ci)
+			}
+			for ; kk < k1; kk++ {
+				axpy8x1(int32(ai[kk]), b[kk*n:kk*n+n], ci)
+			}
+		}
+	}
+}
+
 // naiveGemm8 is the obviously-correct A·B triple loop.
 func naiveGemm8(m, n, k int, a, b []int8, c []int32) {
 	for i := 0; i < m; i++ {

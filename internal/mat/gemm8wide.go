@@ -28,7 +28,7 @@ func Widen8(q []int8) []int32 {
 // values in [-127, 127]) and B is k×n int8, overwriting the int32 C.
 // workers bounds the goroutines used (<= 1 or small problems run
 // serial); the result is bit-identical for every worker count and
-// identical to Gemm8 on the un-widened A.
+// identical to the pure-Go int8 product on the un-widened A.
 func Gemm8Wide(m, n, k int, a []int32, b []int8, c []int32, workers int) {
 	checkGemm("Gemm8Wide", m, k, k, n, m, n, len(a), len(b), len(c))
 	w := gemm8Workers(m, n, k, workers)
@@ -82,8 +82,8 @@ func gemm8WideStripe(m, n, k int, a []int32, b []int8, c []int32, j0, j1 int) {
 	}
 }
 
-// gemm8NNW is the pure-Go fallback over C rows [i0, i1): gemm8NN with
-// the A widening already done.
+// gemm8NNW is the pure-Go fallback over C rows [i0, i1), blocked and
+// unrolled like gemmNN; the loop bodies live in kernels8.go.
 func gemm8NNW(i0, i1, n, k int, a []int32, b []int8, c []int32) {
 	for i := i0; i < i1; i++ {
 		ci := c[i*n : i*n+n]

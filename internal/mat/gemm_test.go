@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,5 +233,29 @@ func TestGemmDimensionPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// BenchmarkGemmConvShapes times Gemm serial (w1) and with two row
+// workers (w2) on the distinct conv products of the three ResNetLite
+// classifiers (m = output channels, n = output positions, k = input
+// channels × taps). gemmMinParallelWork is derived from it: a shape
+// whose w2 run is not faster than w1 should fall below the threshold.
+func BenchmarkGemmConvShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range []struct{ m, n, k int }{
+		{16, 72, 8}, {16, 72, 72}, {16, 72, 144}, {8, 288, 72}, {8, 1152, 27},
+		{16, 200, 8}, {16, 200, 72}, {16, 200, 144}, {8, 800, 72}, {8, 3200, 27},
+	} {
+		a := randSlice(rng, sh.m*sh.k)
+		bm := randSlice(rng, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%dx%d/w%d", sh.m, sh.n, sh.k, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Gemm(sh.m, sh.n, sh.k, a, bm, c, true, workers)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Quantizing im2col: the convolution lowering for the int8 path.
 // Im2colQ produces the exact int8 analog of Im2col's (C·K·K) × (OH·OW)
-// tap-major patch matrix, so quantized convolution is Gemm8(wq, col):
+// tap-major patch matrix, so quantized convolution is Gemm8Wide(wq, col):
 // the same broadcast-axpy kernel shape as the float32 path, on operands
 // a quarter the size.
 package mat

@@ -8,22 +8,28 @@
 // single index, no calls.
 //
 // The accumulation order inside each kernel is part of the package's
-// determinism contract (see gemm.go) and must not change.
+// determinism contract (see gemm.go) and must not change. The explicit
+// float32 conversion on each product rounds it before the add, which
+// forbids the compiler from fusing the pair into one FMA (the arm64
+// backend otherwise does): the fallback then rounds exactly like the
+// AVX microkernel's VMULPS + VADDPS on every target.
 package mat
 
 // axpy4 folds four scaled panel rows onto the output row ci, preserving
 // the per-element term order a0·b0, a1·b1, a2·b2, a3·b3:
 //
 //	ci[j] += a0*b0[j]; ci[j] += a1*b1[j]; ci[j] += a2*b2[j]; ci[j] += a3*b3[j]
+//
+// with every product rounded to float32 before its add.
 func axpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, ci []float32) {
 	if len(b0) < len(ci) || len(b1) < len(ci) || len(b2) < len(ci) || len(b3) < len(ci) {
 		panic("mat: axpy4 panel row shorter than output row")
 	}
 	for j, v := range ci {
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
+		v += float32(a0 * b0[j])
+		v += float32(a1 * b1[j])
+		v += float32(a2 * b2[j])
+		v += float32(a3 * b3[j])
 		ci[j] = v
 	}
 }
@@ -34,7 +40,7 @@ func axpy1(av float32, bk, ci []float32) {
 		panic("mat: axpy1 panel row shorter than output row")
 	}
 	for j := range ci {
-		ci[j] += av * bk[j]
+		ci[j] += float32(av * bk[j])
 	}
 }
 
@@ -50,17 +56,17 @@ func dot4(v float32, a, b []float32) float32 {
 		panic("mat: dot4 operand shorter than row")
 	}
 	for len(a) >= 4 && len(b) >= 4 {
-		v += a[0] * b[0]
-		v += a[1] * b[1]
-		v += a[2] * b[2]
-		v += a[3] * b[3]
+		v += float32(a[0] * b[0])
+		v += float32(a[1] * b[1])
+		v += float32(a[2] * b[2])
+		v += float32(a[3] * b[3])
 		a, b = a[4:], b[4:]
 	}
 	if len(b) < len(a) { // unreachable; re-teaches prove the length relation
 		panic("mat: dot4 operand shorter than row")
 	}
 	for kk := 0; kk < len(a); kk++ {
-		v += a[kk] * b[kk]
+		v += float32(a[kk] * b[kk])
 	}
 	return v
 }
