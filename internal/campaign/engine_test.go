@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -195,5 +197,38 @@ func TestEngineEmptyAndNilDefaults(t *testing.T) {
 	results, stats, err := (&Engine{}).Run(nil, nil)
 	if err != nil || len(results) != 0 || stats.Jobs != 0 {
 		t.Fatalf("empty run = %v %+v %v", results, stats, err)
+	}
+}
+
+// TestEngineResimulatesTornTrace: a record_trace job is a cache hit
+// only with its trace. When the cached trace is torn the job
+// re-simulates, and the rerun restores the trace.
+func TestEngineResimulatesTornTrace(t *testing.T) {
+	dc, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := tinyJob(1)
+	job.RecordTrace = true
+	key, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &Engine{Workers: 1, Cache: dc}
+	if _, _, err := eng.Run(context.Background(), []JobSpec{job}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dc.Dir(), key[:2], key+".trace.csv"), []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := eng.Run(context.Background(), []JobSpec{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheHits != 0 || stats.Simulated != 1 {
+		t.Fatalf("rerun stats = %+v, want the job re-simulated", stats)
+	}
+	if _, ok, err := dc.GetTrace(key); !ok || err != nil {
+		t.Fatalf("trace not restored: ok=%v err=%v", ok, err)
 	}
 }

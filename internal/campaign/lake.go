@@ -17,7 +17,7 @@ import (
 // LakeFailureCounters returns the counters of failed result-lake
 // appends and flushes on reg. Lake writes are best-effort (the cache
 // stays the source of truth), but silent analytics loss is an operator
-// problem, so every runner that writes the lake (Engine and
+// problem, so the campaign pipeline both runners share (Engine and
 // internal/fabric's coordinator) counts its failures here for alerts.
 func LakeFailureCounters(reg *obs.Registry) (appendFailures, flushFailures *obs.Counter) {
 	return reg.Counter("hsas_lake_append_failures_total", "result-lake appends that failed (analytics rows lost; the cache is unaffected)"),
@@ -25,9 +25,7 @@ func LakeFailureCounters(reg *obs.Registry) (appendFailures, flushFailures *obs.
 }
 
 // LakeResultRow flattens a normalized spec and its result onto the
-// lake's result schema. Exported for internal/fabric, whose coordinator
-// completes jobs outside Engine.Run (remote leases and federated cache
-// hits) but projects them onto the same lake.
+// lake's result schema.
 func LakeResultRow(campaign string, spec *JobSpec, key string, res *JobResult, cached bool) lake.ResultRow {
 	row := lake.ResultRow{
 		Campaign:         campaign,
@@ -67,9 +65,9 @@ func LakeResultRow(campaign string, spec *JobSpec, key string, res *JobResult, c
 	return row
 }
 
-// LakeTraceRows flattens one job's per-cycle trace points onto the
+// lakeTraceRows flattens one job's per-cycle trace points onto the
 // lake's trace schema, keyed back to the job by (campaign, key).
-func LakeTraceRows(campaign, key string, points []sim.TracePoint) []lake.TraceRow {
+func lakeTraceRows(campaign, key string, points []sim.TracePoint) []lake.TraceRow {
 	rows := make([]lake.TraceRow, len(points))
 	for i, p := range points {
 		rows[i] = lake.TraceRow{

@@ -16,8 +16,6 @@ import (
 	"hsas/internal/campaign"
 	"hsas/internal/lake"
 	"hsas/internal/obs"
-	"hsas/internal/sim"
-	"hsas/internal/trace"
 )
 
 // CoordinatorConfig configures a campaign coordinator.
@@ -30,9 +28,9 @@ type CoordinatorConfig struct {
 	// the caller's Engine-compatible results are checkpointed to. Nil
 	// uses an in-memory cache.
 	Cache campaign.Cache
-	// Lake, when set, receives one ResultRow per completed job (and
-	// TraceRows for record_trace jobs), exactly as Engine.Run would
-	// append them.
+	// Lake, when set, receives one ResultRow per completed job, and
+	// TraceRows for a record_trace job simulated by this campaign,
+	// exactly as Engine.Run would append them.
 	Lake *lake.Writer
 	// LakeCampaign labels lake rows; empty defaults to "adhoc".
 	LakeCampaign string
@@ -41,7 +39,8 @@ type CoordinatorConfig struct {
 	// Hooks observe job completion exactly like Engine.Hooks: JobDone
 	// fires once per unique job, serialized, with Cached reporting
 	// whether any cache tier (local, remote peer, or worker-local)
-	// avoided a fresh simulation.
+	// avoided a fresh simulation. JobStart fires only for jobs the
+	// local fallback simulates.
 	Hooks campaign.Hooks
 
 	// BatchSize caps jobs per lease request (default 64). One request
@@ -68,10 +67,11 @@ type CoordinatorConfig struct {
 	StealAfter time.Duration
 
 	// LocalFallback simulates any jobs still unresolved after every
-	// worker died on a local in-process engine instead of failing the
-	// campaign.
+	// worker died on the local simulation pool (Engine.Run's) instead
+	// of failing the campaign.
 	LocalFallback bool
-	// LocalWorkers / LocalKernelWorkers shape the fallback engine.
+	// LocalWorkers / LocalKernelWorkers shape the fallback pool, as
+	// Engine.Workers / Engine.KernelWorkers.
 	LocalWorkers       int
 	LocalKernelWorkers int
 
@@ -123,6 +123,9 @@ type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
 	met    coordMetrics
+	// eng carries the campaign pipeline's settings: the local cache
+	// tier, lake, hooks, and the fallback simulation pool.
+	eng *campaign.Engine
 }
 
 type coordMetrics struct {
@@ -135,8 +138,6 @@ type coordMetrics struct {
 	retries        *obs.Counter
 	steals         *obs.Counter
 	deadWorkers    *obs.Counter
-	lakeAppendF    *obs.Counter
-	lakeFlushF     *obs.Counter
 }
 
 // workerJobs / leaseSeconds are the per-worker series (labeled by the
@@ -191,7 +192,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		client = &http.Client{}
 	}
 	reg := cfg.Obs.Registry()
-	lakeAppendF, lakeFlushF := campaign.LakeFailureCounters(reg)
 	return &Coordinator{cfg: cfg, client: client, met: coordMetrics{
 		reg:            reg,
 		leasesInflight: reg.Gauge("hsas_fabric_leases_inflight", "lease requests currently streaming"),
@@ -202,8 +202,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		retries:        reg.Counter("hsas_fabric_retries_total", "lease transport retries"),
 		steals:         reg.Counter("hsas_fabric_steals_total", "jobs stolen from long-outstanding leases"),
 		deadWorkers:    reg.Counter("hsas_fabric_dead_workers_total", "workers abandoned after consecutive failures"),
-		lakeAppendF:    lakeAppendF,
-		lakeFlushF:     lakeFlushF,
+	}, eng: &campaign.Engine{
+		Workers:       cfg.LocalWorkers,
+		KernelWorkers: cfg.LocalKernelWorkers,
+		Cache:         cfg.Cache,
+		Lake:          cfg.Lake,
+		LakeCampaign:  cfg.LakeCampaign,
+		Obs:           cfg.Obs,
+		Hooks:         cfg.Hooks,
 	}}, nil
 }
 
@@ -214,26 +220,17 @@ func (c *Coordinator) Run(ctx context.Context, jobs []campaign.JobSpec) ([]*camp
 	return results, fs.RunStats(), err
 }
 
-// job is one unique (normalized, addressed) unit of fabric work.
-type job struct {
-	spec    campaign.JobSpec
-	key     string
-	indices []int
-}
-
-// runState is the coordinator's shared scheduling state. pending is
-// the FIFO of keys not currently leased; outstanding tracks live
-// leases for expiry re-queue and stealing.
+// runState is the lease schedule of one run: pending is the FIFO of
+// jobs not currently leased; leased tracks live leases for expiry
+// re-queue and stealing. Completion is the plan's: a job the plan has
+// completed is never leased again.
 type runState struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	byKey   map[string]*job
-	pending []string // keys awaiting lease (FIFO)
-	inPend  map[string]bool
-	leased  map[string]leaseInfo // key → current lease holder
-	done    map[string]bool
-	remain  int // unique jobs not yet done
+	mu      sync.Mutex
+	cond    *sync.Cond
+	plan    *campaign.Plan
+	pending []*campaign.Job // awaiting lease (FIFO)
+	inPend  map[*campaign.Job]bool
+	leased  map[*campaign.Job]leaseInfo // current lease holder
 	closed  bool
 }
 
@@ -243,12 +240,15 @@ type leaseInfo struct {
 	stolen bool // this lease is already a steal; don't steal again
 }
 
-func newRunState() *runState {
+func newRunState(p *campaign.Plan, pending []*campaign.Job) *runState {
 	s := &runState{
-		byKey:  map[string]*job{},
-		inPend: map[string]bool{},
-		leased: map[string]leaseInfo{},
-		done:   map[string]bool{},
+		plan:    p,
+		pending: pending,
+		inPend:  map[*campaign.Job]bool{},
+		leased:  map[*campaign.Job]leaseInfo{},
+	}
+	for _, u := range pending {
+		s.inPend[u] = true
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -259,23 +259,23 @@ func newRunState() *runState {
 // workers (oldest first). Blocks until work is available, all jobs are
 // done, or the state is closed. The second return is the number of
 // stolen jobs in the batch.
-func (s *runState) takeBatch(w string, n int, stealAfter time.Duration) ([]*job, int) {
+func (s *runState) takeBatch(w string, n int, stealAfter time.Duration) ([]*campaign.Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.remain == 0 || s.closed {
+		if s.plan.Left() == 0 || s.closed {
 			return nil, 0
 		}
-		var batch []*job
+		var batch []*campaign.Job
 		for len(batch) < n && len(s.pending) > 0 {
-			key := s.pending[0]
+			u := s.pending[0]
 			s.pending = s.pending[1:]
-			delete(s.inPend, key)
-			if s.done[key] {
+			delete(s.inPend, u)
+			if s.plan.Done(u) {
 				continue
 			}
-			batch = append(batch, s.byKey[key])
-			s.leased[key] = leaseInfo{worker: w, since: time.Now()}
+			batch = append(batch, u)
+			s.leased[u] = leaseInfo{worker: w, since: time.Now()}
 		}
 		if len(batch) > 0 {
 			return batch, 0
@@ -284,28 +284,26 @@ func (s *runState) takeBatch(w string, n int, stealAfter time.Duration) ([]*job,
 		// workers. Oldest leases first — those are the likeliest to be
 		// stuck. A stolen lease is marked so a third worker doesn't
 		// pile on.
-		var steal []string
 		now := time.Now()
-		for key, li := range s.leased {
-			if s.done[key] || li.worker == w || li.stolen || now.Sub(li.since) < stealAfter {
+		for u, li := range s.leased {
+			if li.worker == w || li.stolen || now.Sub(li.since) < stealAfter || s.plan.Done(u) {
 				continue
 			}
-			steal = append(steal, key)
+			batch = append(batch, u)
 		}
-		sort.Slice(steal, func(i, j int) bool {
-			si, sj := s.leased[steal[i]], s.leased[steal[j]]
+		sort.Slice(batch, func(i, j int) bool {
+			si, sj := s.leased[batch[i]], s.leased[batch[j]]
 			if !si.since.Equal(sj.since) {
 				return si.since.Before(sj.since)
 			}
-			return steal[i] < steal[j]
+			return batch[i].Key < batch[j].Key
 		})
-		if len(steal) > n {
-			steal = steal[:n]
+		if len(batch) > n {
+			batch = batch[:n]
 		}
-		if len(steal) > 0 {
-			for _, key := range steal {
-				batch = append(batch, s.byKey[key])
-				s.leased[key] = leaseInfo{worker: w, since: now, stolen: true}
+		if len(batch) > 0 {
+			for _, u := range batch {
+				s.leased[u] = leaseInfo{worker: w, since: now, stolen: true}
 			}
 			return batch, len(batch)
 		}
@@ -313,56 +311,31 @@ func (s *runState) takeBatch(w string, n int, stealAfter time.Duration) ([]*job,
 	}
 }
 
-// markDone records a completed job if it isn't already done, releasing
-// its lease. Returns false for duplicates (steal races, unleased
-// results) — which are accepted but ignored.
-func (s *runState) markDone(key string) bool {
+// release drops a completed job's lease and wakes waiting workers.
+func (s *runState) release(u *campaign.Job) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[key] {
-		return false
-	}
-	if _, ok := s.byKey[key]; !ok {
-		return false // result for a key we never asked for
-	}
-	s.done[key] = true
-	delete(s.leased, key)
-	s.remain--
+	delete(s.leased, u)
 	s.cond.Broadcast()
-	return true
+	s.mu.Unlock()
 }
 
 // requeue returns a job to the pending queue (lease failed/expired)
 // unless it completed in the meantime or is now leased to a different
 // worker (stolen while we were failing).
-func (s *runState) requeue(key, fromWorker string) bool {
+func (s *runState) requeue(u *campaign.Job, fromWorker string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done[key] || s.inPend[key] {
+	if s.inPend[u] || s.plan.Done(u) {
 		return false
 	}
-	if li, ok := s.leased[key]; ok && li.worker != fromWorker {
+	if li, ok := s.leased[u]; ok && li.worker != fromWorker {
 		return false
 	}
-	delete(s.leased, key)
-	s.pending = append(s.pending, key)
-	s.inPend[key] = true
+	delete(s.leased, u)
+	s.pending = append(s.pending, u)
+	s.inPend[u] = true
 	s.cond.Broadcast()
 	return true
-}
-
-// remaining returns the not-yet-done jobs (for fallback/error paths).
-func (s *runState) remaining() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*job
-	for key, j := range s.byKey {
-		if !s.done[key] {
-			out = append(out, j)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].indices[0] < out[j].indices[0] })
-	return out
 }
 
 func (s *runState) close() {
@@ -372,397 +345,257 @@ func (s *runState) close() {
 	s.mu.Unlock()
 }
 
-func (s *runState) allDone() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remain == 0
+// fabricRun is one RunFabric's resolution of the local tier's misses:
+// the plan, its lease schedule and the tiered tallies.
+type fabricRun struct {
+	c  *Coordinator
+	p  *campaign.Plan
+	st *runState
+
+	mu      sync.Mutex // guards stats and lastErr
+	stats   FabricStats
+	lastErr error
 }
 
 // RunFabric executes the jobs across the fleet and returns results in
 // submission order plus the tiered stats. Results are bit-identical to
-// a single-node Engine.Run over the same jobs.
+// a single-node Engine.Run over the same jobs: both run on the campaign
+// pipeline (campaign.Engine.Resolve) and differ only in how they
+// resolve the local cache tier's misses.
 func (c *Coordinator) RunFabric(ctx context.Context, jobs []campaign.JobSpec) ([]*campaign.JobResult, FabricStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	r := &fabricRun{c: c, stats: FabricStats{Jobs: len(jobs)}}
+	p, err := c.eng.Resolve(ctx, jobs, r.resolve)
+	r.stats.Unique, r.stats.LocalHits, r.stats.FallbackSimulated = p.Unique(), p.LocalHits(), p.Simulated()
+	stats := r.stats
+	if err != nil || len(jobs) == 0 {
+		return p.Results(), stats, err
 	}
-	o := c.cfg.Obs
-	stats := FabricStats{Jobs: len(jobs)}
-	results := make([]*campaign.JobResult, len(jobs))
-	if len(jobs) == 0 {
-		return results, stats, nil
-	}
-
-	// Phase 0: normalize, address and dedup — the same front door as
-	// Engine.Run, so an invalid spec fails before any network traffic.
-	st := newRunState()
-	var uniq []*job
-	for i := range jobs {
-		n, err := jobs[i].Normalize()
-		if err != nil {
-			return results, stats, fmt.Errorf("fabric: job %d: %w", i, err)
-		}
-		key, err := n.Key()
-		if err != nil {
-			return results, stats, fmt.Errorf("fabric: job %d: %w", i, err)
-		}
-		if u, ok := st.byKey[key]; ok {
-			u.indices = append(u.indices, i)
-			continue
-		}
-		u := &job{spec: n, key: key, indices: []int{i}}
-		st.byKey[key] = u
-		uniq = append(uniq, u)
-	}
-	stats.Unique = len(uniq)
-	st.remain = len(uniq)
-
-	lakeCampaign := c.cfg.LakeCampaign
-	if lakeCampaign == "" {
-		lakeCampaign = "adhoc"
-	}
-	var lakeMu sync.Mutex
-	appendLake := func(u *job, res *campaign.JobResult, cached bool, tr receivedTrace) {
-		if c.cfg.Lake == nil {
-			return
-		}
-		lakeMu.Lock()
-		defer lakeMu.Unlock()
-		if err := c.cfg.Lake.AppendResult(campaign.LakeResultRow(lakeCampaign, &u.spec, u.key, res, cached)); err != nil {
-			c.met.lakeAppendF.Inc()
-			o.Logger().Warn("fabric: lake append failed", "key", u.key[:12], "err", err)
-		}
-		switch {
-		case tr.err != nil:
-			c.met.lakeAppendF.Inc() // the trace's rows are lost; complete logged why
-		case tr.csv != nil:
-			if err := c.cfg.Lake.AppendTrace(campaign.LakeTraceRows(lakeCampaign, u.key, tr.pts)...); err != nil {
-				c.met.lakeAppendF.Inc()
-				o.Logger().Warn("fabric: lake trace append failed", "key", u.key[:12], "err", err)
-			}
-		}
-	}
-	defer func() {
-		if c.cfg.Lake != nil {
-			if err := c.cfg.Lake.Flush(); err != nil {
-				c.met.lakeFlushF.Inc()
-				o.Logger().Warn("fabric: lake flush failed", "err", err)
-			}
-		}
-	}()
-
-	var hookMu sync.Mutex
-	fire := func(ev campaign.JobEvent) {
-		hookMu.Lock()
-		defer hookMu.Unlock()
-		if c.cfg.Hooks.JobDone != nil {
-			c.cfg.Hooks.JobDone(ev)
-		}
-	}
-	fill := func(u *job, res *campaign.JobResult) {
-		for _, i := range u.indices {
-			results[i] = res
-		}
-	}
-	// complete checkpoints a resolved job (cache fill, lake row, hook)
-	// and marks it done. Duplicate results — steal races, a worker
-	// volunteering a key it wasn't leased — are dropped after the
-	// first: determinism makes them byte-identical anyway. A trace
-	// that failed to parse is not cached; the result still is.
-	complete := func(u *job, res *campaign.JobResult, tr receivedTrace, cached bool) bool {
-		if !st.markDone(u.key) {
-			return false
-		}
-		if tr.err != nil {
-			o.Logger().Warn("fabric: dropping a trace that does not parse", "key", u.key[:12], "err", tr.err)
-		} else if tr.csv != nil {
-			if err := c.cfg.Cache.PutTrace(u.key, tr.csv); err != nil {
-				o.Logger().Warn("fabric: trace cache fill failed", "key", u.key[:12], "err", err)
-			}
-		}
-		if err := c.cfg.Cache.Put(u.key, res); err != nil {
-			o.Logger().Warn("fabric: cache fill failed", "key", u.key[:12], "err", err)
-		}
-		fill(u, res)
-		appendLake(u, res, cached, tr)
-		fire(campaign.JobEvent{Index: u.indices[0], Indices: u.indices, Spec: &u.spec,
-			Result: res, Cached: cached, Worker: -1})
-		return true
-	}
-
-	// Phase 1: local cache tier. Misses enter the pending lease queue
-	// right away (in submission order); completions from later phases
-	// mark them done and takeBatch skips done keys on pop.
-	var misses []*job
-	for _, u := range uniq {
-		res, ok, err := c.cfg.Cache.Get(u.key)
-		if err != nil {
-			o.Logger().Warn("fabric: local cache read failed", "key", u.key[:12], "err", err)
-		}
-		if ok {
-			if st.markDone(u.key) {
-				stats.LocalHits++
-				fill(u, res)
-				appendLake(u, res, true, receivedTrace{})
-				fire(campaign.JobEvent{Index: u.indices[0], Indices: u.indices, Spec: &u.spec,
-					Result: res, Cached: true, Worker: -1})
-			}
-			continue
-		}
-		misses = append(misses, u)
-		st.pending = append(st.pending, u.key)
-		st.inPend[u.key] = true
-	}
-
-	// Phase 2: remote cache tier — one streamed lookup per peer, all at
-	// once, each carrying every miss (read-through with local fill;
-	// first result wins when several peers hold a key).
-	var statMu sync.Mutex
-	if len(misses) > 0 && ctx.Err() == nil {
-		req := lookupRequest{Keys: make([]string, len(misses)), Trace: make([]bool, len(misses))}
-		for i, u := range misses {
-			req.Keys[i], req.Trace[i] = u.key, u.spec.RecordTrace
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return results, stats, fmt.Errorf("fabric: encoding cache lookup: %w", err)
-		}
-		var wg sync.WaitGroup
-		for _, wurl := range c.cfg.Workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				n, err := c.lookup(ctx, wurl, body, st, complete)
-				statMu.Lock()
-				stats.RemoteHits += n
-				statMu.Unlock()
-				if err != nil {
-					o.Logger().Info("fabric: cache lookup incomplete", "worker", wurl, "hits", n, "err", err)
-				}
-			}()
-		}
-		wg.Wait()
-		c.met.remoteHits.Add(int64(stats.RemoteHits))
-		c.met.remoteFills.Add(int64(stats.RemoteHits))
-		c.met.remoteMisses.Add(int64(len(misses) - stats.RemoteHits))
-	}
-
-	// Phase 3: lease the remaining misses across the fleet. Each
-	// worker gets a goroutine that loops taking batches; idle workers
-	// steal from stragglers; a worker exceeding MaxRetries consecutive
-	// transport failures is abandoned.
-	var lastErr error
-	setErr := func(err error) {
-		statMu.Lock()
-		if err != nil {
-			lastErr = err
-		}
-		statMu.Unlock()
-	}
-	if !st.allDone() && ctx.Err() == nil {
-		// leaseCtx scopes every lease request to this run: once the
-		// last job completes it is canceled so leases still streaming
-		// (a stolen straggler's original holder, a hung worker) are
-		// torn down instead of blocking completion until their TTL.
-		leaseCtx, leaseCancel := context.WithCancel(ctx)
-		defer leaseCancel()
-		// Wake takeBatch waiters periodically so steal-age checks and
-		// ctx cancellation are re-evaluated even when nothing completes.
-		tickCtx, tickCancel := context.WithCancel(ctx)
-		go func() {
-			t := time.NewTicker(50 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-tickCtx.Done():
-					st.close()
-					return
-				case <-t.C:
-					if st.allDone() {
-						leaseCancel()
-					}
-					st.cond.Broadcast()
-				}
-			}
-		}()
-
-		var wg sync.WaitGroup
-		for _, wurl := range c.cfg.Workers {
-			wurl := wurl
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fails := 0
-				for ctx.Err() == nil {
-					batch, stolen := st.takeBatch(wurl, c.cfg.BatchSize, c.cfg.StealAfter)
-					if len(batch) == 0 {
-						return // all done or closed
-					}
-					if stolen > 0 {
-						c.met.steals.Add(int64(stolen))
-						statMu.Lock()
-						stats.Stolen += stolen
-						statMu.Unlock()
-						o.Logger().Info("fabric: stealing stragglers", "worker", wurl, "jobs", stolen)
-					}
-					leaseStart := time.Now()
-					nDone, err := c.lease(leaseCtx, wurl, batch, st, lakeCampaign, complete, &stats, &statMu)
-					c.met.leaseSeconds(wurl).Observe(time.Since(leaseStart).Seconds())
-					if nDone > 0 {
-						c.met.workerJobs(wurl).Add(int64(nDone))
-					}
-					// Re-queue whatever this lease didn't finish,
-					// whether it failed or expired mid-stream.
-					requeued := 0
-					for _, u := range batch {
-						if st.requeue(u.key, wurl) {
-							requeued++
-						}
-					}
-					if requeued > 0 {
-						c.met.requeues.Add(int64(requeued))
-						statMu.Lock()
-						stats.Requeued += requeued
-						statMu.Unlock()
-					}
-					if st.allDone() || ctx.Err() != nil {
-						// A lease torn down because the campaign
-						// finished elsewhere is not a worker failure.
-						return
-					}
-					if err != nil {
-						setErr(fmt.Errorf("fabric: worker %s: %w", wurl, err))
-						if nDone > 0 {
-							fails = 0 // it made progress; don't count toward death
-						} else {
-							fails++
-						}
-						if fails > c.cfg.MaxRetries {
-							c.met.deadWorkers.Inc()
-							statMu.Lock()
-							stats.DeadWorkers++
-							statMu.Unlock()
-							o.Logger().Warn("fabric: abandoning worker", "worker", wurl, "fails", fails, "err", err)
-							return
-						}
-						c.met.retries.Inc()
-						statMu.Lock()
-						stats.Retries++
-						statMu.Unlock()
-						select {
-						case <-ctx.Done():
-							return
-						case <-time.After(backoff(c.cfg.RetryBase, fails, wurl)):
-						}
-						continue
-					}
-					fails = 0
-				}
-			}()
-		}
-		wg.Wait()
-		tickCancel()
-		st.close()
-	}
-
-	if err := ctx.Err(); err != nil {
-		done := stats.Unique - len(st.remaining())
-		return results, stats, fmt.Errorf("fabric: interrupted after %d/%d unique jobs (checkpoint retained): %w",
-			done, stats.Unique, err)
-	}
-
-	// Phase 4: anything still unresolved means the whole fleet died.
-	// Fall back to a local engine if configured, else fail with the
-	// last transport error for diagnosis.
-	if rem := st.remaining(); len(rem) > 0 {
-		if !c.cfg.LocalFallback {
-			if lastErr == nil {
-				lastErr = errors.New("all workers unavailable")
-			}
-			return results, stats, fmt.Errorf("fabric: %d/%d unique jobs unresolved: %w",
-				len(rem), stats.Unique, lastErr)
-		}
-		o.Logger().Warn("fabric: falling back to local engine", "jobs", len(rem), "last_err", lastErr)
-		specs := make([]campaign.JobSpec, len(rem))
-		for i, u := range rem {
-			specs[i] = u.spec
-		}
-		eng := &campaign.Engine{
-			Workers:       c.cfg.LocalWorkers,
-			KernelWorkers: c.cfg.LocalKernelWorkers,
-			Cache:         c.cfg.Cache,
-			Obs:           o,
-		}
-		lres, lstats, err := eng.Run(ctx, specs)
-		if err != nil {
-			return results, stats, fmt.Errorf("fabric: local fallback: %w", err)
-		}
-		stats.FallbackSimulated = lstats.Simulated
-		for i, u := range rem {
-			res := lres[i]
-			var tr receivedTrace
-			if u.spec.RecordTrace {
-				if csv, ok, _ := c.cfg.Cache.GetTrace(u.key); ok {
-					tr = parseTrace(csv)
-				}
-			}
-			complete(u, res, tr, false)
-		}
-	}
-
-	o.Logger().Info("fabric: campaign complete",
+	c.cfg.Obs.Logger().Info("fabric: campaign complete",
 		"jobs", stats.Jobs, "unique", stats.Unique,
 		"local_hits", stats.LocalHits, "remote_hits", stats.RemoteHits,
 		"worker_cache_hits", stats.WorkerCacheHits, "remote_simulated", stats.RemoteSimulated,
 		"fallback_simulated", stats.FallbackSimulated,
 		"requeued", stats.Requeued, "stolen", stats.Stolen,
 		"retries", stats.Retries, "dead_workers", stats.DeadWorkers)
-	return results, stats, nil
+	return p.Results(), stats, nil
 }
 
-// receivedTrace is a trace artefact as a job's result brought it in,
-// parsed once: the points feed the lake, and a trace whose parse
-// failed (err) is neither cached nor projected.
-type receivedTrace struct {
-	csv []byte
-	pts []sim.TracePoint
-	err error
-}
-
-func parseTrace(csv []byte) receivedTrace {
-	pts, err := trace.ReadCSV(bytes.NewReader(csv))
-	if err != nil {
-		return receivedTrace{err: fmt.Errorf("parsing trace: %w", err)}
+// resolve resolves the misses through the remote cache tier, then
+// leases, then — if every worker died and LocalFallback is set — the
+// campaign pipeline's own simulation pool.
+func (r *fabricRun) resolve(ctx context.Context, p *campaign.Plan, misses []*campaign.Job) error {
+	c := r.c
+	r.p, r.st = p, newRunState(p, misses)
+	if len(misses) == 0 || ctx.Err() != nil {
+		return nil
 	}
-	return receivedTrace{csv: csv, pts: pts}
+	if err := r.lookupAll(ctx, misses); err != nil {
+		return err
+	}
+	if p.Left() > 0 && ctx.Err() == nil {
+		r.leaseAll(ctx)
+	}
+	rem := p.Remaining()
+	if len(rem) == 0 || ctx.Err() != nil {
+		return nil // Resolve reports an interrupt
+	}
+	lastErr := r.lastErr
+	if !c.cfg.LocalFallback {
+		if lastErr == nil {
+			lastErr = errors.New("all workers unavailable")
+		}
+		return fmt.Errorf("fabric: %d/%d unique jobs unresolved: %w", len(rem), p.Unique(), lastErr)
+	}
+	c.cfg.Obs.Logger().Warn("fabric: falling back to local simulation", "jobs", len(rem), "last_err", lastErr)
+	if err := p.Simulate(ctx, rem); err != nil {
+		return fmt.Errorf("fabric: local fallback: %w", err)
+	}
+	return nil
 }
 
-// completeFunc is RunFabric's complete: checkpoint one resolved job,
-// reporting whether this call was the first result for it.
-type completeFunc func(u *job, res *campaign.JobResult, tr receivedTrace, cached bool) bool
+// complete finishes u with a remote result and releases its lease.
+func (r *fabricRun) complete(u *campaign.Job, res *campaign.JobResult, tr campaign.Trace, cached bool) bool {
+	if !r.p.Complete(u, res, tr, cached) {
+		return false
+	}
+	r.st.release(u)
+	return true
+}
+
+// lookupAll is the remote cache tier: one streamed lookup per peer, all
+// at once, each carrying every miss (read-through with local fill;
+// first result wins when several peers hold a key).
+func (r *fabricRun) lookupAll(ctx context.Context, misses []*campaign.Job) error {
+	c := r.c
+	req := lookupRequest{Keys: make([]string, len(misses)), Trace: make([]bool, len(misses))}
+	for i, u := range misses {
+		req.Keys[i], req.Trace[i] = u.Key, u.Spec.RecordTrace
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("fabric: encoding cache lookup: %w", err)
+	}
+	var wg sync.WaitGroup
+	for _, wurl := range c.cfg.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, err := r.lookup(ctx, wurl, body)
+			r.mu.Lock()
+			r.stats.RemoteHits += n
+			r.mu.Unlock()
+			if err != nil {
+				c.cfg.Obs.Logger().Info("fabric: cache lookup incomplete", "worker", wurl, "hits", n, "err", err)
+			}
+		}()
+	}
+	wg.Wait()
+	c.met.remoteHits.Add(int64(r.stats.RemoteHits))
+	c.met.remoteFills.Add(int64(r.stats.RemoteHits))
+	c.met.remoteMisses.Add(int64(len(misses) - r.stats.RemoteHits))
+	return nil
+}
 
 // lookup asks one peer for every key in body (an encoded
 // lookupRequest) and completes the hits it streams back. A hit counts
 // only for a key of this campaign, and for a record_trace job only
 // with a trace that parses; anything else stays a miss for the lease
 // phase. Returns the jobs newly completed by this peer.
-func (c *Coordinator) lookup(ctx context.Context, wurl string, body []byte, st *runState, complete completeFunc) (int, error) {
+func (r *fabricRun) lookup(ctx context.Context, wurl string, body []byte) (int, error) {
 	n := 0
-	err := c.stream(ctx, wurl+"/v1/cache/lookup", body, c.cfg.RequestTimeout, func(line leaseLine) {
-		u := st.byKey[line.Key]
+	err := r.c.stream(ctx, wurl+"/v1/cache/lookup", body, r.c.cfg.RequestTimeout, func(line leaseLine) {
+		u := r.p.Job(line.Key)
 		if u == nil || line.Result == nil {
 			return
 		}
-		var tr receivedTrace
-		if u.spec.RecordTrace {
-			if tr = parseTrace(line.Trace); tr.err != nil {
+		var tr campaign.Trace
+		if u.Spec.RecordTrace {
+			if tr = campaign.ParseTrace(line.Trace); tr.Err != nil {
 				return
 			}
 		}
-		if complete(u, line.Result, tr, true) {
+		if r.complete(u, line.Result, tr, true) {
 			n++
 		}
 	})
 	return n, err
+}
+
+// leaseAll leases the remaining misses across the fleet. Each worker
+// gets a goroutine that loops taking batches; idle workers steal from
+// stragglers; a worker exceeding MaxRetries consecutive transport
+// failures is abandoned.
+func (r *fabricRun) leaseAll(ctx context.Context) {
+	// leaseCtx scopes every lease request to this run: once the last
+	// job completes it is canceled so leases still streaming (a stolen
+	// straggler's original holder, a hung worker) are torn down instead
+	// of blocking completion until their TTL.
+	leaseCtx, leaseCancel := context.WithCancel(ctx)
+	defer leaseCancel()
+	// Wake takeBatch waiters periodically so steal-age checks and ctx
+	// cancellation are re-evaluated even when nothing completes.
+	tickCtx, tickCancel := context.WithCancel(ctx)
+	go func() {
+		t := time.NewTicker(50 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-tickCtx.Done():
+				r.st.close()
+				return
+			case <-t.C:
+				if r.p.Left() == 0 {
+					leaseCancel()
+				}
+				r.st.cond.Broadcast()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, wurl := range r.c.cfg.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.leaseLoop(ctx, leaseCtx, wurl)
+		}()
+	}
+	wg.Wait()
+	tickCancel()
+	r.st.close()
+}
+
+// leaseLoop feeds one worker batches until the campaign is done, the
+// context ends, or the worker is abandoned.
+func (r *fabricRun) leaseLoop(ctx, leaseCtx context.Context, wurl string) {
+	c, o := r.c, r.c.cfg.Obs
+	fails := 0
+	for ctx.Err() == nil {
+		batch, stolen := r.st.takeBatch(wurl, c.cfg.BatchSize, c.cfg.StealAfter)
+		if len(batch) == 0 {
+			return // all done or closed
+		}
+		if stolen > 0 {
+			c.met.steals.Add(int64(stolen))
+			r.mu.Lock()
+			r.stats.Stolen += stolen
+			r.mu.Unlock()
+			o.Logger().Info("fabric: stealing stragglers", "worker", wurl, "jobs", stolen)
+		}
+		leaseStart := time.Now()
+		nDone, err := r.lease(leaseCtx, wurl, batch)
+		c.met.leaseSeconds(wurl).Observe(time.Since(leaseStart).Seconds())
+		if nDone > 0 {
+			c.met.workerJobs(wurl).Add(int64(nDone))
+		}
+		// Re-queue whatever this lease didn't finish, whether it failed
+		// or expired mid-stream.
+		requeued := 0
+		for _, u := range batch {
+			if r.st.requeue(u, wurl) {
+				requeued++
+			}
+		}
+		if requeued > 0 {
+			c.met.requeues.Add(int64(requeued))
+			r.mu.Lock()
+			r.stats.Requeued += requeued
+			r.mu.Unlock()
+		}
+		if r.p.Left() == 0 || ctx.Err() != nil {
+			// A lease torn down because the campaign finished elsewhere
+			// is not a worker failure.
+			return
+		}
+		if err == nil {
+			fails = 0
+			continue
+		}
+		r.mu.Lock()
+		r.lastErr = fmt.Errorf("fabric: worker %s: %w", wurl, err)
+		r.mu.Unlock()
+		if nDone > 0 {
+			fails = 0 // it made progress; don't count toward death
+		} else {
+			fails++
+		}
+		if fails > c.cfg.MaxRetries {
+			c.met.deadWorkers.Inc()
+			r.mu.Lock()
+			r.stats.DeadWorkers++
+			r.mu.Unlock()
+			o.Logger().Warn("fabric: abandoning worker", "worker", wurl, "fails", fails, "err", err)
+			return
+		}
+		c.met.retries.Inc()
+		r.mu.Lock()
+		r.stats.Retries++
+		r.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(backoff(c.cfg.RetryBase, fails, wurl)):
+		}
+	}
 }
 
 // lease POSTs one batch to a worker and consumes the NDJSON result
@@ -770,15 +603,13 @@ func (c *Coordinator) lookup(ctx context.Context, wurl string, body []byte, st *
 // watchdog runs at LeaseTTL, so a hung or killed worker surfaces as an
 // error here and the caller re-queues. Returns the number of jobs newly
 // completed by this lease.
-func (c *Coordinator) lease(ctx context.Context, wurl string, batch []*job,
-	st *runState, lakeCampaign string, complete completeFunc,
-	stats *FabricStats, statMu *sync.Mutex) (int, error) {
-
+func (r *fabricRun) lease(ctx context.Context, wurl string, batch []*campaign.Job) (int, error) {
+	c := r.c
 	specs := make([]campaign.JobSpec, len(batch))
 	for i, u := range batch {
-		specs[i] = u.spec
+		specs[i] = u.Spec
 	}
-	body, err := json.Marshal(leaseRequest{Campaign: lakeCampaign, Jobs: specs})
+	body, err := json.Marshal(leaseRequest{Campaign: c.eng.LakeCampaign, Jobs: specs})
 	if err != nil {
 		return 0, fmt.Errorf("encoding lease: %w", err)
 	}
@@ -794,25 +625,25 @@ func (c *Coordinator) lease(ctx context.Context, wurl string, batch []*job,
 		// worker finished a batch whose lease already expired and was
 		// re-queued. Determinism makes any worker's result canonical,
 		// so accept it as long as the key belongs to this campaign.
-		// byKey on the run state is immutable after the dedup phase,
-		// so the read is safe.
-		u := st.byKey[line.Key]
+		u := r.p.Job(line.Key)
 		if u == nil {
 			return
 		}
-		var tr receivedTrace
+		var tr campaign.Trace
 		if len(line.Trace) > 0 {
-			tr = parseTrace(line.Trace)
+			tr = campaign.ParseTrace(line.Trace)
 		}
-		if complete(u, line.Result, tr, false) {
+		// A line the worker served from its own cache is a cached
+		// completion, exactly like a peer's lookup hit.
+		if r.complete(u, line.Result, tr, line.Cached) {
 			nDone++
-			statMu.Lock()
+			r.mu.Lock()
 			if line.Cached {
-				stats.WorkerCacheHits++
+				r.stats.WorkerCacheHits++
 			} else {
-				stats.RemoteSimulated++
+				r.stats.RemoteSimulated++
 			}
-			statMu.Unlock()
+			r.mu.Unlock()
 		}
 	})
 	if err != nil {

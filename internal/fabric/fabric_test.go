@@ -16,6 +16,7 @@ import (
 	"hsas/internal/camera"
 	"hsas/internal/campaign"
 	"hsas/internal/knobs"
+	"hsas/internal/lake"
 	"hsas/internal/obs"
 	"hsas/internal/world"
 )
@@ -483,5 +484,65 @@ func TestBackoffIsBoundedAndDeterministic(t *testing.T) {
 	}
 	if backoff(base, 3, "http://w1:1") == backoff(base, 3, "http://w2:1") {
 		t.Log("note: two workers share a jitter bucket (allowed, just unlikely)")
+	}
+}
+
+// TestCoordinatorLocalFallback: with every worker gone, LocalFallback
+// simulates the campaign on the local pool, bit-identical to
+// Engine.Run, reporting each unique job once and projecting the traced
+// job's trace onto the lake. Without LocalFallback the run fails with
+// the transport error.
+func TestCoordinatorLocalFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second e2e")
+	}
+	jobs := []campaign.JobSpec{tinyJob(1), tinyJob(2), tinyJob(1)}
+	jobs[1].RecordTrace = true
+	want, _, err := (&campaign.Engine{Workers: 1}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	run := func(fallback bool, lw *lake.Writer) ([]*campaign.JobResult, FabricStats, int, error) {
+		done := 0
+		co, err := NewCoordinator(CoordinatorConfig{
+			Workers: []string{dead.URL}, Lake: lw, LocalFallback: fallback, LocalWorkers: 1,
+			MaxRetries: 1, RetryBase: time.Millisecond,
+			Hooks: campaign.Hooks{JobDone: func(campaign.JobEvent) { done++ }},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, fs, err := co.RunFabric(context.Background(), jobs)
+		return res, fs, done, err
+	}
+
+	dir := t.TempDir()
+	lw, err := lake.OpenWriter(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, fs, done, err := run(true, lw)
+	if err != nil {
+		t.Fatalf("fallback run: %v (stats %+v)", err, fs)
+	}
+	if !reflect.DeepEqual(stripWall(got), stripWall(want)) {
+		t.Fatal("fallback results differ from Engine.Run")
+	}
+	if fs.FallbackSimulated != 2 || fs.Unique != 2 || done != 2 {
+		t.Fatalf("stats %+v, JobDone fired %d times; want 2 unique jobs, each simulated and reported once", fs, done)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := lake.SummarizeTraces(dir, "adhoc")
+	if err != nil || sum.Rows != int64(want[1].Frames) {
+		t.Fatalf("lake trace rows = %d (err %v), want one per frame of the traced job (%d)", sum.Rows, err, want[1].Frames)
+	}
+
+	_, _, _, err = run(false, nil)
+	if err == nil || !strings.Contains(err.Error(), "unresolved") || !strings.Contains(err.Error(), dead.URL) {
+		t.Fatalf("run without fallback: err = %v, want the worker's transport error", err)
 	}
 }
