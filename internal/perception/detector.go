@@ -13,10 +13,10 @@ import (
 // ground-plane mapping, so the same ROIs work for full-size and test-size
 // frames.
 //
-// Detect reuses per-detector scratch (BEV raster, filter buffers,
-// candidate-pixel slices, fit workspace) across invocations, so a
-// Detector must not run Detect concurrently with itself; parallel
-// closed-loop runs each construct their own Detector.
+// Detect reuses per-detector scratch (BEV raster, filter buffers, BEV
+// sampling footprint, candidate-pixel slices, fit workspace) across
+// invocations, so a Detector must not run Detect concurrently with
+// itself; parallel closed-loop runs each construct their own Detector.
 type Detector struct {
 	Geo Geometry
 
@@ -43,15 +43,16 @@ type Detector struct {
 }
 
 // detScratch is the per-detector buffer arena. Every buffer is either
-// fully overwritten per invocation (bev, smooth, norm, mask, hist) or
+// fully overwritten per invocation (bev, smooth, mask, hist) or
 // reset to length zero and appended to (the candidate-pixel and fit
-// slices), so no state leaks between frames.
+// slices), so no state leaks between frames. The sampling footprint is
+// a function of its key alone, so reusing it leaks nothing either.
 type detScratch struct {
 	bev    raster.Gray
 	smooth []float32
-	norm   []float64
 	mask   []bool
 	hist   []int
+	fp     bevFootprint
 
 	leftXs, leftYs, rightXs, rightYs []float64
 	leftDs, leftCs, rightDs, rightCs []float64
@@ -63,20 +64,19 @@ type detScratch struct {
 func (sc *detScratch) ensure(w, h int) {
 	n := w * h
 	sc.bev.W, sc.bev.H = w, h
-	if cap(sc.bev.Pix) < n {
-		sc.bev.Pix = make([]float32, n)
-		sc.smooth = make([]float32, n)
-		sc.norm = make([]float64, n)
-		sc.mask = make([]bool, n)
+	sc.bev.Pix = grow(sc.bev.Pix, n)
+	sc.smooth = grow(sc.smooth, n)
+	sc.mask = grow(sc.mask, n)
+	sc.hist = grow(sc.hist, w)
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sc.bev.Pix = sc.bev.Pix[:n]
-	sc.smooth = sc.smooth[:n]
-	sc.norm = sc.norm[:n]
-	sc.mask = sc.mask[:n]
-	if cap(sc.hist) < w {
-		sc.hist = make([]int, w)
-	}
-	sc.hist = sc.hist[:w]
+	return s[:n]
 }
 
 // NewDetector returns a detector with the defaults used by all paper
@@ -122,7 +122,7 @@ func (d *Detector) Detect(img *raster.RGB, roi ROI, lookAhead float64) Result {
 	sc := work.scratch
 	sc.ensure(work.BevW, work.BevH)
 	score := work.scoreBEVInto(&sc.bev, img, roi)
-	binary, any := binarizeInto(score, sc.smooth, sc.norm, sc.mask)
+	binary, any := binarizeInto(score, sc.smooth, sc.mask)
 	if !any {
 		return Result{}
 	}
@@ -147,47 +147,113 @@ func (d *Detector) bevWidth(roi ROI) int {
 	return w
 }
 
-// scoreBEV samples the bird's-eye view of the ROI and computes the
-// lane-pixel score: luminance for white paint plus an R-B chroma term for
-// yellow paint.
-func (d *Detector) scoreBEV(img *raster.RGB, roi ROI) *raster.Gray {
-	return d.scoreBEVInto(raster.NewGray(d.BevW, d.BevH), img, roi)
+// bevKey is everything the BEV sampling footprint depends on: the
+// ground-to-image mapping, the ROI, and the BEV and image sizes. The
+// frame contents never enter it.
+type bevKey struct {
+	geo        Geometry
+	roi        ROI
+	bevW, bevH int
+	imgW, imgH int
 }
 
-// scoreBEVInto is scoreBEV writing into a caller-held raster sized
-// BevW×BevH. Every pixel is written (unmapped samples score 0), so out
-// may be a recycled buffer with arbitrary contents.
-func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
+// bevRow is the part of the footprint shared by a whole BEV row: every
+// sample of a row lies at one forward distance, so they share the image
+// row v (GroundToImage's v depends on the distance alone).
+type bevRow struct {
+	ok     bool    // some sample of the row lands on the image
+	r0, r1 int     // y0*imgW and y1*imgW, the bilinear source rows
+	fy     float32 // v - y0
+}
+
+// bevSample is one BEV pixel's horizontal footprint; x0 is -1 when the
+// ground point misses the image (the pixel scores 0).
+type bevSample struct {
+	x0 int32
+	fx float32
+}
+
+// bevFootprint is the bilinear sampling footprint of every BEV pixel,
+// built once per key and reused across frames.
+type bevFootprint struct {
+	key     bevKey
+	rows    []bevRow
+	samples []bevSample
+}
+
+// footprint returns the sampling footprint for the ROI and image size,
+// rebuilding the single cached slot in place when its key changes. The
+// ground point, its projection, the on-image test and the bilinear
+// corner and weights are raster.Gray.Sample's expressions at (u, v), so
+// gathering through the footprint reads the pixels and weights that
+// sampling each plane at the projected point would.
+func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
+	fp := &d.scratch.fp
+	key := bevKey{geo: d.Geo, roi: roi, bevW: d.BevW, bevH: d.BevH, imgW: iw, imgH: ih}
+	if fp.key == key {
+		return fp
+	}
 	w, h := d.BevW, d.BevH
-	iw, ih := img.W, img.H
+	fp.key = key
+	fp.rows = grow(fp.rows, h)
+	fp.samples = grow(fp.samples, w*h)
 	for row := 0; row < h; row++ {
 		dist := d.rowToDist(roi, row)
 		left, right := roi.LatAt(dist)
+		fr := bevRow{}
 		for col := 0; col < w; col++ {
 			lat := left + (right-left)*float64(col)/float64(w-1)
 			u, v, ok := d.Geo.GroundToImage(dist, lat)
 			// Rejecting NaN here writes the 0 that sampling NaN
 			// coordinates would score.
 			if !ok || !(u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)) {
-				out.Pix[row*w+col] = 0
+				fp.samples[row*w+col] = bevSample{x0: -1}
 				continue
 			}
 			// The bilinear footprint of raster.Gray.Sample at (u, v),
-			// which needs no clamping here, shared by the three planes.
+			// which needs no clamping here.
 			x0, y0 := int(u), int(v)
-			x1, y1 := min(x0+1, iw-1), min(y0+1, ih-1)
-			fx := float32(u - float64(x0))
-			fy := float32(v - float64(y0))
-			i00, i10, i01, i11 := y0*iw+x0, y0*iw+x1, y1*iw+x0, y1*iw+x1
-			r := qz(bilinear(img.R, i00, i10, i01, i11, fx, fy), d.Quantize)
-			g := qz(bilinear(img.G, i00, i10, i01, i11, fx, fy), d.Quantize)
-			b := qz(bilinear(img.B, i00, i10, i01, i11, fx, fy), d.Quantize)
+			fr = bevRow{ok: true, r0: y0 * iw, r1: min(y0+1, ih-1) * iw, fy: float32(v - float64(y0))}
+			fp.samples[row*w+col] = bevSample{x0: int32(x0), fx: float32(u - float64(x0))}
+		}
+		fp.rows[row] = fr
+	}
+	return fp
+}
+
+// scoreBEVInto samples the bird's-eye view of the ROI into out (sized
+// BevW×BevH) and computes the lane-pixel score: luminance for white
+// paint plus an R-B chroma term for yellow paint. It gathers through the
+// cached footprint, the three planes sharing each bilinear footprint.
+// Every pixel is written (unmapped samples score 0), so out may be a
+// recycled buffer with arbitrary contents. The footprint lives in
+// d.scratch, which Detect allocates.
+func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
+	fp := d.footprint(roi, img.W, img.H)
+	w, xMax := d.BevW, img.W-1
+	for row, fr := range fp.rows {
+		orow := out.Pix[row*w : (row+1)*w]
+		if !fr.ok {
+			clear(orow)
+			continue
+		}
+		for col, s := range fp.samples[row*w : (row+1)*w] {
+			if s.x0 < 0 {
+				orow[col] = 0
+				continue
+			}
+			x0 := int(s.x0)
+			x1 := min(x0+1, xMax)
+			i00, i10, i01, i11 := fr.r0+x0, fr.r0+x1, fr.r1+x0, fr.r1+x1
+			r := qz(bilinear(img.R, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
+			g := qz(bilinear(img.G, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
+			b := qz(bilinear(img.B, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
 			luma := 0.2126*r + 0.7152*g + 0.0722*b
 			chroma := r - b
 			if chroma < 0 {
 				chroma = 0
 			}
-			out.Pix[row*w+col] = luma + 0.9*chroma
+			orow[col] = luma + 0.9*chroma
 		}
 	}
 	return out
@@ -199,32 +265,36 @@ func bilinear(pix []float32, i00, i10, i01, i11 int, fx, fy float32) float32 {
 	return pix[i00]*(1-fx)*(1-fy) + pix[i10]*fx*(1-fy) + pix[i01]*(1-fx)*fy + pix[i11]*fx*fy
 }
 
-// qz quantizes a sample to 8 bits, emulating the PR input buffer.
+// qzTab[k] is the 8-bit level k as a sample, float32(k)/255.
+var qzTab = func() (t [256]float32) {
+	for k := range t {
+		t[k] = float32(k) / 255
+	}
+	return t
+}()
+
+// qz quantizes a sample to 8 bits, emulating the PR input buffer:
+// float32(math.Round(float64(v)*255)) / 255 of the clamped sample, by
+// table. For v in (0, 1], float64(v)*255 is exact (24 by 8 significant
+// bits) and adding 0.5 is exact from 2^-21 up, so truncating the sum
+// rounds half away from zero as math.Round does; below that both round
+// to level 0. ±0 and NaN take the division, which keeps their bits as
+// the rounding did.
 func qz(v float32, on bool) float32 {
 	if !on {
 		return v
 	}
 	v = raster.Clamp01(v)
-	return float32(math.Round(float64(v)*255)) / 255
+	if !(v > 0) {
+		return v / 255
+	}
+	return qzTab[int(float64(v)*255+0.5)]
 }
 
 // rowToDist maps a BEV row to a forward distance (row 0 = far edge).
 func (d *Detector) rowToDist(roi ROI, row int) float64 {
 	t := float64(row) / float64(d.BevH-1)
 	return roi.FarDist - t*(roi.FarDist-roi.NearDist)
-}
-
-// distToRow inverts rowToDist, clamped to the raster.
-func (d *Detector) distToRow(roi ROI, dist float64) int {
-	t := (roi.FarDist - dist) / (roi.FarDist - roi.NearDist)
-	row := int(math.Round(t * float64(d.BevH-1)))
-	if row < 0 {
-		row = 0
-	}
-	if row >= d.BevH {
-		row = d.BevH - 1
-	}
-	return row
 }
 
 // colToLat maps a BEV column to a lateral offset at the given row.
@@ -253,71 +323,74 @@ const (
 // columns — slightly wider than the painted stripe (2–3 columns).
 const stripeTau = 3
 
-// binarize converts a score map into a boolean lane-pixel mask. The score
-// is first top-hat normalized (each pixel minus the local horizontal
-// mean), removing smooth illumination gradients — the headlight hot spot
-// at night, street-light pools — while preserving the narrow bright
-// stripes of painted markings. The result is thresholded against the
-// normalized map's own statistics (the paper's "dynamic thresholding").
-// any is false when the mask is empty.
-func binarize(score *raster.Gray) (mask []bool, any bool) {
-	n := len(score.Pix)
-	return binarizeInto(score, make([]float32, n), make([]float64, n), make([]bool, n))
-}
-
-// binarizeInto is binarize with caller-held scratch. smooth, norm and
-// mask must each have len(score.Pix) elements; all three are fully
-// overwritten, so recycled buffers with stale contents are fine. The
-// returned mask aliases the mask argument.
-func binarizeInto(score *raster.Gray, smooth []float32, norm []float64, mask []bool) ([]bool, bool) {
+// binarizeInto converts a score map into a boolean lane-pixel mask. The
+// score is first top-hat normalized (each pixel minus the local
+// horizontal mean), removing smooth illumination gradients — the
+// headlight hot spot at night, street-light pools — while preserving the
+// narrow bright stripes of painted markings. The result is thresholded
+// against the normalized map's own statistics (the paper's "dynamic
+// thresholding"). any is false when the mask is empty.
+//
+// smooth and mask are caller-held scratch of len(score.Pix) elements
+// each; both are fully overwritten, so recycled buffers with stale
+// contents are fine. The returned mask aliases the mask argument.
+func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bool) {
 	w, h := score.W, score.H
+	pix := score.Pix
 
-	// Vertical smoothing first: markings are vertically extended stripes
-	// in the bird's-eye view, so averaging a few rows is a matched filter
-	// that suppresses single-pixel texture speckle without blurring the
-	// stripe laterally.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s, wsum float32
-			for dy := -2; dy <= 2; dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= h {
-					continue
-				}
-				wt := float32(3 - abs(dy))
-				s += wt * score.Pix[yy*w+x]
-				wsum += wt
-			}
-			smooth[y*w+x] = s / wsum
-		}
-	}
-
-	// Lane-marking filter (Nieto et al.): a pixel responds only when it is
-	// brighter than BOTH lateral neighbors at stripe distance, so painted
-	// stripes fire while one-sided brightness steps — shoulder edges, the
-	// rim of the headlight pool — cancel to ~zero:
-	//   r(x) = 2 v(x) - v(x-tau) - v(x+tau) - |v(x-tau) - v(x+tau)|
-	for y := 0; y < h; y++ {
-		row := smooth[y*w : (y+1)*w]
-		nrow := norm[y*w : (y+1)*w]
-		for i := range nrow {
-			nrow[i] = 0
-		}
-		for x := stripeTau; x < w-stripeTau; x++ {
-			l := float64(row[x-stripeTau])
-			r := float64(row[x+stripeTau])
-			resp := 2*float64(row[x]) - l - r - math.Abs(l-r)
-			if resp > 0 {
-				nrow[x] = resp
-			}
-		}
-	}
+	// One pass per row smooths, filters and accumulates the statistics.
 	var sum, sum2 float64
-	n := float64(len(norm))
-	for _, v := range norm {
-		sum += v
-		sum2 += v * v
+	for y := 0; y < h; y++ {
+		// Vertical smoothing first: markings are vertically extended
+		// stripes in the bird's-eye view, so averaging a few rows is a
+		// matched filter that suppresses single-pixel texture speckle
+		// without blurring the stripe laterally. Interior rows take all
+		// five taps (weights 1 2 3 2 1, sum 9), added to +0 in the
+		// border loop's order so every bit matches it.
+		row := smooth[y*w : (y+1)*w]
+		if y >= 2 && y < h-2 {
+			p0 := pix[(y-2)*w:][:len(row)]
+			p1 := pix[(y-1)*w:][:len(row)]
+			p2 := pix[y*w:][:len(row)]
+			p3 := pix[(y+1)*w:][:len(row)]
+			p4 := pix[(y+2)*w:][:len(row)]
+			for x := range row {
+				var s float32
+				s += 1 * p0[x]
+				s += 2 * p1[x]
+				s += 3 * p2[x]
+				s += 2 * p3[x]
+				s += 1 * p4[x]
+				row[x] = s / 9
+			}
+		} else {
+			for x := range row {
+				var s, wsum float32
+				for dy := -2; dy <= 2; dy++ {
+					yy := y + dy
+					if yy < 0 || yy >= h {
+						continue
+					}
+					wt := float32(3 - abs(dy))
+					s += wt * pix[yy*w+x]
+					wsum += wt
+				}
+				row[x] = s / wsum
+			}
+		}
+
+		// The normalized map is the positive part of the lane-marking
+		// filter response, 0 elsewhere. Its statistics skip the zeros:
+		// each would add +0 to a non-negative running sum, which leaves
+		// its bits unchanged.
+		for x := stripeTau; x < w-stripeTau; x++ {
+			if resp := stripeResponse(row, x); resp > 0 {
+				sum += resp
+				sum2 += resp * resp
+			}
+		}
 	}
+	n := float64(w * h)
 	mean := sum / n
 	variance := sum2/n - mean*mean
 	if variance < 0 {
@@ -328,35 +401,50 @@ func binarizeInto(score *raster.Gray, smooth []float32, norm []float64, mask []b
 	if th < threshFloor {
 		th = threshFloor
 	}
-	for i, v := range norm {
-		mask[i] = v > th
-	}
 
-	// Stripe-width filter: painted markings are 2–3 BEV columns wide,
-	// while brightness steps (shoulder edges, the rim of the headlight
-	// pool) survive the top-hat as bands about as wide as its window.
-	// Clearing over-wide horizontal runs rejects those edges.
+	// Threshold and stripe-width filter, one pass per row, recomputing
+	// the response rather than storing the map. th is at least
+	// threshFloor > 0 (or NaN), so a pixel is on exactly when its
+	// response exceeds th, and the zeros outside the filter's span never
+	// are. Painted markings are 2–3 BEV columns wide, while brightness
+	// steps (shoulder edges, the rim of the headlight pool) survive the
+	// top-hat as bands about as wide as its window. Clearing over-wide
+	// horizontal runs rejects those edges.
 	any := false
 	for y := 0; y < h; y++ {
-		runStart := -1
+		row := smooth[y*w : (y+1)*w]
+		mrow := mask[y*w : (y+1)*w]
+		start := 0
 		for x := 0; x <= w; x++ {
-			on := x < w && mask[y*w+x]
-			if on && runStart < 0 {
-				runStart = x
-			}
-			if !on && runStart >= 0 {
-				if x-runStart > maxStripeCols {
-					for k := runStart; k < x; k++ {
-						mask[y*w+k] = false
-					}
-				} else {
-					any = true
+			if x < w {
+				on := x >= stripeTau && x < w-stripeTau && stripeResponse(row, x) > th
+				mrow[x] = on
+				if on {
+					continue
 				}
-				runStart = -1
 			}
+			if x-start > maxStripeCols {
+				clear(mrow[start:x])
+			} else if x > start {
+				any = true
+			}
+			start = x + 1
 		}
 	}
 	return mask, any
+}
+
+// stripeResponse is the lane-marking filter (Nieto et al.) at column x
+// of a smoothed row: a pixel responds only when it is brighter than BOTH
+// lateral neighbors at stripe distance, so painted stripes fire while
+// one-sided brightness steps — shoulder edges, the rim of the headlight
+// pool — cancel to ~zero:
+//
+//	r(x) = 2 v(x) - v(x-tau) - v(x+tau) - |v(x-tau) - v(x+tau)|
+func stripeResponse(row []float32, x int) float64 {
+	l := float64(row[x-stripeTau])
+	r := float64(row[x+stripeTau])
+	return 2*float64(row[x]) - l - r - math.Abs(l-r)
 }
 
 // maxStripeCols is the widest horizontal run accepted as painted marking.
@@ -376,13 +464,9 @@ func (d *Detector) slidingWindows(mask []bool, roi ROI, lookAhead float64) Resul
 	// falls back to a full-height histogram when its peak is missing.
 	axisCol := d.latToCol(roi, h-1, 0)
 	peaks := func(top int) (lb, lp, rb, rp int) {
-		if cap(sc.hist) < w {
-			sc.hist = make([]int, w)
-		}
-		hist := sc.hist[:w]
-		for i := range hist {
-			hist[i] = 0
-		}
+		sc.hist = grow(sc.hist, w)
+		hist := sc.hist
+		clear(hist)
 		for y := top; y < h; y++ {
 			for x := 0; x < w; x++ {
 				if mask[y*w+x] {
@@ -406,14 +490,12 @@ func (d *Detector) slidingWindows(mask []bool, roi ROI, lookAhead float64) Resul
 	if leftBase < 0 || rightBase < 0 || leftPeak < d.MinPixWin || rightPeak < d.MinPixWin {
 		flb, flp, frb, frp := peaks(0)
 		if leftPeak < d.MinPixWin && flp > leftPeak {
-			leftBase, leftPeak = flb, flp
+			leftBase = flb
 		}
 		if rightPeak < d.MinPixWin && frp > rightPeak {
-			rightBase, rightPeak = frb, frp
+			rightBase = frb
 		}
 	}
-	_ = leftPeak
-	_ = rightPeak
 
 	res := Result{}
 	leftXs, leftYs := d.trackLane(mask, leftBase, sc.leftXs[:0], sc.leftYs[:0])
