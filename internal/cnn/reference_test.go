@@ -1,11 +1,12 @@
 package cnn
 
-// Retained naive reference implementations for Conv2D, Dense and ReLU.
-// These are the readable, obviously-correct kernels the GEMM-lowered and
-// branch-free hot paths in layers.go replaced; the golden tests pin the
-// production passes bit-identical to them, and the benchmarks use them
-// as the baseline for the speedup claims in BENCH.md. They live in a
-// _test.go file so none of them is compiled into the production build.
+// Retained naive reference implementations for Conv2D, Dense, ReLU and
+// MaxPool2. These are the readable, obviously-correct kernels the
+// GEMM-lowered and branch-free hot paths in layers.go replaced; the
+// golden tests pin the production passes bit-identical to them, and the
+// benchmarks use them as the baseline for the speedup claims in
+// BENCH.md. They live in a _test.go file so none of them is compiled
+// into the production build.
 //
 // Accumulation-order notes (what makes bitwise equality possible):
 //   - forward and dW/dB accumulate in the same order as the original
@@ -175,6 +176,55 @@ func refReLU(x *Tensor) *Tensor {
 	return out
 }
 
+// refMaxPool is the per-window 2×2 max pool the branch-free MaxPool2
+// paths replaced: each window is seeded at -3.4e38 and scanned in
+// (dy, dx) order, and a value replaces the running best only when
+// v > best, so the first maximum wins, a ±0 tie keeps the earlier zero
+// and a NaN never wins. Odd trailing rows and columns are dropped.
+func refMaxPool(x *Tensor) *Tensor {
+	oh, ow := x.H/2, x.W/2
+	out := NewTensor(x.C, oh, ow)
+	for c := 0; c < x.C; c++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(-3.4e38)
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						if v := x.At(c, oy*2+dy, ox*2+dx); v > best {
+							best = v
+						}
+					}
+				}
+				out.Set(c, oy, ox, best)
+			}
+		}
+	}
+	return out
+}
+
+// refQMaxPool is refMaxPool with the quantized graph's seeding: the
+// window's first element starts as the best instead of -3.4e38.
+func refQMaxPool(x *Tensor) *Tensor {
+	oh, ow := x.H/2, x.W/2
+	out := NewTensor(x.C, oh, ow)
+	for c := 0; c < x.C; c++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := x.At(c, oy*2, ox*2)
+				for _, v := range []float32{
+					x.At(c, oy*2, ox*2+1), x.At(c, oy*2+1, ox*2), x.At(c, oy*2+1, ox*2+1),
+				} {
+					if v > best {
+						best = v
+					}
+				}
+				out.Set(c, oy, ox, best)
+			}
+		}
+	}
+	return out
+}
+
 // refForward runs one layer's inference forward pass through the naive
 // reference kernels, decomposing composite layers; layers with no
 // reference kernel fall through to their normal Forward.
@@ -186,6 +236,8 @@ func refForward(l Layer, x *Tensor) *Tensor {
 		return refDenseForward(v, x)
 	case *ReLU:
 		return refReLU(x)
+	case *MaxPool2:
+		return refMaxPool(x)
 	case *Residual:
 		main := refForward(v.Conv2, refReLU(refForward(v.Conv1, x)))
 		skip := x
