@@ -10,9 +10,11 @@ import (
 // retained reference kernels from reference_test.go; /gemm is the lowered
 // serial path (the steady-state frame-cycle configuration, 0 allocs/op
 // after warm-up); /par adds intra-layer GEMM parallelism; /int8 is the
-// quantized serial path (quant.go), the ≥2×-over-/gemm target BENCH.md
-// tracks. CI smoke-runs BenchmarkInfer and BenchmarkTrainEpoch with an
-// allocs/op guard on the gemm and int8 Infer variants.
+// quantized serial path (quant.go) and /int8par the quantized path at
+// GOMAXPROCS kernel workers, the setting the closed loop uses; BENCH.md
+// tracks int8 against gemm. CI smoke-runs BenchmarkInfer and
+// BenchmarkTrainEpoch with an allocs/op guard on the gemm and int8 Infer
+// variants, and on int8par for road and scene, which stay serial.
 
 // classifierShapes are the three paper classifier input geometries
 // (Table IV): road 48×24/3, lane 80×40/4, scene 48×24/5, all RGB.
@@ -49,15 +51,19 @@ func BenchmarkInfer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(sh.name+"/int8", func(b *testing.B) {
-			qnet.SetKernelWorkers(-1)
-			qnet.Infer(x) // warm up layer caches so steady state is measured
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qnet.Infer(x)
-			}
-		})
+		runQ := func(name string, workers int) {
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				qnet.SetKernelWorkers(workers)
+				qnet.Infer(x) // warm up layer caches so steady state is measured
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qnet.Infer(x)
+				}
+			})
+		}
+		runQ("int8", -1)
+		runQ("int8par", 0)
 		b.Run(sh.name+"/naive", func(b *testing.B) {
 			refNetInfer(net, x) // warm pooled buffers of non-GEMM layers
 			b.ReportAllocs()

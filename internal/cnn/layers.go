@@ -31,14 +31,18 @@ func growF32(buf []float32, n int) []float32 {
 // Conv2D is a 2D convolution with square kernels, configurable stride and
 // zero padding, plus a per-output-channel bias.
 //
-// Both passes run on the im2col + GEMM lowering from internal/mat: the
-// input is lowered to a (InC·K·K) × (OH·OW) patch matrix, forward is one
-// W·col product, and backward is grad·colᵀ (dW) plus Wᵀ·grad scattered by
-// col2im (dx). All scratch (patch matrix, padded copy, gradients) is
-// pooled per layer, so steady-state inference allocates nothing and
-// training reuses its buffers across minibatches. The lowered passes are
-// bit-identical to the naive reference convolution in reference_test.go
-// (golden-tested) for every kernel worker count.
+// Both passes run on the GEMM lowering from internal/mat. A stride-1
+// forward pass reads the zero-bordered input in place as its own patch
+// matrix (mat.ConvOffsets): the product is computed at the padded width
+// and one compaction copy drops the extra columns. A strided forward
+// pass and the backward pass lower the input to a (InC·K·K) × (OH·OW)
+// patch matrix (mat.Im2col); forward is one W·col product, and backward
+// is grad·colᵀ (dW) plus Wᵀ·grad scattered by col2im (dx). All scratch
+// (patch matrix, padded copy, gradients) is pooled per layer, so
+// steady-state inference allocates nothing and training reuses its
+// buffers across minibatches. The lowered passes are bit-identical to
+// the naive reference convolution in reference_test.go (golden-tested)
+// for every kernel worker count.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 	W, B                      *Param
@@ -51,6 +55,8 @@ type Conv2D struct {
 	dx       *Tensor   // reused input gradient
 	colBuf   []float32 // im2col patch matrix
 	padBuf   []float32 // zero-bordered input copy for the lowering
+	wideBuf  []float32 // stride-1 product at the padded width
+	off      []int     // B row-offset table of the forward GEMM
 	dcolBuf  []float32 // patch-matrix gradient (backward)
 	dpadBuf  []float32 // padded scatter target for col2im
 }
@@ -103,19 +109,68 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	} else {
 		out = ensureTensor(&c.out, c.OutC, oh, ow)
 	}
-	col := c.lower(x)
-	// Seed each output channel with its bias, then accumulate W·col on
-	// top — the same "sum := bias" start as the reference convolution.
-	p := oh * ow
+	ckk := c.InC * c.K * c.K
+	workers := layerWorkers(c.workers)
+	if c.Stride != 1 {
+		col := c.lower(x)
+		p := oh * ow
+		seedBias(out.Data, c.B.Data, p)
+		c.off = mat.RowOffsets(ckk, p, c.off)
+		mat.GemmOff(c.OutC, p, ckk, c.W.Data, col, c.off, out.Data, true, workers)
+		return out
+	}
+	// Stride 1: the product runs over n >= (oh−1)·pw+ow positions of the
+	// padded grid, pw−ow of them past the end of each output row and up
+	// to 7 more past the last (implicitCols); the copy keeps the rest.
+	ph, pw := x.H+2*c.Pad, x.W+2*c.Pad
+	padded := x.Data[:x.C*x.H*x.W]
+	n := (oh-1)*pw + ow
+	if c.Pad > 0 {
+		var slack int
+		n, slack = implicitCols(oh, ow, pw)
+		c.padBuf = growF32(c.padBuf, c.InC*ph*pw+slack)
+		padded = mat.PadImage(x.Data, x.C, x.H, x.W, c.Pad, c.padBuf)
+		clear(c.padBuf[len(padded):])
+		padded = c.padBuf
+	}
+	c.off = mat.ConvOffsets(c.InC, c.K, ph, pw, c.off)
+	c.wideBuf = growF32(c.wideBuf, c.OutC*n)
+	seedBias(c.wideBuf, c.B.Data, n)
+	mat.GemmOff(c.OutC, n, ckk, c.W.Data, padded, c.off, c.wideBuf, true, workers)
 	for oc := 0; oc < c.OutC; oc++ {
-		row := out.Data[oc*p : (oc+1)*p]
-		bias := c.B.Data[oc]
-		for j := range row {
-			row[j] = bias
+		for oy := 0; oy < oh; oy++ {
+			copy(out.Data[(oc*oh+oy)*ow:(oc*oh+oy+1)*ow], c.wideBuf[oc*n+oy*pw:])
 		}
 	}
-	mat.Gemm(c.OutC, p, c.InC*c.K*c.K, c.W.Data, col, out.Data, true, layerWorkers(c.workers))
 	return out
+}
+
+// implicitCols returns the column count n of a stride-1 convolution's
+// implicit product — the (oh−1)·pw+ow positions that reach every output,
+// rounded up to whole 8-column tiles so no column takes the kernels'
+// scalar tail — and the slack: how many elements the B operand must
+// extend past the padded image, since the last patch row ends exactly
+// at its end. The extra columns are computed and dropped like the
+// pw−ow past each output row.
+func implicitCols(oh, ow, pw int) (n, slack int) {
+	nw := (oh-1)*pw + ow
+	n = (nw + 7) &^ 7
+	return n, n - nw
+}
+
+// seedBias fills each p-element channel row of dst with its bias, so
+// the GEMM accumulates W·col on top — the same "sum := bias" start as
+// the reference convolution. Each row doubles its filled prefix with
+// copy, which moves whole vectors where an element loop stores one
+// float at a time.
+func seedBias(dst, bias []float32, p int) {
+	for oc, b := range bias {
+		row := dst[oc*p : (oc+1)*p]
+		row[0] = b
+		for filled := 1; filled < p; filled *= 2 {
+			copy(row[filled:], row[:filled])
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -193,15 +248,18 @@ func (r *ReLU) Forward(x *Tensor, train bool) *Tensor {
 	out := ensureTensor(&r.out, x.C, x.H, x.W)
 	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		// Branch-free and bit-exact: activation signs are near random, so
-		// a sign branch mispredicts every other element. The mask is set
-		// only when uint32(b-1) < 0x7f800000, i.e. v > 0 (+subnormal up
-		// to +Inf); −0, negatives and NaN come out as +0, as v > 0 gives.
-		b := math.Float32bits(v)
-		mask := uint32((uint64(b-1) - 0x7f800000) >> 32)
-		dst[i] = math.Float32frombits(b & mask)
+		dst[i] = math.Float32frombits(reluBits(math.Float32bits(v)))
 	}
 	return out
+}
+
+// reluBits is the inference ReLU on float bits: v when v > 0, else +0.
+// Branch-free and bit-exact: activation signs are near random, so a
+// sign branch mispredicts every other element. The mask is set only
+// when uint32(b-1) < 0x7f800000, i.e. v > 0 (+subnormal up to +Inf);
+// −0, negatives and NaN come out as +0, as v > 0 gives.
+func reluBits(b uint32) uint32 {
+	return b & uint32((uint64(b-1)-0x7f800000)>>32)
 }
 
 // Backward implements Layer.
@@ -238,17 +296,19 @@ func (m *MaxPool2) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 
 // Forward implements Layer.
 func (m *MaxPool2) Forward(x *Tensor, train bool) *Tensor {
 	oc, oh, ow := m.OutShape(x.C, x.H, x.W)
-	var out *Tensor
-	if train {
-		out = ensureTensor(&m.trainOut, oc, oh, ow)
-		if cap(m.argmax) < oc*oh*ow {
-			m.argmax = make([]int, oc*oh*ow)
-		}
-		m.argmax = m.argmax[:oc*oh*ow]
-		m.inC, m.inH, m.inW = x.C, x.H, x.W
-	} else {
-		out = ensureTensor(&m.out, oc, oh, ow)
+	if !train {
+		// Inference: no argmax bookkeeping, and a branch-free scan with
+		// the same -3.4e38 seed and first-max-wins order as below.
+		out := ensureTensor(&m.out, oc, oh, ow)
+		mat.MaxPool2(x.Data, x.C, x.H, x.W, out.Data, -3.4e38, true)
+		return out
 	}
+	out := ensureTensor(&m.trainOut, oc, oh, ow)
+	if cap(m.argmax) < oc*oh*ow {
+		m.argmax = make([]int, oc*oh*ow)
+	}
+	m.argmax = m.argmax[:oc*oh*ow]
+	m.inC, m.inH, m.inW = x.C, x.H, x.W
 	for c := 0; c < oc; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -264,9 +324,7 @@ func (m *MaxPool2) Forward(x *Tensor, train bool) *Tensor {
 				}
 				o := (c*oh+oy)*ow + ox
 				out.Data[o] = best
-				if train {
-					m.argmax[o] = bestIdx
-				}
+				m.argmax[o] = bestIdx
 			}
 		}
 	}

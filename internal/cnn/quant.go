@@ -151,36 +151,41 @@ func (q *QNet) SetKernelWorkers(workers int) {
 }
 
 // requantize applies the single requantize step: for each of the
-// len(bias) output channels, out[oc·p+j] = acc[oc·p+j]·scale + bias[oc],
-// clamped at zero when relu is fused in. It returns max|out|, computed
-// in the same pass so the next layer's quantization scale needs no
-// extra scan.
+// len(bias) output channels and each of its oh·ow outputs,
+// out = acc·scale + bias[oc], clamped at zero when relu is fused in. It
+// returns max|out|, computed in the same pass so the next layer's
+// quantization scale needs no extra scan. Output (oc, oy, ox) reads
+// acc[oc·n + oy·pitch + ox]: n = oh·ow and pitch = ow for a packed
+// product; for a stride-1 convolution's implicit product n is its
+// column count and pitch the padded width, and the columns between the
+// kept runs are skipped here rather than compacted in a separate pass.
 // Both loops are branch-free in the sign of y (pre-activation signs are
 // near-random, so sign branches would mispredict every other element):
 // the fused ReLU zeroes negatives by masking the float bits, and the
 // running max compares bit patterns, which order like floats once the
 // sign bit is cleared.
-func requantize(acc []int32, scale float32, bias, out []float32, p int, relu bool) float32 {
+func requantize(acc []int32, n, pitch int, scale float32, bias, out []float32, oh, ow int, relu bool) float32 {
+	if pitch == ow { // packed: each channel is one contiguous run
+		oh, ow = 1, oh*ow
+	}
 	var m uint32
 	for oc, b := range bias {
-		accRow := acc[oc*p : oc*p+p]
-		outRow := out[oc*p : oc*p+p][:len(accRow)]
-		if relu {
-			for j, v := range accRow {
-				y := float32(v)*scale + b
-				yb := math.Float32bits(y)
-				yb &^= uint32(int32(yb) >> 31) // negative → +0: fused ReLU
-				outRow[j] = math.Float32frombits(yb)
-				if yb > m {
-					m = yb
+		for oy := 0; oy < oh; oy++ {
+			accRow := acc[oc*n+oy*pitch : oc*n+oy*pitch+ow]
+			outRow := out[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow][:len(accRow)]
+			if relu {
+				for j, v := range accRow {
+					y := float32(v)*scale + b
+					yb := math.Float32bits(y)
+					yb &^= uint32(int32(yb) >> 31) // negative → +0: fused ReLU
+					outRow[j] = math.Float32frombits(yb)
+					m = max(m, yb)
 				}
-			}
-		} else {
-			for j, v := range accRow {
-				y := float32(v)*scale + b
-				outRow[j] = y
-				if yb := math.Float32bits(y) &^ (1 << 31); yb > m {
-					m = yb
+			} else {
+				for j, v := range accRow {
+					y := float32(v)*scale + b
+					outRow[j] = y
+					m = max(m, math.Float32bits(y)&^(1<<31))
 				}
 			}
 		}
@@ -197,13 +202,15 @@ func invScale(s float32) float32 {
 	return 0
 }
 
-// qConv is the quantized Conv2D: quantize-once im2col feeding the
-// broadcast-axpy int8 A·B kernel (mat.Gemm8Wide — the AVX2 microkernel
-// on amd64) — the same GEMM shape as the float32 conv, on operands a
-// quarter the size.
+// qConv is the quantized Conv2D: the input quantized once into a
+// zero-bordered int8 staging buffer, then the k-pair int8 A·B kernel
+// (mat.Gemm8Wide — the VPMADDWD microkernel on amd64) — reading that
+// buffer in place through mat.ConvOffsets at stride 1, or the patch
+// matrix mat.Im2colQ gathers from it at stride 2 — the same lowering as
+// the float32 conv, on operands a quarter the size.
 type qConv struct {
 	inC, outC, k, stride, pad int
-	wq32                      []int32 // quantized weights pre-widened for Gemm8Wide
+	wq                        []int16 // quantized weights in mat.Pack8 form
 	ws                        float32 // per-tensor symmetric weight scale
 	bias                      []float32
 	relu                      bool // fuse the following ReLU into requantize
@@ -211,8 +218,9 @@ type qConv struct {
 	workers int
 
 	out     *Tensor
-	col     []int8  // quantized patch matrix, (inC·k·k) × (oh·ow)
+	col     []int8  // quantized patch matrix, (inC·k·k) × (oh·ow); stride 2 only
 	padded8 []int8  // quantized zero-bordered input staging
+	off     []int   // B row-offset table of the GEMM
 	acc     []int32 // int32 accumulators
 }
 
@@ -222,7 +230,7 @@ func newQConv(c *Conv2D, relu bool) *qConv {
 	mat.Quantize8Slice(c.W.Data, invScale(ws), wq)
 	return &qConv{
 		inC: c.InC, outC: c.OutC, k: c.K, stride: c.Stride, pad: c.Pad,
-		wq32: mat.Widen8(wq), ws: ws, bias: append([]float32(nil), c.B.Data...),
+		wq: mat.Pack8(wq, c.OutC, c.InC*c.K*c.K), ws: ws, bias: append([]float32(nil), c.B.Data...),
 		relu: relu,
 	}
 }
@@ -236,19 +244,32 @@ func (q *qConv) forward(x *Tensor, bound float32) (*Tensor, float32) {
 	oh := mat.ConvOutSize(x.H, q.k, q.stride, q.pad)
 	ow := mat.ConvOutSize(x.W, q.k, q.stride, q.pad)
 	out := ensureTensor(&q.out, q.outC, oh, ow)
-	p := oh * ow
 	ckk := q.inC * q.k * q.k
-	q.col = growI8(q.col, ckk*p)
-	q.padded8 = growI8(q.padded8, q.inC*(x.H+2*q.pad)*(x.W+2*q.pad))
-	q.acc = growI32(q.acc, q.outC*p)
+	ph, pw := x.H+2*q.pad, x.W+2*q.pad
 
 	sx := bound / 127
 	if bound < 0 {
 		sx = mat.Scale8(x.Data)
 	}
-	mat.Im2colQ(x.Data, x.C, x.H, x.W, q.k, q.stride, q.pad, invScale(sx), q.padded8, q.col)
-	mat.Gemm8Wide(q.outC, p, ckk, q.wq32, q.col, q.acc, layerWorkers(q.workers))
-	return out, requantize(q.acc, q.ws*sx, q.bias, out.Data, p, q.relu)
+	workers := layerWorkers(q.workers)
+	if q.stride != 1 {
+		p := oh * ow
+		q.col = growI8(q.col, ckk*p)
+		q.padded8 = growI8(q.padded8, q.inC*ph*pw)
+		q.acc = growI32(q.acc, q.outC*p)
+		q.off = mat.RowOffsets(ckk, p, q.off)
+		mat.Im2colQ(x.Data, x.C, x.H, x.W, q.k, q.stride, q.pad, invScale(sx), q.padded8, q.col)
+		mat.Gemm8Wide(q.outC, p, ckk, q.wq, q.col, q.off, q.acc, workers)
+		return out, requantize(q.acc, p, ow, q.ws*sx, q.bias, out.Data, oh, ow, q.relu)
+	}
+	n, slack := implicitCols(oh, ow, pw)
+	q.padded8 = growI8(q.padded8, q.inC*ph*pw+slack)
+	padded := mat.QuantizePad(x.Data, x.C, x.H, x.W, q.pad, invScale(sx), q.padded8)
+	clear(q.padded8[len(padded):])
+	q.acc = growI32(q.acc, q.outC*n)
+	q.off = mat.ConvOffsets(q.inC, q.k, ph, pw, q.off)
+	mat.Gemm8Wide(q.outC, n, ckk, q.wq, q.padded8, q.off, q.acc, workers)
+	return out, requantize(q.acc, n, pw, q.ws*sx, q.bias, out.Data, oh, ow, q.relu)
 }
 
 // qDense is the quantized fully connected layer: a packed int8 GEMV.
@@ -291,7 +312,7 @@ func (q *qDense) forward(x *Tensor, bound float32) (*Tensor, float32) {
 	}
 	mat.Quantize8Slice(x.Data, invScale(sx), q.xq)
 	mat.Gemm8NT(q.out, 1, q.in, q.wq, q.xq, q.acc, layerWorkers(q.workers))
-	return out, requantize(q.acc, q.ws*sx, q.bias, out.Data, 1, false)
+	return out, requantize(q.acc, 1, 1, q.ws*sx, q.bias, out.Data, 1, 1, false)
 }
 
 // qReLU, qMaxPool and qAvgPool are the float32 element-wise layers with
@@ -321,32 +342,13 @@ type qMaxPool struct{ out *Tensor }
 
 func (q *qMaxPool) setWorkers(int) {}
 
-// forward pools 2×2 windows by row-pair slices. Every output value is
-// one of the input values, so max|out| <= max|in| and the input bound
-// passes through unchanged.
+// forward pools 2×2 windows with the branch-free mat.MaxPool2 scan, each
+// window seeded with its first element. Every output value is one of the
+// input values, so max|out| <= max|in| and the input bound passes
+// through unchanged.
 func (q *qMaxPool) forward(x *Tensor, bound float32) (*Tensor, float32) {
-	oc, oh, ow := x.C, x.H/2, x.W/2
-	out := ensureTensor(&q.out, oc, oh, ow)
-	for c := 0; c < oc; c++ {
-		for oy := 0; oy < oh; oy++ {
-			r0 := x.Data[(c*x.H+oy*2)*x.W : (c*x.H+oy*2)*x.W+x.W]
-			r1 := x.Data[(c*x.H+oy*2+1)*x.W : (c*x.H+oy*2+1)*x.W+x.W]
-			dst := out.Data[(c*oh+oy)*ow : (c*oh+oy)*ow+ow]
-			for j := range dst {
-				v := r0[2*j]
-				if w := r0[2*j+1]; w > v {
-					v = w
-				}
-				if w := r1[2*j]; w > v {
-					v = w
-				}
-				if w := r1[2*j+1]; w > v {
-					v = w
-				}
-				dst[j] = v
-			}
-		}
-	}
+	out := ensureTensor(&q.out, x.C, x.H/2, x.W/2)
+	mat.MaxPool2(x.Data, x.C, x.H, x.W, out.Data, 0, false)
 	return out, bound
 }
 
@@ -371,8 +373,9 @@ func (q *qAvgPool) forward(x *Tensor, bound float32) (*Tensor, float32) {
 
 // qResidual is the quantized basic block: quantized convolutions around
 // a float32 skip sum. The inner ReLU fuses into conv1's requantize; the
-// post-sum ReLU fuses into the sum loop, which also tracks the output
-// max for the next layer's quantization scale.
+// post-sum ReLU fuses into the sum loop — the float32 ReLU's branch-free
+// bit mask, so NaN and −0 become +0 there too — which also tracks the
+// output max for the next layer's quantization scale.
 type qResidual struct {
 	conv1, conv2 *qConv
 	proj         *qConv // nil for identity skip
@@ -406,16 +409,19 @@ func (q *qResidual) forward(x *Tensor, bound float32) (*Tensor, float32) {
 		panic("cnn: quantized residual shape mismatch")
 	}
 	sum := ensureTensor(&q.sum, main.C, main.H, main.W)
-	var m float32
-	for i := range sum.Data {
-		v := main.Data[i] + skip.Data[i]
-		if v < 0 {
-			v = 0 // fused post-sum ReLU
-		}
-		sum.Data[i] = v
-		if v > m {
-			m = v
-		}
+	return sum, addReLU(sum.Data, main.Data, skip.Data)
+}
+
+// addReLU writes dst[i] = ReLU(a[i] + b[i]) with the float32 ReLU's bit
+// mask (reluBits: NaN and −0 sums become +0) and returns max(dst),
+// tracked on the bits: the outputs are never negative, and non-negative
+// floats order like their bit patterns.
+func addReLU(dst, a, b []float32) float32 {
+	var m uint32
+	for i := range dst {
+		v := reluBits(math.Float32bits(a[i] + b[i]))
+		dst[i] = math.Float32frombits(v)
+		m = max(m, v)
 	}
-	return sum, m
+	return math.Float32frombits(m)
 }

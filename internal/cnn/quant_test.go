@@ -108,6 +108,42 @@ func TestQNetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestQResidualReLUMatchesFloat pins the int8 residual's fused post-sum
+// ReLU to the float32 ReLU bit for bit: NaN and −0 sums come out +0
+// (the branchy `if v < 0` it replaced let both through), and the
+// returned bound is the largest output.
+func TestQResidualReLUMatchesFloat(t *testing.T) {
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	a := []float32{negZero, nan, -1, 2, 3, -inf, nan, 0, math.Float32frombits(1), 1e-45}
+	b := []float32{negZero, 1, 0.5, 3, -1, 2, -nan, negZero, 0, -1e-45}
+	dst := make([]float32, len(a))
+	bound := addReLU(dst, a, b)
+	var want float32
+	for i := range a {
+		w := branchyReLU(a[i] + b[i])
+		if math.Float32bits(dst[i]) != math.Float32bits(w) {
+			t.Fatalf("ReLU(%v + %v) = %v (%#x), want %v (%#x)",
+				a[i], b[i], dst[i], math.Float32bits(dst[i]), w, math.Float32bits(w))
+		}
+		want = max(want, w)
+	}
+	if bound != want {
+		t.Fatalf("bound %v, want %v", bound, want)
+	}
+
+	// Through the whole block: a NaN skip input must leave +0, not NaN.
+	rng := rand.New(rand.NewSource(13))
+	q := newQResidual(NewResidual(2, 2, 1, rng))
+	x := randTensor(rng, 2, 4, 4)
+	x.Data[5] = nan
+	out, _ := q.forward(x, -1)
+	if v := out.Data[5]; math.Float32bits(v) != 0 {
+		t.Fatalf("NaN skip sum gives %v (%#x), want +0", v, math.Float32bits(v))
+	}
+}
+
 // TestRequantizeMonotoneSaturating property-checks the full
 // requantization chain on a single quantized dense layer: increasing
 // one input coordinate (all weights positive) must never decrease the

@@ -1,10 +1,12 @@
 // Float32 GEMM kernels for the CNN compute path. Unlike the float64
 // solvers in this package (sized for 4–8 state controller design), these
-// operate on the large row-major matrices produced by the im2col conv
-// lowering, so they are cache-blocked, unrolled, and row-partitioned
-// across goroutines. On amd64 with AVX2 (the hasAVX2 probe; the kernel
-// itself needs only AVX), Gemm's rows run through an 8-lane vector
-// microkernel (gemm_amd64.s); gemmNN is the pure-Go fallback elsewhere.
+// operate on the large matrices of the conv lowering (im2col.go), so they
+// are cache-blocked, unrolled, and row-partitioned across goroutines.
+// The A·B product reads its B operand through a row-offset table, which
+// lets a stride-1 convolution use its padded input as B in place. On
+// amd64 with AVX2 (the hasAVX2 probe; the kernel itself needs only AVX),
+// GemmOff's rows run through an 8-lane vector microkernel
+// (gemm_amd64.s); gemmNN is the pure-Go fallback elsewhere.
 //
 // Determinism contract: every output element accumulates its contraction
 // terms strictly in increasing index order, one rounded product and one
@@ -43,16 +45,28 @@ const gemmMinParallelWork = 1 << 19
 // Gemm computes C = A·B (m×k times k×n, row-major float32), adding into
 // the existing C when accumulate is true and overwriting it otherwise.
 // workers bounds the goroutines used (<= 1 or small problems run serial).
+// It is GemmOff with the packed table off[l] = l·n, built per call; hot
+// callers hold the table and call GemmOff.
 func Gemm(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
-	checkGemm("Gemm", m, k, k, n, m, n, len(a), len(b), len(c))
+	GemmOff(m, n, k, a, b, RowOffsets(k, n, nil), c, accumulate, workers)
+}
+
+// GemmOff computes C = A·B like Gemm, where row l of the k×n operand B is
+// the slice b[off[l] : off[l]+n]: off[l] = l·n is a packed matrix, and
+// ConvOffsets makes the zero-bordered image of a stride-1 convolution
+// its own patch matrix. Rows may overlap. It panics, before any kernel
+// runs, when off is shorter than k or a row reaches outside b.
+func GemmOff(m, n, k int, a, b []float32, off []int, c []float32, accumulate bool, workers int) {
+	checkGemm("GemmOff", m, k, k, n, m, n, len(a), k*n, len(c)) // B: row by row below
+	checkOffsets("GemmOff", off, k, n, len(b))
 	// The serial fast path avoids materializing the closure: on the
 	// zero-alloc inference path the parallel branch's goroutine capture
 	// would otherwise force a heap allocation per call.
 	if w := resolveWorkers(m, gemmWorkers(m, n, k, workers)); w <= 1 {
-		gemmRows(0, m, n, k, a, b, c, accumulate)
+		gemmRows(0, m, n, k, a, b, off, c, accumulate)
 	} else {
 		parallelRowRange(m, w, func(i0, i1 int) {
-			gemmRows(i0, i1, n, k, a, b, c, accumulate)
+			gemmRows(i0, i1, n, k, a, b, off, c, accumulate)
 		})
 	}
 }
@@ -60,9 +74,9 @@ func Gemm(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
 // gemmRows computes C rows [i0, i1) of A·B: whole 8-column tiles through
 // the AVX microkernel and the last n%8 columns through a scalar loop with
 // the same per-element order, or all of it through gemmNN without AVX.
-func gemmRows(i0, i1, n, k int, a, b, c []float32, accumulate bool) {
+func gemmRows(i0, i1, n, k int, a, b []float32, off []int, c []float32, accumulate bool) {
 	if !hasAVX2 {
-		gemmNN(i0, i1, n, k, a, b, c, accumulate)
+		gemmNN(i0, i1, n, k, a, b, off, c, accumulate)
 		return
 	}
 	if !accumulate {
@@ -70,14 +84,14 @@ func gemmRows(i0, i1, n, k int, a, b, c []float32, accumulate bool) {
 	}
 	nv := n &^ 7
 	if nv > 0 {
-		gemmF32TileAVX(&a[i0*k], &b[0], &c[i0*n], i1-i0, n, k, nv)
+		gemmF32TileAVX(&a[i0*k], &b[0], &off[0], &c[i0*n], i1-i0, n, k, nv)
 	}
 	for i := i0; i < i1; i++ {
 		ai := a[i*k : i*k+k]
 		for j := nv; j < n; j++ {
 			v := c[i*n+j]
 			for kk, av := range ai {
-				v += float32(av * b[kk*n+j])
+				v += float32(av * b[off[kk]+j])
 			}
 			c[i*n+j] = v
 		}
@@ -114,7 +128,7 @@ func GemmNT(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
 // is blocked (B panel reuse) and unrolled by four; the per-element
 // accumulation order is strictly increasing k. The loop bodies live in
 // kernels.go so the bce-guard can prove them bounds-check-free.
-func gemmNN(i0, i1, n, k int, a, b, c []float32, accumulate bool) {
+func gemmNN(i0, i1, n, k int, a, b []float32, off []int, c []float32, accumulate bool) {
 	for i := i0; i < i1; i++ {
 		ci := c[i*n : i*n+n]
 		ai := a[i*k : i*k+k]
@@ -125,12 +139,12 @@ func gemmNN(i0, i1, n, k int, a, b, c []float32, accumulate bool) {
 			k1 := min(k0+gemmKC, k)
 			kk := k0
 			for ; kk+4 <= k1; kk += 4 {
+				o0, o1, o2, o3 := off[kk], off[kk+1], off[kk+2], off[kk+3]
 				axpy4(ai[kk], ai[kk+1], ai[kk+2], ai[kk+3],
-					b[kk*n:kk*n+n], b[(kk+1)*n:(kk+1)*n+n],
-					b[(kk+2)*n:(kk+2)*n+n], b[(kk+3)*n:(kk+3)*n+n], ci)
+					b[o0:o0+n], b[o1:o1+n], b[o2:o2+n], b[o3:o3+n], ci)
 			}
 			for ; kk < k1; kk++ {
-				axpy1(ai[kk], b[kk*n:kk*n+n], ci)
+				axpy1(ai[kk], b[off[kk]:off[kk]+n], ci)
 			}
 		}
 	}
@@ -227,6 +241,20 @@ func parallelRowRange(rows, workers int, fn func(i0, i1 int)) {
 		}(i0, i1)
 	}
 	wg.Wait()
+}
+
+// checkOffsets validates a B row-offset table: at least k entries, each
+// row [off[l], off[l]+n) inside the lb-element operand. The assembly
+// kernels trust the table, so this runs before any of them.
+func checkOffsets(op string, off []int, k, n, lb int) {
+	if len(off) < k {
+		panic(fmt.Sprintf("mat: %s offset table %d < k=%d", op, len(off), k))
+	}
+	for l, o := range off[:k] {
+		if o < 0 || o > lb-n {
+			panic(fmt.Sprintf("mat: %s row %d at offset %d (+%d) outside operand of %d", op, l, o, n, lb))
+		}
+	}
 }
 
 // checkGemm validates operand dimensions against buffer lengths.

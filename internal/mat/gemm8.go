@@ -6,10 +6,10 @@
 //
 // Integer accumulation is exact, so — unlike the float32 kernels, which
 // must pin one accumulator and strictly increasing contraction order —
-// the int8 dot kernel may split the sum across independent accumulators
-// and still be bit-deterministic for every unroll factor and worker
-// count. That freedom (plus 4× smaller operands) is where the quantized
-// path's speed comes from.
+// the int8 kernels may split the sum across independent accumulators or
+// pair up contraction terms (the VPMADDWD kernel in gemm8wide.go sums
+// two per lane) and still be bit-deterministic for every unroll factor,
+// tiling and worker count.
 //
 // Like kernels.go, this file must stay free of bounds checks in its
 // loops: the CI bce-guard builds with -gcflags=-d=ssa/check_bce and
@@ -70,9 +70,12 @@ func Quantize8Slice(src []float32, inv float32, dst []int8) {
 }
 
 // gemm8MinParallelWork is the m·n·k product below which the int8 kernels
-// stay serial; int8 work is cheaper per element than float32, so the
-// fan-out threshold sits higher than gemmMinParallelWork.
-const gemm8MinParallelWork = 1 << 16
+// stay serial. BenchmarkGemm8ConvShapes on the VPMADDWD kernel puts the
+// two-worker break-even where the float32 one is: two workers lose up to
+// 2.6·10⁵, tie at 4.8–5.2·10⁵ and win only at the 7.1·10⁵ lane stem
+// (BENCH.md), so only that convolution fans out and the road and scene
+// classifiers stay serial and allocation-free at any worker setting.
+const gemm8MinParallelWork = 1 << 19
 
 // Gemm8NT computes C = A·Bᵀ where A is m×k int8 and B is n×k int8 (both
 // contraction operands row-contiguous — packed panels), overwriting the

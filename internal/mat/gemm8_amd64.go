@@ -7,12 +7,13 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 // gemm8TileAVX2 computes C columns [j0, j1) — j1-j0 a multiple of 8 —
-// for all m rows of C = A·B, where A is m×k pre-widened int8 (int32)
-// and B is k×n int8. Implemented in gemm8_amd64.s; only called when
-// hasAVX2 is true.
+// for all m rows of C = A·B, where A is the Pack8 form of an m×k int8
+// matrix, row l of B starts at b[off[l]] and C rows are ldc int32s
+// apart. Implemented in gemm8_amd64.s; only called when hasAVX2 is true,
+// with off already validated by Gemm8Wide.
 //
 //go:noescape
-func gemm8TileAVX2(a *int32, b *int8, c *int32, m, n, k, j0, j1 int)
+func gemm8TileAVX2(a *int16, b *int8, off *int, c *int32, m, ldc, k, j0, j1 int)
 
 // hasAVX2 reports whether the CPU and OS support AVX2 (256-bit integer
 // vectors plus OS-managed YMM state). Checked once at startup; the

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,29 +232,33 @@ func TestGemm8WorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestGemm8WideMatchesGemm8 pins the production kernel (pre-widened A,
+// TestGemm8WideMatchesGemm8 pins the production kernel (k-pair packed A,
 // AVX2 microkernel where available, column-stripe parallelism) against
 // the pure-Go Gemm8 path: exact integer arithmetic means every dispatch
 // decision must produce bit-identical accumulators.
 func TestGemm8WideMatchesGemm8(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	shapes := append([]struct{ m, n, k int }{}, gemmShapes...)
-	// Stress the stripe driver: sub-8 column tails, single-tile, odd k.
+	// Stress the stripe driver and the 32/16/8-column loops: sub-8
+	// column tails, single tiles, every column count mod 32, odd and
+	// even k around the pair boundary.
 	shapes = append(shapes, []struct{ m, n, k int }{
 		{1, 1, 1}, {3, 7, 5}, {8, 8, 27}, {16, 39, 72}, {5, 200, 144}, {2, 33, 9},
+		{2, 16, 1}, {2, 24, 2}, {3, 40, 3}, {1, 48, 4}, {4, 56, 1}, {2, 63, 2},
 	}...)
 	for _, sh := range shapes {
 		a := randInt8(rng, sh.m*sh.k)
 		b := randInt8(rng, sh.k*sh.n)
 		want := make([]int32, sh.m*sh.n)
 		Gemm8(sh.m, sh.n, sh.k, a, b, want, 1)
-		aw := Widen8(a)
+		aw := Pack8(a, sh.m, sh.k)
+		off := RowOffsets(sh.k, sh.n, nil)
 		for _, workers := range []int{1, 3, 0} {
 			got := make([]int32, sh.m*sh.n)
 			for i := range got {
 				got[i] = -1 // dirty: Gemm8Wide must fully overwrite
 			}
-			Gemm8Wide(sh.m, sh.n, sh.k, aw, b, got, workers)
+			Gemm8Wide(sh.m, sh.n, sh.k, aw, b, off, got, workers)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("shape %v workers %d element %d = %d, want %d",
@@ -264,7 +269,7 @@ func TestGemm8WideMatchesGemm8(t *testing.T) {
 		// The pure-Go fallback must agree bitwise with the dispatch path
 		// (on amd64 that cross-checks the microkernel against Go code).
 		fb := make([]int32, sh.m*sh.n)
-		gemm8NNW(0, sh.m, sh.n, sh.k, aw, b, fb)
+		gemm8NNW(0, sh.m, sh.n, sh.k, aw, b, off, fb)
 		for i := range want {
 			if fb[i] != want[i] {
 				t.Fatalf("shape %v fallback element %d = %d, want %d", sh, i, fb[i], want[i])
@@ -320,4 +325,33 @@ func TestGemm8NTDimensionPanics(t *testing.T) {
 		}
 	}()
 	Gemm8NT(2, 2, 2, make([]int8, 3), make([]int8, 4), make([]int32, 4), 1)
+}
+
+// BenchmarkGemm8ConvShapes mirrors BenchmarkGemmConvShapes for the int8
+// kernel: Gemm8Wide on every classifier conv product, serial (w1), with
+// two column-stripe workers forced past the fan-out threshold (w2), and
+// through the threshold (auto, two workers requested).
+// gemm8MinParallelWork is derived from it: shapes whose w2 run is not
+// faster than w1 should fall below the threshold.
+func BenchmarkGemm8ConvShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	for _, sh := range convProducts {
+		a := Pack8(randInt8(rng, sh.m*sh.k), sh.m, sh.k)
+		bm := randInt8(rng, sh.k*sh.n)
+		off := RowOffsets(sh.k, sh.n, nil)
+		c := make([]int32, sh.m*sh.n)
+		name := fmt.Sprintf("%dx%dx%d", sh.m, sh.n, sh.k)
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					gemm8WideRun(sh.m, sh.n, sh.k, a, bm, off, c, w)
+				}
+			})
+		}
+		b.Run(name+"/auto", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Gemm8Wide(sh.m, sh.n, sh.k, a, bm, off, c, 2)
+			}
+		})
+	}
 }

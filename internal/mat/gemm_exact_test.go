@@ -56,7 +56,7 @@ func TestGemmAVXMatchesScalar(t *testing.T) {
 				seed := exactInputs(rng, m*n, 1)
 				for _, acc := range []bool{false, true} {
 					want := append([]float32(nil), seed...)
-					gemmNN(0, m, n, k, a, b, want, acc)
+					gemmNN(0, m, n, k, a, b, RowOffsets(k, n, nil), want, acc)
 					for workers := 1; workers <= 4; workers++ {
 						got := append([]float32(nil), seed...)
 						Gemm(m, n, k, a, b, got, acc, workers)

@@ -236,24 +236,34 @@ func TestGemmDimensionPanics(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmConvShapes times Gemm serial (w1) and with two row
-// workers (w2) on the distinct conv products of the three ResNetLite
-// classifiers (m = output channels, n = output positions, k = input
-// channels × taps). gemmMinParallelWork is derived from it: a shape
-// whose w2 run is not faster than w1 should fall below the threshold.
+// convProducts are the distinct conv products of the three ResNetLite
+// classifiers (m = output channels, n = GEMM columns, k = input
+// channels × taps). The stride-1 convolutions are implicit: n is the
+// padded-grid column count, (oh−1)·pw+ow rounded up to whole 8-column
+// tiles (road/scene stem 1200, block 1 312, blocks 2–3 88; lane 3280,
+// 840, 224); the stride-2 block-2 conv1 and its 1×1 projection run on
+// an Im2col patch matrix (n = oh·ow: 72, lane 200).
+var convProducts = []struct{ m, n, k int }{
+	{16, 72, 8}, {16, 200, 8}, {16, 72, 72}, {16, 88, 144}, {8, 312, 72},
+	{16, 200, 72}, {8, 1200, 27}, {8, 840, 72}, {16, 224, 144}, {8, 3280, 27},
+}
+
+// BenchmarkGemmConvShapes times GemmOff serial (w1) and with two row
+// workers (w2) on convProducts, with the offset table of a packed B.
+// gemmMinParallelWork is derived from it: a shape whose w2 run is not
+// faster than w1 should fall below the threshold. w2 goes through the
+// threshold, so shapes below it run serial in both variants.
 func BenchmarkGemmConvShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	for _, sh := range []struct{ m, n, k int }{
-		{16, 72, 8}, {16, 72, 72}, {16, 72, 144}, {8, 288, 72}, {8, 1152, 27},
-		{16, 200, 8}, {16, 200, 72}, {16, 200, 144}, {8, 800, 72}, {8, 3200, 27},
-	} {
+	for _, sh := range convProducts {
 		a := randSlice(rng, sh.m*sh.k)
 		bm := randSlice(rng, sh.k*sh.n)
+		off := RowOffsets(sh.k, sh.n, nil)
 		c := make([]float32, sh.m*sh.n)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%dx%dx%d/w%d", sh.m, sh.n, sh.k, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					Gemm(sh.m, sh.n, sh.k, a, bm, c, true, workers)
+					GemmOff(sh.m, sh.n, sh.k, a, bm, off, c, true, workers)
 				}
 			})
 		}

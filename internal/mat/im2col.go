@@ -9,9 +9,76 @@
 // to contiguous copies. Col2im is the exact adjoint: it scatter-adds a
 // patch-matrix gradient back onto the input grid, accumulating in
 // (row, position) order so the result is deterministic.
+//
+// Stride-1 convolutions need no patch matrix at all. Computed at the
+// padded width PW instead of OW, output position q = oy·PW+ox reads tap
+// (ic, ky, kx) at padded[(ic·PH+oy+ky)·PW+ox+kx] = padded[off[l]+q] with
+// off[l] = (ic·PH+ky)·PW+kx, so patch row l is the contiguous slice
+// padded[off[l] : off[l]+(OH−1)·PW+OW] of the zero-bordered image itself
+// (ConvOffsets). The GEMM kernels take such a B row-offset table in
+// place of a uniform row stride; each kept output sums exactly the
+// operands Im2col would have gathered, in the same increasing-l order,
+// and the PW−OW positions past each output row are computed and dropped.
+// The last patch row ends exactly at C·PH·PW, the end of the padded
+// image, so nothing is read past it.
 package mat
 
 import "fmt"
+
+// PadImage returns the CHW image x (c×h×w) with a zero border of pad
+// samples on every side, as a c×(h+2·pad)×(w+2·pad) slice: x itself when
+// pad == 0, else the prefix of padded (caller-held scratch, overwritten).
+func PadImage(x []float32, c, h, w, pad int, padded []float32) []float32 {
+	if pad == 0 {
+		return x[:c*h*w]
+	}
+	ph, pw := h+2*pad, w+2*pad
+	dst := padded[:c*ph*pw]
+	clear(dst)
+	for ic := 0; ic < c; ic++ {
+		for y := 0; y < h; y++ {
+			copy(dst[(ic*ph+y+pad)*pw+pad:], x[(ic*h+y)*w:(ic*h+y+1)*w])
+		}
+	}
+	return dst
+}
+
+// RowOffsets returns off[l] = l·n for l < k, the B row-offset table of a
+// row-major k×n matrix such as an Im2col patch matrix. off is reused
+// when it has the capacity.
+func RowOffsets(k, n int, off []int) []int {
+	off = growInts(off, k)
+	for l := range off {
+		off[l] = l * n
+	}
+	return off
+}
+
+// ConvOffsets returns the implicit-lowering table of a stride-1 k×k
+// convolution over a c×ph×pw zero-bordered image: off[l] =
+// (ic·ph+ky)·pw+kx for l = (ic·k+ky)·k+kx. Patch row l is then
+// padded[off[l] : off[l]+(oh−1)·pw+ow] (see the package comment). off
+// is reused when it has the capacity.
+func ConvOffsets(c, k, ph, pw int, off []int) []int {
+	off = growInts(off, c*k*k)
+	for ic := 0; ic < c; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				off[(ic*k+ky)*k+kx] = (ic*ph+ky)*pw + kx
+			}
+		}
+	}
+	return off
+}
+
+// growInts returns buf resized to n elements, reallocating only when the
+// capacity is insufficient.
+func growInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
 
 // ConvOutSize returns the output extent of a convolution along one axis.
 func ConvOutSize(in, k, stride, pad int) int {
@@ -26,17 +93,8 @@ func ConvOutSize(in, k, stride, pad int) int {
 func Im2col(x []float32, c, h, w, k, stride, pad int, padded, col []float32) {
 	oh, ow := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
 	checkIm2col("Im2col", x, c, h, w, k, stride, pad, oh, ow, len(col))
-	src, ph, pw := x, h, w
-	if pad > 0 {
-		ph, pw = h+2*pad, w+2*pad
-		src = padded[:c*ph*pw]
-		clear(src)
-		for ic := 0; ic < c; ic++ {
-			for y := 0; y < h; y++ {
-				copy(src[(ic*ph+y+pad)*pw+pad:], x[(ic*h+y)*w:(ic*h+y+1)*w])
-			}
-		}
-	}
+	src := PadImage(x, c, h, w, pad, padded)
+	ph, pw := h+2*pad, w+2*pad
 	p := oh * ow
 	for ic := 0; ic < c; ic++ {
 		for ky := 0; ky < k; ky++ {
