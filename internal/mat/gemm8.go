@@ -59,13 +59,23 @@ func Scale8(x []float32) float32 {
 	return math.Float32frombits(m) / 127
 }
 
-// Quantize8Slice quantizes src into dst element-wise with Quantize8.
+// Quantize8Slice quantizes src into dst element-wise with Quantize8. On
+// amd64 with AVX2 eight elements at a time go through a vector kernel
+// (quant_amd64.s) that computes the same bits as Quantize8, the rest
+// through Quantize8 itself.
 func Quantize8Slice(src []float32, inv float32, dst []int8) {
 	if len(dst) < len(src) {
 		panic("mat: Quantize8Slice destination shorter than source")
 	}
-	for i, v := range src {
-		dst[i] = Quantize8(v, inv)
+	nv := 0
+	if hasAVX2 {
+		nv = len(src) &^ 7
+	}
+	if nv > 0 {
+		quantize8AVX(&src[0], &dst[0], nv, inv)
+	}
+	for i, v := range src[nv:] {
+		dst[nv+i] = Quantize8(v, inv)
 	}
 }
 

@@ -123,6 +123,49 @@ func TestQuantize8Monotone(t *testing.T) {
 	}
 }
 
+// TestQuantize8SliceMatchesScalar pins the dispatched Quantize8Slice
+// (the AVX2 kernel plus its scalar tail on amd64) to Quantize8 element
+// for element: rounding ties and the values either side of them, the
+// ±126.5 saturation edges, ±0, subnormals, infinities, NaN, random bit
+// patterns, scales across decades and inv = 0, at every length from 0
+// to 40 so the 8-element blocks and the tail both run.
+func TestQuantize8SliceMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	edges := []float32{
+		0, float32(math.Copysign(0, -1)), 0.5, -0.5, 1.5, -1.5, 126.5, -126.5, 127.5, -127.5,
+		math.Nextafter32(126.5, 0), math.Nextafter32(-126.5, 0),
+		math.Nextafter32(0.5, 0), math.Nextafter32(0.5, 1), math.Nextafter32(-0.5, 0),
+		math.Float32frombits(1), -math.Float32frombits(1), math.MaxFloat32, -math.MaxFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), -float32(math.NaN()),
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 41
+		src := make([]float32, n)
+		for i := range src {
+			switch rng.Intn(3) {
+			case 0:
+				src[i] = edges[rng.Intn(len(edges))]
+			case 1:
+				src[i] = math.Float32frombits(rng.Uint32())
+			default:
+				src[i] = float32(rng.NormFloat64() * 100)
+			}
+		}
+		inv := []float32{1, 0, float32(math.Exp(rng.Float64()*8 - 4))}[trial%3]
+		dst := randInt8(rng, n+1) // dirty, one byte past the end must survive
+		guard := dst[n]
+		Quantize8Slice(src, inv, dst[:n])
+		for i, v := range src {
+			if want := Quantize8(v, inv); dst[i] != want {
+				t.Fatalf("Quantize8Slice(%v·%v) element %d of %d = %d, want %d", v, inv, i, n, dst[i], want)
+			}
+		}
+		if dst[n] != guard {
+			t.Fatalf("length %d: wrote past the end", n)
+		}
+	}
+}
+
 func TestScale8(t *testing.T) {
 	if s := Scale8([]float32{0, 0}); s != 0 {
 		t.Fatalf("all-zero scale = %v, want 0", s)

@@ -17,3 +17,7 @@ func gemm8TileAVX2(a *int16, b *int8, off *int, c *int32, m, ldc, k, j0, j1 int)
 func maxPool2RowAVX(dst, r0, r1 *float32, n int, seed float32, seeded bool) {
 	panic("mat: maxPool2RowAVX called without AVX2")
 }
+
+func quantize8AVX(src *float32, dst *int8, n int, inv float32) {
+	panic("mat: quantize8AVX called without AVX2")
+}
