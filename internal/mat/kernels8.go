@@ -4,7 +4,7 @@
 package mat
 
 // axpy8x4 accumulates ci[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// with the a-values pre-widened to int32 and held in registers — the
+// with the a-values widened to int32 and held in registers — the
 // quantized mirror of kernels.go's axpy4: one byte load, sign-extend,
 // multiply and add per MAC, with the int32 C row streamed. The guard
 // branch teaches the prove pass len(b*) >= len(ci) so the range-loop
