@@ -165,9 +165,6 @@ func (q *QNet) SetKernelWorkers(workers int) {
 // running max compares bit patterns, which order like floats once the
 // sign bit is cleared.
 func requantize(acc []int32, n, pitch int, scale float32, bias, out []float32, oh, ow int, relu bool) float32 {
-	if pitch == ow { // packed: each channel is one contiguous run
-		oh, ow = 1, oh*ow
-	}
 	var m uint32
 	for oc, b := range bias {
 		for oy := 0; oy < oh; oy++ {

@@ -74,8 +74,9 @@ func Quantize8Slice(src []float32, inv float32, dst []int8) {
 	if nv > 0 {
 		quantize8AVX(&src[0], &dst[0], nv, inv)
 	}
-	for i, v := range src[nv:] {
-		dst[nv+i] = Quantize8(v, inv)
+	src, dst = src[nv:], dst[nv:len(src)]
+	for i, v := range src {
+		dst[i] = Quantize8(v, inv)
 	}
 }
 
