@@ -15,8 +15,10 @@ import (
 )
 
 // digestSpecs are the fixed runs TestOutputDigests pins: every Table V
-// case, a correlated-plus-occlusion fault mix, int8 precision, the
-// curvature feedforward and the graceful-degradation policies. Each is
+// case, a correlated-plus-occlusion fault mix, a mix firing every other
+// fault kind (drop, noise, ISP band, stuck-at, bit flip, overrun and
+// the deadline watchdog), int8 precision, the curvature feedforward and
+// the graceful-degradation policies, both hold-last and coasting. Each is
 // a whole course at 64×32, so the set runs in about five seconds.
 func digestSpecs() map[string]JobSpec {
 	sit := func(i int) *world.Situation {
@@ -32,6 +34,10 @@ func digestSpecs() map[string]JobSpec {
 		"feedforward": {Situation: sit(15), Camera: cam, Case: 4, Seed: 5, UseFeedforward: true},
 		"degrade": {Situation: sit(2), Camera: cam, Case: 1, Seed: 9, Faults: "drop:p=0.1",
 			Degrade: &sim.Degradation{Enabled: true, FallbackAfter: 2, RecoverAfter: 3}},
+		"allfaults": {Situation: sit(1), Camera: cam, Case: 4, Seed: 7,
+			Faults: "drop:p=0.05;noise:mag=0.2@10-30;isp:rows=0.5,p=0.5@30-50;stuck:road=0@50-70;flip:lane,p=0.3;overrun:ms=40,p=0.2"},
+		"coast": {Situation: sit(2), Camera: cam, Case: 1, Seed: 9, Faults: "drop:p=0.1",
+			Degrade: &sim.Degradation{Enabled: true, DisableHoldLast: true}},
 	}
 	for c, s := range []int{1, 8, 5, 19, 13} {
 		specs["case"+strconv.Itoa(c+1)] = JobSpec{Situation: sit(s), Camera: cam, Case: c + 1, Seed: int64(c + 1)}
@@ -53,6 +59,8 @@ var digestPins = map[int]map[string]string{
 		"int8":        "17f5a08d1d8231945b0c59c673c3e161a0cfc3536cd7a8acd5ff4c470b0723ce",
 		"feedforward": "e70e579901bd2ee12c2c9cf811b111c4c8dc64f7ddd7dc92f8418802ed9544b8",
 		"degrade":     "8a38f6dc6d7bef92254a61d6bc56ef3d759889b3f9a9f2f2bf0f54b228d4d352",
+		"allfaults":   "f56b774670281dacd55c0ca461f406f36e63464c1a75092778e1cf483b95d48e",
+		"coast":       "a37180c7c6c02d646f6beb2483e17ed1832c615f327ffad5a9659576c47e3717",
 	},
 }
 
