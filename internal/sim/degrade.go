@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"hsas/internal/knobs"
-	"hsas/internal/world"
-)
+import "fmt"
 
 // Degradation tunes the graceful-degradation policies that keep the loop
 // controllable under sensing faults. The policies activate whenever a
@@ -111,11 +106,12 @@ func newDegrade(cfg *Config) degrade {
 }
 
 // observe feeds one cycle's measurement verdict into the fallback state
-// machine. The returned mode applies from the NEXT cycle's knob
-// selection — one cycle of reconfiguration delay, like the ISP knob.
-func (d *degrade) observe(measOK bool) {
+// machine and reports whether it entered the fallback. The mode applies
+// from the NEXT cycle's knob selection — one cycle of reconfiguration
+// delay, like the ISP knob.
+func (d *degrade) observe(measOK bool) (entered bool) {
 	if !d.active || d.fallbackAfter < 0 {
-		return
+		return false
 	}
 	if measOK {
 		d.goodStreak++
@@ -127,20 +123,12 @@ func (d *degrade) observe(measOK bool) {
 		d.badStreak++
 		d.goodStreak = 0
 		if !d.inFallback && d.badStreak >= d.fallbackAfter {
-			d.inFallback = true
+			d.inFallback, entered = true, true
 			d.stats.FallbackEntries++
 		}
 	}
 	if d.inFallback {
 		d.stats.FallbackCycles++
 	}
-}
-
-// setting resolves the knob setting for the believed situation,
-// substituting the robust fallback tuning while degraded.
-func (d *degrade) setting(c knobs.Case, sit world.Situation, table knobs.Table) knobs.Setting {
-	if d.inFallback {
-		return knobs.FallbackSetting(sit)
-	}
-	return knobs.CaseSetting(c, sit, table)
+	return entered
 }

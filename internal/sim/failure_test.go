@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"hsas/internal/camera"
@@ -140,8 +141,8 @@ func turnConfig() Config {
 // TestFaultMatrix runs every injectable fault class on the turn track.
 // The contract is graceful degradation: the run must complete without
 // panicking (crashed or recovered are both acceptable outcomes), the
-// injector must count events of that class, and the per-kind obs
-// counter must agree.
+// injector must count events of that class, and every sim counter must
+// agree with the Result.
 func TestFaultMatrix(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -174,30 +175,28 @@ func TestFaultMatrix(t *testing.T) {
 			if res.Frames == 0 {
 				t.Fatal("run did not progress")
 			}
-			got := res.Faults.Of(tc.kind)
-			if got == 0 {
+			if res.Faults.Of(tc.kind) == 0 {
 				t.Fatalf("fault %q injected no %s events: %s", tc.spec, tc.kind, res.Faults)
 			}
-			ctr := reg.Counter("hsas_fault_injected_total",
-				"fault events injected by the schedule, by kind", obs.L("kind", tc.kind.String()))
-			if ctr.Value() != got {
-				t.Fatalf("obs counter for %s = %d, injector counted %d", tc.kind, ctr.Value(), got)
-			}
+			checkSimCounters(t, reg, res)
 		})
 	}
 }
 
 // TestHoldLastBridgesDrops: with the default degradation policy a drop
 // window is bridged by re-issuing the last command, and every dropped
-// frame is visible as a DetectFail and a "drop" trace annotation.
+// frame is visible as a DetectFail, a "drop" trace annotation, a sim
+// counter increment and a "cycle" span without stage spans.
 func TestHoldLastBridgesDrops(t *testing.T) {
 	sched, err := fault.ParseSpec("drop@40-50")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dropPts, degradedPts int
+	reg, tr := obs.NewRegistry(), obs.NewTracer()
 	cfg := turnConfig()
 	cfg.Faults = sched
+	cfg.Obs = &obs.Observer{Metrics: reg, Trace: tr}
 	cfg.Trace = func(p TracePoint) {
 		if p.Fault == "drop" {
 			dropPts++
@@ -226,6 +225,29 @@ func TestHoldLastBridgesDrops(t *testing.T) {
 	if res.DetectFails < drops {
 		t.Fatalf("DetectFails = %d does not include the %d drops", res.DetectFails, drops)
 	}
+	checkSimCounters(t, reg, res)
+	// Every cycle has a "cycle" span, a dropped one tagged with its
+	// fault; only processed cycles record stage spans and samples.
+	spans := map[string]int{}
+	for _, s := range tr.Spans() {
+		spans[s.Name]++
+		if s.Name == "cycle" && s.Args["fault"] == "drop" {
+			spans["cycle/drop"]++
+		}
+	}
+	if spans["cycle"] != res.Frames || spans["cycle/drop"] != drops {
+		t.Fatalf("cycle spans = %d (%d tagged drop), want %d (%d)", spans["cycle"], spans["cycle/drop"], res.Frames, drops)
+	}
+	for _, stage := range stageNames {
+		want := res.Frames - drops
+		if strings.HasPrefix(stage, "classify.") {
+			want = spans[stage] // per invocation; TestObservedRunSpansAndMetrics counts them
+		}
+		n := reg.Histogram("hsas_sim_stage_seconds", "", nil, obs.L("stage", stage)).Count()
+		if spans[stage] != want || n != int64(want) || want > res.Frames-drops {
+			t.Fatalf("stage %q: %d spans, %d samples, want %d (%d processed cycles)", stage, spans[stage], n, want, res.Frames-drops)
+		}
+	}
 
 	// DisableHoldLast coasts instead: the run must still complete and
 	// count zero held frames.
@@ -238,6 +260,33 @@ func TestHoldLastBridgesDrops(t *testing.T) {
 	}
 	if res2.Degraded.HeldFrames != 0 {
 		t.Fatalf("coast policy held %d frames", res2.Degraded.HeldFrames)
+	}
+}
+
+// checkSimCounters asserts every sim counter in reg against the Result
+// field it mirrors.
+func checkSimCounters(t *testing.T, reg *obs.Registry, res *Result) {
+	t.Helper()
+	type counter struct {
+		name  string
+		label []obs.Label
+		want  int64
+	}
+	counters := []counter{
+		{"hsas_sim_cycles_total", nil, int64(res.Frames)},
+		{"hsas_sim_detect_fail_total", nil, int64(res.DetectFails)},
+		{"hsas_sim_hold_last_total", nil, int64(res.Degraded.HeldFrames)},
+		{"hsas_sim_fallback_total", nil, int64(res.Degraded.FallbackEntries)},
+		{"hsas_sim_deadline_miss_total", nil, int64(res.Degraded.DeadlineMisses)},
+		{"hsas_sim_reconfig_total", nil, int64(len(res.SettingsUsed) - 1)},
+	}
+	for _, k := range fault.Kinds() {
+		counters = append(counters, counter{"hsas_fault_injected_total", []obs.Label{obs.L("kind", k.String())}, res.Faults.Of(k)})
+	}
+	for _, c := range counters {
+		if got := reg.Counter(c.name, "", c.label...).Value(); got != c.want {
+			t.Errorf("%s%v = %d, want %d from the Result", c.name, c.label, got, c.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hsas/internal/camera"
 	"hsas/internal/fault"
 	"hsas/internal/knobs"
+	"hsas/internal/obs"
 	"hsas/internal/sim"
 	"hsas/internal/trace"
 	"hsas/internal/world"
@@ -89,5 +90,39 @@ func TestFaultTraceWorkerIndependent(t *testing.T) {
 	}
 	if resSerial.Faults != resPar.Faults {
 		t.Fatalf("worker count changed fault counts: %s vs %s", resSerial.Faults, resPar.Faults)
+	}
+}
+
+// TestObservedRunMatchesBaseline checks instrumentation does not perturb
+// the simulation: under a schedule firing every fault kind but
+// occlusion, an observed run and a bare run produce the same result and
+// a byte-identical trace CSV.
+func TestObservedRunMatchesBaseline(t *testing.T) {
+	sched, err := fault.ParseSpec(
+		"drop:p=0.05;noise:mag=0.2@10-30;isp:rows=0.5,p=0.5@30-50;stuck:road=0@50-70;flip:lane,p=0.3;overrun:ms=40,p=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{
+		Track:  world.SituationTrack(world.PaperSituations[0]),
+		Camera: camera.Scaled(64, 32),
+		Case:   knobs.Case4,
+		Seed:   7,
+		Faults: sched,
+	}
+	bareCSV, bare := tracedRun(t, cfg)
+	cfg.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
+	observedCSV, observed := tracedRun(t, cfg)
+	if bare.MAE != observed.MAE || bare.Frames != observed.Frames || bare.Crashed != observed.Crashed ||
+		bare.DetectFails != observed.DetectFails || bare.Faults != observed.Faults || bare.Degraded != observed.Degraded {
+		t.Fatalf("observed run diverged: %+v vs %+v", observed, bare)
+	}
+	if !bytes.Equal(bareCSV, observedCSV) {
+		t.Fatal("observed run traced different bytes than the bare run")
+	}
+	for _, k := range fault.Kinds() {
+		if k != fault.LaneOcclude && k != fault.Correlated && bare.Faults.Of(k) == 0 {
+			t.Fatalf("schedule fired no %s fault: %s", k, bare.Faults)
+		}
 	}
 }

@@ -4,17 +4,26 @@ import (
 	"time"
 
 	"hsas/internal/fault"
-	"hsas/internal/knobs"
 	"hsas/internal/obs"
 	"hsas/internal/raster"
 )
 
-// Pipeline stage names, in execution order, used for the per-cycle stage
-// spans and the hsas_sim_stage_seconds histogram labels. "render" is the
-// synthetic camera, "classify" covers situation identification plus knob
-// selection, "detect" the perception ROI + sliding-window search, and
-// "control" the gating + LQR step + actuation scheduling.
-var stageNames = [5]string{"render", "isp", "classify", "detect", "control"}
+// Stage names for the stage spans and the hsas_sim_stage_seconds labels.
+// The first pipelineStages run back to back in every processed cycle:
+// "render" is the synthetic camera, "classify" covers situation
+// identification plus knob selection, "detect" the perception ROI +
+// sliding-window search, "control" the gating + LQR step + actuation
+// scheduling. "classify.road/lane/scene" time each invoked classifier
+// inside "classify"; "physics" covers the physics steps from a processed
+// cycle's capture to the next. Dropped cycles record no stage.
+var stageNames = [...]string{"render", "isp", "classify", "detect", "control",
+	"classify.road", "classify.lane", "classify.scene", "physics"}
+
+const (
+	pipelineStages       = 5
+	firstClassifierStage = 5 // classify.road; lane and scene follow
+	physicsStage         = 8
+)
 
 // simMetrics holds the pre-registered instruments for one run; a nil
 // *simMetrics disables all instrumentation (the default).
@@ -36,14 +45,19 @@ type simMetrics struct {
 	fallbacks    *obs.Counter
 	deadlineMiss *obs.Counter
 	degraded     *obs.Gauge
+
+	// The physics span of the last processed cycle, open until the next
+	// capture (physStart zero: nothing to record).
+	physOn             bool
+	physStart, physEnd time.Time
 }
 
 func newSimMetrics(o *obs.Observer) *simMetrics {
 	reg := o.Registry()
 	m := &simMetrics{
 		o:           o,
-		cycles:      reg.Counter("hsas_sim_cycles_total", "control cycles executed"),
-		detectFails: reg.Counter("hsas_sim_detect_fail_total", "cycles without a usable perception measurement"),
+		cycles:      reg.Counter("hsas_sim_cycles_total", "control cycles executed, dropped frames included"),
+		detectFails: reg.Counter("hsas_sim_detect_fail_total", "cycles without a usable perception measurement, dropped frames included"),
 		reconfigs:   reg.Counter("hsas_sim_reconfig_total", "runtime knob-setting changes applied"),
 		crashes:     reg.Counter("hsas_sim_crashes_total", "runs ended by a crash"),
 		progressM:   reg.Gauge("hsas_sim_progress_m", "arclength progressed along the track"),
@@ -66,35 +80,42 @@ func newSimMetrics(o *obs.Observer) *simMetrics {
 	return m
 }
 
-// degradation records fault and degradation telemetry for one cycle:
-// per-kind fault counters, the hold-last counter for bridged drops, and
-// the degraded-mode gauge.
-func (m *simMetrics) degradation(mask fault.Mask, inFallback, held bool) {
-	for k := 0; k < fault.NumKinds; k++ {
-		if mask.Has(fault.Kind(k)) {
-			m.faults[k].Inc()
-		}
+// stage records one latency sample and one span of stage i.
+func (m *simMetrics) stage(i int, start, end time.Time) {
+	m.stages[i].Observe(end.Sub(start).Seconds())
+	m.o.Tracer().SpanAt(stageNames[i], "sim", 0, start, end, nil)
+}
+
+// physicsStep extends the open physics span over one physics step.
+func (m *simMetrics) physicsStep(start, end time.Time) {
+	if m.physOn && m.physStart.IsZero() {
+		m.physStart = start
 	}
-	if held {
-		m.holdLast.Inc()
-	}
-	if inFallback {
-		m.degraded.Set(1)
-	} else {
-		m.degraded.Set(0)
+	m.physEnd = end
+}
+
+// flushPhysics records the open physics span, if any.
+func (m *simMetrics) flushPhysics() {
+	if !m.physStart.IsZero() {
+		m.stage(physicsStage, m.physStart, m.physEnd)
+		m.physStart = time.Time{}
 	}
 }
 
-// cycle records one completed control cycle: the five stage latencies
-// (ts holds the six stage boundaries), the cycle counters and gauges,
-// and one span per stage plus an enclosing "cycle" span carrying the
-// knob-setting attributes.
-func (m *simMetrics) cycle(ts *[len(stageNames) + 1]time.Time, frame, sector int,
-	simTMs, s float64, setting knobs.Setting, hMs, tauMs float64, detOK, measOK, reconfigured bool) {
+// cycle records one control cycle, dropped or processed: the cycle
+// counters and gauges, the fault and degradation telemetry, the stage
+// samples and spans of a processed cycle (closing the previous cycle's
+// physics span first), and an enclosing "cycle" span carrying the
+// knob-setting and fault attributes.
+func (m *simMetrics) cycle(l *loop, c *cycle) {
+	m.flushPhysics()
+	m.physOn = !c.dropped
+	reconfigured := c.setting != l.setting
+	sector, faults := l.cfg.Track.SectorAt(l.s), c.fault.String()
 	m.cycles.Inc()
-	m.progressM.Set(s)
-	m.speedKmph.Set(setting.SpeedKmph)
-	if !measOK {
+	m.progressM.Set(l.s)
+	m.speedKmph.Set(c.setting.SpeedKmph)
+	if !c.measOK {
 		m.detectFails.Inc()
 	}
 	if reconfigured {
@@ -103,23 +124,37 @@ func (m *simMetrics) cycle(ts *[len(stageNames) + 1]time.Time, frame, sector int
 	ps := raster.Stats()
 	m.poolHits.Set(float64(ps.Hits))
 	m.poolMisses.Set(float64(ps.Misses))
-	for i := range stageNames {
-		m.stages[i].Observe(ts[i+1].Sub(ts[i]).Seconds())
+	for k := range m.faults {
+		if c.fault.Has(fault.Kind(k)) {
+			m.faults[k].Inc()
+		}
+	}
+	if c.held {
+		m.holdLast.Inc()
+	}
+	if l.deg.inFallback {
+		m.degraded.Set(1)
+	} else {
+		m.degraded.Set(0)
+	}
+	if !c.dropped {
+		for i := 0; i < pipelineStages; i++ {
+			m.stage(i, l.marks[i], l.marks[i+1])
+		}
 	}
 	if tr := m.o.Tracer(); tr != nil {
-		for i, n := range stageNames {
-			tr.SpanAt(n, "sim", 0, ts[i], ts[i+1], nil)
-		}
-		tr.SpanAt("cycle", "sim", 0, ts[0], ts[len(stageNames)], map[string]any{
-			"frame": frame, "sector": sector, "sim_t_ms": simTMs,
-			"isp": setting.ISP, "roi": setting.ROI, "speed_kmph": setting.SpeedKmph,
-			"h_ms": hMs, "tau_ms": tauMs, "det_ok": detOK, "reconfigured": reconfigured,
+		st := c.setting
+		tr.SpanAt("cycle", "sim", 0, l.marks[0], l.marks[pipelineStages], map[string]any{
+			"frame": l.frame, "sector": sector, "sim_t_ms": l.t,
+			"isp": st.ISP, "roi": st.ROI, "speed_kmph": st.SpeedKmph,
+			"h_ms": l.timing.HMs, "tau_ms": l.timing.TauMs, "det_ok": c.pres.OK,
+			"reconfigured": reconfigured, "fault": faults,
 		})
 	}
 	m.o.Logger().Debug("cycle",
-		"frame", frame, "sector", sector, "sim_t_ms", simTMs,
-		"isp", setting.ISP, "roi", setting.ROI, "speed_kmph", setting.SpeedKmph,
-		"det_ok", detOK, "reconfigured", reconfigured)
+		"frame", l.frame, "sector", sector, "sim_t_ms", l.t,
+		"isp", c.setting.ISP, "roi", c.setting.ROI, "speed_kmph", c.setting.SpeedKmph,
+		"det_ok", c.pres.OK, "reconfigured", reconfigured, "fault", faults)
 }
 
 // actuate records the delayed command application as an instant event.

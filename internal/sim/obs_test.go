@@ -14,6 +14,7 @@ import (
 	"hsas/internal/camera"
 	"hsas/internal/knobs"
 	"hsas/internal/obs"
+	"hsas/internal/raster"
 	"hsas/internal/world"
 )
 
@@ -28,13 +29,17 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 	var logBuf bytes.Buffer
 	o := &obs.Observer{Log: obs.NewLogger(&logBuf, slog.LevelInfo), Metrics: reg, Trace: tr}
 
+	var calls [3]int
+	sens := OracleSensors()
 	res, err := Run(Config{
 		Track:    world.NineSectorTrack(),
 		Camera:   camera.Scaled(128, 64),
 		Case:     knobs.Case4,
 		Seed:     1,
 		MaxTimeS: 12, // bounded slice of the track: plenty of cycles
-		Obs:      o,
+		Sens: Sensors{Road: countingSensor{sens.Road, &calls[0]},
+			Lane: countingSensor{sens.Lane, &calls[1]}, Scene: countingSensor{sens.Scene, &calls[2]}},
+		Obs: o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +58,7 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 			Name  string         `json:"name"`
 			Cat   string         `json:"cat"`
 			Phase string         `json:"ph"`
+			TS    int64          `json:"ts"`
 			Dur   int64          `json:"dur"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
@@ -65,11 +71,35 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 		byName[e.Name]++
 	}
 	// One span per pipeline stage per control cycle, plus the enclosing
-	// cycle span.
-	for _, stage := range []string{"render", "isp", "classify", "detect", "control", "cycle"} {
-		if byName[stage] != res.Frames {
-			t.Fatalf("stage %q spans = %d, want %d (one per cycle)\ncounts: %v",
-				stage, byName[stage], res.Frames, byName)
+	// cycle span and the physics between captures; one per invoked
+	// classifier.
+	want := map[string]int{"classify.road": calls[0], "classify.lane": calls[1], "classify.scene": calls[2]}
+	for _, stage := range []string{"render", "isp", "classify", "detect", "control", "physics", "cycle"} {
+		want[stage] = res.Frames
+	}
+	for stage, n := range want {
+		if byName[stage] != n {
+			t.Fatalf("stage %q spans = %d, want %d\ncounts: %v", stage, byName[stage], n, byName)
+		}
+	}
+	if calls[0] == 0 || calls[1] == 0 || calls[2] == 0 {
+		t.Fatalf("case 4 left a classifier uninvoked: %v", calls)
+	}
+	// Classifier spans nest inside the classify span of their cycle,
+	// which is recorded after them (1 µs slack for rounding).
+	var open []int
+	for i, e := range decoded.TraceEvents {
+		switch e.Name {
+		case "classify.road", "classify.lane", "classify.scene":
+			open = append(open, i)
+		case "classify":
+			for _, j := range open {
+				c := decoded.TraceEvents[j]
+				if c.TS < e.TS || c.TS+c.Dur > e.TS+e.Dur+1 {
+					t.Fatalf("%s span [%d, +%d] outside classify [%d, +%d]", c.Name, c.TS, c.Dur, e.TS, e.Dur)
+				}
+			}
+			open = open[:0]
 		}
 	}
 	// The delayed actuation fires once per capture; the run may end with
@@ -139,10 +169,13 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 	if got := samples["hsas_sim_cycles_total"]; got != float64(res.Frames) {
 		t.Fatalf("cycle counter = %v, want %d", got, res.Frames)
 	}
-	for _, stage := range []string{"render", "isp", "classify", "detect", "control"} {
+	for stage, n := range want {
+		if stage == "cycle" {
+			continue
+		}
 		key := `hsas_sim_stage_seconds_count{stage="` + stage + `"}`
-		if got := samples[key]; got != float64(res.Frames) {
-			t.Fatalf("%s = %v, want %d", key, got, res.Frames)
+		if got := samples[key]; got != float64(n) {
+			t.Fatalf("%s = %v, want %d", key, got, n)
 		}
 	}
 	if got := samples["hsas_sim_detect_fail_total"]; got != float64(res.DetectFails) {
@@ -159,28 +192,13 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 	}
 }
 
-// TestObservedRunMatchesBaseline checks instrumentation does not perturb
-// the simulation: an observed run and a bare run produce identical
-// results.
-func TestObservedRunMatchesBaseline(t *testing.T) {
-	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
-	cfg := Config{
-		Track:  world.SituationTrack(sit),
-		Camera: camera.Scaled(128, 64),
-		Case:   knobs.Case4,
-		Seed:   7,
-	}
-	bare, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
-	observed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.MAE != observed.MAE || bare.Frames != observed.Frames ||
-		bare.Crashed != observed.Crashed || bare.DetectFails != observed.DetectFails {
-		t.Fatalf("observed run diverged: %+v vs %+v", observed, bare)
-	}
+// countingSensor counts the Classify calls it forwards.
+type countingSensor struct {
+	Sensor
+	n *int
+}
+
+func (c countingSensor) Classify(img *raster.RGB, truth world.Situation) int {
+	*c.n++
+	return c.Sensor.Classify(img, truth)
 }

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -214,9 +215,9 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Degrade.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.StepS == 0 {
-		cfg.StepS = 0.005
-	}
+	cfg.StepS = cmp.Or(cfg.StepS, 0.005)
+	cfg.EndMargin = cmp.Or(cfg.EndMargin, 22)
+	cfg.PreviewM = cmp.Or(cfg.PreviewM, 15)
 	if cfg.Camera.Width == 0 {
 		cfg.Camera = camera.Default()
 	}
@@ -235,47 +236,28 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Table == nil {
 		cfg.Table = knobs.PaperTable()
 	}
-	if cfg.EndMargin == 0 {
-		cfg.EndMargin = 22
-	}
-	if cfg.PreviewM == 0 {
-		cfg.PreviewM = 15
-	}
 	if cfg.MaxTimeS == 0 {
 		// Generous cap: slowest speed plus settling margin.
 		cfg.MaxTimeS = cfg.Track.Length()/vehicle.Kmph(25) + 10
 	}
 
-	kw := cfg.KernelWorkers
-	if kw == 0 {
-		kw = runtime.GOMAXPROCS(0)
-	}
-	if kw < 1 {
-		kw = 1
-	}
-	rend := camera.NewRenderer(cfg.Track, cfg.Camera)
-	rend.Workers = kw
-	// CNN sensors inherit the same bound for their GEMM kernels (on both
-	// precision paths); results are bit-identical for any worker count
-	// (the mat determinism contract), so this is purely a latency knob.
-	for _, s := range []Sensor{cfg.Sens.Road, cfg.Sens.Lane, cfg.Sens.Scene} {
-		if c, ok := s.(CNN); ok && c.C != nil && c.C.Net != nil {
-			c.C.SetKernelWorkers(kw)
-		}
-	}
-	det := perception.NewDetector(perception.NewGeometry(cfg.Camera))
-
-	r := &runner{cfg: cfg, rend: rend, det: det, workers: kw, designs: map[designKey]*control.Design{}}
+	var met *simMetrics
 	if cfg.Obs.Enabled() {
-		r.met = newSimMetrics(cfg.Obs)
+		met = newSimMetrics(cfg.Obs)
 		cfg.Obs.Logger().Info("sim run start",
 			"case", cfg.Case.String(), "track_m", cfg.Track.Length(),
 			"camera", fmt.Sprintf("%dx%d", cfg.Camera.Width, cfg.Camera.Height), "seed", cfg.Seed)
 	}
-	res, err := r.run()
-	if err == nil && cfg.Obs.Enabled() {
+	l, err := newLoop(cfg, met)
+	if err != nil {
+		return nil, err
+	}
+	defer l.release()
+	res, err := l.simulate()
+	if err == nil && met != nil {
+		met.flushPhysics()
 		if res.Crashed {
-			r.met.crashes.Inc()
+			met.crashes.Inc()
 		}
 		cfg.Obs.Logger().Info("sim run complete",
 			"frames", res.Frames, "mae_m", res.MAE, "completed_m", res.CompletedS,
@@ -285,503 +267,493 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-type designKey struct {
-	speed float64
-	hMs   float64
-	tauMs float64
-}
+type designKey struct{ speed, hMs, tauMs float64 }
 
-type runner struct {
+// numClasses is the label count of each classifier kind, in Road, Lane,
+// Scene order.
+var numClasses = [3]int{world.NumRoadClasses, world.NumLaneClasses, world.NumSceneClasses}
+
+// loop is the state of one closed-loop run. step is one control cycle
+// (capture → identify → select → perceive → act, or drop for a lost
+// frame, then finishCycle); physics advances the plant between captures.
+type loop struct {
 	cfg     Config
+	met     *simMetrics // nil when observability is disabled
 	rend    *camera.Renderer
 	det     *perception.Detector
 	workers int // resolved kernel worker count
+	sens    [3]Sensor
+	cnns    []*classifier.Classifier // the trained sensors among sens
 	designs map[designKey]*control.Design
-	met     *simMetrics // nil when observability is disabled
+	inj     *fault.Injector // nil without a fault schedule
+	deg     degrade
+	res     *Result
+
+	// Knob state: the believed situation (one class per kind, updated by
+	// the invoked classifiers), the applied setting and what it sets.
+	bel         [3]int
+	perFrame    int // classifier invocations charged to the pipeline timing
+	setting     knobs.Setting
+	activeISP   isp.Config
+	timing      platform.Timing
+	ctl         *control.Controller
+	plant       *vehicle.Plant
+	targetSpeed float64
+
+	// Frame buffers leased from the raster pool for the whole run: the RAW
+	// mosaic and the ISP's ping/pong RGB pair, fully overwritten per frame.
+	raw            *raster.Bayer
+	frameA, frameB *raster.RGB
+
+	// One occlusion closure for the whole run (the pattern is fixed in
+	// world space; only its area fraction varies per frame).
+	occFrac float64
+	occFn   func(sArc, lat float64) bool
+
+	t, s, lastLat, endS float64 // sim time (ms), arclength, lateral offset
+	frame               int
+	nextFrameMs         float64
+	actT, actU          float64 // pending actuation time (ms) and command
+	lastU               float64 // last scheduled command, re-issued by hold-last
+	curvEMA, ylPrev     float64
+	haveYl              bool
+	gateRejects         int
+
+	// marks are the wall-clock boundaries of the pipeline stages of the
+	// current cycle (marks[i] -> marks[i+1] is stageNames[i]), stamped
+	// only when instrumented.
+	marks [pipelineStages + 1]time.Time
 }
 
-// belief is the runtime's current view of the situation, updated by the
-// invoked classifiers.
-type belief struct {
-	road, lane, scene int
+// cycle is one control cycle's record, filled in stage order and closed
+// by finishCycle.
+type cycle struct {
+	dropped bool
+	fault   fault.Mask
+	truth   world.Situation // what the frame depicts (classifier ground truth)
+	rgb     *raster.RGB
+	setting knobs.Setting // the knob setting selected for this cycle
+	pres    perception.Result
+	ylTrue  float64
+	measOK  bool // the gated measurement the controller consumed
+	forced  bool // measOK only because the innovation gate saturated
+	u       float64
+	tauMs   float64 // this command's sensor-to-actuation delay
+	held    bool    // a dropped frame bridged by re-issuing lastU
 }
 
-func (b belief) situation() world.Situation {
-	return world.Situation{
-		Layout: world.RoadLayout(b.road),
-		Lane:   world.LaneMarkingForClass(b.lane),
-		Scene:  world.Scene(b.scene),
+func newLoop(cfg Config, met *simMetrics) (*loop, error) {
+	kw := cfg.KernelWorkers
+	if kw == 0 {
+		kw = runtime.GOMAXPROCS(0)
 	}
-}
-
-func (r *runner) design(speed, hMs, tauMs float64) (*control.Design, error) {
-	key := designKey{speed, hMs, tauMs}
-	if d, ok := r.designs[key]; ok {
-		return d, nil
+	kw = max(kw, 1)
+	l := &loop{
+		cfg: cfg, met: met, workers: kw,
+		rend:    camera.NewRenderer(cfg.Track, cfg.Camera),
+		det:     perception.NewDetector(perception.NewGeometry(cfg.Camera)),
+		sens:    [3]Sensor{cfg.Sens.Road, cfg.Sens.Lane, cfg.Sens.Scene},
+		designs: map[designKey]*control.Design{},
+		// A nil schedule yields a nil injector whose queries are nil
+		// checks, and an inactive degrade state that reproduces the
+		// fault-free loop bit-identically.
+		inj: fault.NewInjector(cfg.Faults, cfg.Seed),
+		deg: newDegrade(&cfg),
+		res: &Result{
+			PerSector: metrics.NewPerSector(len(cfg.Track.Segments)),
+			Detection: metrics.DetectionAccuracy{Tol: 0.3},
+		},
+		perFrame: cfg.Policy.PerFrame(),
+		s:        cfg.StartS,
+		lastLat:  cfg.InitialLat,
+		endS:     cfg.Track.Length() - cfg.EndMargin,
+		actT:     math.Inf(1),
 	}
-	d, err := control.NewDesign(r.cfg.Plant, speed, hMs/1000, tauMs/1000, perception.LookAhead)
-	if err != nil {
-		return nil, err
+	l.rend.Workers = kw
+	// CNN sensors inherit the same bound for their GEMM kernels (on both
+	// precision paths); results are bit-identical for any worker count
+	// (the mat determinism contract), so this is purely a latency knob.
+	for _, s := range l.sens {
+		if c, ok := s.(CNN); ok && c.C != nil && c.C.Net != nil {
+			c.C.SetKernelWorkers(kw)
+			l.cnns = append(l.cnns, c.C)
+		}
 	}
-	r.designs[key] = d
-	return d, nil
-}
-
-func (r *runner) run() (*Result, error) {
-	cfg := r.cfg
-	track := cfg.Track
-
-	res := &Result{
-		PerSector: metrics.NewPerSector(len(track.Segments)),
-		Detection: metrics.DetectionAccuracy{Tol: 0.3},
+	if cfg.FixedSetting != nil {
+		l.perFrame = cfg.FixedClassifiers
 	}
+	occSeed := fault.OcclusionSeed(cfg.Seed)
+	l.occFn = func(sArc, lat float64) bool { return fault.MarkingOccluded(sArc, lat, l.occFrac, occSeed) }
 
 	// Initial belief: ground truth at the starting position (the first
 	// frame immediately refreshes whatever the policy invokes).
-	truth0 := track.SituationAt(cfg.StartS)
-	bel := belief{}
-	bel.road = int(truth0.Layout)
+	truth0 := cfg.Track.SituationAt(cfg.StartS)
+	l.bel[0], l.bel[2] = int(truth0.Layout), int(truth0.Scene)
 	if lc, ok := world.LaneClass(truth0.Lane); ok {
-		bel.lane = lc
+		l.bel[1] = lc
 	}
-	bel.scene = int(truth0.Scene)
-
-	classifiersPerFrame := cfg.Policy.PerFrame()
-	setting := knobs.CaseSetting(cfg.Case, bel.situation(), cfg.Table)
-	if cfg.FixedSetting != nil {
-		setting = *cfg.FixedSetting
-		classifiersPerFrame = cfg.FixedClassifiers
-	}
-	activeISP, _ := isp.ByID(setting.ISP)
-	res.SettingsUsed = append(res.SettingsUsed, setting)
-
-	if err := r.applyPrecision(setting.Precision); err != nil {
+	if err := l.retune(l.choose()); err != nil {
 		return nil, err
 	}
-	timing, err := cfg.Platform.TimingForPrecision(setting.ISP, classifiersPerFrame, setting.Precision)
-	if err != nil {
-		return nil, err
-	}
-	des, err := r.design(setting.SpeedKmph, timing.HMs, cfg.Platform.CeilToStep(timing.TauMs))
-	if err != nil {
-		return nil, err
-	}
-	ctl := control.NewController(des)
 
 	// Vehicle starts centered, aligned, at the setting's speed.
-	vp := camera.PoseOnTrack(track, cfg.StartS, cfg.InitialLat, 0)
-	plant := vehicle.NewPlant(cfg.Plant, vehicle.Kmph(setting.SpeedKmph), vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
-	targetSpeed := plant.Vx
-
-	// Frame buffers for the whole run, leased from the raster pool: the
-	// RAW mosaic plus a ping/pong RGB pair the ISP alternates between.
-	// Every kernel fully overwrites its output, so recycled contents are
-	// harmless.
+	vp := camera.PoseOnTrack(cfg.Track, cfg.StartS, cfg.InitialLat, 0)
+	l.plant = vehicle.NewPlant(cfg.Plant, l.targetSpeed, vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
 	fw, fh := cfg.Camera.Width, cfg.Camera.Height
-	raw := raster.GetBayer(fw, fh)
-	defer raster.PutBayer(raw)
-	frameA := raster.GetRGB(fw, fh)
-	defer raster.PutRGB(frameA)
-	frameB := raster.GetRGB(fw, fh)
-	defer raster.PutRGB(frameB)
+	l.raw, l.frameA, l.frameB = raster.GetBayer(fw, fh), raster.GetRGB(fw, fh), raster.GetRGB(fw, fh)
+	return l, nil
+}
 
-	s := cfg.StartS
-	endS := track.Length() - cfg.EndMargin
-	stepMs := cfg.StepS * 1000
-	nextFrameMs := 0.0
-	actT := math.Inf(1) // time of the pending actuation, ms
-	actU := 0.0
-	lastU := 0.0 // last scheduled command, re-issued by hold-last
-	curvEMA := 0.0
-	frame := 0
-	ylPrev := 0.0
-	haveYl := false
-	gateRejects := 0
-	lastLat := cfg.InitialLat
+// release returns the frame buffers to the raster pool.
+func (l *loop) release() {
+	raster.PutRGB(l.frameB)
+	raster.PutRGB(l.frameA)
+	raster.PutBayer(l.raw)
+}
 
-	// Fault injection and graceful degradation. A nil schedule yields a
-	// nil injector whose queries are nil checks, and an inactive degrade
-	// state that reproduces the fault-free loop bit-identically.
-	inj := fault.NewInjector(cfg.Faults, cfg.Seed)
-	deg := newDegrade(&cfg)
-
-	// One occlusion closure for the whole run (the pattern is fixed in
-	// world space; only the area fraction varies per frame). Allocating it
-	// once keeps the per-frame path allocation-free.
-	occSeed := fault.OcclusionSeed(cfg.Seed)
-	occFrac := 0.0
-	occFn := func(sArc, lat float64) bool {
-		return fault.MarkingOccluded(sArc, lat, occFrac, occSeed)
-	}
-
-	for t := 0.0; t < cfg.MaxTimeS*1000; t += stepMs {
-		// ---- Actuation due at this instant (before a new capture may
+// simulate runs the two clocks to the end of the track, a crash or the
+// time cap: physics every step, a control cycle at every sampling
+// instant.
+func (l *loop) simulate() (*Result, error) {
+	stepMs := l.cfg.StepS * 1000
+	for l.t = 0; l.t < l.cfg.MaxTimeS*1000; l.t += stepMs {
+		// Actuation due at this instant, before a new capture may
 		// schedule the next command: tau ceiled to the step can land
-		// exactly on the next sampling instant) ----
-		if t >= actT-1e-9 {
-			plant.Command(actU)
-			if r.met != nil {
-				r.met.actuate(t, actU)
+		// exactly on the next sampling instant.
+		if l.t >= l.actT-1e-9 {
+			l.plant.Command(l.actU)
+			if l.met != nil {
+				l.met.actuate(l.t, l.actU)
 			}
-			actT = math.Inf(1)
+			l.actT = math.Inf(1)
 		}
-
-		// ---- Fault gate at the sampling instants: watchdog + frame
-		// drops. A dropped frame advances the frame clock here, so the
-		// pipeline block below never sees it. ----
-		if t >= nextFrameMs-1e-9 {
-			// Missed-deadline watchdog: a command still pending at the
-			// next capture means tau stretched past h — an injected
-			// overrun, or a retiming reconfiguration shortening h under
-			// a command in flight. Record it — the stale command is
-			// superseded by this cycle's output — rather than panicking
-			// the loop. (The superseding itself predates the watchdog;
-			// recording engages with the degradation layer.)
-			if deg.active && !math.IsInf(actT, 1) {
-				deg.stats.DeadlineMisses++
-				if r.met != nil {
-					r.met.deadlineMiss.Inc()
-				}
-				cfg.Obs.Logger().Warn("actuation deadline missed",
-					"frame", frame, "sim_t_ms", t, "pending_ms", actT)
-				actT = math.Inf(1)
-			}
-
-			if inj.Dropped(frame) {
-				// Camera blackout: nothing reaches the ISP or perception
-				// this cycle. Hold the last actuation command (default)
-				// or coast the controller's predictor, count the cycle
-				// as a detection failure, and feed the fallback machine.
-				res.DetectFails++
-				var u float64
-				if deg.holdLast {
-					u = lastU
-					deg.stats.HeldFrames++
-				} else {
-					u = ctl.Coast()
-				}
-				actT = t + cfg.Platform.CeilToStep(timing.TauMs)
-				actU = u
-				lastU = u
-				var dropMask fault.Mask
-				dropMask.Add(fault.FrameDrop)
-				if r.met != nil {
-					r.met.degradation(dropMask, deg.inFallback, deg.holdLast)
-				}
-				if cfg.Trace != nil {
-					ylTrue, _ := r.truthYL(plant, s)
-					cfg.Trace(TracePoint{
-						TimeS: t / 1000, S: s, Lat: lastLat, YLTrue: ylTrue,
-						Steer: u, Sector: track.SectorAt(s),
-						Setting: setting, HMs: timing.HMs, TauMs: timing.TauMs,
-						Fault: dropMask.String(), Degraded: deg.inFallback,
-					})
-				}
-				prevEntries := deg.stats.FallbackEntries
-				deg.observe(false)
-				if r.met != nil && deg.stats.FallbackEntries != prevEntries {
-					r.met.fallbacks.Inc()
-				}
-				nextFrameMs += timing.HMs
-				frame++
-			}
-		}
-
-		// ---- Sensing pipeline at the sampling instants ----
-		if t >= nextFrameMs-1e-9 {
-			// Stage boundary timestamps, captured only when instrumented
-			// (ts[i] -> ts[i+1] is stageNames[i]).
-			var ts [len(stageNames) + 1]time.Time
-			instrumented := r.met != nil
-			var oArg *obs.Observer
-			if instrumented {
-				oArg = r.met.o
-				ts[0] = time.Now()
-			}
-
-			// The camera frames the road ahead: classifier ground truth is
-			// what a frame over the visible ground window depicts, not just
-			// the situation under the axle. The window starts AT the
-			// vehicle: a frame taken mid-curve shows curve in its immediate
-			// foreground, so turn handling is not released until the arc
-			// has actually passed beneath the vehicle.
-			truth := track.CameraSituationAhead(s, 0, cfg.PreviewM)
-			var fmask fault.Mask
-			// Adversarial lane-marking occlusion acts at render time: the
-			// renderer consults the pure world-space predicate, so the
-			// row-parallel render stays byte-identical to the serial one.
-			if f, ok := inj.Occlusion(frame); ok {
-				occFrac = f
-				r.rend.Occlude = occFn
-				fmask.Add(fault.LaneOcclude)
-			} else {
-				r.rend.Occlude = nil
-			}
-			r.rend.RenderRAWInto(raw, camera.VehiclePose{X: plant.St.X, Y: plant.St.Y, Psi: plant.St.Psi, S: s}, cfg.Seed+int64(frame)*7919)
-			if sigma, ok := inj.Noise(frame); ok {
-				fault.AddBayerNoise(raw, sigma, fault.FrameHash(cfg.Seed, frame))
-				fmask.Add(fault.NoiseBurst)
-			}
-			if instrumented {
-				ts[1] = time.Now()
-			}
-			rgb := activeISP.ProcessObservedInto(raw, frameA, frameB, r.workers, oArg)
-			if frac, kinds := inj.CorruptFrac(frame); kinds != 0 {
-				fault.CorruptRGBBand(rgb, frac, fault.FrameHash(cfg.Seed, frame))
-				fmask |= kinds
-			}
-			if instrumented {
-				ts[2] = time.Now()
-			}
-
-			// Situation identification on the ISP output (Fig. 2).
-			// Classifier faults (stuck-at / bit flip) overwrite the
-			// sensor's verdict at its output, so they corrupt the belief
-			// exactly when the policy actually invokes that classifier.
-			inv := cfg.Policy.Next(t)
-			if inv.Road {
-				bel.road = clampClass(cfg.Sens.Road.Classify(rgb, truth), world.NumRoadClasses)
-				if c, k, ok := inj.Class(frame, fault.Road, bel.road, world.NumRoadClasses); ok {
-					bel.road = c
-					fmask.Add(k)
-				}
-			}
-			if inv.Lane {
-				bel.lane = clampClass(cfg.Sens.Lane.Classify(rgb, truth), world.NumLaneClasses)
-				if c, k, ok := inj.Class(frame, fault.Lane, bel.lane, world.NumLaneClasses); ok {
-					bel.lane = c
-					fmask.Add(k)
-				}
-			}
-			if inv.Scene {
-				bel.scene = clampClass(cfg.Sens.Scene.Classify(rgb, truth), world.NumSceneClasses)
-				if c, k, ok := inj.Class(frame, fault.Scene, bel.scene, world.NumSceneClasses); ok {
-					bel.scene = c
-					fmask.Add(k)
-				}
-			}
-
-			// Knob selection from the believed situation (the robust
-			// fallback tuning while degraded). PR and control knobs apply
-			// in this cycle; the ISP knob next cycle.
-			newSetting := deg.setting(cfg.Case, bel.situation(), cfg.Table)
-			if cfg.FixedSetting != nil {
-				newSetting = *cfg.FixedSetting
-			}
-			if newSetting != setting {
-				res.SettingsUsed = append(res.SettingsUsed, newSetting)
-			}
-			if instrumented {
-				ts[3] = time.Now()
-			}
-
-			roi, _ := perception.ROIByID(newSetting.ROI)
-			pres := r.det.Detect(rgb, roi, perception.LookAhead)
-
-			// Ground truth at the look-ahead for QoC and detection stats.
-			ylTrue, trueOK := r.truthYL(plant, s)
-			if trueOK {
-				res.Detection.Add(pres.YL, ylTrue, pres.OK && pres.CandidatePixels > 0)
-			}
-			if instrumented {
-				ts[4] = time.Now()
-			}
-
-			// Innovation gating: a yL jump beyond what the vehicle can
-			// physically produce in one period is a perception outlier
-			// (dash glitch, clutter lock): coast through it, but accept
-			// after a few consecutive rejections so the loop cannot lock
-			// out a genuine change.
-			measOK := pres.OK
-			forcedAccept := false
-			if measOK && haveYl && math.Abs(pres.YL-ylPrev) > ylGate {
-				if gateRejects < 3 {
-					measOK = false
-					gateRejects++
-				} else {
-					// Saturated gate: accept the implausible jump so a
-					// genuine change cannot be locked out, but flag it
-					// — the fallback machine counts it as a bad sample.
-					forcedAccept = true
-					gateRejects = 0
-				}
-			} else if measOK {
-				gateRejects = 0
-			}
-
-			var u float64
-			if measOK {
-				ylPrev = pres.YL
-				haveYl = true
-				if cfg.UseFeedforward {
-					curvEMA = 0.7*curvEMA + 0.3*pres.Curvature
-				}
-				u = ctl.Step(pres.YL, curvEMA)
-			} else {
-				res.DetectFails++
-				u = ctl.Coast()
-			}
-			// Actuation tau after capture, ceiled to the simulation step.
-			// An injected overrun stretches this one command's delay; the
-			// watchdog above records it if it slips past the next capture.
-			tauEffMs := timing.TauMs
-			if extra, ok := inj.Overrun(frame); ok {
-				tauEffMs += extra
-				fmask.Add(fault.DeadlineOverrun)
-			}
-			actT = t + cfg.Platform.CeilToStep(tauEffMs)
-			actU = u
-			lastU = u
-			if instrumented {
-				ts[5] = time.Now()
-				r.met.cycle(&ts, frame, track.SectorAt(s), t, s, newSetting,
-					timing.HMs, timing.TauMs, pres.OK, measOK, newSetting != setting)
-				r.met.degradation(fmask, deg.inFallback, false)
-			}
-
-			if cfg.Trace != nil {
-				cfg.Trace(TracePoint{
-					TimeS: t / 1000, S: s, Lat: lastLat, YLTrue: ylTrue, YLMeas: pres.YL,
-					DetOK: measOK, RawDetOK: pres.OK, Steer: u, Sector: track.SectorAt(s),
-					Setting: newSetting, HMs: timing.HMs, TauMs: timing.TauMs,
-					Fault: fmask.String(), Degraded: deg.inFallback,
-				})
-			}
-
-			// Feed the fallback machine after tracing: a mode flip
-			// governs the NEXT cycle's knob selection (one cycle of
-			// reconfiguration delay, like the ISP knob).
-			prevEntries := deg.stats.FallbackEntries
-			deg.observe(measOK && !forcedAccept)
-			if r.met != nil && deg.stats.FallbackEntries != prevEntries {
-				r.met.fallbacks.Inc()
-			}
-
-			// Apply reconfiguration: speed now, ISP next cycle, and
-			// retime when the knob setting changed.
-			if newSetting != setting {
-				targetSpeed = vehicle.Kmph(newSetting.SpeedKmph)
-				nextISP, _ := isp.ByID(newSetting.ISP)
-				newTiming, err := cfg.Platform.TimingForPrecision(newSetting.ISP, classifiersPerFrame, newSetting.Precision)
-				if err != nil {
-					return nil, err
-				}
-				// The precision knob reconfigures in the same cycle as the
-				// PR and control knobs: the classifiers that just ran used
-				// the old arithmetic; the next invocation is requantized.
-				if newSetting.Precision != setting.Precision {
-					if err := r.applyPrecision(newSetting.Precision); err != nil {
-						return nil, err
-					}
-				}
-				// One-cycle ISP reconfiguration delay: the frame we just
-				// processed used the old pipeline; the next uses nextISP.
-				activeISP = nextISP
-				timing = newTiming
-				setting = newSetting
-			}
-
-			// The controller bank is indexed by the knob speed; gains match
-			// the plant once the speed slew completes.
-			newDes, err := r.design(setting.SpeedKmph, timing.HMs, cfg.Platform.CeilToStep(timing.TauMs))
-			if err != nil {
+		if l.t >= l.nextFrameMs-1e-9 {
+			if err := l.step(); err != nil {
 				return nil, err
 			}
-			if newDes != ctl.D {
-				nc := control.NewController(newDes)
-				nc.CopyStateFrom(ctl)
-				ctl = nc
-			}
-
-			nextFrameMs += timing.HMs
-			frame++
 		}
-
-		// ---- Physics ----
-		// Speed knob slew: gentle acceleration, firm braking.
-		if plant.Vx < targetSpeed {
-			plant.Vx = math.Min(targetSpeed, plant.Vx+speedAccel*cfg.StepS)
-		} else if plant.Vx > targetSpeed {
-			plant.Vx = math.Max(targetSpeed, plant.Vx-speedDecel*cfg.StepS)
+		start := l.now()
+		done := l.physics()
+		if l.met != nil {
+			l.met.physicsStep(start, time.Now())
 		}
-		plant.Step(cfg.StepS)
-
-		ns, lat, ok := track.Locate(plant.St.X, plant.St.Y, s, 10, 15, 8)
-		if !ok {
-			res.Crashed = true
-			res.CrashSector = track.SectorAt(s)
-			res.CrashTimeS = t / 1000
-			break
-		}
-		s = ns
-		lastLat = lat
-
-		// QoC sample: ground-truth lateral deviation at the look-ahead.
-		if ylTrue, tok := r.truthYL(plant, s); tok {
-			res.PerSector.Add(track.SectorAt(s), ylTrue)
-		}
-
-		// Crash detection.
-		tangent := track.Pose(s).Theta
-		if math.Abs(lat) > crashLat || math.Abs(normAngle(plant.St.Psi-tangent)) > crashHeading {
-			res.Crashed = true
-			res.CrashSector = track.SectorAt(s)
-			res.CrashTimeS = t / 1000
-			break
-		}
-		if s >= endS {
+		if done {
 			break
 		}
 	}
 
-	res.CompletedS = s - cfg.StartS
-	res.Frames = frame
-	res.MAE = res.PerSector.Overall()
-	res.Faults = inj.Counts()
-	res.Degraded = deg.stats
-	if inj != nil {
-		cfg.Obs.Logger().Info("fault injection summary",
-			"faults", res.Faults.String(), "held_frames", deg.stats.HeldFrames,
-			"fallback_entries", deg.stats.FallbackEntries, "fallback_cycles", deg.stats.FallbackCycles,
-			"deadline_misses", deg.stats.DeadlineMisses)
+	res := l.res
+	res.CompletedS, res.Frames, res.MAE = l.s-l.cfg.StartS, l.frame, res.PerSector.Overall()
+	res.Faults, res.Degraded = l.inj.Counts(), l.deg.stats
+	if l.inj != nil {
+		l.cfg.Obs.Logger().Info("fault injection summary",
+			"faults", res.Faults.String(), "held_frames", res.Degraded.HeldFrames,
+			"fallback_entries", res.Degraded.FallbackEntries, "fallback_cycles", res.Degraded.FallbackCycles,
+			"deadline_misses", res.Degraded.DeadlineMisses)
 	}
 	return res, nil
 }
 
-// applyPrecision switches every CNN sensor to the given classifier
-// arithmetic-precision knob value; oracle sensors have no arithmetic and
-// are unaffected.
-func (r *runner) applyPrecision(p string) error {
-	for _, s := range []Sensor{r.cfg.Sens.Road, r.cfg.Sens.Lane, r.cfg.Sens.Scene} {
-		if c, ok := s.(CNN); ok && c.C != nil && c.C.Net != nil {
-			if err := c.C.SetPrecision(p); err != nil {
-				return fmt.Errorf("sim: %w", err)
-			}
+// now reads the wall clock for stage timing, and only when instrumented.
+func (l *loop) now() (t time.Time) {
+	if l.met != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+// step is one control cycle at a sampling instant.
+func (l *loop) step() error {
+	l.watchdog()
+	c := cycle{setting: l.setting, tauMs: l.timing.TauMs}
+	if l.inj.Dropped(l.frame) {
+		l.drop(&c)
+	} else {
+		l.capture(&c)
+		l.identify(&c)
+		// Knob selection from the believed situation: PR and control
+		// knobs apply in this cycle, the ISP knob next cycle.
+		c.setting = l.choose()
+		l.marks[3] = l.now()
+		l.perceive(&c)
+		l.act(&c)
+	}
+	return l.finishCycle(&c)
+}
+
+// watchdog records a command still pending at the next capture (tau
+// stretched past h by an injected overrun, or a retiming that shortened
+// h under a command in flight) when the degradation layer is active.
+// This cycle's output supersedes the stale command either way.
+func (l *loop) watchdog() {
+	if !l.deg.active || math.IsInf(l.actT, 1) {
+		return
+	}
+	l.deg.stats.DeadlineMisses++
+	if l.met != nil {
+		l.met.deadlineMiss.Inc()
+	}
+	l.cfg.Obs.Logger().Warn("actuation deadline missed",
+		"frame", l.frame, "sim_t_ms", l.t, "pending_ms", l.actT)
+	l.actT = math.Inf(1)
+}
+
+// drop handles a camera blackout: nothing reaches the ISP or perception
+// this cycle. It holds the last actuation command (default) or coasts
+// the controller's predictor; finishCycle counts the cycle as a
+// detection failure and feeds it to the fallback machine.
+func (l *loop) drop(c *cycle) {
+	l.marks[0] = l.now()
+	c.dropped = true
+	c.fault.Add(fault.FrameDrop)
+	if l.deg.holdLast {
+		c.u, c.held = l.lastU, true
+		l.deg.stats.HeldFrames++
+	} else {
+		c.u = l.ctl.Coast()
+	}
+	c.ylTrue, _ = l.truthYL()
+}
+
+// capture renders the RAW frame with the RAW-domain faults.
+func (l *loop) capture(c *cycle) {
+	l.marks[0] = l.now()
+	// Classifier ground truth is what the frame depicts: the visible
+	// ground window, starting AT the vehicle, so a frame taken mid-curve
+	// shows curve and turn handling holds until the arc has passed.
+	c.truth = l.cfg.Track.CameraSituationAhead(l.s, 0, l.cfg.PreviewM)
+	// Adversarial lane-marking occlusion acts at render time: the
+	// renderer consults the pure world-space predicate, so the
+	// row-parallel render stays byte-identical to the serial one.
+	if f, ok := l.inj.Occlusion(l.frame); ok {
+		l.occFrac = f
+		l.rend.Occlude = l.occFn
+		c.fault.Add(fault.LaneOcclude)
+	} else {
+		l.rend.Occlude = nil
+	}
+	st := l.plant.St
+	l.rend.RenderRAWInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919)
+	if sigma, ok := l.inj.Noise(l.frame); ok {
+		fault.AddBayerNoise(l.raw, sigma, fault.FrameHash(l.cfg.Seed, l.frame))
+		c.fault.Add(fault.NoiseBurst)
+	}
+	l.marks[1] = l.now()
+}
+
+// identify runs the ISP, then situation identification on its output
+// (Fig. 2): the classifiers the policy invokes this frame, in Road,
+// Lane, Scene order. Classifier faults (stuck-at / bit flip) overwrite a
+// sensor's verdict at its output, so they corrupt the belief exactly
+// when the policy actually invokes that classifier.
+func (l *loop) identify(c *cycle) {
+	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.workers, l.cfg.Obs)
+	if frac, kinds := l.inj.CorruptFrac(l.frame); kinds != 0 {
+		fault.CorruptRGBBand(c.rgb, frac, fault.FrameHash(l.cfg.Seed, l.frame))
+		c.fault |= kinds
+	}
+	l.marks[2] = l.now()
+
+	inv := l.cfg.Policy.Next(l.t)
+	for k, on := range [3]bool{inv.Road, inv.Lane, inv.Scene} {
+		if !on {
+			continue
+		}
+		start := l.now()
+		l.bel[k] = min(max(l.sens[k].Classify(c.rgb, c.truth), 0), numClasses[k]-1)
+		if v, kind, ok := l.inj.Class(l.frame, fault.Target(k), l.bel[k], numClasses[k]); ok {
+			l.bel[k] = v
+			c.fault.Add(kind)
+		}
+		if l.met != nil {
+			l.met.stage(firstClassifierStage+k, start, time.Now())
 		}
 	}
+}
+
+// choose is the knob selector, at start-up and every cycle: the pinned
+// setting in characterization mode, else the robust fallback tuning
+// while degraded, else the setting characterized for the believed
+// situation.
+func (l *loop) choose() knobs.Setting {
+	sit := world.Situation{Layout: world.RoadLayout(l.bel[0]),
+		Lane: world.LaneMarkingForClass(l.bel[1]), Scene: world.Scene(l.bel[2])}
+	switch {
+	case l.cfg.FixedSetting != nil:
+		return *l.cfg.FixedSetting
+	case l.deg.inFallback:
+		return knobs.FallbackSetting(sit)
+	}
+	return knobs.CaseSetting(l.cfg.Case, sit, l.cfg.Table)
+}
+
+// perceive detects the lane in the selected ROI, scores it against
+// ground truth, and gates it: a yL jump beyond what the vehicle can
+// produce in one period is an outlier (dash glitch, clutter lock) to
+// coast through, until three rejections in a row saturate the gate so a
+// genuine change cannot be locked out. A saturated accept is flagged
+// forced: the fallback machine counts it as a bad sample.
+func (l *loop) perceive(c *cycle) {
+	roi, _ := perception.ROIByID(c.setting.ROI)
+	c.pres = l.det.Detect(c.rgb, roi, perception.LookAhead)
+	var trueOK bool
+	if c.ylTrue, trueOK = l.truthYL(); trueOK {
+		l.res.Detection.Add(c.pres.YL, c.ylTrue, c.pres.OK && c.pres.CandidatePixels > 0)
+	}
+	l.marks[4] = l.now()
+
+	c.measOK = c.pres.OK
+	if c.measOK && l.haveYl && math.Abs(c.pres.YL-l.ylPrev) > ylGate {
+		if l.gateRejects < 3 {
+			c.measOK = false
+			l.gateRejects++
+		} else {
+			c.forced = true
+			l.gateRejects = 0
+		}
+	} else if c.measOK {
+		l.gateRejects = 0
+	}
+}
+
+// act computes the command: an LQR step on an accepted measurement, a
+// coast on the controller's predictor otherwise. An injected overrun
+// stretches this one command's delay; the watchdog records it if it
+// slips past the next capture.
+func (l *loop) act(c *cycle) {
+	if c.measOK {
+		l.ylPrev, l.haveYl = c.pres.YL, true
+		if l.cfg.UseFeedforward {
+			l.curvEMA = 0.7*l.curvEMA + 0.3*c.pres.Curvature
+		}
+		c.u = l.ctl.Step(c.pres.YL, l.curvEMA)
+	} else {
+		c.u = l.ctl.Coast()
+	}
+	if extra, ok := l.inj.Overrun(l.frame); ok {
+		c.tauMs += extra
+		c.fault.Add(fault.DeadlineOverrun)
+	}
+}
+
+// finishCycle is the epilogue of every cycle, dropped or processed: it
+// schedules the actuation, records the cycle, feeds the fallback machine,
+// applies a reconfiguration and advances the frame clock.
+func (l *loop) finishCycle(c *cycle) error {
+	if !c.measOK {
+		l.res.DetectFails++
+	}
+	// Actuation tau after capture, ceiled to the simulation step.
+	l.actT = l.t + l.cfg.Platform.CeilToStep(c.tauMs)
+	l.actU, l.lastU = c.u, c.u
+	l.marks[pipelineStages] = l.now()
+	if l.met != nil {
+		l.met.cycle(l, c)
+	}
+	if l.cfg.Trace != nil {
+		l.cfg.Trace(TracePoint{
+			TimeS: l.t / 1000, S: l.s, Lat: l.lastLat, YLTrue: c.ylTrue, YLMeas: c.pres.YL,
+			DetOK: c.measOK, RawDetOK: c.pres.OK, Steer: c.u, Sector: l.cfg.Track.SectorAt(l.s),
+			Setting: c.setting, HMs: l.timing.HMs, TauMs: l.timing.TauMs,
+			Fault: c.fault.String(), Degraded: l.deg.inFallback,
+		})
+	}
+	// Feed the fallback machine after tracing: a mode flip governs the
+	// NEXT cycle's knob selection (one cycle of reconfiguration delay,
+	// like the ISP knob).
+	if l.deg.observe(c.measOK && !c.forced) && l.met != nil {
+		l.met.fallbacks.Inc()
+	}
+	if c.setting != l.setting {
+		if err := l.retune(c.setting); err != nil {
+			return err
+		}
+	}
+	l.nextFrameMs += l.timing.HMs
+	l.frame++
 	return nil
+}
+
+// retune applies knob setting k at start-up and on every
+// reconfiguration: classifier precision (the classifiers that just ran
+// used the old arithmetic), timing, a controller redesigned for them that
+// inherits the running one's state, the speed target, and the ISP, which
+// the next frame uses (one cycle of ISP reconfiguration delay).
+func (l *loop) retune(k knobs.Setting) error {
+	for _, c := range l.cnns {
+		if err := c.SetPrecision(k.Precision); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	timing, err := l.cfg.Platform.TimingForPrecision(k.ISP, l.perFrame, k.Precision)
+	if err != nil {
+		return err
+	}
+	// The controller bank is indexed by the knob speed; gains match the
+	// plant once the speed slew completes.
+	key := designKey{k.SpeedKmph, timing.HMs, l.cfg.Platform.CeilToStep(timing.TauMs)}
+	des, ok := l.designs[key]
+	if !ok {
+		if des, err = control.NewDesign(l.cfg.Plant, key.speed, key.hMs/1000, key.tauMs/1000, perception.LookAhead); err != nil {
+			return err
+		}
+		l.designs[key] = des
+	}
+	if l.ctl == nil || des != l.ctl.D {
+		nc := control.NewController(des)
+		if l.ctl != nil {
+			nc.CopyStateFrom(l.ctl)
+		}
+		l.ctl = nc
+	}
+	l.activeISP, _ = isp.ByID(k.ISP)
+	l.timing, l.setting = timing, k
+	l.targetSpeed = vehicle.Kmph(k.SpeedKmph)
+	l.res.SettingsUsed = append(l.res.SettingsUsed, k)
+	return nil
+}
+
+// physics advances the plant one step (speed-knob slew with gentle
+// acceleration and firm braking, dynamics, localization, the QoC sample)
+// and reports whether the run ends: the end of the track, or a crash,
+// recorded here.
+func (l *loop) physics() bool {
+	track, p, dt := l.cfg.Track, l.plant, l.cfg.StepS
+	if p.Vx < l.targetSpeed {
+		p.Vx = math.Min(l.targetSpeed, p.Vx+speedAccel*dt)
+	} else if p.Vx > l.targetSpeed {
+		p.Vx = math.Max(l.targetSpeed, p.Vx-speedDecel*dt)
+	}
+	p.Step(dt)
+
+	s, lat, ok := track.Locate(p.St.X, p.St.Y, l.s, 10, 15, 8)
+	crashed := !ok
+	if ok {
+		l.s, l.lastLat = s, lat
+		// QoC sample: ground-truth lateral deviation at the look-ahead.
+		if ylTrue, tok := l.truthYL(); tok {
+			l.res.PerSector.Add(track.SectorAt(s), ylTrue)
+		}
+		crashed = math.Abs(lat) > crashLat || math.Abs(normAngle(p.St.Psi-track.Pose(s).Theta)) > crashHeading
+	}
+	if crashed {
+		l.res.Crashed, l.res.CrashSector, l.res.CrashTimeS = true, track.SectorAt(l.s), l.t/1000
+		return true
+	}
+	return l.s >= l.endS
 }
 
 // truthYL computes the ground-truth lateral deviation of the lane center
 // at the look-ahead distance in the vehicle frame.
-func (r *runner) truthYL(plant *vehicle.Plant, s float64) (float64, bool) {
-	px := plant.St.X + perception.LookAhead*math.Cos(plant.St.Psi)
-	py := plant.St.Y + perception.LookAhead*math.Sin(plant.St.Psi)
-	_, lat, ok := r.cfg.Track.Locate(px, py, s, 10, 15, 8)
+func (l *loop) truthYL() (float64, bool) {
+	st := l.plant.St
+	px := st.X + perception.LookAhead*math.Cos(st.Psi)
+	py := st.Y + perception.LookAhead*math.Sin(st.Psi)
+	_, lat, ok := l.cfg.Track.Locate(px, py, l.s, 10, 15, 8)
 	if !ok {
 		return 0, false
 	}
 	return -lat, true
-}
-
-func clampClass(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v >= n {
-		return n - 1
-	}
-	return v
 }
 
 func normAngle(a float64) float64 {
