@@ -343,6 +343,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i := range axes {
+		if ctx.Err() != nil {
+			break // select picks at random when a slot frees as ctx ends
+		}
 		select {
 		case <-ctx.Done():
 		case sem <- struct{}{}:
