@@ -59,17 +59,27 @@ func sameResult(a, b Result) bool {
 		a.CandidatePixels == b.CandidatePixels
 }
 
+// sameBits reports whether a and b have the same bits or are both NaN.
+// Where a sum meets two NaNs, which one it returns follows the operand
+// order the register allocator picks for that copy of the expression,
+// so NaN payloads are outside the bit-exact contract (DESIGN.md §5);
+// no mask bit or Result field depends on them.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
 // checkDetectMatchesOracle runs Detect on img, compares its BEV score,
-// mask, any flag and Result with detectOracle's, bit for bit, and
-// returns the Result.
+// mask, any flag and Result with detectOracle's, bit for bit (a NaN
+// must meet a NaN), and returns the Result.
 func checkDetectMatchesOracle(t *testing.T, name string, d *Detector, img *raster.RGB, roi ROI) Result {
 	t.Helper()
 	got := d.Detect(img, roi, LookAhead)
 	want, wantScore, wantMask, wantAny := detectOracle(d, img, roi, LookAhead)
 	sc := d.scratch
 	for i := range wantScore.Pix {
-		if math.Float32bits(sc.bev.Pix[i]) != math.Float32bits(wantScore.Pix[i]) {
-			t.Fatalf("%s: BEV pixel %d = %v, oracle %v", name, i, sc.bev.Pix[i], wantScore.Pix[i])
+		if !sameBits(sc.bev.Pix[i], wantScore.Pix[i]) {
+			t.Fatalf("%s: BEV pixel %d = %#08x, oracle %#08x", name, i,
+				math.Float32bits(sc.bev.Pix[i]), math.Float32bits(wantScore.Pix[i]))
 		}
 	}
 	n := len(wantMask)
@@ -93,7 +103,9 @@ func checkDetectMatchesOracle(t *testing.T, name string, d *Detector, img *raste
 // on rendered S0 frames: every ROI, one situation per scene, three
 // frame sizes, with and without 8-bit quantization. It compares the BEV
 // score, the mask, the any flag and the full Result.
-func TestScoreBEVMatchesOracle(t *testing.T) {
+func TestScoreBEVMatchesOracle(t *testing.T) { forEachDetectPath(t, checkScoreBEVMatchesOracle) }
+
+func checkScoreBEVMatchesOracle(t *testing.T) {
 	sits := []world.Situation{
 		{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day},
 		{Layout: world.RightTurn, Lane: world.LaneMarking{Color: world.Yellow, Form: world.Dotted}, Scene: world.Night},
@@ -131,15 +143,23 @@ func TestScoreBEVMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDetectSpecialValuesMatchOracle feeds Detect frames holding NaN,
-// ±Inf, -0 and out-of-range samples, which the quantizer, the bilinear
+// TestDetectSpecialValuesMatchOracle feeds Detect frames holding NaN
+// (x86's default 0xffc00000 among them), ±Inf, -0, out-of-range samples
+// and samples on and beside qz's rounding midpoints, which the quantizer, the bilinear
 // weights and the statistics must all carry exactly as the oracles do.
 func TestDetectSpecialValuesMatchOracle(t *testing.T) {
+	forEachDetectPath(t, checkDetectSpecialValuesMatchOracle)
+}
+
+func checkDetectSpecialValuesMatchOracle(t *testing.T) {
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	for _, cam := range []camera.Camera{camera.Scaled(96, 48), camera.Scaled(192, 96)} {
-		for k, specials := range [][]float32{{nan}, {inf}, {-inf}, {negZero}, {nan, inf, -inf, negZero, 1.5, -0.25}} {
+		for k, specials := range [][]float32{
+			{nan}, {inf}, {-inf}, {negZero}, {nan, inf, -inf, negZero, 1.5, -0.25},
+			{defaultNaN}, {defaultNaN, nan, inf, -inf}, qzMidpoints(),
+		} {
 			img := raster.NewRGB(cam.Width, cam.Height)
 			planes := [][]float32{img.R, img.G, img.B}
 			for p, plane := range planes {
@@ -172,7 +192,9 @@ func TestDetectSpecialValuesMatchOracle(t *testing.T) {
 // near ROI edge exactly onto the image's last row and the ROI's right
 // edge exactly onto its last column, where the bilinear neighbours must
 // be clamped back onto the image as raster.Gray.Sample clamps them.
-func TestDetectImageEdgeFootprint(t *testing.T) {
+func TestDetectImageEdgeFootprint(t *testing.T) { forEachDetectPath(t, checkDetectImageEdgeFootprint) }
+
+func checkDetectImageEdgeFootprint(t *testing.T) {
 	// Pitch 0, fx 15, height 4: v = 60/dist and u = 7.5 - 15*lat/dist,
 	// so dist 4 gives v = 15 and lat ±2 give u = 0 and 15.
 	geo := Geometry{fx: 15, cx: 7.5, cy: 0, height: 4, sinP: 0, cosP: 1, w: 16, h: 16}
@@ -196,9 +218,12 @@ func TestDetectImageEdgeFootprint(t *testing.T) {
 // TestBinarizeMatchesOracle compares binarizeInto with the four-pass
 // oracle on synthetic score rasters — NaN, ±Inf and -0 samples, hot rows
 // on and next to the top and bottom border, heights below the 5-tap
-// interior — and checks the smoothed and normalized maps bit for bit as
+// interior, every width from 1 to 24 (each column tail of the row
+// kernels) — and checks the smoothed and normalized maps bit for bit as
 // well as the mask and the any flag.
-func TestBinarizeMatchesOracle(t *testing.T) {
+func TestBinarizeMatchesOracle(t *testing.T) { forEachDetectPath(t, checkBinarizeMatchesOracle) }
+
+func checkBinarizeMatchesOracle(t *testing.T) {
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
@@ -244,7 +269,11 @@ func TestBinarizeMatchesOracle(t *testing.T) {
 		},
 	}
 	for name, f := range fills {
-		for _, size := range [][2]int{{96, 160}, {40, 1}, {40, 2}, {40, 3}, {40, 4}, {40, 5}, {40, 6}, {7, 9}} {
+		sizes := [][2]int{{96, 160}, {40, 1}, {40, 2}, {40, 3}, {40, 4}, {40, 5}, {40, 6}, {7, 9}}
+		for w := 1; w <= 24; w++ {
+			sizes = append(sizes, [2]int{w, 7})
+		}
+		for _, size := range sizes {
 			w, h := size[0], size[1]
 			score := raster.NewGray(w, h)
 			for y := 0; y < h; y++ {

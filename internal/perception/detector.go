@@ -3,6 +3,7 @@ package perception
 import (
 	"math"
 
+	"hsas/internal/cpufeat"
 	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
@@ -166,19 +167,16 @@ type bevRow struct {
 	fy     float32 // v - y0
 }
 
-// bevSample is one BEV pixel's horizontal footprint; x0 is -1 when the
-// ground point misses the image (the pixel scores 0).
-type bevSample struct {
-	x0 int32
-	fx float32
-}
-
 // bevFootprint is the bilinear sampling footprint of every BEV pixel,
-// built once per key and reused across frames.
+// built once per key and reused across frames. x0 and fx hold each BEV
+// pixel's horizontal footprint, row-major: x0 is -1 when the ground
+// point misses the image (the pixel scores 0), and fx is the weight of
+// column x0+1.
 type bevFootprint struct {
-	key     bevKey
-	rows    []bevRow
-	samples []bevSample
+	key  bevKey
+	rows []bevRow
+	x0   []int32
+	fx   []float32
 }
 
 // footprint returns the sampling footprint for the ROI and image size,
@@ -196,25 +194,27 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 	w, h := d.BevW, d.BevH
 	fp.key = key
 	fp.rows = grow(fp.rows, h)
-	fp.samples = grow(fp.samples, w*h)
+	fp.x0 = grow(fp.x0, w*h)
+	fp.fx = grow(fp.fx, w*h)
 	for row := 0; row < h; row++ {
 		dist := d.rowToDist(roi, row)
 		left, right := roi.LatAt(dist)
 		fr := bevRow{}
 		for col := 0; col < w; col++ {
+			i := row*w + col
 			lat := left + (right-left)*float64(col)/float64(w-1)
 			u, v, ok := d.Geo.GroundToImage(dist, lat)
 			// Rejecting NaN here writes the 0 that sampling NaN
 			// coordinates would score.
 			if !ok || !(u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)) {
-				fp.samples[row*w+col] = bevSample{x0: -1}
+				fp.x0[i], fp.fx[i] = -1, 0
 				continue
 			}
 			// The bilinear footprint of raster.Gray.Sample at (u, v),
 			// which needs no clamping here.
 			x0, y0 := int(u), int(v)
 			fr = bevRow{ok: true, r0: y0 * iw, r1: min(y0+1, ih-1) * iw, fy: float32(v - float64(y0))}
-			fp.samples[row*w+col] = bevSample{x0: int32(x0), fx: float32(u - float64(x0))}
+			fp.x0[i], fp.fx[i] = int32(x0), float32(u-float64(x0))
 		}
 		fp.rows[row] = fr
 	}
@@ -228,41 +228,80 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 // Every pixel is written (unmapped samples score 0), so out may be a
 // recycled buffer with arbitrary contents. The footprint lives in
 // d.scratch, which Detect allocates.
+//
+// With quantization on and AVX2 present, scoreRowAVX scores each row
+// eight pixels at a time and scoreRow the last BevW mod 8; otherwise
+// scoreRow scores every pixel.
 func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
 	fp := d.footprint(roi, img.W, img.H)
-	w, xMax := d.BevW, img.W-1
+	w := d.BevW
 	for row, fr := range fp.rows {
 		orow := out.Pix[row*w : (row+1)*w]
 		if !fr.ok {
 			clear(orow)
 			continue
 		}
-		for col, s := range fp.samples[row*w : (row+1)*w] {
-			if s.x0 < 0 {
-				orow[col] = 0
-				continue
-			}
-			x0 := int(s.x0)
-			x1 := min(x0+1, xMax)
-			i00, i10, i01, i11 := fr.r0+x0, fr.r0+x1, fr.r1+x0, fr.r1+x1
-			r := qz(bilinear(img.R, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
-			g := qz(bilinear(img.G, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
-			b := qz(bilinear(img.B, i00, i10, i01, i11, s.fx, fr.fy), d.Quantize)
-			luma := 0.2126*r + 0.7152*g + 0.0722*b
-			chroma := r - b
-			if chroma < 0 {
-				chroma = 0
-			}
-			orow[col] = luma + 0.9*chroma
-		}
+		scoreBEVRow(orow, fp.x0[row*w:][:w], fp.fx[row*w:][:w], img, fr, d.Quantize)
 	}
 	return out
 }
 
-// bilinear is raster.Gray.Sample's interpolation over the samples at
-// the four indices, evaluated in the same order so the bits match.
-func bilinear(pix []float32, i00, i10, i01, i11 int, fx, fy float32) float32 {
-	return pix[i00]*(1-fx)*(1-fy) + pix[i10]*fx*(1-fy) + pix[i01]*(1-fx)*fy + pix[i11]*fx*fy
+// scoreBEVRow scores one on-image BEV row, whose per-sample footprint
+// is x0 and fx and whose source rows and vertical weight are in fr.
+func scoreBEVRow(orow []float32, x0 []int32, fx []float32, img *raster.RGB, fr bevRow, quantize bool) {
+	iw := img.W
+	src := bevSrc{
+		img.R[fr.r0:][:iw], img.R[fr.r1:][:iw],
+		img.G[fr.r0:][:iw], img.G[fr.r1:][:iw],
+		img.B[fr.r0:][:iw], img.B[fr.r1:][:iw],
+	}
+	if v := len(orow) &^ 7; detectAVX && quantize && v > 0 {
+		ptrs := [6]*float32{&src[0][0], &src[1][0], &src[2][0], &src[3][0], &src[4][0], &src[5][0]}
+		scoreRowAVX(&orow[0], &x0[:v][0], &fx[:v][0], v, &ptrs, fr.fy, int32(iw-1), &scoreWeights)
+		orow, x0, fx = orow[v:], x0[v:], fx[v:]
+	}
+	scoreRow(orow, x0, fx, &src, fr.fy, quantize)
+}
+
+// detectAVX selects the AVX2 row kernels of scoreBEVInto and
+// binarizeInto. It is set once from the CPU probe; tests clear it to run
+// the pure-Go path.
+var detectAVX = cpufeat.AVX2
+
+// bevSrc holds one BEV row's two bilinear source rows of each plane:
+// R upper and lower, then G, then B.
+type bevSrc [6][]float32
+
+// scoreWeights are the score's constants as scoreRow rounds them: the
+// luma weights of R, G and B, then the chroma weight.
+var scoreWeights = [4]float32{0.2126, 0.7152, 0.0722, 0.9}
+
+// scoreRow scores the BEV pixels of one row whose horizontal footprints
+// are x0 and fx (len(orow) of each), reading the source rows src at
+// vertical weight fy.
+func scoreRow(orow []float32, x0 []int32, fx []float32, src *bevSrc, fy float32, quantize bool) {
+	gy := 1 - fy
+	xMax := len(src[0]) - 1
+	x0, fx = x0[:len(orow)], fx[:len(orow)]
+	for col, x := range x0 {
+		if x < 0 {
+			orow[col] = 0
+			continue
+		}
+		a := int(x)
+		b := min(a+1, xMax)
+		f := fx[col]
+		g := 1 - f
+		r := qz(raster.Bilerp(src[0][a], src[0][b], src[1][a], src[1][b], f, g, fy, gy), quantize)
+		gr := qz(raster.Bilerp(src[2][a], src[2][b], src[3][a], src[3][b], f, g, fy, gy), quantize)
+		bl := qz(raster.Bilerp(src[4][a], src[4][b], src[5][a], src[5][b], f, g, fy, gy), quantize)
+		luma := scoreWeights[0]*r + scoreWeights[1]*gr + scoreWeights[2]*bl
+		chroma := r - bl
+		if chroma < 0 {
+			chroma = 0
+		}
+		orow[col] = luma + scoreWeights[3]*chroma
+	}
 }
 
 // qzTab[k] is the 8-bit level k as a sample, float32(k)/255.
@@ -339,7 +378,7 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 	pix := score.Pix
 
 	// One pass per row smooths, filters and accumulates the statistics.
-	var sum, sum2 float64
+	var sums [2]float64
 	for y := 0; y < h; y++ {
 		// Vertical smoothing first: markings are vertically extended
 		// stripes in the bird's-eye view, so averaging a few rows is a
@@ -349,20 +388,7 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 		// border loop's order so every bit matches it.
 		row := smooth[y*w : (y+1)*w]
 		if y >= 2 && y < h-2 {
-			p0 := pix[(y-2)*w:][:len(row)]
-			p1 := pix[(y-1)*w:][:len(row)]
-			p2 := pix[y*w:][:len(row)]
-			p3 := pix[(y+1)*w:][:len(row)]
-			p4 := pix[(y+2)*w:][:len(row)]
-			for x := range row {
-				var s float32
-				s += 1 * p0[x]
-				s += 2 * p1[x]
-				s += 3 * p2[x]
-				s += 2 * p3[x]
-				s += 1 * p4[x]
-				row[x] = s / 9
-			}
+			smoothRow(row, pix[(y-2)*w:(y+3)*w])
 		} else {
 			for x := range row {
 				var s, wsum float32
@@ -378,21 +404,11 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 				row[x] = s / wsum
 			}
 		}
-
-		// The normalized map is the positive part of the lane-marking
-		// filter response, 0 elsewhere. Its statistics skip the zeros:
-		// each would add +0 to a non-negative running sum, which leaves
-		// its bits unchanged.
-		for x := stripeTau; x < w-stripeTau; x++ {
-			if resp := stripeResponse(row, x); resp > 0 {
-				sum += resp
-				sum2 += resp * resp
-			}
-		}
+		stripeSums(row, &sums)
 	}
 	n := float64(w * h)
-	mean := sum / n
-	variance := sum2/n - mean*mean
+	mean := sums[0] / n
+	variance := sums[1]/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -402,7 +418,7 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 		th = threshFloor
 	}
 
-	// Threshold and stripe-width filter, one pass per row, recomputing
+	// Threshold and stripe-width filter, one row at a time, recomputing
 	// the response rather than storing the map. th is at least
 	// threshFloor > 0 (or NaN), so a pixel is on exactly when its
 	// response exceeds th, and the zeros outside the filter's span never
@@ -412,26 +428,98 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 	// horizontal runs rejects those edges.
 	any := false
 	for y := 0; y < h; y++ {
-		row := smooth[y*w : (y+1)*w]
 		mrow := mask[y*w : (y+1)*w]
-		start := 0
-		for x := 0; x <= w; x++ {
-			if x < w {
-				on := x >= stripeTau && x < w-stripeTau && stripeResponse(row, x) > th
-				mrow[x] = on
-				if on {
-					continue
-				}
-			}
-			if x-start > maxStripeCols {
-				clear(mrow[start:x])
-			} else if x > start {
-				any = true
-			}
-			start = x + 1
+		stripeMask(mrow, smooth[y*w:(y+1)*w], th)
+		if clearWideRuns(mrow) {
+			any = true
 		}
 	}
 	return mask, any
+}
+
+// smoothRow writes the interior five-tap smoothing of the rows in win
+// (five consecutive rows of len(row) pixels) to row: the taps added to
+// +0 in row order, then divided by 9. With AVX2 smoothRowAVX takes the
+// columns in groups of eight and the loop the rest.
+func smoothRow(row, win []float32) {
+	w := len(row)
+	x := 0
+	if v := w &^ 7; detectAVX && v > 0 {
+		smoothRowAVX(&row[0], &win[0], w, v)
+		x = v
+	}
+	p0 := win[0*w:][:w]
+	p1 := win[1*w:][:w]
+	p2 := win[2*w:][:w]
+	p3 := win[3*w:][:w]
+	p4 := win[4*w:][:w]
+	for ; x < w; x++ {
+		var s float32
+		s += 1 * p0[x]
+		s += 2 * p1[x]
+		s += 3 * p2[x]
+		s += 2 * p3[x]
+		s += 1 * p4[x]
+		row[x] = s / 9
+	}
+}
+
+// stripeSums adds every positive lane-filter response of the smoothed
+// row to sums[0] and its square to sums[1], serially in column order.
+// The normalized map is the positive part of the response, 0 elsewhere;
+// the statistics skip the zeros, each of which would add +0 to a
+// non-negative running sum and leave its bits unchanged. With AVX2
+// stripeSumsAVX takes the columns four at a time and the loop the rest.
+func stripeSums(row []float32, sums *[2]float64) {
+	x, end := stripeTau, len(row)-stripeTau
+	if v := (end - x) &^ 3; detectAVX && v > 0 {
+		stripeSumsAVX(&row[0], v, sums)
+		x += v
+	}
+	sum, sum2 := sums[0], sums[1]
+	for ; x < end; x++ {
+		if resp := stripeResponse(row, x); resp > 0 {
+			sum += resp
+			sum2 += resp * resp
+		}
+	}
+	sums[0], sums[1] = sum, sum2
+}
+
+// stripeMask sets mrow[x] where the lane-filter response of the
+// smoothed row exceeds th and clears it elsewhere, including the
+// stripeTau columns at either end that the filter does not reach. With
+// AVX2 stripeMaskAVX takes the columns four at a time and the loop the
+// rest.
+func stripeMask(mrow []bool, row []float32, th float64) {
+	clear(mrow)
+	x, end := stripeTau, len(row)-stripeTau
+	if v := (end - x) &^ 3; detectAVX && v > 0 {
+		stripeMaskAVX(&mrow[0], &row[0], v, th)
+		x += v
+	}
+	for ; x < end; x++ {
+		mrow[x] = stripeResponse(row, x) > th
+	}
+}
+
+// clearWideRuns clears every run of set pixels in mrow wider than
+// maxStripeCols and reports whether any pixel stays set.
+func clearWideRuns(mrow []bool) bool {
+	any := false
+	start := 0
+	for x := 0; x <= len(mrow); x++ {
+		if x < len(mrow) && mrow[x] {
+			continue
+		}
+		if x-start > maxStripeCols {
+			clear(mrow[start:x])
+		} else if x > start {
+			any = true
+		}
+		start = x + 1
+	}
+	return any
 }
 
 // stripeResponse is the lane-marking filter (Nieto et al.) at column x

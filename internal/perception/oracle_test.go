@@ -26,13 +26,9 @@ func qzOracle(v float32, on bool) float32 {
 }
 
 // scoreBEVOracle is the BEV scoring scoreBEVInto replaced: the ground
-// point projected per pixel and three independent raster.Gray.Sample
-// calls, quantized by qzOracle.
+// point projected per pixel and scored by scoreSampleOracle.
 func scoreBEVOracle(d *Detector, out *raster.Gray, img *raster.RGB, roi ROI) {
 	w, h := d.BevW, d.BevH
-	rPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.R}
-	gPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.G}
-	bPlane := &raster.Gray{W: img.W, H: img.H, Pix: img.B}
 	for row := 0; row < h; row++ {
 		dist := d.rowToDist(roi, row)
 		left, right := roi.LatAt(dist)
@@ -43,17 +39,23 @@ func scoreBEVOracle(d *Detector, out *raster.Gray, img *raster.RGB, roi ROI) {
 				out.Pix[row*w+col] = 0
 				continue
 			}
-			r := qzOracle(rPlane.Sample(u, v), d.Quantize)
-			g := qzOracle(gPlane.Sample(u, v), d.Quantize)
-			b := qzOracle(bPlane.Sample(u, v), d.Quantize)
-			luma := 0.2126*r + 0.7152*g + 0.0722*b
-			chroma := r - b
-			if chroma < 0 {
-				chroma = 0
-			}
-			out.Pix[row*w+col] = luma + 0.9*chroma
+			out.Pix[row*w+col] = scoreSampleOracle(img, u, v, d.Quantize)
 		}
 	}
+}
+
+// scoreSampleOracle is one BEV pixel's score at the image point (u, v):
+// three independent raster.Gray.Sample calls, quantized by qzOracle.
+func scoreSampleOracle(img *raster.RGB, u, v float64, quantize bool) float32 {
+	r := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.R}).Sample(u, v), quantize)
+	g := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.G}).Sample(u, v), quantize)
+	b := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.B}).Sample(u, v), quantize)
+	luma := 0.2126*r + 0.7152*g + 0.0722*b
+	chroma := r - b
+	if chroma < 0 {
+		chroma = 0
+	}
+	return luma + 0.9*chroma
 }
 
 // binarizeOracle is the four-pass binarization binarizeInto replaced:

@@ -120,13 +120,13 @@ func TestDetectBuildsFootprintOnce(t *testing.T) {
 	d.Detect(img, roi1, LookAhead)
 	const poison = 42
 	fp := &d.scratch.fp
-	fp.samples[0].fx = poison
+	fp.fx[0] = poison
 	d.Detect(img, roi1, LookAhead)
-	if fp.samples[0].fx != poison {
+	if fp.fx[0] != poison {
 		t.Fatal("Detect rebuilt the footprint although its key did not change")
 	}
 	d.Detect(img, roi2, LookAhead)
-	if fp.samples[0].fx == poison {
+	if fp.fx[0] == poison {
 		t.Fatal("Detect kept the footprint of another ROI")
 	}
 }

@@ -208,7 +208,17 @@ func (g *Gray) Sample(x, y float64) float32 {
 	v10 := g.Pix[y0*g.W+x1]
 	v01 := g.Pix[y1*g.W+x0]
 	v11 := g.Pix[y1*g.W+x1]
-	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
+	return Bilerp(v00, v10, v01, v11, fx, 1-fx, fy, 1-fy)
+}
+
+// Bilerp blends the four corners of a bilinear footprint: v00 and v10
+// on the upper source row, v01 and v11 on the lower, fx and fy the
+// position's offsets from v00 and gx = 1-fx, gy = 1-fy their
+// complements. It is the one definition of the blend: Sample,
+// ResizeInto and the perception BEV gather all evaluate it, so all of
+// them round alike.
+func Bilerp(v00, v10, v01, v11, fx, gx, fy, gy float32) float32 {
+	return v00*gx*gy + v10*fx*gy + v01*gx*fy + v11*fx*fy
 }
 
 // Resize returns im resampled to w×h with bilinear interpolation. It is
@@ -217,26 +227,58 @@ func (im *RGB) Resize(w, h int) *RGB {
 	return im.ResizeInto(NewRGB(w, h))
 }
 
+// axisTap is Sample's bilinear footprint along one axis: the two source
+// indices and the weights f of i1 and g = 1-f of i0.
+type axisTap struct {
+	i0, i1 int32
+	f, g   float32
+}
+
+// tapAt is the footprint Sample computes along an axis of n source
+// pixels at the position p, which must not be NaN.
+func tapAt(p float64, n int) axisTap {
+	p = clampF(p, 0, float64(n-1))
+	i0 := int(p)
+	f := float32(p - float64(i0))
+	return axisTap{i0: int32(i0), i1: int32(min(i0+1, n-1)), f: f, g: 1 - f}
+}
+
+// resizeCols is how many output columns ResizeInto footprints at a
+// time, in a table on its stack; wider outputs take several strips.
+const resizeCols = 128
+
 // ResizeInto resamples im into out (whose dimensions select the target
 // size) and returns out. Every output pixel is written, so out may be a
 // recycled buffer with arbitrary contents. out must not alias im.
+//
+// Each output pixel is Sample of its plane at the pixel's centre,
+// mapped back to im. The footprints are separable: a column's (x0, x1,
+// fx, 1-fx) and a row's (y0, y1, fy, 1-fy) are computed once, and every
+// pixel and plane blends its four corners through Bilerp.
 func (im *RGB) ResizeInto(out *RGB) *RGB {
 	if out == im {
 		panic("raster: ResizeInto output aliases input")
 	}
-	w, h := out.W, out.H
+	sw, w, h := im.W, out.W, out.H
 	sx := float64(im.W) / float64(w)
 	sy := float64(im.H) / float64(h)
-	planesIn := [][]float32{im.R, im.G, im.B}
-	planesOut := [][]float32{out.R, out.G, out.B}
-	for p := 0; p < 3; p++ {
-		src := &Gray{W: im.W, H: im.H, Pix: planesIn[p]}
-		dst := planesOut[p]
+	n, m := im.W*im.H, w*h
+	planes := [3][2][]float32{{im.R[:n], out.R[:m]}, {im.G[:n], out.G[:m]}, {im.B[:n], out.B[:m]}}
+	var cols [resizeCols]axisTap
+	for c0 := 0; c0 < w; c0 += resizeCols {
+		xs := cols[:min(w-c0, resizeCols)]
+		for i := range xs {
+			xs[i] = tapAt((float64(c0+i)+0.5)*sx-0.5, sw)
+		}
 		for y := 0; y < h; y++ {
-			fy := (float64(y)+0.5)*sy - 0.5
-			for x := 0; x < w; x++ {
-				fx := (float64(x)+0.5)*sx - 0.5
-				dst[y*w+x] = src.Sample(fx, fy)
+			ty := tapAt((float64(y)+0.5)*sy-0.5, im.H)
+			for _, p := range planes {
+				up := p[0][int(ty.i0)*sw:][:sw]
+				dn := p[0][int(ty.i1)*sw:][:sw]
+				dst := p[1][y*w+c0:][:len(xs)]
+				for i, t := range xs {
+					dst[i] = Bilerp(up[t.i0], up[t.i1], dn[t.i0], dn[t.i1], t.f, t.g, ty.f, ty.g)
+				}
 			}
 		}
 	}
