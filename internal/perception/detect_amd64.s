@@ -117,19 +117,23 @@ GLOBL maskBytes<>(SB), RODATA|NOPTR, $64
 	VMULPS       Y15, ya, ya; \
 	VBLENDVPS    y2, y1, ya, ya
 
-// func scoreRowAVX(dst *float32, x0 *int32, fx *float32, n int, src *[6]*float32, fy float32, xMax int32, k *[4]float32)
+// func scoreRowAVX(dst *float32, s *bevSample, n int, src *[6]*float32, fy float32, xMax int32, k *[4]float32)
 //
-// Per pass: x0 < 0 lanes are masked (Y10) and gather column 0, x1 =
-// min(x0+1, xMax); R, G and B are blended and quantized, then
+// Per pass: eight (x0, fx) samples are split into an x0 and an fx
+// vector (VSHUFPS picks the even or odd words of two loads, VPERMQ
+// restores column order); x0 < 0 lanes are masked (Y10) and gather
+// column 0, x1 = min(x0+1, xMax); R, G and B are blended and quantized,
+// then
 //
 //	luma   = k0·r + k1·g + k2·b
 //	chroma = r - b, +0 where it is < 0
 //	out    = luma + k3·chroma, +0 in the masked lanes
 //
-// Register map: DI=dst, SI=x0, DX=fx, CX=end offset, AX=offset, R8=k,
-// R9-R13/BX=source rows, Y15=1, Y14=fy, Y13=gy, Y12=xMax, Y11=0.
-TEXT ·scoreRowAVX(SB), NOSPLIT, $0-56
-	MOVQ src+32(FP), AX
+// Register map: DI=dst, SI=samples, CX=end offset, AX=offset into dst
+// (2·AX into samples), R8=k, R9-R13/BX=source rows, Y15=1, Y14=fy,
+// Y13=gy, Y12=xMax, Y11=0.
+TEXT ·scoreRowAVX(SB), NOSPLIT, $0-48
+	MOVQ src+24(FP), AX
 	MOVQ 0(AX), R9
 	MOVQ 8(AX), R10
 	MOVQ 16(AX), R11
@@ -137,12 +141,11 @@ TEXT ·scoreRowAVX(SB), NOSPLIT, $0-56
 	MOVQ 32(AX), R13
 	MOVQ 40(AX), BX
 	MOVQ dst+0(FP), DI
-	MOVQ x0+8(FP), SI
-	MOVQ fx+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ k+48(FP), R8
-	VBROADCASTSS fy+40(FP), Y14
-	MOVL xMax+44(FP), AX
+	MOVQ s+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ k+40(FP), R8
+	VBROADCASTSS fy+32(FP), Y14
+	MOVL xMax+36(FP), AX
 	VMOVD AX, X12
 	VPBROADCASTD X12, Y12
 	MOVL $0x3f800000, AX // 1
@@ -156,13 +159,17 @@ TEXT ·scoreRowAVX(SB), NOSPLIT, $0-56
 score:
 	CMPQ AX, CX
 	JGE  scoreDone
-	VMOVDQU  (SI)(AX*1), Y0
+	VMOVUPS  (SI)(AX*2), Y5
+	VMOVUPS  32(SI)(AX*2), Y6
+	VSHUFPS  $0x88, Y6, Y5, Y0
+	VPERMQ   $0xd8, Y0, Y0 // x0
+	VSHUFPS  $0xdd, Y6, Y5, Y3
+	VPERMQ   $0xd8, Y3, Y3 // fx
 	VPCMPGTD Y0, Y11, Y10  // x0 < 0
 	VPMAXSD  Y11, Y0, Y1   // x0, 0 in masked lanes
 	VPCMPEQD Y2, Y2, Y2
 	VPSUBD   Y2, Y1, Y2    // x0 + 1
 	VPMINSD  Y12, Y2, Y2   // x1
-	VMOVUPS  (DX)(AX*1), Y3
 	VSUBPS   Y3, Y15, Y4   // gx = 1 - fx
 	BILERP(R9, R10, Y8)
 	QZ(Y8, X8, Y5, X5, Y6, X6)

@@ -167,16 +167,19 @@ type bevRow struct {
 	fy     float32 // v - y0
 }
 
+// bevSample is one BEV pixel's horizontal footprint; x0 is -1 when the
+// ground point misses the image (the pixel scores 0).
+type bevSample struct {
+	x0 int32
+	fx float32
+}
+
 // bevFootprint is the bilinear sampling footprint of every BEV pixel,
-// built once per key and reused across frames. x0 and fx hold each BEV
-// pixel's horizontal footprint, row-major: x0 is -1 when the ground
-// point misses the image (the pixel scores 0), and fx is the weight of
-// column x0+1.
+// built once per key and reused across frames.
 type bevFootprint struct {
-	key  bevKey
-	rows []bevRow
-	x0   []int32
-	fx   []float32
+	key     bevKey
+	rows    []bevRow
+	samples []bevSample
 }
 
 // footprint returns the sampling footprint for the ROI and image size,
@@ -194,27 +197,25 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 	w, h := d.BevW, d.BevH
 	fp.key = key
 	fp.rows = grow(fp.rows, h)
-	fp.x0 = grow(fp.x0, w*h)
-	fp.fx = grow(fp.fx, w*h)
+	fp.samples = grow(fp.samples, w*h)
 	for row := 0; row < h; row++ {
 		dist := d.rowToDist(roi, row)
 		left, right := roi.LatAt(dist)
 		fr := bevRow{}
 		for col := 0; col < w; col++ {
-			i := row*w + col
 			lat := left + (right-left)*float64(col)/float64(w-1)
 			u, v, ok := d.Geo.GroundToImage(dist, lat)
 			// Rejecting NaN here writes the 0 that sampling NaN
 			// coordinates would score.
 			if !ok || !(u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)) {
-				fp.x0[i], fp.fx[i] = -1, 0
+				fp.samples[row*w+col] = bevSample{x0: -1}
 				continue
 			}
 			// The bilinear footprint of raster.Gray.Sample at (u, v),
 			// which needs no clamping here.
 			x0, y0 := int(u), int(v)
 			fr = bevRow{ok: true, r0: y0 * iw, r1: min(y0+1, ih-1) * iw, fy: float32(v - float64(y0))}
-			fp.x0[i], fp.fx[i] = int32(x0), float32(u-float64(x0))
+			fp.samples[row*w+col] = bevSample{x0: int32(x0), fx: float32(u - float64(x0))}
 		}
 		fp.rows[row] = fr
 	}
@@ -241,14 +242,14 @@ func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *ras
 			clear(orow)
 			continue
 		}
-		scoreBEVRow(orow, fp.x0[row*w:][:w], fp.fx[row*w:][:w], img, fr, d.Quantize)
+		scoreBEVRow(orow, fp.samples[row*w:(row+1)*w], img, fr, d.Quantize)
 	}
 	return out
 }
 
-// scoreBEVRow scores one on-image BEV row, whose per-sample footprint
-// is x0 and fx and whose source rows and vertical weight are in fr.
-func scoreBEVRow(orow []float32, x0 []int32, fx []float32, img *raster.RGB, fr bevRow, quantize bool) {
+// scoreBEVRow scores one on-image BEV row, whose per-pixel footprints
+// are samples and whose source rows and vertical weight are in fr.
+func scoreBEVRow(orow []float32, samples []bevSample, img *raster.RGB, fr bevRow, quantize bool) {
 	iw := img.W
 	src := bevSrc{
 		img.R[fr.r0:][:iw], img.R[fr.r1:][:iw],
@@ -257,10 +258,10 @@ func scoreBEVRow(orow []float32, x0 []int32, fx []float32, img *raster.RGB, fr b
 	}
 	if v := len(orow) &^ 7; detectAVX && quantize && v > 0 {
 		ptrs := [6]*float32{&src[0][0], &src[1][0], &src[2][0], &src[3][0], &src[4][0], &src[5][0]}
-		scoreRowAVX(&orow[0], &x0[:v][0], &fx[:v][0], v, &ptrs, fr.fy, int32(iw-1), &scoreWeights)
-		orow, x0, fx = orow[v:], x0[v:], fx[v:]
+		scoreRowAVX(&orow[0], &samples[:v][0], v, &ptrs, fr.fy, int32(iw-1), &scoreWeights)
+		orow, samples = orow[v:], samples[v:]
 	}
-	scoreRow(orow, x0, fx, &src, fr.fy, quantize)
+	scoreRow(orow, samples, &src, fr.fy, quantize)
 }
 
 // detectAVX selects the AVX2 row kernels of scoreBEVInto and
@@ -277,20 +278,19 @@ type bevSrc [6][]float32
 var scoreWeights = [4]float32{0.2126, 0.7152, 0.0722, 0.9}
 
 // scoreRow scores the BEV pixels of one row whose horizontal footprints
-// are x0 and fx (len(orow) of each), reading the source rows src at
+// are samples (len(orow) of them), reading the source rows src at
 // vertical weight fy.
-func scoreRow(orow []float32, x0 []int32, fx []float32, src *bevSrc, fy float32, quantize bool) {
+func scoreRow(orow []float32, samples []bevSample, src *bevSrc, fy float32, quantize bool) {
 	gy := 1 - fy
 	xMax := len(src[0]) - 1
-	x0, fx = x0[:len(orow)], fx[:len(orow)]
-	for col, x := range x0 {
-		if x < 0 {
+	for col, s := range samples[:len(orow)] {
+		if s.x0 < 0 {
 			orow[col] = 0
 			continue
 		}
-		a := int(x)
+		a := int(s.x0)
 		b := min(a+1, xMax)
-		f := fx[col]
+		f := s.fx
 		g := 1 - f
 		r := qz(raster.Bilerp(src[0][a], src[0][b], src[1][a], src[1][b], f, g, fy, gy), quantize)
 		gr := qz(raster.Bilerp(src[2][a], src[2][b], src[3][a], src[3][b], f, g, fy, gy), quantize)

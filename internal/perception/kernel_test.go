@@ -92,20 +92,21 @@ func TestScoreBEVRowMatchesOracle(t *testing.T) {
 				}
 			}
 			xMax := iw - 1
-			x0, fx := make([]int32, w), make([]float32, w)
-			for col := range x0 {
+			samples := make([]bevSample, w)
+			for col := range samples {
+				s := &samples[col]
 				switch r := rng.Intn(10); {
 				case r == 0:
-					x0[col] = -1
+					s.x0 = -1
 				case r == 1:
-					x0[col] = int32(xMax) // u = xMax: fx is 0
+					s.x0 = int32(xMax) // u = xMax: fx is 0
 				case r == 2:
-					x0[col] = 0
+					s.x0 = 0
 				default:
-					x0[col] = int32(rng.Intn(iw))
+					s.x0 = int32(rng.Intn(iw))
 				}
-				if x0[col] >= 0 && int(x0[col]) < xMax && rng.Intn(3) != 0 {
-					fx[col] = rng.Float32()
+				if s.x0 >= 0 && int(s.x0) < xMax && rng.Intn(3) != 0 {
+					s.fx = rng.Float32()
 				}
 			}
 			fr := bevRow{ok: true, r0: 0, r1: (ih - 1) * iw}
@@ -117,15 +118,15 @@ func TestScoreBEVRowMatchesOracle(t *testing.T) {
 				for i := range got {
 					got[i] = math.Float32frombits(0x7f812345)
 				}
-				scoreBEVRow(got, x0, fx, img, fr, quantize)
-				for col := range got {
+				scoreBEVRow(got, samples, img, fr, quantize)
+				for col, s := range samples {
 					want := float32(0)
-					if x0[col] >= 0 {
-						want = scoreSampleOracle(img, float64(x0[col])+float64(fx[col]), float64(fr.fy), quantize)
+					if s.x0 >= 0 {
+						want = scoreSampleOracle(img, float64(s.x0)+float64(s.fx), float64(fr.fy), quantize)
 					}
 					if !sameBits(got[col], want) {
 						t.Fatalf("width %d image %dx%d quantize=%v col %d (x0 %d fx %v fy %v): %#08x, oracle %#08x",
-							w, iw, ih, quantize, col, x0[col], fx[col], fr.fy, math.Float32bits(got[col]), math.Float32bits(want))
+							w, iw, ih, quantize, col, s.x0, s.fx, fr.fy, math.Float32bits(got[col]), math.Float32bits(want))
 					}
 				}
 			}

@@ -120,13 +120,13 @@ func TestDetectBuildsFootprintOnce(t *testing.T) {
 	d.Detect(img, roi1, LookAhead)
 	const poison = 42
 	fp := &d.scratch.fp
-	fp.fx[0] = poison
+	fp.samples[0].fx = poison
 	d.Detect(img, roi1, LookAhead)
-	if fp.fx[0] != poison {
+	if fp.samples[0].fx != poison {
 		t.Fatal("Detect rebuilt the footprint although its key did not change")
 	}
 	d.Detect(img, roi2, LookAhead)
-	if fp.fx[0] == poison {
+	if fp.samples[0].fx == poison {
 		t.Fatal("Detect kept the footprint of another ROI")
 	}
 }
