@@ -248,7 +248,8 @@ func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *ras
 }
 
 // scoreBEVRow scores one on-image BEV row, whose per-pixel footprints
-// are samples and whose source rows and vertical weight are in fr.
+// are samples and whose source rows and vertical weight are in fr. Every
+// sample's x0 is -1 or a column of img, as footprint builds them.
 func scoreBEVRow(orow []float32, samples []bevSample, img *raster.RGB, fr bevRow, quantize bool) {
 	iw := img.W
 	src := bevSrc{
@@ -443,16 +444,16 @@ func binarizeInto(score *raster.Gray, smooth []float32, mask []bool) ([]bool, bo
 // columns in groups of eight and the loop the rest.
 func smoothRow(row, win []float32) {
 	w := len(row)
-	x := 0
-	if v := w &^ 7; detectAVX && v > 0 {
-		smoothRowAVX(&row[0], &win[0], w, v)
-		x = v
-	}
 	p0 := win[0*w:][:w]
 	p1 := win[1*w:][:w]
 	p2 := win[2*w:][:w]
 	p3 := win[3*w:][:w]
 	p4 := win[4*w:][:w]
+	x := 0
+	if v := w &^ 7; detectAVX && v > 0 {
+		smoothRowAVX(&row[0], &win[0], w, v)
+		x = v
+	}
 	for ; x < w; x++ {
 		var s float32
 		s += 1 * p0[x]
@@ -492,6 +493,7 @@ func stripeSums(row []float32, sums *[2]float64) {
 // AVX2 stripeMaskAVX takes the columns four at a time and the loop the
 // rest.
 func stripeMask(mrow []bool, row []float32, th float64) {
+	mrow = mrow[:len(row)]
 	clear(mrow)
 	x, end := stripeTau, len(row)-stripeTau
 	if v := (end - x) &^ 3; detectAVX && v > 0 {

@@ -262,8 +262,7 @@ func (im *RGB) ResizeInto(out *RGB) *RGB {
 	sw, w, h := im.W, out.W, out.H
 	sx := float64(im.W) / float64(w)
 	sy := float64(im.H) / float64(h)
-	n, m := im.W*im.H, w*h
-	planes := [3][2][]float32{{im.R[:n], out.R[:m]}, {im.G[:n], out.G[:m]}, {im.B[:n], out.B[:m]}}
+	planes := [3][2][]float32{{im.R, out.R}, {im.G, out.G}, {im.B, out.B}}
 	var cols [resizeCols]axisTap
 	for c0 := 0; c0 < w; c0 += resizeCols {
 		xs := cols[:min(w-c0, resizeCols)]
