@@ -59,25 +59,16 @@ func sameResult(a, b Result) bool {
 		a.CandidatePixels == b.CandidatePixels
 }
 
-// sameBits reports whether a and b have the same bits or are both NaN.
-// Where a sum meets two NaNs, which one it returns follows the operand
-// order the register allocator picks for that copy of the expression,
-// so NaN payloads are outside the bit-exact contract (DESIGN.md §5);
-// no mask bit or Result field depends on them.
-func sameBits(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
-}
-
 // checkDetectMatchesOracle runs Detect on img, compares its BEV score,
-// mask, any flag and Result with detectOracle's, bit for bit (a NaN
-// must meet a NaN), and returns the Result.
+// mask, any flag and Result with detectOracle's, bit for bit, and
+// returns the Result.
 func checkDetectMatchesOracle(t *testing.T, name string, d *Detector, img *raster.RGB, roi ROI) Result {
 	t.Helper()
 	got := d.Detect(img, roi, LookAhead)
 	want, wantScore, wantMask, wantAny := detectOracle(d, img, roi, LookAhead)
 	sc := d.scratch
 	for i := range wantScore.Pix {
-		if !sameBits(sc.bev.Pix[i], wantScore.Pix[i]) {
+		if math.Float32bits(sc.bev.Pix[i]) != math.Float32bits(wantScore.Pix[i]) {
 			t.Fatalf("%s: BEV pixel %d = %#08x, oracle %#08x", name, i,
 				math.Float32bits(sc.bev.Pix[i]), math.Float32bits(wantScore.Pix[i]))
 		}
@@ -143,10 +134,12 @@ func checkScoreBEVMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDetectSpecialValuesMatchOracle feeds Detect frames holding NaN
-// (x86's default 0xffc00000 among them), ±Inf, -0, out-of-range samples
-// and samples on and beside qz's rounding midpoints, which the quantizer, the bilinear
-// weights and the statistics must all carry exactly as the oracles do.
+// TestDetectSpecialValuesMatchOracle feeds Detect frames holding NaNs
+// (x86's default 0xffc00000 and ones with payloads of their own among
+// them), ±Inf, -0, out-of-range samples and samples on and beside qz's
+// rounding midpoints, which the quantizer, the bilinear weights and the
+// statistics must all carry exactly as the oracles do, NaN payloads
+// included.
 func TestDetectSpecialValuesMatchOracle(t *testing.T) {
 	forEachDetectPath(t, checkDetectSpecialValuesMatchOracle)
 }
@@ -156,10 +149,18 @@ func checkDetectSpecialValuesMatchOracle(t *testing.T) {
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	for _, cam := range []camera.Camera{camera.Scaled(96, 48), camera.Scaled(192, 96)} {
+		mixed := []float32{snan, payloadNaN, defaultNaN, nan, inf, -inf}
 		for k, specials := range [][]float32{
 			{nan}, {inf}, {-inf}, {negZero}, {nan, inf, -inf, negZero, 1.5, -0.25},
-			{defaultNaN}, {defaultNaN, nan, inf, -inf}, qzMidpoints(),
+			{defaultNaN}, {defaultNaN, nan, inf, -inf}, mixed, mixed, qzMidpoints(),
 		} {
+			// One in 11 samples is special; in the second mixed frame
+			// every other one, so NaNs with different payloads meet
+			// inside one footprint and in the luma sum.
+			gap := 11
+			if k == 8 {
+				gap = 2
+			}
 			img := raster.NewRGB(cam.Width, cam.Height)
 			planes := [][]float32{img.R, img.G, img.B}
 			for p, plane := range planes {
@@ -170,7 +171,7 @@ func checkDetectSpecialValuesMatchOracle(t *testing.T) {
 					if (i%cam.Width)%16 < 2 {
 						v = 0.9
 					}
-					if (i*7+p*13)%11 == 0 {
+					if (i*7+p*13)%gap == 0 {
 						v = specials[(i+p)%len(specials)]
 					}
 					plane[i] = v

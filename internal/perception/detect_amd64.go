@@ -9,12 +9,12 @@ package perception
 
 // scoreRowAVX scores BEV columns 0..n-1 of one row (n a multiple of 8)
 // as scoreRow does with quantization on: dst and s point at the row's
-// output and footprint, src at the six source rows of bevSrc (each
-// xMax+1 pixels), fy is the row's vertical weight and k points at
+// output and footprint, src at the row's six source rows (each xMax+1
+// pixels), fy is the row's vertical weight and k points at
 // scoreWeights.
 //
 //go:noescape
-func scoreRowAVX(dst *float32, s *bevSample, n int, src *[6]*float32, fy float32, xMax int32, k *[4]float32)
+func scoreRowAVX(dst *float32, s *bevSample, n int, src *bevSrc, fy float32, xMax int32, k *[4]float32)
 
 // smoothRowAVX writes the five-tap smoothing of columns 0..n-1 (n a
 // multiple of 8) to dst as smoothRow does; win points at column 0 of

@@ -5,7 +5,9 @@
 // lane runs the scalar code's operations in its order; every product,
 // sum and quotient is rounded on its own, as in Go: no FMA, which would
 // skip a product's rounding. MXCSR stays at its default (no FTZ/DAZ).
-// Compares are ordered (false for NaN), as Go's are.
+// Compares are ordered (false for NaN), as Go's are. Every sum of the
+// score puts its left operand first (VEX src1), so where both operands
+// are NaN it returns the left one, as the Go code's sums do.
 
 #include "textflag.h"
 
@@ -117,7 +119,7 @@ GLOBL maskBytes<>(SB), RODATA|NOPTR, $64
 	VMULPS       Y15, ya, ya; \
 	VBLENDVPS    y2, y1, ya, ya
 
-// func scoreRowAVX(dst *float32, s *bevSample, n int, src *[6]*float32, fy float32, xMax int32, k *[4]float32)
+// func scoreRowAVX(dst *float32, s *bevSample, n int, src *bevSrc, fy float32, xMax int32, k *[4]float32)
 //
 // Per pass: eight (x0, fx) samples are split into an x0 and an fx
 // vector (VSHUFPS picks the even or odd words of two loads, VPERMQ
@@ -133,13 +135,13 @@ GLOBL maskBytes<>(SB), RODATA|NOPTR, $64
 // (2·AX into samples), R8=k, R9-R13/BX=source rows, Y15=1, Y14=fy,
 // Y13=gy, Y12=xMax, Y11=0.
 TEXT ·scoreRowAVX(SB), NOSPLIT, $0-48
-	MOVQ src+24(FP), AX
+	MOVQ src+24(FP), AX // six slice headers of 24 bytes
 	MOVQ 0(AX), R9
-	MOVQ 8(AX), R10
-	MOVQ 16(AX), R11
-	MOVQ 24(AX), R12
-	MOVQ 32(AX), R13
-	MOVQ 40(AX), BX
+	MOVQ 24(AX), R10
+	MOVQ 48(AX), R11
+	MOVQ 72(AX), R12
+	MOVQ 96(AX), R13
+	MOVQ 120(AX), BX
 	MOVQ dst+0(FP), DI
 	MOVQ s+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -190,7 +192,7 @@ score:
 	VANDNPS      Y6, Y7, Y6
 	VBROADCASTSS 12(R8), Y7
 	VMULPS       Y6, Y7, Y7 // k3·chroma
-	VADDPS       Y5, Y7, Y7
+	VADDPS       Y7, Y5, Y7 // luma first
 	VANDNPS      Y7, Y10, Y7
 	VMOVUPS      Y7, (DI)(AX*1)
 	ADDQ $32, AX

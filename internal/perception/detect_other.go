@@ -2,7 +2,7 @@
 
 package perception
 
-func scoreRowAVX(dst *float32, s *bevSample, n int, src *[6]*float32, fy float32, xMax int32, k *[4]float32) {
+func scoreRowAVX(dst *float32, s *bevSample, n int, src *bevSrc, fy float32, xMax int32, k *[4]float32) {
 	panic("perception: scoreRowAVX called without AVX2")
 }
 

@@ -258,8 +258,7 @@ func scoreBEVRow(orow []float32, samples []bevSample, img *raster.RGB, fr bevRow
 		img.B[fr.r0:][:iw], img.B[fr.r1:][:iw],
 	}
 	if v := len(orow) &^ 7; detectAVX && quantize && v > 0 {
-		ptrs := [6]*float32{&src[0][0], &src[1][0], &src[2][0], &src[3][0], &src[4][0], &src[5][0]}
-		scoreRowAVX(&orow[0], &samples[:v][0], v, &ptrs, fr.fy, int32(iw-1), &scoreWeights)
+		scoreRowAVX(&orow[0], &samples[:v][0], v, &src, fr.fy, int32(iw-1), &scoreWeights)
 		orow, samples = orow[v:], samples[v:]
 	}
 	scoreRow(orow, samples, &src, fr.fy, quantize)
@@ -296,12 +295,23 @@ func scoreRow(orow []float32, samples []bevSample, src *bevSrc, fy float32, quan
 		r := qz(raster.Bilerp(src[0][a], src[0][b], src[1][a], src[1][b], f, g, fy, gy), quantize)
 		gr := qz(raster.Bilerp(src[2][a], src[2][b], src[3][a], src[3][b], f, g, fy, gy), quantize)
 		bl := qz(raster.Bilerp(src[4][a], src[4][b], src[5][a], src[5][b], f, g, fy, gy), quantize)
-		luma := scoreWeights[0]*r + scoreWeights[1]*gr + scoreWeights[2]*bl
 		chroma := r - bl
 		if chroma < 0 {
 			chroma = 0
 		}
-		orow[col] = luma + scoreWeights[3]*chroma
+		// luma + k3·chroma, luma = k0·r + k1·g + k2·b, summed left to
+		// right with a NaN left operand kept, as raster.Bilerp sums.
+		v := scoreWeights[0] * r
+		if v == v {
+			v += scoreWeights[1] * gr
+		}
+		if v == v {
+			v += scoreWeights[2] * bl
+		}
+		if v == v {
+			v += scoreWeights[3] * chroma
+		}
+		orow[col] = v
 	}
 }
 

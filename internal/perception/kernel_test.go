@@ -15,6 +15,14 @@ import (
 // defaultNaN is the NaN x86 arithmetic produces (Inf·0, Inf-Inf).
 var defaultNaN = math.Float32frombits(0xffc00000)
 
+// snan and payloadNaN are NaNs with payloads of their own, a signaling
+// one (which arithmetic quiets) and a negative quiet one, so a test can
+// tell which of two NaN terms a sum returned.
+var (
+	snan       = math.Float32frombits(0x7fa00001)
+	payloadNaN = math.Float32frombits(0xffd00002)
+)
+
 // forEachDetectPath runs check with the AVX2 row kernels dispatched as
 // the CPU allows and again with the pure-Go loops forced.
 func forEachDetectPath(t *testing.T, check func(t *testing.T)) {
@@ -59,21 +67,22 @@ func TestQzLevelProduct(t *testing.T) {
 // TestScoreBEVRowMatchesOracle drives scoreBEVRow with synthetic
 // footprints on every BEV width from 96 to 220, so every column tail
 // length meets the eight-pixel kernel, and compares each pixel with the
-// per-sample oracle at the point the footprint encodes, bit for bit (a
-// NaN must meet a NaN).
+// per-sample oracle at the point the footprint encodes, bit for bit,
+// NaN payloads included.
 // Samples include x0 = -1 (off the image), x0 = 0 and x0 = xMax (where
 // x1 is clamped), fx = 0 and fy = 0 (the blend returns v00 itself, so
 // qz sees the pixel values), one- and two-row sources (r0 = r1 or not),
 // images one pixel wide, and pixels holding the 0xffc00000 NaN, Go's
-// NaN, ±Inf, ±0, subnormals, out-of-range values and samples on and
+// NaN, snan, payloadNaN, ±Inf, ±0, subnormals, out-of-range values and samples on and
 // beside qz's rounding midpoints.
 func TestScoreBEVRowMatchesOracle(t *testing.T) {
 	forEachDetectPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(20))
-		specials := append([]float32{
-			defaultNaN, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		odd := []float32{
+			defaultNaN, float32(math.NaN()), snan, payloadNaN, float32(math.Inf(1)), float32(math.Inf(-1)),
 			0, float32(math.Copysign(0, -1)), math.Float32frombits(1), 1e-40, -0.25, 1.5, 1, 2e38,
-		}, qzMidpoints()...)
+		}
+		specials := append(odd, qzMidpoints()...)
 		for w := 96; w <= 220; w++ {
 			iw, ih := 1+rng.Intn(200), 1+rng.Intn(2)
 			if w%7 == 0 {
@@ -83,9 +92,9 @@ func TestScoreBEVRowMatchesOracle(t *testing.T) {
 			for _, plane := range [][]float32{img.R, img.G, img.B} {
 				for i := range plane {
 					if r := rng.Intn(8); r < 2 {
-						plane[i] = specials[rng.Intn(12)]
+						plane[i] = odd[rng.Intn(len(odd))]
 					} else if r == 2 {
-						plane[i] = specials[12+rng.Intn(len(specials)-12)]
+						plane[i] = specials[len(odd)+rng.Intn(len(specials)-len(odd))]
 					} else {
 						plane[i] = rng.Float32()
 					}
@@ -124,7 +133,7 @@ func TestScoreBEVRowMatchesOracle(t *testing.T) {
 					if s.x0 >= 0 {
 						want = scoreSampleOracle(img, float64(s.x0)+float64(s.fx), float64(fr.fy), quantize)
 					}
-					if !sameBits(got[col], want) {
+					if math.Float32bits(got[col]) != math.Float32bits(want) {
 						t.Fatalf("width %d image %dx%d quantize=%v col %d (x0 %d fx %v fy %v): %#08x, oracle %#08x",
 							w, iw, ih, quantize, col, s.x0, s.fx, fr.fy, math.Float32bits(got[col]), math.Float32bits(want))
 					}
@@ -187,8 +196,8 @@ func FuzzDetectMatchesOracle(f *testing.F) {
 	f.Add(stripes, uint8(4))
 	specials := [16]float32{
 		defaultNaN, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
-		float32(math.Copysign(0, -1)), 0, 1, 0.5, math.Float32frombits(1), -0.25, 1.5, 3e38,
-		math.Nextafter32(0.5/255, 0), math.Nextafter32(0.5/255, 1), math.Nextafter32(254.5/255, 1), 1e-30,
+		float32(math.Copysign(0, -1)), 0, snan, 0.5, math.Float32frombits(1), -0.25, 1.5, 3e38,
+		math.Nextafter32(0.5/255, 0), math.Nextafter32(0.5/255, 1), math.Nextafter32(254.5/255, 1), payloadNaN,
 	}
 	cam := camera.Scaled(48, 24)
 	f.Fuzz(func(t *testing.T, data []byte, roiID uint8) {

@@ -45,17 +45,54 @@ func scoreBEVOracle(d *Detector, out *raster.Gray, img *raster.RGB, roi ROI) {
 }
 
 // scoreSampleOracle is one BEV pixel's score at the image point (u, v):
-// three independent raster.Gray.Sample calls, quantized by qzOracle.
+// each plane sampled by sampleOracle and quantized by qzOracle, then
+// the luma and chroma sums taken left to right through addLeft.
 func scoreSampleOracle(img *raster.RGB, u, v float64, quantize bool) float32 {
-	r := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.R}).Sample(u, v), quantize)
-	g := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.G}).Sample(u, v), quantize)
-	b := qzOracle((&raster.Gray{W: img.W, H: img.H, Pix: img.B}).Sample(u, v), quantize)
-	luma := 0.2126*r + 0.7152*g + 0.0722*b
+	r := qzOracle(sampleOracle(img.R, img.W, img.H, u, v), quantize)
+	g := qzOracle(sampleOracle(img.G, img.W, img.H, u, v), quantize)
+	b := qzOracle(sampleOracle(img.B, img.W, img.H, u, v), quantize)
+	luma := addLeft(addLeft(0.2126*r, 0.7152*g), 0.0722*b)
 	chroma := r - b
 	if chroma < 0 {
 		chroma = 0
 	}
-	return luma + 0.9*chroma
+	return addLeft(luma, 0.9*chroma)
+}
+
+// sampleOracle is raster.Gray.Sample of the w×h plane pix at (x, y),
+// written out rather than calling raster.Bilerp: the position clamped
+// to the frame, then the four corners blended with sums left to right
+// through addLeft.
+func sampleOracle(pix []float32, w, h int, x, y float64) float32 {
+	x, y = clampOracle(x, w-1), clampOracle(y, h-1)
+	x0, y0 := int(x), int(y)
+	x1, y1 := min(x0+1, w-1), min(y0+1, h-1)
+	fx := float32(x - float64(x0))
+	fy := float32(y - float64(y0))
+	v00, v10 := pix[y0*w+x0], pix[y0*w+x1]
+	v01, v11 := pix[y1*w+x0], pix[y1*w+x1]
+	return addLeft(addLeft(addLeft(v00*(1-fx)*(1-fy), v10*fx*(1-fy)), v01*(1-fx)*fy), v11*fx*fy)
+}
+
+// clampOracle clamps v to [0, hi] as raster's clampF does, keeping -0.
+func clampOracle(v float64, hi int) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > float64(hi) {
+		return float64(hi)
+	}
+	return v
+}
+
+// addLeft is a + b as x86 adds with a first: a where a is NaN, else
+// the sum (which is b where only b is NaN). Detection's sums all take a
+// NaN left operand so, whatever operand order the compiler picks.
+func addLeft(a, b float32) float32 {
+	if a != a {
+		return a
+	}
+	return a + b
 }
 
 // binarizeOracle is the four-pass binarization binarizeInto replaced:

@@ -217,8 +217,35 @@ func (g *Gray) Sample(x, y float64) float32 {
 // complements. It is the one definition of the blend: Sample,
 // ResizeInto and the perception BEV gather all evaluate it, so all of
 // them round alike.
+//
+// The four terms are summed left to right, and a NaN sum is the one
+// x86 returns with the left operand first: the left operand where it
+// is NaN, else the right. The compiler may put either operand of a sum
+// first, so a NaN blend is summed again by leftSum, which fixes that
+// order. (Bilerp is kept within the inliner's budget.)
 func Bilerp(v00, v10, v01, v11, fx, gx, fy, gy float32) float32 {
-	return v00*gx*gy + v10*fx*gy + v01*gx*fy + v11*fx*fy
+	t0, t1, t2, t3 := v00*gx*gy, v10*fx*gy, v01*gx*fy, v11*fx*fy
+	if v := t0 + t1 + t2 + t3; v == v {
+		return v
+	}
+	return leftSum(t0, t1, t2, t3)
+}
+
+// leftSum is t0 + t1 + t2 + t3 summed left to right, every sum whose
+// left operand is NaN returning that operand. A sum whose only NaN is
+// its right operand returns it in either operand order, so the result
+// does not depend on the order the compiler picks.
+func leftSum(t0, t1, t2, t3 float32) float32 {
+	if t0 == t0 {
+		t0 += t1
+	}
+	if t0 == t0 {
+		t0 += t2
+	}
+	if t0 == t0 {
+		t0 += t3
+	}
+	return t0
 }
 
 // Resize returns im resampled to w×h with bilinear interpolation. It is

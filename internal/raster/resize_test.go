@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// resizeOracle is the per-pixel loop ResizeInto replaced: Sample of
-// every plane at every output pixel's centre.
+// resizeOracle is the per-pixel loop ResizeInto replaced: every plane
+// sampled at every output pixel's centre by sampleOracle.
 func resizeOracle(im, out *RGB) {
 	w, h := out.W, out.H
 	sx := float64(im.W) / float64(w)
@@ -22,16 +22,45 @@ func resizeOracle(im, out *RGB) {
 			fy := (float64(y)+0.5)*sy - 0.5
 			for x := 0; x < w; x++ {
 				fx := (float64(x)+0.5)*sx - 0.5
-				dst[y*w+x] = src.Sample(fx, fy)
+				dst[y*w+x] = sampleOracle(src, fx, fy)
 			}
 		}
 	}
 }
 
+// sampleOracle is Gray.Sample with the blend written out rather than
+// taken from Bilerp, its sums left to right through addLeft.
+func sampleOracle(g *Gray, x, y float64) float32 {
+	if math.IsNaN(x) || math.IsNaN(y) {
+		return 0
+	}
+	x = clampF(x, 0, float64(g.W-1))
+	y = clampF(y, 0, float64(g.H-1))
+	x0, y0 := int(x), int(y)
+	x1, y1 := min(x0+1, g.W-1), min(y0+1, g.H-1)
+	fx := float32(x - float64(x0))
+	fy := float32(y - float64(y0))
+	v00 := g.Pix[y0*g.W+x0]
+	v10 := g.Pix[y0*g.W+x1]
+	v01 := g.Pix[y1*g.W+x0]
+	v11 := g.Pix[y1*g.W+x1]
+	return addLeft(addLeft(addLeft(v00*(1-fx)*(1-fy), v10*fx*(1-fy)), v01*(1-fx)*fy), v11*fx*fy)
+}
+
+// addLeft is a + b as x86 adds with a first: a where a is NaN, else
+// the sum (which is b where only b is NaN).
+func addLeft(a, b float32) float32 {
+	if a != a {
+		return a
+	}
+	return a + b
+}
+
 // resizeSpecials are pixel values the blend must carry exactly: NaNs
-// with either sign, ±Inf, ±0, subnormals and values outside [0, 1].
+// with either sign and distinct payloads (one signaling), ±Inf, ±0, subnormals and values outside [0, 1].
 var resizeSpecials = []float32{
 	math.Float32frombits(0xffc00000), float32(math.NaN()),
+	math.Float32frombits(0x7fa00001), math.Float32frombits(0xffd00002),
 	float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
 	math.Float32frombits(1), -math.Float32frombits(0x007fffff), 1e-40,
 	-0.5, 1.5, 3e38, -3e38,
@@ -58,11 +87,9 @@ func randomRGB(rng *rand.Rand, w, h, specialEvery int) *RGB {
 // growing (1×N and N×1 sources among them), the classifier shapes from
 // the loop's frame sizes, widths past the footprint strip of
 // resizeCols columns, and frames holding NaN, ±Inf, ±0, subnormals and
-// out-of-range values. out starts poisoned, so a pixel left unwritten
-// fails too. A NaN must meet a NaN: which of two NaN terms a sum
-// returns follows the operand order the compiler's register allocator
-// picks, and that differs between inlined copies of one expression
-// (DESIGN.md §5).
+// out-of-range values. NaN payloads must match too: where two NaN terms
+// meet, the left one's. out starts poisoned, so a pixel left unwritten
+// fails too.
 func TestResizeIntoMatchesSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	type pair struct{ sw, sh, w, h int }
@@ -96,7 +123,7 @@ func TestResizeIntoMatchesSample(t *testing.T) {
 		resizeOracle(im, want)
 		for k, planes := range [3][2][]float32{{got.R, want.R}, {got.G, want.G}, {got.B, want.B}} {
 			for j := range planes[1] {
-				if g, w := planes[0][j], planes[1][j]; !sameBits(g, w) {
+				if g, w := planes[0][j], planes[1][j]; math.Float32bits(g) != math.Float32bits(w) {
 					t.Fatalf("%dx%d → %dx%d (specials 1/%d) plane %d pixel (%d, %d) = %#08x, Sample loop %#08x",
 						p.sw, p.sh, p.w, p.h, special, k, j%p.w, j/p.w, math.Float32bits(g), math.Float32bits(w))
 				}
@@ -128,9 +155,4 @@ func BenchmarkResize(b *testing.B) {
 			})
 		}
 	}
-}
-
-// sameBits reports whether a and b have the same bits or are both NaN.
-func sameBits(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
 }
