@@ -221,8 +221,9 @@ func (g *Gray) Sample(x, y float64) float32 {
 // The four terms are summed left to right, and a NaN sum is the one
 // x86 returns with the left operand first: the left operand where it
 // is NaN, else the right. The compiler may put either operand of a sum
-// first, so a NaN blend is summed again by leftSum, which fixes that
-// order. (Bilerp is kept within the inliner's budget.)
+// first, which changes only which NaN a sum returns, so a NaN blend is
+// summed again by leftSum, which fixes that order. One compare per
+// blend keeps Bilerp small enough to inline.
 func Bilerp(v00, v10, v01, v11, fx, gx, fy, gy float32) float32 {
 	t0, t1, t2, t3 := v00*gx*gy, v10*fx*gy, v01*gx*fy, v11*fx*fy
 	if v := t0 + t1 + t2 + t3; v == v {
