@@ -1,0 +1,61 @@
+package camera
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"hsas/internal/raster"
+	"hsas/internal/world"
+)
+
+// lapPoses returns n poses spread evenly over the nine-sector lap, with a
+// small weave in lateral offset and heading as a driven lap has.
+func lapPoses(tr *world.Track, n int) []VehiclePose {
+	ps := make([]VehiclePose, n)
+	for i := range ps {
+		s := tr.Length() * (float64(i) + 0.5) / float64(n)
+		ph := 2 * math.Pi * float64(i) / 7
+		ps[i] = PoseOnTrack(tr, s, 0.3*math.Sin(ph), 0.02*math.Cos(ph))
+	}
+	return ps
+}
+
+// BenchmarkRender times one frame of the loop's camera at 192×96 over
+// poses spread across the nine-sector lap (every sector's scene and
+// layout), in two parts: the scene shading (RenderSceneInto) at one and
+// two workers, and the sensor mosaic (MosaicInto), which is serial.
+// One op is one frame; the poses are taken in turn.
+func BenchmarkRender(b *testing.B) {
+	tr := world.NineSectorTrack()
+	cam := Scaled(192, 96)
+	poses := lapPoses(tr, 36)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("scene/workers=%d", workers), func(b *testing.B) {
+			rend := NewRenderer(tr, cam)
+			rend.Workers = workers
+			out := raster.NewRGB(cam.Width, cam.Height)
+			rend.RenderSceneInto(out, poses[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rend.RenderSceneInto(out, poses[i%len(poses)])
+			}
+		})
+	}
+	b.Run("mosaic", func(b *testing.B) {
+		rend := NewRenderer(tr, cam)
+		rend.Workers = 1
+		var scenes []*raster.RGB
+		for i := 0; i < len(poses); i += 4 {
+			scenes = append(scenes, rend.RenderScene(poses[i]))
+		}
+		raw := raster.NewBayer(cam.Width, cam.Height)
+		rend.MosaicInto(raw, scenes[0], 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rend.MosaicInto(raw, scenes[i%len(scenes)], int64(i))
+		}
+	})
+}

@@ -79,12 +79,16 @@ const (
 //
 // RenderScene / RenderRAW / Mosaic allocate their outputs and are safe
 // for concurrent use. The Into variants reuse caller buffers plus
-// per-renderer scratch (scene buffer, noise stream) and must be called
-// from one goroutine at a time; run-level parallelism (the
+// per-renderer scratch (scene buffer, track view, noise stream) and must
+// be called from one goroutine at a time; run-level parallelism (the
 // characterization sweep) gives each run its own Renderer.
 type Renderer struct {
 	Track *world.Track
-	Cam   Camera
+
+	// Cam is the camera the renderer was built for. NewRenderer derives
+	// the ray, ground and vignetting tables from it, so it is fixed from
+	// then on: build a new Renderer for another camera.
+	Cam Camera
 
 	// Workers bounds the row-parallel scene shading (RenderScene and the
 	// Into variants): 0 uses GOMAXPROCS, 1 forces serial. The rendered
@@ -100,91 +104,170 @@ type Renderer struct {
 	// byte-identical-for-any-worker-count contract breaks.
 	Occlude func(s, lat float64) bool
 
-	rayX, rayY, rayZ []float64 // per-pixel ray directions in camera frame
-	vig              []float32 // per-pixel vignetting gain
+	ground groundTable
+	vig    []float32 // per-pixel vignetting gain
 
 	rng   *rand.Rand  // MosaicInto's reusable noise stream
 	scene *raster.RGB // RenderRAWInto's scene scratch
+	view  world.View  // RenderSceneInto's track window of the frame
 }
 
-// NewRenderer precomputes the per-pixel ray table for the camera.
+// groundTable is what each pixel's ray needs from the camera alone. The
+// pitch and mount height are fixed, so a ray's world z component, its
+// class and its ground distance are the same in every frame; only the
+// heading turns the ray's x and y components. Rows above skyRows are all
+// sky and have no entries.
+type groundTable struct {
+	sinP, cosP float64      // of the pitch
+	skyRows    int          // rows [0, skyRows) are all sky
+	groundRow  int          // first row holding a ground pixel
+	class      []pixelClass // per pixel from row skyRows
+	ray        []groundRay  // per pixel from row skyRows
+}
+
+type pixelClass uint8
+
+const (
+	pixelGround pixelClass = iota
+	pixelSky               // the ray does not point down
+	pixelHaze              // the ground hit lies beyond MaxDist
+)
+
+// groundRay is a pixel's unit ray in the camera frame and, on ground and
+// haze pixels, its ground distance MountHeight / -dz.
+type groundRay struct{ x, y, z, t float64 }
+
+// NewRenderer precomputes the per-pixel ground and vignetting tables for
+// the camera.
 func NewRenderer(track *world.Track, cam Camera) *Renderer {
-	r := &Renderer{Track: track, Cam: cam}
+	r := &Renderer{Track: track, Cam: cam, ground: newGroundTable(cam)}
 	w, h := cam.Width, cam.Height
-	fx := float64(w) / 2 / math.Tan(cam.FOVDeg*math.Pi/360)
 	cx, cy := float64(w)/2-0.5, float64(h)/2-0.5
-	r.rayX = make([]float64, w*h)
-	r.rayY = make([]float64, w*h)
-	r.rayZ = make([]float64, w*h)
 	r.vig = make([]float32, w*h)
 	maxR2 := cx*cx + cy*cy
 	for v := 0; v < h; v++ {
 		for u := 0; u < w; u++ {
-			i := v*w + u
-			// Camera frame: x right, y down, z forward.
-			dx := (float64(u) - cx) / fx
-			dy := (float64(v) - cy) / fx
-			dz := 1.0
-			n := math.Sqrt(dx*dx + dy*dy + dz*dz)
-			r.rayX[i], r.rayY[i], r.rayZ[i] = dx/n, dy/n, dz/n
 			r2 := ((float64(u)-cx)*(float64(u)-cx) + (float64(v)-cy)*(float64(v)-cy)) / maxR2
-			r.vig[i] = float32(1 - Vignetting*r2)
+			r.vig[v*w+u] = float32(1 - Vignetting*r2)
 		}
 	}
 	return r
 }
 
+func newGroundTable(cam Camera) groundTable {
+	w, h := cam.Width, cam.Height
+	fx := float64(w) / 2 / math.Tan(cam.FOVDeg*math.Pi/360)
+	cx, cy := float64(w)/2-0.5, float64(h)/2-0.5
+	pitch := cam.PitchDeg * math.Pi / 180
+	sinP, cosP := math.Sin(pitch), math.Cos(pitch)
+	g := groundTable{sinP: sinP, cosP: cosP, skyRows: h, groundRow: h}
+	pixel := func(u, v int) (groundRay, pixelClass) {
+		// Camera frame: x right, y down, z forward.
+		dx := (float64(u) - cx) / fx
+		dy := (float64(v) - cy) / fx
+		dz := 1.0
+		n := math.Sqrt(dx*dx + dy*dy + dz*dz)
+		ray := groundRay{x: dx / n, y: dy / n, z: dz / n}
+		// World z of the ray: the z components of the camera basis are
+		// 0 (right), −cos(pitch) (down) and −sin(pitch) (forward).
+		wz := ray.x*0 + ray.y*(-cosP) + ray.z*(-sinP)
+		if wz >= -1e-6 {
+			return ray, pixelSky
+		}
+		ray.t = cam.MountHeight / -wz
+		if ray.t > cam.MaxDist {
+			return ray, pixelHaze
+		}
+		return ray, pixelGround
+	}
+
+	for v := 0; v < h && g.skyRows == h; v++ {
+		for u := 0; u < w; u++ {
+			if _, c := pixel(u, v); c != pixelSky {
+				g.skyRows = v
+				break
+			}
+		}
+	}
+	n := (h - g.skyRows) * w
+	g.ray, g.class = make([]groundRay, n), make([]pixelClass, n)
+	for j := range n {
+		v := g.skyRows + j/w
+		g.ray[j], g.class[j] = pixel(j%w, v)
+		if g.class[j] == pixelGround {
+			g.groundRow = min(g.groundRow, v)
+		}
+	}
+	return g
+}
+
 // RenderScene renders the linear scene radiance (before the sensor model)
 // as an RGB image. Used for ground-truth inspection and by RenderRAW.
 func (r *Renderer) RenderScene(vp VehiclePose) *raster.RGB {
-	return r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), vp)
+	var view world.View
+	return r.render(raster.NewRGB(r.Cam.Width, r.Cam.Height), vp, &view)
 }
 
 // RenderSceneInto renders the linear scene radiance into out and returns
 // it. Every pixel is written, so out may be a recycled buffer. Shading is
 // row-parallel over r.Workers; the track query (Locate/SurfaceAt) and the
 // texture hash are pure, so the output is byte-identical to the serial
-// render.
+// render. Not safe for concurrent use.
 func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB {
+	return r.render(out, vp, &r.view)
+}
+
+// render shades the frame into out, keeping the frame's track window in
+// view. Rows above the first ground row hold only sky and haze and are
+// filled on the calling goroutine; the ground rows are split over
+// r.Workers.
+func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *raster.RGB {
 	w, h := r.Cam.Width, r.Cam.Height
 	if out.W != w || out.H != h {
 		panic(fmt.Sprintf("camera: RenderSceneInto buffer is %dx%d, camera is %dx%d", out.W, out.H, w, h))
 	}
 
+	g := &r.ground
 	sinPsi, cosPsi := math.Sin(vp.Psi), math.Cos(vp.Psi)
-	pitch := r.Cam.PitchDeg * math.Pi / 180
-	sinP, cosP := math.Sin(pitch), math.Cos(pitch)
+	sinP, cosP := g.sinP, g.cosP
 
-	// Camera basis in world coordinates (z up).
-	fwd := [3]float64{cosP * cosPsi, cosP * sinPsi, -sinP}
-	right := [3]float64{sinPsi, -cosPsi, 0}
-	down := [3]float64{-sinP * cosPsi, -sinP * sinPsi, -cosP}
-	camZ := r.Cam.MountHeight
+	// x and y of the camera basis in world coordinates (z up); the z
+	// components are in the ground table.
+	fwd := [2]float64{cosP * cosPsi, cosP * sinPsi}
+	right := [2]float64{sinPsi, -cosPsi}
+	down := [2]float64{-sinP * cosPsi, -sinP * sinPsi}
 
 	scene := r.Track.SituationAt(vp.S).Scene
 	sky := skyColor(scene)
+	// Haze fades the ground into the sky color.
+	haze := [3]float32{sky[0] * 0.9, sky[1] * 0.9, sky[2] * 0.9}
+	*view = r.Track.View(vp.S, 20, r.Cam.MaxDist+10)
 
-	raster.ParallelRows(h, r.Workers, func(y0, y1 int) {
-		for i := y0 * w; i < y1*w; i++ {
-			// Ray direction in world coordinates.
-			dx := r.rayX[i]*right[0] + r.rayY[i]*down[0] + r.rayZ[i]*fwd[0]
-			dy := r.rayX[i]*right[1] + r.rayY[i]*down[1] + r.rayZ[i]*fwd[1]
-			dz := r.rayX[i]*right[2] + r.rayY[i]*down[2] + r.rayZ[i]*fwd[2]
-
-			if dz >= -1e-6 {
+	off := g.skyRows * w
+	for i := 0; i < g.groundRow*w; i++ {
+		c := sky
+		if i >= off && g.class[i-off] == pixelHaze {
+			c = haze
+		}
+		out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
+	}
+	raster.ParallelRows(h-g.groundRow, r.Workers, func(y0, y1 int) {
+		for i := (g.groundRow + y0) * w; i < (g.groundRow+y1)*w; i++ {
+			switch g.class[i-off] {
+			case pixelSky:
 				out.R[i], out.G[i], out.B[i] = sky[0], sky[1], sky[2]
 				continue
-			}
-			t := camZ / -dz
-			dist := t
-			if dist > r.Cam.MaxDist {
-				// Haze: fade the ground into the sky color.
-				out.R[i], out.G[i], out.B[i] = sky[0]*0.9, sky[1]*0.9, sky[2]*0.9
+			case pixelHaze:
+				out.R[i], out.G[i], out.B[i] = haze[0], haze[1], haze[2]
 				continue
 			}
-			gx := vp.X + t*dx
-			gy := vp.Y + t*dy
-			rad := r.shadeGround(gx, gy, vp, scene, dist)
+			ray := &g.ray[i-off]
+			// Ray direction in world coordinates.
+			dx := ray.x*right[0] + ray.y*down[0] + ray.z*fwd[0]
+			dy := ray.x*right[1] + ray.y*down[1] + ray.z*fwd[1]
+			gx := vp.X + ray.t*dx
+			gy := vp.Y + ray.t*dy
+			rad := r.shadeGround(gx, gy, vp, scene, ray.t, view)
 			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 		}
 	})
@@ -192,11 +275,11 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 }
 
 // shadeGround returns the linear radiance of the ground point (gx, gy).
-func (r *Renderer) shadeGround(gx, gy float64, vp VehiclePose, scene world.Scene, dist float64) [3]float32 {
-	s, lat, ok := r.Track.Locate(gx, gy, vp.S, 20, r.Cam.MaxDist+10, world.RoadHalfWidth+6)
+func (r *Renderer) shadeGround(gx, gy float64, vp VehiclePose, scene world.Scene, dist float64, view *world.View) [3]float32 {
+	s, lat, ok := view.Locate(gx, gy, world.RoadHalfWidth+6)
 	var alb [3]float64
 	if ok {
-		sf := r.Track.SurfaceAt(s, lat)
+		sf := view.SurfaceAt(s, lat)
 		if sf.Kind == world.SurfaceMarking && r.Occlude != nil && r.Occlude(s, lat) {
 			sf = world.Surface{Kind: world.SurfaceAsphalt}
 		}

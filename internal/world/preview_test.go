@@ -83,3 +83,27 @@ func TestRightLaneAtAndCurvatureAt(t *testing.T) {
 		t.Fatalf("arc curvature = %v", k)
 	}
 }
+
+// TestDominantSituationAheadTieIsDeterministic: a window split exactly
+// between two segments must name the same one on every call (the first,
+// by index), whatever order a map would have visited them in.
+func TestDominantSituationAheadTieIsDeterministic(t *testing.T) {
+	a := Situation{Straight, LaneMarking{White, Continuous}, Day}
+	b := Situation{Straight, LaneMarking{Yellow, Dotted}, Night}
+	tr := NewTrack([]Segment{
+		{Length: 10, Situation: a, RightLane: rightDotted},
+		{Length: 10, Situation: b, RightLane: rightDotted},
+	}, 0)
+	for i := 0; i < 200; i++ {
+		if got := tr.CameraSituationAhead(5, 0, 10); got != a {
+			t.Fatalf("call %d: tied window labelled %v, want the first segment's %v", i, got, a)
+		}
+		if got := tr.DominantSituationAhead(5, 0, 10); got != a {
+			t.Fatalf("call %d: DominantSituationAhead gave %v, want %v", i, got, a)
+		}
+	}
+	// Without a tie the longer cover still wins.
+	if got := tr.DominantSituationAhead(6, 0, 10); got != b {
+		t.Fatalf("window mostly on the second segment labelled %v, want %v", got, b)
+	}
+}

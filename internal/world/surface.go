@@ -27,10 +27,16 @@ const RoadHalfWidth = 5.0 // meters from the ego-lane center
 // situation's left marking at +LaneWidth/2 and the segment's right
 // marking at -LaneWidth/2.
 func (t *Track) SurfaceAt(s, lat float64) Surface {
+	return t.surfaceAt(s, lat, len(t.Segments)-1)
+}
+
+// surfaceAt is SurfaceAt with the segment search started at from (see
+// segIndexFrom).
+func (t *Track) surfaceAt(s, lat float64, from int) Surface {
 	if math.Abs(lat) > RoadHalfWidth {
 		return Surface{Kind: SurfaceOffRoad}
 	}
-	seg := t.Segments[t.segIndex(s)]
+	seg := t.Segments[t.segIndexFrom(s, from)]
 	half := t.LaneWidth / 2
 	if onMarking(seg.Situation.Lane, s, lat-half) {
 		return Surface{Kind: SurfaceMarking, Color: seg.Situation.Lane.Color}

@@ -130,6 +130,12 @@ func (t *Track) SectorAt(s float64) int {
 }
 
 func (t *Track) segIndex(s float64) int {
+	return t.segIndexFrom(s, len(t.Segments)-1)
+}
+
+// segIndexFrom is segIndex with its downward scan started at segment
+// from, which must be at or past the segment containing s.
+func (t *Track) segIndexFrom(s float64, from int) int {
 	if s <= 0 {
 		return 0
 	}
@@ -137,7 +143,7 @@ func (t *Track) segIndex(s float64) int {
 		return len(t.Segments) - 1
 	}
 	// Linear scan: tracks have at most a handful of segments.
-	for i := len(t.cum) - 1; i >= 0; i-- {
+	for i := from; i >= 0; i-- {
 		if s >= t.cum[i] {
 			return i
 		}
@@ -193,26 +199,28 @@ func (t *Track) CameraSituationAhead(s, near, far float64) Situation {
 // assigns to a frame whose ground view spans that distance range. Near a
 // transition the majority flips roughly mid-window: early enough to brake
 // before a curve, late enough not to accelerate while still inside it.
+// Of segments with equal cover the first one wins.
 func (t *Track) DominantSituationAhead(s, near, far float64) Situation {
 	lo, hi := s+near, s+far
 	best := t.SituationAt(lo)
 	bestLen := 0.0
-	covered := map[int]float64{}
+	last := len(t.Segments) - 1
+	// Segments are scanned in index order and only a strictly longer
+	// cover replaces the best, so on a tie the lowest index wins.
 	for i, seg := range t.Segments {
+		covered := 0.0
 		a := math.Max(lo, t.cum[i])
 		b := math.Min(hi, t.cum[i]+seg.Length)
 		if b > a {
-			covered[i] += b - a
+			covered = b - a
 		}
-	}
-	// The last segment also absorbs any window part beyond the track end.
-	if hi > t.total {
-		covered[len(t.Segments)-1] += hi - math.Max(lo, t.total)
-	}
-	for i, l := range covered {
-		if l > bestLen {
-			bestLen = l
-			best = t.Segments[i].Situation
+		// The last segment also absorbs any window part beyond the track end.
+		if i == last && hi > t.total {
+			covered += hi - math.Max(lo, t.total)
+		}
+		if covered > bestLen {
+			bestLen = covered
+			best = seg.Situation
 		}
 	}
 	return best
@@ -255,18 +263,52 @@ func (t *Track) Point(s, lat float64) (x, y float64) {
 // ok is false when the point is not within maxLat of any candidate
 // segment's centerline.
 func (t *Track) Locate(x, y, hint, behind, ahead, maxLat float64) (s, lat float64, ok bool) {
-	lo, hi := hint-behind, hint+ahead
-	bestLat := math.Inf(1)
-	found := false
+	v := t.View(hint, behind, ahead)
+	return v.Locate(x, y, maxLat)
+}
+
+// View is the part of a track that a fixed arclength window
+// [hint-behind, hint+ahead] can see. A caller that locates many points
+// against one window (the renderer, once per frame) builds the View once
+// instead of letting every Locate call re-test all segments. The zero
+// View locates nothing.
+type View struct {
+	t          *Track
+	lo, hi     float64
+	first, end int // candidate segments [first, end)
+}
+
+// View returns the window [hint-behind, hint+ahead] of the track: the
+// segments Locate would consider for that hint, found once. They are a
+// contiguous index range, because segment starts and ends both grow with
+// the index (a NaN bound keeps every segment, as it does in Locate).
+func (t *Track) View(hint, behind, ahead float64) View {
+	v := View{t: t, lo: hint - behind, hi: hint + ahead}
 	for i, seg := range t.Segments {
-		if t.cum[i]+seg.Length < lo || t.cum[i] > hi {
+		if t.cum[i]+seg.Length < v.lo || t.cum[i] > v.hi {
 			continue
 		}
-		sl, la, in := t.frames[i].locate(t.starts[i], seg.Curvature, seg.Length, x, y)
+		if v.first == v.end {
+			v.first = i
+		}
+		v.end = i + 1
+	}
+	return v
+}
+
+// Locate is Track.Locate over the view's window: it scans the candidate
+// segments in index order and keeps the first of the smallest |lat|.
+func (v *View) Locate(x, y, maxLat float64) (s, lat float64, ok bool) {
+	t := v.t
+	bestLat := math.Inf(1)
+	found := false
+	for i := v.first; i < v.end; i++ {
+		seg := &t.Segments[i]
+		sl, la, in := t.frames[i].locate(t.starts[i], seg.Curvature, seg.Length, x, y, maxLat)
 		if !in || math.Abs(la) > maxLat {
 			continue
 		}
-		if abs := t.cum[i] + sl; abs < lo || abs > hi {
+		if abs := t.cum[i] + sl; abs < v.lo || abs > v.hi {
 			continue
 		}
 		if math.Abs(la) < math.Abs(bestLat) {
@@ -281,9 +323,24 @@ func (t *Track) Locate(x, y, hint, behind, ahead, maxLat float64) (s, lat float6
 	return s, bestLat, true
 }
 
+// SurfaceAt is Track.SurfaceAt. Its segment search starts at the view's
+// last candidate instead of the track's last segment: an s that Locate
+// returned lies at or below the window's end, and every later segment
+// starts beyond it. An s past the next segment's start takes the whole
+// search, so the result equals Track.SurfaceAt for every s.
+func (v *View) SurfaceAt(s, lat float64) Surface {
+	from := len(v.t.Segments) - 1
+	if v.end <= from && !(s >= v.t.cum[v.end]) {
+		from = v.end - 1
+	}
+	return v.t.surfaceAt(s, lat, from)
+}
+
 // locate projects (x, y) into the (s, lat) frame of the segment that
-// starts at start with curvature k and the given length.
-func (f *segFrame) locate(start Pose, k, length, x, y float64) (s, lat float64, ok bool) {
+// starts at start with curvature k and the given length. On an arc a
+// point whose |lat| exceeds maxLat is rejected before the Atan2 (ok
+// false, s zero); a NaN lat is never rejected early.
+func (f *segFrame) locate(start Pose, k, length, x, y, maxLat float64) (s, lat float64, ok bool) {
 	if math.Abs(k) < 1e-12 {
 		dx, dy := x-start.X, y-start.Y
 		s = f.cos*dx + f.sin*dy
@@ -300,6 +357,9 @@ func (f *segFrame) locate(start Pose, k, length, x, y float64) (s, lat float64, 
 		lat = f.r - rad
 	} else {
 		lat = rad + f.r // r negative
+	}
+	if math.Abs(lat) > maxLat {
+		return 0, lat, false
 	}
 	phi := math.Atan2(vy, vx)
 	s = normAngle(phi-f.phi0) / k
