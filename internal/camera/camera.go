@@ -137,6 +137,28 @@ const (
 // haze pixels, its ground distance MountHeight / -dz.
 type groundRay struct{ x, y, z, t float64 }
 
+// frameAxes holds the x and y components of the camera's right, down
+// and forward axes in world coordinates (z up) at one heading; their z
+// components are in the ground table.
+type frameAxes struct{ right, down, fwd [2]float64 }
+
+func (g *groundTable) axes(psi float64) frameAxes {
+	sinPsi, cosPsi := math.Sin(psi), math.Cos(psi)
+	return frameAxes{
+		right: [2]float64{sinPsi, -cosPsi},
+		down:  [2]float64{-g.sinP * cosPsi, -g.sinP * sinPsi},
+		fwd:   [2]float64{g.cosP * cosPsi, g.cosP * sinPsi},
+	}
+}
+
+// hit returns where a ground ray from a camera at (x, y) meets the
+// ground.
+func (ray *groundRay) hit(x, y float64, ax frameAxes) (gx, gy float64) {
+	dx := ray.x*ax.right[0] + ray.y*ax.down[0] + ray.z*ax.fwd[0]
+	dy := ray.x*ax.right[1] + ray.y*ax.down[1] + ray.z*ax.fwd[1]
+	return x + ray.t*dx, y + ray.t*dy
+}
+
 // NewRenderer precomputes the per-pixel ground and vignetting tables for
 // the camera.
 func NewRenderer(track *world.Track, cam Camera) *Renderer {
@@ -228,15 +250,7 @@ func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *ra
 	}
 
 	g := &r.ground
-	sinPsi, cosPsi := math.Sin(vp.Psi), math.Cos(vp.Psi)
-	sinP, cosP := g.sinP, g.cosP
-
-	// x and y of the camera basis in world coordinates (z up); the z
-	// components are in the ground table.
-	fwd := [2]float64{cosP * cosPsi, cosP * sinPsi}
-	right := [2]float64{sinPsi, -cosPsi}
-	down := [2]float64{-sinP * cosPsi, -sinP * sinPsi}
-
+	ax := g.axes(vp.Psi)
 	scene := r.Track.SituationAt(vp.S).Scene
 	sky := skyColor(scene)
 	// Haze fades the ground into the sky color.
@@ -262,11 +276,7 @@ func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *ra
 				continue
 			}
 			ray := &g.ray[i-off]
-			// Ray direction in world coordinates.
-			dx := ray.x*right[0] + ray.y*down[0] + ray.z*fwd[0]
-			dy := ray.x*right[1] + ray.y*down[1] + ray.z*fwd[1]
-			gx := vp.X + ray.t*dx
-			gy := vp.Y + ray.t*dy
+			gx, gy := ray.hit(vp.X, vp.Y, ax)
 			rad := r.shadeGround(gx, gy, vp, scene, ray.t, view)
 			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 		}

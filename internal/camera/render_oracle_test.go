@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hsas/internal/fault"
@@ -85,6 +86,29 @@ func (o *oracleRenderer) renderScene(vp VehiclePose) *raster.RGB {
 	return out
 }
 
+// groundPoint is the oracle's per-pixel ray cast: pixel i's class and,
+// for a ground pixel, its distance and ground point.
+func (o *oracleRenderer) groundPoint(i int, vp VehiclePose) (c pixelClass, t, gx, gy float64) {
+	r := o.r
+	sinPsi, cosPsi := math.Sin(vp.Psi), math.Cos(vp.Psi)
+	pitch := r.Cam.PitchDeg * math.Pi / 180
+	sinP, cosP := math.Sin(pitch), math.Cos(pitch)
+	fwd := [3]float64{cosP * cosPsi, cosP * sinPsi, -sinP}
+	right := [3]float64{sinPsi, -cosPsi, 0}
+	down := [3]float64{-sinP * cosPsi, -sinP * sinPsi, -cosP}
+	dx := o.rayX[i]*right[0] + o.rayY[i]*down[0] + o.rayZ[i]*fwd[0]
+	dy := o.rayX[i]*right[1] + o.rayY[i]*down[1] + o.rayZ[i]*fwd[1]
+	dz := o.rayX[i]*right[2] + o.rayY[i]*down[2] + o.rayZ[i]*fwd[2]
+	if dz >= -1e-6 {
+		return pixelSky, 0, 0, 0
+	}
+	t = r.Cam.MountHeight / -dz
+	if t > r.Cam.MaxDist {
+		return pixelHaze, t, 0, 0
+	}
+	return pixelGround, t, vp.X + t*dx, vp.Y + t*dy
+}
+
 func (o *oracleRenderer) shadeGround(gx, gy float64, vp VehiclePose, scene world.Scene, dist float64) [3]float32 {
 	r := o.r
 	s, lat, ok := r.Track.Locate(gx, gy, vp.S, 20, r.Cam.MaxDist+10, world.RoadHalfWidth+6)
@@ -163,7 +187,7 @@ func oraclePoses(tr *world.Track) []VehiclePose {
 // the occluder on and off, and worker counts 1, 2, 3 and 8, rendering
 // into buffers dirtied before every frame. Each pose's RAW frame is
 // checked at one worker count, taken in turn. The 512×256 camera takes
-// every third pose (every eighth with -short) to bound the test's time.
+// every fifth pose (every eighth with -short) to bound the test's time.
 func TestRenderMatchesOracle(t *testing.T) {
 	patchy := func(s, lat float64) bool {
 		return fault.MarkingOccluded(s, lat, 0.5, fault.OcclusionSeed(3))
@@ -180,7 +204,7 @@ func TestRenderMatchesOracle(t *testing.T) {
 		for _, cam := range cams {
 			stride := 1
 			if cam.Width >= 512 {
-				stride = 3
+				stride = 5
 				if testing.Short() {
 					stride = 8
 				}
@@ -225,14 +249,77 @@ func TestRenderMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGroundTableMatchesOracle checks the ground table and the per-frame
+// axes below the rendered bits, which absorb most one-ulp geometry
+// changes: every pixel's class, ground distance and ground point must
+// equal the oracle's per-pixel ray cast bit for bit, at every camera
+// size and pose, headings on all four quadrants included.
+func TestGroundTableMatchesOracle(t *testing.T) {
+	tr := fiveSceneTrack()
+	poses := oraclePoses(tr)
+	for _, psi := range []float64{0, math.Pi / 2, -math.Pi / 2, math.Pi, 2.5, -2.5} {
+		poses = append(poses, VehiclePose{X: 3, Y: -4, Psi: psi, S: 10})
+	}
+	for _, cam := range []Camera{Scaled(64, 32), Scaled(96, 48), Scaled(192, 96), Default(), Scaled(40, 7)} {
+		rend := NewRenderer(tr, cam)
+		oracle := newOracleRenderer(rend)
+		g := &rend.ground
+		off := g.skyRows * cam.Width
+		for pi, vp := range poses {
+			ax := g.axes(vp.Psi)
+			for i := 0; i < cam.Width*cam.Height; i++ {
+				wc, wt, wx, wy := oracle.groundPoint(i, vp)
+				c, tt, gx, gy := pixelSky, 0.0, 0.0, 0.0
+				if i >= off {
+					c = g.class[i-off]
+					if c != pixelSky {
+						tt = g.ray[i-off].t
+					}
+					if c == pixelGround {
+						gx, gy = g.ray[i-off].hit(vp.X, vp.Y, ax)
+					}
+				}
+				if c != wc || math.Float64bits(tt) != math.Float64bits(wt) ||
+					math.Float64bits(gx) != math.Float64bits(wx) || math.Float64bits(gy) != math.Float64bits(wy) {
+					t.Fatalf("%dx%d pose %d pixel %d: class %d t %v at (%v, %v), oracle class %d t %v at (%v, %v)",
+						cam.Width, cam.Height, pi, i, c, tt, gx, gy, wc, wt, wx, wy)
+				}
+				if c == pixelGround && i/cam.Width < g.groundRow {
+					t.Fatalf("%dx%d: ground pixel %d above groundRow %d", cam.Width, cam.Height, i, g.groundRow)
+				}
+			}
+		}
+	}
+}
+
 // TestRenderSceneMatchesOracle covers the allocating RenderScene, which
-// keeps its track view on the stack.
+// keeps its track view on its own stack and so stays safe for
+// concurrent use: four goroutines render through one renderer at once.
 func TestRenderSceneMatchesOracle(t *testing.T) {
 	tr := fiveSceneTrack()
 	rend := NewRenderer(tr, Scaled(96, 48))
+	rend.Workers = 2
 	oracle := newOracleRenderer(rend)
-	for pi, vp := range oraclePoses(tr) {
-		checkSceneBits(t, fmt.Sprintf("pose %d", pi), rend.RenderScene(vp), oracle.renderScene(vp))
+	poses := oraclePoses(tr)
+	want := make([]*raster.RGB, len(poses))
+	for pi, vp := range poses {
+		want[pi] = oracle.renderScene(vp)
+	}
+	const goroutines = 4
+	got := make([]*raster.RGB, len(poses))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pi := g; pi < len(poses); pi += goroutines {
+				got[pi] = rend.RenderScene(poses[pi])
+			}
+		}(g)
+	}
+	wg.Wait()
+	for pi := range poses {
+		checkSceneBits(t, fmt.Sprintf("pose %d", pi), got[pi], want[pi])
 	}
 }
 

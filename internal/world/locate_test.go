@@ -174,13 +174,13 @@ func TestViewMatchesOracle(t *testing.T) {
 		for i := range tr.cum {
 			hints = append(hints, tr.cum[i], math.Nextafter(tr.cum[i], -inf), math.Nextafter(tr.cum[i], inf))
 		}
-		for n := 0; n < 200; n++ {
+		for n := 0; n < 50; n++ {
 			hints = append(hints, rng.Float64()*tr.Length())
 		}
 		for _, hint := range hints {
 			for _, win := range [][2]float64{{20, 70}, {10, 15}, {0, 0}, {20, nan}} {
 				v := tr.View(hint, win[0], win[1])
-				for n := 0; n < 60; n++ {
+				for n := 0; n < 40; n++ {
 					var x, y float64
 					switch {
 					case n < len(specialCoords):
