@@ -51,37 +51,19 @@ func newOracleRenderer(r *Renderer) *oracleRenderer {
 
 func (o *oracleRenderer) renderScene(vp VehiclePose) *raster.RGB {
 	r := o.r
-	w, h := r.Cam.Width, r.Cam.Height
-	out := raster.NewRGB(w, h)
-
-	sinPsi, cosPsi := math.Sin(vp.Psi), math.Cos(vp.Psi)
-	pitch := r.Cam.PitchDeg * math.Pi / 180
-	sinP, cosP := math.Sin(pitch), math.Cos(pitch)
-	fwd := [3]float64{cosP * cosPsi, cosP * sinPsi, -sinP}
-	right := [3]float64{sinPsi, -cosPsi, 0}
-	down := [3]float64{-sinP * cosPsi, -sinP * sinPsi, -cosP}
-	camZ := r.Cam.MountHeight
-
+	out := raster.NewRGB(r.Cam.Width, r.Cam.Height)
 	scene := r.Track.SituationAt(vp.S).Scene
 	sky := skyColor(scene)
-	for i := 0; i < w*h; i++ {
-		dx := o.rayX[i]*right[0] + o.rayY[i]*down[0] + o.rayZ[i]*fwd[0]
-		dy := o.rayX[i]*right[1] + o.rayY[i]*down[1] + o.rayZ[i]*fwd[1]
-		dz := o.rayX[i]*right[2] + o.rayY[i]*down[2] + o.rayZ[i]*fwd[2]
-		if dz >= -1e-6 {
+	for i := range out.R {
+		switch c, dist, gx, gy := o.groundPoint(i, vp); c {
+		case pixelSky:
 			out.R[i], out.G[i], out.B[i] = sky[0], sky[1], sky[2]
-			continue
-		}
-		t := camZ / -dz
-		dist := t
-		if dist > r.Cam.MaxDist {
+		case pixelHaze:
 			out.R[i], out.G[i], out.B[i] = sky[0]*0.9, sky[1]*0.9, sky[2]*0.9
-			continue
+		default:
+			rad := o.shadeGround(gx, gy, vp, scene, dist)
+			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 		}
-		gx := vp.X + t*dx
-		gy := vp.Y + t*dy
-		rad := o.shadeGround(gx, gy, vp, scene, dist)
-		out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 	}
 	return out
 }
