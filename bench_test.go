@@ -255,9 +255,9 @@ func BenchmarkISPStages(b *testing.B) {
 	}{
 		{"demosaic", func(w int) { isp.DemosaicBilinearInto(raw, demo, w) }},
 		{"denoise", func(w int) { isp.DenoiseBilateralInto(demo, den, w) }},
-		{"colormap", func(w int) { isp.ApplyColorMapWorkers(den, w) }},
-		{"gamutmap", func(w int) { isp.ApplyGamutMapWorkers(den, w) }},
-		{"tonemap", func(w int) { isp.ApplyToneMapWorkers(den, w) }},
+		{"colormap", func(w int) { isp.ApplyColorMap(den, w) }},
+		{"gamutmap", func(w int) { isp.ApplyGamutMap(den, w) }},
+		{"tonemap", func(w int) { isp.ApplyToneMap(den, w) }},
 	}
 	for _, st := range stages {
 		st := st

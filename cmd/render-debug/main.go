@@ -53,7 +53,7 @@ func main() {
 				annotate(img, geo, roi, res)
 				suffix = "_detect"
 			} else {
-				img = r.RenderScene(vp).Clamp()
+				img = r.RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), vp).Clamp()
 			}
 
 			path := fmt.Sprintf("%s/scene_%s_%s%s.ppm", *out, sc, layout, suffix)

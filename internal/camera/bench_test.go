@@ -48,7 +48,7 @@ func BenchmarkRender(b *testing.B) {
 		rend.Workers = 1
 		var scenes []*raster.RGB
 		for i := 0; i < len(poses); i += 4 {
-			scenes = append(scenes, rend.RenderScene(poses[i]))
+			scenes = append(scenes, rend.RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), poses[i]))
 		}
 		raw := raster.NewBayer(cam.Width, cam.Height)
 		rend.MosaicInto(raw, scenes[0], 1)

@@ -77,11 +77,11 @@ const (
 
 // Renderer renders RAW frames of a track from a vehicle pose.
 //
-// RenderScene / RenderRAW / Mosaic allocate their outputs and are safe
-// for concurrent use. The Into variants reuse caller buffers plus
-// per-renderer scratch (scene buffer, track view, noise stream) and must
-// be called from one goroutine at a time; run-level parallelism (the
-// characterization sweep) gives each run its own Renderer.
+// Every render reuses per-renderer scratch (the scene buffer, the
+// frame's track view and the noise stream), so a Renderer must be used
+// from one goroutine at a time; run-level parallelism (the
+// characterization sweep) gives each run its own Renderer. Within a
+// frame the scene shading is split over Workers.
 type Renderer struct {
 	Track *world.Track
 
@@ -90,10 +90,10 @@ type Renderer struct {
 	// then on: build a new Renderer for another camera.
 	Cam Camera
 
-	// Workers bounds the row-parallel scene shading (RenderScene and the
-	// Into variants): 0 uses GOMAXPROCS, 1 forces serial. The rendered
-	// image is byte-identical for every worker count — the split only
-	// partitions loop bounds over independent pixels.
+	// Workers bounds the row-parallel scene shading: 0 uses GOMAXPROCS,
+	// 1 forces serial. The rendered image is byte-identical for every
+	// worker count — the split only partitions loop bounds over
+	// independent pixels.
 	Workers int
 
 	// Occlude, when non-nil, masks lane-marking paint: a marking point at
@@ -223,27 +223,14 @@ func newGroundTable(cam Camera) groundTable {
 	return g
 }
 
-// RenderScene renders the linear scene radiance (before the sensor model)
-// as an RGB image. Used for ground-truth inspection and by RenderRAW.
-func (r *Renderer) RenderScene(vp VehiclePose) *raster.RGB {
-	var view world.View
-	return r.render(raster.NewRGB(r.Cam.Width, r.Cam.Height), vp, &view)
-}
-
-// RenderSceneInto renders the linear scene radiance into out and returns
-// it. Every pixel is written, so out may be a recycled buffer. Shading is
-// row-parallel over r.Workers; the track query (Locate/SurfaceAt) and the
+// RenderSceneInto renders the linear scene radiance (before the sensor
+// model) into out and returns it. Every pixel is written, so out may be
+// a recycled buffer. Rows above the first ground row hold only sky and
+// haze and are filled on the calling goroutine; the ground rows are
+// split over r.Workers. The track query (Locate/SurfaceAt) and the
 // texture hash are pure, so the output is byte-identical to the serial
-// render. Not safe for concurrent use.
+// render.
 func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB {
-	return r.render(out, vp, &r.view)
-}
-
-// render shades the frame into out, keeping the frame's track window in
-// view. Rows above the first ground row hold only sky and haze and are
-// filled on the calling goroutine; the ground rows are split over
-// r.Workers.
-func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *raster.RGB {
 	w, h := r.Cam.Width, r.Cam.Height
 	if out.W != w || out.H != h {
 		panic(fmt.Sprintf("camera: RenderSceneInto buffer is %dx%d, camera is %dx%d", out.W, out.H, w, h))
@@ -255,7 +242,7 @@ func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *ra
 	sky := skyColor(scene)
 	// Haze fades the ground into the sky color.
 	haze := [3]float32{sky[0] * 0.9, sky[1] * 0.9, sky[2] * 0.9}
-	*view = r.Track.View(vp.S, 20, r.Cam.MaxDist+10)
+	r.view = r.Track.View(vp.S, 20, r.Cam.MaxDist+10)
 
 	off := g.skyRows * w
 	for i := 0; i < g.groundRow*w; i++ {
@@ -277,7 +264,7 @@ func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *ra
 			}
 			ray := &g.ray[i-off]
 			gx, gy := ray.hit(vp.X, vp.Y, ax)
-			rad := r.shadeGround(gx, gy, vp, scene, ray.t, view)
+			rad := r.shadeGround(gx, gy, vp, scene, ray.t)
 			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 		}
 	})
@@ -285,11 +272,11 @@ func (r *Renderer) render(out *raster.RGB, vp VehiclePose, view *world.View) *ra
 }
 
 // shadeGround returns the linear radiance of the ground point (gx, gy).
-func (r *Renderer) shadeGround(gx, gy float64, vp VehiclePose, scene world.Scene, dist float64, view *world.View) [3]float32 {
-	s, lat, ok := view.Locate(gx, gy, world.RoadHalfWidth+6)
+func (r *Renderer) shadeGround(gx, gy float64, vp VehiclePose, scene world.Scene, dist float64) [3]float32 {
+	s, lat, ok := r.view.Locate(gx, gy, world.RoadHalfWidth+6)
 	var alb [3]float64
 	if ok {
-		sf := view.SurfaceAt(s, lat)
+		sf := r.view.SurfaceAt(s, lat)
 		if sf.Kind == world.SurfaceMarking && r.Occlude != nil && r.Occlude(s, lat) {
 			sf = world.Surface{Kind: world.SurfaceAsphalt}
 		}
@@ -429,19 +416,18 @@ func skyColor(scene world.Scene) [3]float32 {
 	return [3]float32{0.5, 0.5, 0.5}
 }
 
-// RenderRAW renders the scene and applies the full sensor model: spectral
-// crosstalk, vignetting, CFA sampling, shot + read noise, and 10-bit
-// quantization. The result is the RAW mosaic the ISP consumes. seed makes
-// the per-frame noise deterministic.
+// RenderRAW renders the scene and applies the full sensor model into a
+// new mosaic; see RenderRAWInto.
 func (r *Renderer) RenderRAW(vp VehiclePose, seed int64) *raster.Bayer {
-	scene := r.RenderScene(vp)
-	return r.Mosaic(scene, seed)
+	return r.RenderRAWInto(raster.NewBayer(r.Cam.Width, r.Cam.Height), vp, seed)
 }
 
 // RenderRAWInto renders the scene into per-renderer scratch and applies
-// the sensor model into raw, returning raw. Every sample is written, so
-// raw may be a recycled buffer. The output is byte-identical to
-// RenderRAW with the same pose and seed. Not safe for concurrent use.
+// the full sensor model into raw: spectral crosstalk, vignetting, CFA
+// sampling, shot + read noise, and 10-bit quantization. The result is
+// the RAW mosaic the ISP consumes; seed makes the per-frame noise
+// deterministic. Every sample is written, so raw may be a recycled
+// buffer. It returns raw.
 func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
 	if r.scene == nil || r.scene.W != w || r.scene.H != h {
@@ -451,32 +437,24 @@ func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) 
 	return r.MosaicInto(raw, r.scene, seed)
 }
 
-// Mosaic applies the sensor model to a linear scene radiance image.
-func (r *Renderer) Mosaic(scene *raster.RGB, seed int64) *raster.Bayer {
-	return mosaicInto(raster.NewBayer(scene.W, scene.H), scene, r.vig, rand.New(rand.NewSource(seed)))
-}
-
-// MosaicInto applies the sensor model into raw and returns it, reseeding
-// a per-renderer noise stream instead of allocating one. Reseeding a
-// rand.Rand restores exactly the state of rand.New(rand.NewSource(seed)),
-// so the noise — and therefore the mosaic — is byte-identical to Mosaic.
-// The sensor noise is a single sequential stream (two normal variates per
-// pixel in raster order), so this stage stays serial by construction.
-// Not safe for concurrent use.
+// MosaicInto applies the sensor model to a linear scene radiance image
+// into raw and returns raw. It reseeds a per-renderer noise stream;
+// reseeding a rand.Rand restores exactly the state of
+// rand.New(rand.NewSource(seed)), so the mosaic depends only on the
+// scene and the seed. The sensor noise is a single sequential stream
+// (two normal variates per pixel in raster order), so this stage stays
+// serial by construction.
 func (r *Renderer) MosaicInto(raw *raster.Bayer, scene *raster.RGB, seed int64) *raster.Bayer {
+	w, h := scene.W, scene.H
+	if raw.W != w || raw.H != h {
+		panic(fmt.Sprintf("camera: mosaic buffer is %dx%d, scene is %dx%d", raw.W, raw.H, w, h))
+	}
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(seed))
 	} else {
 		r.rng.Seed(seed)
 	}
-	return mosaicInto(raw, scene, r.vig, r.rng)
-}
-
-func mosaicInto(raw *raster.Bayer, scene *raster.RGB, vig []float32, rng *rand.Rand) *raster.Bayer {
-	w, h := scene.W, scene.H
-	if raw.W != w || raw.H != h {
-		panic(fmt.Sprintf("camera: mosaic buffer is %dx%d, scene is %dx%d", raw.W, raw.H, w, h))
-	}
+	rng, vig := r.rng, r.vig
 	m := &SensorMatrix
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

@@ -21,7 +21,7 @@ func testCam() Camera { return Scaled(128, 64) }
 
 func TestRendererHorizonSplitsSkyAndGround(t *testing.T) {
 	r := NewRenderer(dayTrack(), testCam())
-	img := r.RenderScene(PoseOnTrack(r.Track, 10, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(r.Track, 10, 0, 0))
 	// Top row must be sky (bright blue-ish in day), bottom row ground.
 	sky := skyColor(world.Day)
 	tr, tg, tb := img.At(64, 0)
@@ -36,7 +36,7 @@ func TestRendererHorizonSplitsSkyAndGround(t *testing.T) {
 
 func TestLaneMarkingsVisibleInDay(t *testing.T) {
 	r := NewRenderer(dayTrack(), testCam())
-	img := r.RenderScene(PoseOnTrack(r.Track, 10, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(r.Track, 10, 0, 0))
 	// Scan the lower third for pixels much brighter than the median: the
 	// white continuous left marking must produce them.
 	luma := img.Luma()
@@ -63,7 +63,7 @@ func TestNightIsDarkerThanDay(t *testing.T) {
 	mean := func(s world.Situation) float64 {
 		tr := world.SituationTrack(s)
 		r := NewRenderer(tr, testCam())
-		img := r.RenderScene(PoseOnTrack(tr, 10, 0, 0))
+		img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, 10, 0, 0))
 		luma := img.Luma()
 		var sum float64
 		for _, v := range luma.Pix {
@@ -81,7 +81,7 @@ func TestHeadlightsIlluminateAhead(t *testing.T) {
 	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Dark}
 	tr := world.SituationTrack(sit)
 	r := NewRenderer(tr, testCam())
-	img := r.RenderScene(PoseOnTrack(tr, 10, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, 10, 0, 0))
 	luma := img.Luma()
 	// Bottom-center (close, inside the cone) must beat top-of-ground rows.
 	nearRow, farRow := luma.H-3, luma.H/2+4
@@ -99,7 +99,7 @@ func TestYellowMarkingHasColor(t *testing.T) {
 	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.Yellow, Form: world.Continuous}, Scene: world.Day}
 	tr := world.SituationTrack(sit)
 	r := NewRenderer(tr, testCam())
-	img := r.RenderScene(PoseOnTrack(tr, 10, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, 10, 0, 0))
 	// Find the most yellow pixel in the lower half: R-B gap must be large.
 	var bestGap float32
 	for y := img.H / 2; y < img.H; y++ {
@@ -160,7 +160,7 @@ func TestMosaicCrosstalkOnWhite(t *testing.T) {
 		scene.R[i] = 1
 	}
 	r := NewRenderer(dayTrack(), Scaled(4, 4))
-	raw := r.Mosaic(scene, 1)
+	raw := r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, 1)
 	// Average G cells: should be near SensorMatrix[1][0] = 0.18, not 0.
 	var g float64
 	var n int
@@ -218,7 +218,7 @@ func TestRenderOnCurve(t *testing.T) {
 	r := NewRenderer(tr, testCam())
 	// Render from inside the curve segment.
 	s := world.LeadInLength + 10
-	img := r.RenderScene(PoseOnTrack(tr, s, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, s, 0, 0))
 	luma := img.Luma()
 	// Marking pixels must still exist (the curve stays in view).
 	var bright int
@@ -254,21 +254,21 @@ func TestOccluderMasksMarkings(t *testing.T) {
 	pose := func(r *Renderer) VehiclePose { return PoseOnTrack(r.Track, 10, 0, 0) }
 
 	base := NewRenderer(dayTrack(), testCam())
-	plain := base.RenderScene(pose(base))
+	plain := base.RenderSceneInto(raster.NewRGB(base.Cam.Width, base.Cam.Height), pose(base))
 	if brightCount(plain) < 20 {
 		t.Fatal("baseline scene has no marking pixels to occlude")
 	}
 
 	occluded := NewRenderer(dayTrack(), testCam())
 	occluded.Occlude = func(s, lat float64) bool { return true }
-	gone := occluded.RenderScene(pose(occluded))
+	gone := occluded.RenderSceneInto(raster.NewRGB(occluded.Cam.Width, occluded.Cam.Height), pose(occluded))
 	if n := brightCount(gone); n != 0 {
 		t.Fatalf("full occluder left %d bright marking pixels", n)
 	}
 
 	never := NewRenderer(dayTrack(), testCam())
 	never.Occlude = func(s, lat float64) bool { return false }
-	same := never.RenderScene(pose(never))
+	same := never.RenderSceneInto(raster.NewRGB(never.Cam.Width, never.Cam.Height), pose(never))
 	for i := range plain.R {
 		if plain.R[i] != same.R[i] || plain.G[i] != same.G[i] || plain.B[i] != same.B[i] {
 			t.Fatalf("never-firing occluder changed pixel %d", i)
@@ -283,8 +283,8 @@ func TestOccluderMasksMarkings(t *testing.T) {
 	serial.Workers, serial.Occlude = 1, patchy
 	par := NewRenderer(dayTrack(), testCam())
 	par.Workers, par.Occlude = 4, patchy
-	a := serial.RenderScene(pose(serial))
-	b := par.RenderScene(pose(par))
+	a := serial.RenderSceneInto(raster.NewRGB(serial.Cam.Width, serial.Cam.Height), pose(serial))
+	b := par.RenderSceneInto(raster.NewRGB(par.Cam.Width, par.Cam.Height), pose(par))
 	for i := range a.R {
 		if a.R[i] != b.R[i] || a.G[i] != b.G[i] || a.B[i] != b.B[i] {
 			t.Fatalf("occluded render differs between 1 and 4 workers at pixel %d", i)

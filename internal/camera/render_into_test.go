@@ -9,8 +9,8 @@ import (
 )
 
 // TestRenderRAWIntoMatchesRenderRAW is the camera half of the golden
-// byte-identity contract: the buffer-reusing, row-parallel render path
-// must reproduce the allocating serial path bit for bit, for several
+// byte-identity contract: a renderer reused across frames must
+// reproduce a fresh renderer's RenderRAW bit for bit, for several
 // worker counts, into a pre-dirtied recycled mosaic, and across
 // successive frames with different seeds (the reseeded renderer-held
 // RNG must match a freshly constructed one).
@@ -52,7 +52,7 @@ func TestRenderSceneIntoParallelMatchesSerial(t *testing.T) {
 	})
 	cam := testCam()
 	vp := PoseOnTrack(track, world.LeadInLength+5, 0.2, 0.01)
-	serial := NewRenderer(track, cam).RenderScene(vp)
+	serial := NewRenderer(track, cam).RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), vp)
 	par := NewRenderer(track, cam)
 	par.Workers = 5
 	out := raster.NewRGB(cam.Width, cam.Height)
@@ -68,16 +68,17 @@ func TestRenderSceneIntoParallelMatchesSerial(t *testing.T) {
 }
 
 // TestMosaicIntoReseedsDeterministically: the renderer-held RNG reused
-// across MosaicInto calls must give the same noise as a fresh Mosaic
-// with the same seed — including when seeds repeat out of order.
+// across MosaicInto calls must give the same noise as a fresh
+// renderer's with the same seed — including when seeds repeat out of
+// order.
 func TestMosaicIntoReseedsDeterministically(t *testing.T) {
 	track := dayTrack()
 	cam := testCam()
 	rend := NewRenderer(track, cam)
-	scene := rend.RenderScene(PoseOnTrack(track, 8, 0, 0))
+	scene := rend.RenderSceneInto(raster.NewRGB(rend.Cam.Width, rend.Cam.Height), PoseOnTrack(track, 8, 0, 0))
 	raw := raster.NewBayer(cam.Width, cam.Height)
 	for _, seed := range []int64{3, 99, 3} {
-		golden := NewRenderer(track, cam).Mosaic(scene, seed)
+		golden := NewRenderer(track, cam).MosaicInto(raster.NewBayer(scene.W, scene.H), scene, seed)
 		rend.MosaicInto(raw, scene, seed)
 		for i := range golden.Pix {
 			if raw.Pix[i] != golden.Pix[i] {

@@ -3,8 +3,6 @@ package camera
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"hsas/internal/fault"
@@ -112,8 +110,11 @@ func (o *oracleRenderer) shadeGround(gx, gy float64, vp VehiclePose, scene world
 	}
 }
 
+// mosaic applies the renderer's sensor model with the oracle's
+// vignetting table and a fresh noise stream.
 func (o *oracleRenderer) mosaic(scene *raster.RGB, seed int64) *raster.Bayer {
-	return mosaicInto(raster.NewBayer(scene.W, scene.H), scene, o.vig, rand.New(rand.NewSource(seed)))
+	r := &Renderer{vig: o.vig}
+	return r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, seed)
 }
 
 // fiveSceneTrack strings one segment of every scene together, with
@@ -274,34 +275,21 @@ func TestGroundTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRenderSceneMatchesOracle covers the allocating RenderScene, which
-// keeps its track view on its own stack and so stays safe for
-// concurrent use: four goroutines render through one renderer at once.
+// TestRenderSceneMatchesOracle renders every oracle pose of the
+// five-scene track through one renderer's RenderSceneInto, in pose
+// order, and checks that it returns its buffer holding the oracle's
+// scene bits.
 func TestRenderSceneMatchesOracle(t *testing.T) {
 	tr := fiveSceneTrack()
 	rend := NewRenderer(tr, Scaled(96, 48))
 	rend.Workers = 2
 	oracle := newOracleRenderer(rend)
-	poses := oraclePoses(tr)
-	want := make([]*raster.RGB, len(poses))
-	for pi, vp := range poses {
-		want[pi] = oracle.renderScene(vp)
-	}
-	const goroutines = 4
-	got := make([]*raster.RGB, len(poses))
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for pi := g; pi < len(poses); pi += goroutines {
-				got[pi] = rend.RenderScene(poses[pi])
-			}
-		}(g)
-	}
-	wg.Wait()
-	for pi := range poses {
-		checkSceneBits(t, fmt.Sprintf("pose %d", pi), got[pi], want[pi])
+	for pi, vp := range oraclePoses(tr) {
+		out := raster.NewRGB(96, 48)
+		if got := rend.RenderSceneInto(out, vp); got != out {
+			t.Fatalf("pose %d: RenderSceneInto did not return its buffer", pi)
+		}
+		checkSceneBits(t, fmt.Sprintf("pose %d", pi), out, oracle.renderScene(vp))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hsas/internal/raster"
 	"hsas/internal/world"
 )
 
@@ -19,7 +20,7 @@ func meanLuma(t *testing.T, sc world.Scene) float64 {
 	t.Helper()
 	tr := sceneTrack(sc)
 	r := NewRenderer(tr, Scaled(128, 64))
-	img := r.RenderScene(PoseOnTrack(tr, 15, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, 15, 0, 0))
 	luma := img.Luma()
 	var sum float64
 	for _, v := range luma.Pix {
@@ -53,7 +54,7 @@ func TestAllFiveScenesOrdered(t *testing.T) {
 func TestDawnIsWarm(t *testing.T) {
 	tr := sceneTrack(world.Dawn)
 	r := NewRenderer(tr, Scaled(128, 64))
-	img := r.RenderScene(PoseOnTrack(tr, 15, 0, 0))
+	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, 15, 0, 0))
 	var sumR, sumB float64
 	for i := range img.R {
 		sumR += float64(img.R[i])
@@ -70,7 +71,7 @@ func TestStreetLightsOnlyAtNight(t *testing.T) {
 	brightnessAt := func(sc world.Scene, s float64) float64 {
 		tr := sceneTrack(sc)
 		r := NewRenderer(tr, Scaled(128, 64))
-		img := r.RenderScene(PoseOnTrack(tr, s, 0, 0))
+		img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(tr, s, 0, 0))
 		luma := img.Luma()
 		// Mid-distance band, beyond the headlight hot spot's core.
 		var sum float64
@@ -100,7 +101,7 @@ func TestNoiseScalesWithSignal(t *testing.T) {
 	tr := sceneTrack(world.Day)
 	r := NewRenderer(tr, Scaled(64, 32))
 	vp := PoseOnTrack(tr, 15, 0, 0)
-	scene := r.RenderScene(vp)
+	scene := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), vp)
 
 	// One bright pixel (a marking in the lower rows) and one dim pixel
 	// (asphalt at the lane center near the bottom).
@@ -123,7 +124,7 @@ func TestNoiseScalesWithSignal(t *testing.T) {
 	const reps = 40
 	var sum, sum2 [2]float64
 	for rep := 0; rep < reps; rep++ {
-		raw := r.Mosaic(scene, int64(rep))
+		raw := r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, int64(rep))
 		for j, idx := range [2]int{brightIdx, dimIdx} {
 			v := float64(raw.Pix[idx])
 			sum[j] += v

@@ -131,19 +131,22 @@ func TrainConfigFor(kind Kind) cnn.TrainConfig {
 
 // Generate renders a labeled dataset for the classifier kind. Situations
 // are sampled class-balanced; vehicle pose is jittered laterally and in
-// heading as during closed-loop operation.
+// heading as during closed-loop operation. One renderer serves every
+// sample: its tables depend on the camera alone, and each frame builds
+// its track view from the sample's track.
 func Generate(kind Kind, cfg DatasetConfig) []cnn.Sample {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	cam := camera.Scaled(cfg.InW, cfg.InH)
 	ispCfg, ok := isp.ByID(cfg.ISPConfig)
 	if !ok {
 		panic(fmt.Sprintf("classifier: unknown ISP config %q", cfg.ISPConfig))
 	}
+	rend := camera.NewRenderer(nil, camera.Scaled(cfg.InW, cfg.InH))
 	samples := make([]cnn.Sample, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		class := i % kind.NumClasses()
 		sit := sampleSituation(kind, class, rng)
 		tr := world.SituationTrack(sit)
+		rend.Track = tr
 
 		// Pose inside the situation segment with closed-loop-like jitter.
 		s := 5 + rng.Float64()*20
@@ -152,7 +155,6 @@ func Generate(kind Kind, cfg DatasetConfig) []cnn.Sample {
 		}
 		lat := (rng.Float64() - 0.5) * 0.8
 		dpsi := (rng.Float64() - 0.5) * 0.08
-		rend := camera.NewRenderer(tr, cam)
 		raw := rend.RenderRAW(camera.PoseOnTrack(tr, s, lat, dpsi), rng.Int63())
 		img := ispCfg.Process(raw)
 		samples = append(samples, cnn.Sample{X: toInput(img, cfg.WhiteBalance), Label: class})

@@ -1,9 +1,13 @@
 package classifier
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"hsas/internal/camera"
 	"hsas/internal/cnn"
+	"hsas/internal/isp"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -68,6 +72,52 @@ func TestGenerateBalancedAndLabeled(t *testing.T) {
 			t.Fatalf("class %d absent from balanced dataset", c)
 		}
 	}
+}
+
+// TestGenerateMatchesFreshRenderers pins Generate's output for every
+// kind: each sample's input bits and label must equal those of a loop
+// that draws the same situations and poses but builds a fresh renderer
+// for every sample.
+func TestGenerateMatchesFreshRenderers(t *testing.T) {
+	for _, kind := range []Kind{Road, Lane, Scene} {
+		cfg := DatasetConfig{N: 2 * kind.NumClasses(), InW: 40, InH: 20, Seed: 9, ISPConfig: "S3", WhiteBalance: kind == Lane}
+		got, want := Generate(kind, cfg), generateFresh(kind, cfg)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d samples, want %d", kind, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Label != want[i].Label {
+				t.Fatalf("%v sample %d: label %d, want %d", kind, i, got[i].Label, want[i].Label)
+			}
+			for j, v := range want[i].X.Data {
+				if math.Float32bits(got[i].X.Data[j]) != math.Float32bits(v) {
+					t.Fatalf("%v sample %d: input %d is %v, want %v", kind, i, j, got[i].X.Data[j], v)
+				}
+			}
+		}
+	}
+}
+
+// generateFresh is Generate with a new renderer built for every sample.
+func generateFresh(kind Kind, cfg DatasetConfig) []cnn.Sample {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	cam := camera.Scaled(cfg.InW, cfg.InH)
+	ispCfg, _ := isp.ByID(cfg.ISPConfig)
+	var samples []cnn.Sample
+	for i := 0; i < cfg.N; i++ {
+		class := i % kind.NumClasses()
+		sit := sampleSituation(kind, class, rng)
+		tr := world.SituationTrack(sit)
+		s := 5 + rng.Float64()*20
+		if sit.Layout != world.Straight {
+			s = world.LeadInLength + rng.Float64()*15
+		}
+		lat := (rng.Float64() - 0.5) * 0.8
+		dpsi := (rng.Float64() - 0.5) * 0.08
+		raw := camera.NewRenderer(tr, cam).RenderRAW(camera.PoseOnTrack(tr, s, lat, dpsi), rng.Int63())
+		samples = append(samples, cnn.Sample{X: toInput(ispCfg.Process(raw), cfg.WhiteBalance), Label: class})
+	}
+	return samples
 }
 
 func TestSplitDisjointAndComplete(t *testing.T) {

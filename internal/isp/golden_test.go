@@ -88,7 +88,7 @@ func TestProcessIntoNilBuffers(t *testing.T) {
 // its serial counterpart on its own (not just composed in Process).
 func TestStageWorkersMatchSerial(t *testing.T) {
 	raw := syntheticRAW(64, 32)
-	base := DemosaicBilinear(raw)
+	base := DemosaicBilinearInto(raw, nil, 1)
 	for _, workers := range []int{2, 5} {
 		dm := DemosaicBilinearInto(raw, dirtyRGB(64, 32), workers)
 		for i := range base.R {
@@ -96,7 +96,7 @@ func TestStageWorkersMatchSerial(t *testing.T) {
 				t.Fatalf("demosaic workers=%d differs at %d", workers, i)
 			}
 		}
-		dnSerial := DenoiseBilateral(base)
+		dnSerial := DenoiseBilateralInto(base, nil, 1)
 		dn := DenoiseBilateralInto(base, dirtyRGB(64, 32), workers)
 		for i := range dnSerial.R {
 			if dn.R[i] != dnSerial.R[i] {
@@ -104,16 +104,16 @@ func TestStageWorkersMatchSerial(t *testing.T) {
 			}
 		}
 		cmSerial, cmPar := base.Clone(), base.Clone()
-		ApplyColorMap(cmSerial)
-		ApplyColorMapWorkers(cmPar, workers)
+		ApplyColorMap(cmSerial, 1)
+		ApplyColorMap(cmPar, workers)
 		gmSerial, gmPar := base.Clone(), base.Clone()
 		gmSerial.R[5] = float32(math.NaN())
 		gmPar.R[5] = float32(math.NaN())
-		ApplyGamutMap(gmSerial)
-		ApplyGamutMapWorkers(gmPar, workers)
+		ApplyGamutMap(gmSerial, 1)
+		ApplyGamutMap(gmPar, workers)
 		tmSerial, tmPar := base.Clone(), base.Clone()
-		ApplyToneMap(tmSerial)
-		ApplyToneMapWorkers(tmPar, workers)
+		ApplyToneMap(tmSerial, 1)
+		ApplyToneMap(tmPar, workers)
 		for i := range base.R {
 			if cmPar.R[i] != cmSerial.R[i] || gmPar.R[i] != gmSerial.R[i] || tmPar.R[i] != tmSerial.R[i] {
 				t.Fatalf("in-place stage workers=%d differs at %d", workers, i)

@@ -110,95 +110,66 @@ var XavierRuntimeMs = map[string]float64{
 	"S5": 3.1, "S6": 3.2, "S7": 3.1, "S8": 3.2,
 }
 
-// Process runs the configured pipeline over a RAW mosaic. Stages execute
-// in canonical order regardless of their order in the Config.
+// Process runs the configured pipeline over a RAW mosaic into new
+// buffers; see ProcessObservedInto.
 func (c Config) Process(raw *raster.Bayer) *raster.RGB {
-	return c.ProcessInto(raw, nil, nil, 1)
+	return c.ProcessObservedInto(raw, nil, nil, 1, nil)
 }
 
-// ProcessInto runs the configured pipeline with caller-held buffers and
-// row-parallel kernels. out receives the demosaic result; tmp is the
-// ping-pong target when the configuration denoises (pass nil to
-// allocate either). The returned image is whichever buffer holds the
-// final stage's output — callers reusing buffers across frames must use
-// the return value, not assume out. Every stage writes every pixel of
-// its output, so recycled buffers with arbitrary contents are safe; the
-// result is byte-identical to Process for every worker count
-// (TestProcessIntoMatchesSerial).
+// ProcessInto is ProcessObservedInto without an observer.
 func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int) *raster.RGB {
-	img := DemosaicBilinearInto(raw, out, workers)
-	if c.Has(Denoise) {
-		img = DenoiseBilateralInto(img, tmp, workers)
-	}
-	if c.Has(ColorMap) {
-		ApplyColorMapWorkers(img, workers)
-	}
-	if c.Has(GamutMap) {
-		ApplyGamutMapWorkers(img, workers)
-	}
-	if c.Has(ToneMap) {
-		ApplyToneMapWorkers(img, workers)
-	}
-	return img
+	return c.ProcessObservedInto(raw, out, tmp, workers, nil)
 }
 
-// ProcessObserved behaves exactly like Process and additionally records
-// one wall-time histogram sample and one trace span per executed stage
-// (the per-stage timings Table II profiles per configuration). With a
-// nil observer it falls through to the uninstrumented path.
-func (c Config) ProcessObserved(raw *raster.Bayer, o *obs.Observer) *raster.RGB {
-	return c.ProcessObservedInto(raw, nil, nil, 1, o)
-}
-
-// ProcessObservedInto is ProcessInto with the per-stage instrumentation
-// of ProcessObserved. A nil observer falls through to the uninstrumented
-// path.
+// ProcessObservedInto runs the configured pipeline with caller-held
+// buffers and row-parallel kernels. Stages execute in canonical order
+// regardless of their order in the Config. out receives the demosaic
+// result; tmp is the ping-pong target when the configuration denoises
+// (pass nil to allocate either). The returned image is whichever buffer
+// holds the final stage's output — callers reusing buffers across
+// frames must use the return value, not assume out. Every stage writes
+// every pixel of its output, so recycled buffers with arbitrary contents
+// are safe, and the result is byte-identical for every worker count.
+//
+// With an enabled observer each executed stage records one wall-time
+// sample of hsas_isp_stage_seconds and one trace span (the per-stage
+// timings Table II profiles per configuration). A nil observer reads no
+// clock and allocates nothing.
 func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int, o *obs.Observer) *raster.RGB {
-	if !o.Enabled() {
-		return c.ProcessInto(raw, out, tmp, workers)
-	}
-	reg, tr := o.Registry(), o.Tracer()
-	stage := func(s Stage, start time.Time) {
-		d := time.Since(start)
-		reg.Histogram("hsas_isp_stage_seconds", "wall time per executed ISP stage",
-			obs.DefBuckets, obs.L("stage", s.String()), obs.L("config", c.ID)).Observe(d.Seconds())
-		tr.Span(s.String(), "isp", 0, start, map[string]any{"config": c.ID})
-	}
-
-	start := time.Now()
-	img := DemosaicBilinearInto(raw, out, workers)
-	stage(Demosaic, start)
-	if c.Has(Denoise) {
-		start = time.Now()
-		img = DenoiseBilateralInto(img, tmp, workers)
-		stage(Denoise, start)
-	}
-	if c.Has(ColorMap) {
-		start = time.Now()
-		ApplyColorMapWorkers(img, workers)
-		stage(ColorMap, start)
-	}
-	if c.Has(GamutMap) {
-		start = time.Now()
-		ApplyGamutMapWorkers(img, workers)
-		stage(GamutMap, start)
-	}
-	if c.Has(ToneMap) {
-		start = time.Now()
-		ApplyToneMapWorkers(img, workers)
-		stage(ToneMap, start)
+	var img *raster.RGB
+	for s := Demosaic; s <= ToneMap; s++ {
+		if s != Demosaic && !c.Has(s) {
+			continue
+		}
+		var start time.Time
+		if o.Enabled() {
+			start = time.Now()
+		}
+		switch s {
+		case Demosaic:
+			img = DemosaicBilinearInto(raw, out, workers)
+		case Denoise:
+			img = DenoiseBilateralInto(img, tmp, workers)
+		case ColorMap:
+			ApplyColorMap(img, workers)
+		case GamutMap:
+			ApplyGamutMap(img, workers)
+		case ToneMap:
+			ApplyToneMap(img, workers)
+		}
+		if o.Enabled() {
+			o.Registry().Histogram("hsas_isp_stage_seconds", "wall time per executed ISP stage",
+				obs.DefBuckets, obs.L("stage", s.String()), obs.L("config", c.ID)).Observe(time.Since(start).Seconds())
+			o.Tracer().Span(s.String(), "isp", 0, start, map[string]any{"config": c.ID})
+		}
 	}
 	return img
 }
 
-// DemosaicBilinear reconstructs a full RGB image from an RGGB mosaic with
-// bilinear interpolation of the missing samples.
-func DemosaicBilinear(raw *raster.Bayer) *raster.RGB {
-	return DemosaicBilinearInto(raw, nil, 1)
-}
-
-// DemosaicBilinearInto demosaics into out (allocated when nil) with
-// row-parallel interpolation. Every output sample is written.
+// DemosaicBilinearInto reconstructs a full RGB image from an RGGB
+// mosaic with bilinear interpolation of the missing samples, into out
+// (allocated when nil) with row-parallel interpolation. Every output
+// sample is written.
 func DemosaicBilinearInto(raw *raster.Bayer, out *raster.RGB, workers int) *raster.RGB {
 	w, h := raw.W, raw.H
 	if out == nil {
@@ -288,14 +259,9 @@ const (
 	denoiseRangeSigma = 0.08
 )
 
-// DenoiseBilateral applies an edge-preserving 3×3 bilateral filter per
-// channel and returns a new image.
-func DenoiseBilateral(img *raster.RGB) *raster.RGB {
-	return DenoiseBilateralInto(img, nil, 1)
-}
-
-// DenoiseBilateralInto filters img into out (allocated when nil) with
-// row-parallel kernels and returns out. The filter reads only img and
+// DenoiseBilateralInto applies an edge-preserving 3×3 bilateral filter
+// per channel of img into out (allocated when nil) with row-parallel
+// kernels and returns out. The filter reads only img and
 // writes every pixel of out, so out may be recycled but must not alias
 // img.
 func DenoiseBilateralInto(img, out *raster.RGB, workers int) *raster.RGB {
@@ -460,11 +426,9 @@ func invert3(m [3][3]float64) [3][3]float32 {
 }
 
 // ApplyColorMap applies the color-correction matrix in place, restoring
-// scene colorimetry from the sensor's crosstalked channels.
-func ApplyColorMap(img *raster.RGB) { ApplyColorMapWorkers(img, 1) }
-
-// ApplyColorMapWorkers is ApplyColorMap with row-parallel execution.
-func ApplyColorMapWorkers(img *raster.RGB, workers int) {
+// scene colorimetry from the sensor's crosstalked channels, with
+// row-parallel execution.
+func ApplyColorMap(img *raster.RGB, workers int) {
 	w := img.W
 	m := &ColorMapMatrix
 	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
@@ -482,11 +446,8 @@ func ApplyColorMapWorkers(img *raster.RGB, workers int) {
 const gamutKnee = 0.85
 
 // ApplyGamutMap compresses out-of-gamut values in place: a soft knee above
-// gamutKnee and a hard clip below zero.
-func ApplyGamutMap(img *raster.RGB) { ApplyGamutMapWorkers(img, 1) }
-
-// ApplyGamutMapWorkers is ApplyGamutMap with row-parallel execution.
-func ApplyGamutMapWorkers(img *raster.RGB, workers int) {
+// gamutKnee and a hard clip below zero, with row-parallel execution.
+func ApplyGamutMap(img *raster.RGB, workers int) {
 	w := img.W
 	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
@@ -512,11 +473,9 @@ func ApplyGamutMapWorkers(img *raster.RGB, workers int) {
 }
 
 // ApplyToneMap applies the sRGB-like transfer curve (gamma 1/2.2 with a
-// linear toe) in place, lifting shadows before 8-bit quantization.
-func ApplyToneMap(img *raster.RGB) { ApplyToneMapWorkers(img, 1) }
-
-// ApplyToneMapWorkers is ApplyToneMap with row-parallel execution.
-func ApplyToneMapWorkers(img *raster.RGB, workers int) {
+// linear toe) in place, lifting shadows before 8-bit quantization, with
+// row-parallel execution.
+func ApplyToneMap(img *raster.RGB, workers int) {
 	w := img.W
 	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {

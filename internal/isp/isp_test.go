@@ -83,7 +83,7 @@ func TestDemosaicConstantField(t *testing.T) {
 	for i := range raw.Pix {
 		raw.Pix[i] = 0.5
 	}
-	img := DemosaicBilinear(raw)
+	img := DemosaicBilinearInto(raw, nil, 1)
 	for i := range img.R {
 		if img.R[i] != 0.5 || img.G[i] != 0.5 || img.B[i] != 0.5 {
 			t.Fatalf("constant mosaic demosaiced wrong at %d: %v %v %v", i, img.R[i], img.G[i], img.B[i])
@@ -93,8 +93,8 @@ func TestDemosaicConstantField(t *testing.T) {
 
 func TestDemosaicPlusColorMapRecoversSceneColor(t *testing.T) {
 	raw := flatBayer(16, 16, 0.6, 0.4, 0.1)
-	img := DemosaicBilinear(raw)
-	ApplyColorMap(img)
+	img := DemosaicBilinearInto(raw, nil, 1)
+	ApplyColorMap(img, 1)
 	// Interior pixels must recover the scene color.
 	i := 8*16 + 8
 	if math.Abs(float64(img.R[i])-0.6) > 1e-3 ||
@@ -127,9 +127,9 @@ func TestColorMapMatrixIsInverse(t *testing.T) {
 func TestWithoutColorMapYellowIsDesaturated(t *testing.T) {
 	// Yellow scene: R-B gap shrinks through crosstalk without CM.
 	raw := flatBayer(16, 16, 0.8, 0.62, 0.12)
-	noCM := DemosaicBilinear(raw)
-	withCM := DemosaicBilinear(raw)
-	ApplyColorMap(withCM)
+	noCM := DemosaicBilinearInto(raw, nil, 1)
+	withCM := DemosaicBilinearInto(raw, nil, 1)
+	ApplyColorMap(withCM, 1)
 	i := 8*16 + 8
 	gapNo := noCM.R[i] - noCM.B[i]
 	gapWith := withCM.R[i] - withCM.B[i]
@@ -147,7 +147,7 @@ func TestDenoiseReducesNoiseVariance(t *testing.T) {
 		img.G[i] = 0.5 + n
 		img.B[i] = 0.5 + n
 	}
-	out := DenoiseBilateral(img)
+	out := DenoiseBilateralInto(img, nil, 1)
 	varOf := func(p []float32) float64 {
 		var mean float64
 		for _, v := range p {
@@ -177,7 +177,7 @@ func TestDenoisePreservesStrongEdges(t *testing.T) {
 			img.Set(x, y, v, v, v)
 		}
 	}
-	out := DenoiseBilateral(img)
+	out := DenoiseBilateralInto(img, nil, 1)
 	// Edge contrast across x=7..8 must remain large (bilateral, not box).
 	l, _, _ := out.At(7, 8)
 	r, _, _ := out.At(8, 8)
@@ -189,7 +189,7 @@ func TestDenoisePreservesStrongEdges(t *testing.T) {
 func TestGamutMapClipsAndCompresses(t *testing.T) {
 	img := raster.NewRGB(4, 1)
 	img.Set(0, 0, -0.2, 0.5, 2.5)
-	ApplyGamutMap(img)
+	ApplyGamutMap(img, 1)
 	r, g, b := img.At(0, 0)
 	if r != 0 {
 		t.Fatalf("negative not clipped: %v", r)
@@ -207,7 +207,7 @@ func TestGamutMapMonotone(t *testing.T) {
 	for v := float32(0); v < 3; v += 0.01 {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, v, 0, 0)
-		ApplyGamutMap(img)
+		ApplyGamutMap(img, 1)
 		r, _, _ := img.At(0, 0)
 		if r < prev {
 			t.Fatalf("gamut map not monotone at %v", v)
@@ -219,7 +219,7 @@ func TestGamutMapMonotone(t *testing.T) {
 func TestToneMapLiftsShadows(t *testing.T) {
 	img := raster.NewRGB(1, 1)
 	img.Set(0, 0, 0.05, 0.5, 1.0)
-	ApplyToneMap(img)
+	ApplyToneMap(img, 1)
 	r, g, b := img.At(0, 0)
 	if r <= 0.05*2 {
 		t.Fatalf("shadow not lifted: %v", r)

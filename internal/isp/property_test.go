@@ -14,7 +14,7 @@ func TestGamutMapIdentityBelowKnee(t *testing.T) {
 	for _, v := range []float32{0, 0.2, 0.5, 0.84} {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, v, v, v)
-		ApplyGamutMap(img)
+		ApplyGamutMap(img, 1)
 		r, _, _ := img.At(0, 0)
 		if r != v {
 			t.Fatalf("in-gamut value %v changed to %v", v, r)
@@ -28,7 +28,7 @@ func TestGamutMapRangeProperty(t *testing.T) {
 	f := func(v float64) bool {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, float32(v), 0, 0)
-		ApplyGamutMap(img)
+		ApplyGamutMap(img, 1)
 		r, _, _ := img.At(0, 0)
 		return r >= 0 && r <= 1
 	}
@@ -44,7 +44,7 @@ func TestDenoisePreservesConstantField(t *testing.T) {
 	for i := range img.R {
 		img.R[i], img.G[i], img.B[i] = 0.4, 0.5, 0.6
 	}
-	out := DenoiseBilateral(img)
+	out := DenoiseBilateralInto(img, nil, 1)
 	for i := range out.R {
 		if d := out.R[i] - 0.4; d > 1e-5 || d < -1e-5 {
 			t.Fatalf("flat field changed: %v", out.R[i])
@@ -60,7 +60,7 @@ func TestDemosaicPreservesMean(t *testing.T) {
 	for i := range raw.Pix {
 		raw.Pix[i] = float32(0.3 + 0.1*rng.Float64())
 	}
-	img := DemosaicBilinear(raw)
+	img := DemosaicBilinearInto(raw, nil, 1)
 	var rawMean, gMean float64
 	for _, v := range raw.Pix {
 		rawMean += float64(v)

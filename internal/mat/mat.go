@@ -1,10 +1,9 @@
 // Package mat provides the dense linear-algebra substrate used by the
 // control design (discretization, Riccati and Lyapunov equations), the
-// perception stage (homography estimation, polynomial least squares) and
-// the CNN framework.
+// perception stage (polynomial least squares) and the CNN framework.
 //
-// Matrices are small (controller design uses 4–6 states, homographies are
-// 8×8), so the package favors clarity and numerical robustness over cache
+// Matrices are small (controller design uses 4–6 states), so the
+// package favors clarity and numerical robustness over cache
 // blocking: LU with partial pivoting, Householder QR, and Padé
 // scaling-and-squaring for the matrix exponential.
 package mat

@@ -22,7 +22,7 @@ func TestQzFastExhaustive(t *testing.T) {
 		step = 97
 	}
 	check := func(v float32) {
-		got, want := qz(v, true), qzOracle(v, true)
+		got, want := qz(v), qzOracle(v)
 		if math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("qz(%#08x) = %#08x, math.Round quantizer %#08x",
 				math.Float32bits(v), math.Float32bits(got), math.Float32bits(want))
@@ -30,7 +30,7 @@ func TestQzFastExhaustive(t *testing.T) {
 	}
 	for b := uint32(0); b <= one; b += step {
 		v := math.Float32frombits(b)
-		if math.Float32bits(qz(v, true)) != math.Float32bits(qzOracle(v, true)) {
+		if math.Float32bits(qz(v)) != math.Float32bits(qzOracle(v)) {
 			check(v)
 		}
 	}
@@ -45,9 +45,6 @@ func TestQzFastExhaustive(t *testing.T) {
 		0x1p-21, 0x1p-22, 0x1p-24,
 	} {
 		check(v)
-	}
-	if qz(0.3, false) != 0.3 || !math.IsNaN(float64(qz(float32(math.NaN()), false))) {
-		t.Fatal("qz with quantization off must pass samples through")
 	}
 }
 
@@ -92,8 +89,8 @@ func checkDetectMatchesOracle(t *testing.T, name string, d *Detector, img *raste
 // TestScoreBEVMatchesOracle checks the cached footprint, the table
 // quantizer and the fused binarization against the per-sample oracles
 // on rendered S0 frames: every ROI, one situation per scene, three
-// frame sizes, with and without 8-bit quantization. It compares the BEV
-// score, the mask, the any flag and the full Result.
+// frame sizes. It compares the BEV score, the mask, the any flag and the
+// full Result.
 func TestScoreBEVMatchesOracle(t *testing.T) { forEachDetectPath(t, checkScoreBEVMatchesOracle) }
 
 func checkScoreBEVMatchesOracle(t *testing.T) {
@@ -111,20 +108,17 @@ func checkScoreBEVMatchesOracle(t *testing.T) {
 			tr := world.SituationTrack(sit)
 			rend := camera.NewRenderer(tr, cam)
 			img := cfg.Process(rend.RenderRAW(camera.PoseOnTrack(tr, world.LeadInLength+4, 0.2, 0.01), int64(si)))
-			for _, quantize := range []bool{true, false} {
-				// One detector per sweep, so the ROI switches also
-				// exercise the footprint rebuild.
-				d := NewDetector(NewGeometry(cam))
-				d.Quantize = quantize
-				for _, roi := range ROIs {
-					name := fmt.Sprintf("%dx%d %v ROI %d quantize=%v", cam.Width, cam.Height, sit, roi.ID, quantize)
-					res := checkDetectMatchesOracle(t, name, d, img, roi)
-					if d.scratch.bev.Pix[len(d.scratch.bev.Pix)/2] == 0 {
-						t.Fatalf("%s: BEV center not scored", name)
-					}
-					if res.OK {
-						detected++
-					}
+			// One detector per sweep, so the ROI switches also exercise
+			// the footprint rebuild.
+			d := NewDetector(NewGeometry(cam))
+			for _, roi := range ROIs {
+				name := fmt.Sprintf("%dx%d %v ROI %d", cam.Width, cam.Height, sit, roi.ID)
+				res := checkDetectMatchesOracle(t, name, d, img, roi)
+				if d.scratch.bev.Pix[len(d.scratch.bev.Pix)/2] == 0 {
+					t.Fatalf("%s: BEV center not scored", name)
+				}
+				if res.OK {
+					detected++
 				}
 			}
 		}
@@ -177,13 +171,10 @@ func checkDetectSpecialValuesMatchOracle(t *testing.T) {
 					plane[i] = v
 				}
 			}
-			for _, quantize := range []bool{true, false} {
-				d := NewDetector(NewGeometry(cam))
-				d.Quantize = quantize
-				for _, roi := range ROIs {
-					name := fmt.Sprintf("%dx%d specials %d ROI %d quantize=%v", cam.Width, cam.Height, k, roi.ID, quantize)
-					checkDetectMatchesOracle(t, name, d, img, roi)
-				}
+			d := NewDetector(NewGeometry(cam))
+			for _, roi := range ROIs {
+				name := fmt.Sprintf("%dx%d specials %d ROI %d", cam.Width, cam.Height, k, roi.ID)
+				checkDetectMatchesOracle(t, name, d, img, roi)
 			}
 		}
 	}
@@ -192,7 +183,7 @@ func checkDetectSpecialValuesMatchOracle(t *testing.T) {
 // TestDetectImageEdgeFootprint uses a hand-built geometry that maps the
 // near ROI edge exactly onto the image's last row and the ROI's right
 // edge exactly onto its last column, where the bilinear neighbours must
-// be clamped back onto the image as raster.Gray.Sample clamps them.
+// be clamped back onto the image.
 func TestDetectImageEdgeFootprint(t *testing.T) { forEachDetectPath(t, checkDetectImageEdgeFootprint) }
 
 func checkDetectImageEdgeFootprint(t *testing.T) {
@@ -209,11 +200,7 @@ func checkDetectImageEdgeFootprint(t *testing.T) {
 		img.G[i] = 0.3 + float32(i%3)*0.2
 		img.B[i] = 0.1 + float32(i%7)*0.1
 	}
-	for _, quantize := range []bool{true, false} {
-		d := NewDetector(geo)
-		d.Quantize = quantize
-		checkDetectMatchesOracle(t, fmt.Sprintf("edge geometry quantize=%v", quantize), d, img, roi)
-	}
+	checkDetectMatchesOracle(t, "edge geometry", NewDetector(geo), img, roi)
 }
 
 // TestBinarizeMatchesOracle compares binarizeInto with the four-pass

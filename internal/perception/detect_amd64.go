@@ -8,10 +8,9 @@ package perception
 // and write only inside those rows.
 
 // scoreRowAVX scores BEV columns 0..n-1 of one row (n a multiple of 8)
-// as scoreRow does with quantization on: dst and s point at the row's
-// output and footprint, src at the row's six source rows (each xMax+1
-// pixels), fy is the row's vertical weight and k points at
-// scoreWeights.
+// as scoreRow does: dst and s point at the row's output and footprint,
+// src at the row's six source rows (each xMax+1 pixels), fy is the
+// row's vertical weight and k points at scoreWeights.
 //
 //go:noescape
 func scoreRowAVX(dst *float32, s *bevSample, n int, src *bevSrc, fy float32, xMax int32, k *[4]float32)

@@ -1,13 +1,13 @@
-// AVX2 row kernels for lane detection: BEV scoring (scoreRow with
-// quantization on) eight pixels per pass, the interior five-tap
-// smoothing eight pixels per pass, and the float64 lane-filter response
-// four columns per pass for the threshold statistics and the mask. Each
-// lane runs the scalar code's operations in its order; every product,
-// sum and quotient is rounded on its own, as in Go: no FMA, which would
-// skip a product's rounding. MXCSR stays at its default (no FTZ/DAZ).
-// Compares are ordered (false for NaN), as Go's are. Every sum of the
-// score puts its left operand first (VEX src1), so where both operands
-// are NaN it returns the left one, as the Go code's sums do.
+// AVX2 row kernels for lane detection: BEV scoring (scoreRow) eight
+// pixels per pass, the interior five-tap smoothing eight pixels per
+// pass, and the float64 lane-filter response four columns per pass for
+// the threshold statistics and the mask. Each lane runs the scalar
+// code's operations in its order; every product, sum and quotient is
+// rounded on its own, as in Go: no FMA, which would skip a product's
+// rounding. MXCSR stays at its default (no FTZ/DAZ). Compares are
+// ordered (false for NaN), as Go's are. Every sum of the score puts its
+// left operand first (VEX src1), so where both operands are NaN it
+// returns the left one, as the Go code's sums do.
 
 #include "textflag.h"
 

@@ -32,9 +32,6 @@ type Detector struct {
 	MarginCols int
 	MinPixWin  int
 	MinPixLane int
-	// Quantize emulates the 8-bit image buffer the PR stage consumes on
-	// the target platform; disable only for diagnostics.
-	Quantize bool
 
 	// scratch holds the reusable per-invocation buffers. It is a pointer
 	// so the by-value working copy Detect makes shares (and persists) the
@@ -92,7 +89,6 @@ func NewDetector(geo Geometry) *Detector {
 		MarginCols:   10,
 		MinPixWin:    8,
 		MinPixLane:   30,
-		Quantize:     true,
 	}
 }
 
@@ -183,11 +179,10 @@ type bevFootprint struct {
 }
 
 // footprint returns the sampling footprint for the ROI and image size,
-// rebuilding the single cached slot in place when its key changes. The
-// ground point, its projection, the on-image test and the bilinear
-// corner and weights are raster.Gray.Sample's expressions at (u, v), so
-// gathering through the footprint reads the pixels and weights that
-// sampling each plane at the projected point would.
+// rebuilding the single cached slot in place when its key changes. A
+// sample's footprint is the bilinear one at its projection (u, v): the
+// corner (x0, y0) = (int(u), int(v)), its neighbours one column and one
+// row on clamped to the image, and the weights u - x0 and v - y0.
 func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 	fp := &d.scratch.fp
 	key := bevKey{geo: d.Geo, roi: roi, bevW: d.BevW, bevH: d.BevH, imgW: iw, imgH: ih}
@@ -211,8 +206,8 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 				fp.samples[row*w+col] = bevSample{x0: -1}
 				continue
 			}
-			// The bilinear footprint of raster.Gray.Sample at (u, v),
-			// which needs no clamping here.
+			// (u, v) lies on the image, so only the neighbours need
+			// clamping: the row's here, the column's in scoreRow.
 			x0, y0 := int(u), int(v)
 			fr = bevRow{ok: true, r0: y0 * iw, r1: min(y0+1, ih-1) * iw, fy: float32(v - float64(y0))}
 			fp.samples[row*w+col] = bevSample{x0: int32(x0), fx: float32(u - float64(x0))}
@@ -224,15 +219,17 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 
 // scoreBEVInto samples the bird's-eye view of the ROI into out (sized
 // BevW×BevH) and computes the lane-pixel score: luminance for white
-// paint plus an R-B chroma term for yellow paint. It gathers through the
-// cached footprint, the three planes sharing each bilinear footprint.
-// Every pixel is written (unmapped samples score 0), so out may be a
-// recycled buffer with arbitrary contents. The footprint lives in
-// d.scratch, which Detect allocates.
+// paint plus an R-B chroma term for yellow paint. Each plane's sample is
+// quantized to 8 bits first (qz), as the PR stage reads an 8-bit image
+// buffer on the target platform. It gathers through the cached
+// footprint, the three planes sharing each bilinear footprint. Every
+// pixel is written (unmapped samples score 0), so out may be a recycled
+// buffer with arbitrary contents. The footprint lives in d.scratch,
+// which Detect allocates.
 //
-// With quantization on and AVX2 present, scoreRowAVX scores each row
-// eight pixels at a time and scoreRow the last BevW mod 8; otherwise
-// scoreRow scores every pixel.
+// With AVX2 present, scoreRowAVX scores each row eight pixels at a time
+// and scoreRow the last BevW mod 8; otherwise scoreRow scores every
+// pixel.
 func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
 	fp := d.footprint(roi, img.W, img.H)
 	w := d.BevW
@@ -242,7 +239,7 @@ func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *ras
 			clear(orow)
 			continue
 		}
-		scoreBEVRow(orow, fp.samples[row*w:(row+1)*w], img, fr, d.Quantize)
+		scoreBEVRow(orow, fp.samples[row*w:(row+1)*w], img, fr)
 	}
 	return out
 }
@@ -250,18 +247,18 @@ func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *ras
 // scoreBEVRow scores one on-image BEV row, whose per-pixel footprints
 // are samples and whose source rows and vertical weight are in fr. Every
 // sample's x0 is -1 or a column of img, as footprint builds them.
-func scoreBEVRow(orow []float32, samples []bevSample, img *raster.RGB, fr bevRow, quantize bool) {
+func scoreBEVRow(orow []float32, samples []bevSample, img *raster.RGB, fr bevRow) {
 	iw := img.W
 	src := bevSrc{
 		img.R[fr.r0:][:iw], img.R[fr.r1:][:iw],
 		img.G[fr.r0:][:iw], img.G[fr.r1:][:iw],
 		img.B[fr.r0:][:iw], img.B[fr.r1:][:iw],
 	}
-	if v := len(orow) &^ 7; detectAVX && quantize && v > 0 {
+	if v := len(orow) &^ 7; detectAVX && v > 0 {
 		scoreRowAVX(&orow[0], &samples[:v][0], v, &src, fr.fy, int32(iw-1), &scoreWeights)
 		orow, samples = orow[v:], samples[v:]
 	}
-	scoreRow(orow, samples, &src, fr.fy, quantize)
+	scoreRow(orow, samples, &src, fr.fy)
 }
 
 // detectAVX selects the AVX2 row kernels of scoreBEVInto and
@@ -280,7 +277,7 @@ var scoreWeights = [4]float32{0.2126, 0.7152, 0.0722, 0.9}
 // scoreRow scores the BEV pixels of one row whose horizontal footprints
 // are samples (len(orow) of them), reading the source rows src at
 // vertical weight fy.
-func scoreRow(orow []float32, samples []bevSample, src *bevSrc, fy float32, quantize bool) {
+func scoreRow(orow []float32, samples []bevSample, src *bevSrc, fy float32) {
 	gy := 1 - fy
 	xMax := len(src[0]) - 1
 	for col, s := range samples[:len(orow)] {
@@ -292,9 +289,9 @@ func scoreRow(orow []float32, samples []bevSample, src *bevSrc, fy float32, quan
 		b := min(a+1, xMax)
 		f := s.fx
 		g := 1 - f
-		r := qz(raster.Bilerp(src[0][a], src[0][b], src[1][a], src[1][b], f, g, fy, gy), quantize)
-		gr := qz(raster.Bilerp(src[2][a], src[2][b], src[3][a], src[3][b], f, g, fy, gy), quantize)
-		bl := qz(raster.Bilerp(src[4][a], src[4][b], src[5][a], src[5][b], f, g, fy, gy), quantize)
+		r := qz(raster.Bilerp(src[0][a], src[0][b], src[1][a], src[1][b], f, g, fy, gy))
+		gr := qz(raster.Bilerp(src[2][a], src[2][b], src[3][a], src[3][b], f, g, fy, gy))
+		bl := qz(raster.Bilerp(src[4][a], src[4][b], src[5][a], src[5][b], f, g, fy, gy))
 		chroma := r - bl
 		if chroma < 0 {
 			chroma = 0
@@ -330,10 +327,7 @@ var qzTab = func() (t [256]float32) {
 // rounds half away from zero as math.Round does; below that both round
 // to level 0. ±0 and NaN take the division, which keeps their bits as
 // the rounding did.
-func qz(v float32, on bool) float32 {
-	if !on {
-		return v
-	}
+func qz(v float32) float32 {
 	v = raster.Clamp01(v)
 	if !(v > 0) {
 		return v / 255

@@ -122,21 +122,19 @@ func TestScoreBEVRowMatchesOracle(t *testing.T) {
 			if ih == 2 && rng.Intn(3) != 0 {
 				fr.fy = rng.Float32()
 			}
-			for _, quantize := range []bool{true, false} {
-				got := make([]float32, w)
-				for i := range got {
-					got[i] = math.Float32frombits(0x7f812345)
+			got := make([]float32, w)
+			for i := range got {
+				got[i] = math.Float32frombits(0x7f812345)
+			}
+			scoreBEVRow(got, samples, img, fr)
+			for col, s := range samples {
+				want := float32(0)
+				if s.x0 >= 0 {
+					want = scoreSampleOracle(img, float64(s.x0)+float64(s.fx), float64(fr.fy))
 				}
-				scoreBEVRow(got, samples, img, fr, quantize)
-				for col, s := range samples {
-					want := float32(0)
-					if s.x0 >= 0 {
-						want = scoreSampleOracle(img, float64(s.x0)+float64(s.fx), float64(fr.fy), quantize)
-					}
-					if math.Float32bits(got[col]) != math.Float32bits(want) {
-						t.Fatalf("width %d image %dx%d quantize=%v col %d (x0 %d fx %v fy %v): %#08x, oracle %#08x",
-							w, iw, ih, quantize, col, s.x0, s.fx, fr.fy, math.Float32bits(got[col]), math.Float32bits(want))
-					}
+				if math.Float32bits(got[col]) != math.Float32bits(want) {
+					t.Fatalf("width %d image %dx%d col %d (x0 %d fx %v fy %v): %#08x, oracle %#08x",
+						w, iw, ih, col, s.x0, s.fx, fr.fy, math.Float32bits(got[col]), math.Float32bits(want))
 				}
 			}
 		}

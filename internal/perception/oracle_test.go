@@ -17,10 +17,7 @@ func binarize(score *raster.Gray) (mask []bool, any bool) {
 
 // qzOracle is the 8-bit quantizer qz replaced: math.Round on the scaled
 // sample.
-func qzOracle(v float32, on bool) float32 {
-	if !on {
-		return v
-	}
+func qzOracle(v float32) float32 {
 	v = raster.Clamp01(v)
 	return float32(math.Round(float64(v)*255)) / 255
 }
@@ -39,7 +36,7 @@ func scoreBEVOracle(d *Detector, out *raster.Gray, img *raster.RGB, roi ROI) {
 				out.Pix[row*w+col] = 0
 				continue
 			}
-			out.Pix[row*w+col] = scoreSampleOracle(img, u, v, d.Quantize)
+			out.Pix[row*w+col] = scoreSampleOracle(img, u, v)
 		}
 	}
 }
@@ -47,10 +44,10 @@ func scoreBEVOracle(d *Detector, out *raster.Gray, img *raster.RGB, roi ROI) {
 // scoreSampleOracle is one BEV pixel's score at the image point (u, v):
 // each plane sampled by sampleOracle and quantized by qzOracle, then
 // the luma and chroma sums taken left to right through addLeft.
-func scoreSampleOracle(img *raster.RGB, u, v float64, quantize bool) float32 {
-	r := qzOracle(sampleOracle(img.R, img.W, img.H, u, v), quantize)
-	g := qzOracle(sampleOracle(img.G, img.W, img.H, u, v), quantize)
-	b := qzOracle(sampleOracle(img.B, img.W, img.H, u, v), quantize)
+func scoreSampleOracle(img *raster.RGB, u, v float64) float32 {
+	r := qzOracle(sampleOracle(img.R, img.W, img.H, u, v))
+	g := qzOracle(sampleOracle(img.G, img.W, img.H, u, v))
+	b := qzOracle(sampleOracle(img.B, img.W, img.H, u, v))
 	luma := addLeft(addLeft(0.2126*r, 0.7152*g), 0.0722*b)
 	chroma := r - b
 	if chroma < 0 {
@@ -59,7 +56,7 @@ func scoreSampleOracle(img *raster.RGB, u, v float64, quantize bool) float32 {
 	return addLeft(luma, 0.9*chroma)
 }
 
-// sampleOracle is raster.Gray.Sample of the w×h plane pix at (x, y),
+// sampleOracle is the bilinear sample of the w×h plane pix at (x, y),
 // written out rather than calling raster.Bilerp: the position clamped
 // to the frame, then the four corners blended with sums left to right
 // through addLeft.

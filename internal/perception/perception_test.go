@@ -94,52 +94,6 @@ func TestROIByIDMissing(t *testing.T) {
 	}
 }
 
-func TestHomographyIdentity(t *testing.T) {
-	pts := [4][2]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	h, err := EstimateHomography(pts, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range [][2]float64{{0.3, 0.7}, {0.9, 0.1}} {
-		u, v := h.Apply(p[0], p[1])
-		if math.Abs(u-p[0]) > 1e-9 || math.Abs(v-p[1]) > 1e-9 {
-			t.Fatalf("identity homography moved %v to (%v, %v)", p, u, v)
-		}
-	}
-}
-
-func TestHomographyMapsCorners(t *testing.T) {
-	src := [4][2]float64{{100, 50}, {400, 50}, {50, 250}, {460, 250}}
-	dst := [4][2]float64{{0, 0}, {96, 0}, {0, 160}, {96, 160}}
-	h, err := EstimateHomography(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		u, v := h.Apply(src[i][0], src[i][1])
-		if math.Abs(u-dst[i][0]) > 1e-6 || math.Abs(v-dst[i][1]) > 1e-6 {
-			t.Fatalf("corner %d mapped to (%v, %v), want %v", i, u, v, dst[i])
-		}
-	}
-	inv, err := h.Invert()
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, v := inv.Apply(dst[2][0], dst[2][1])
-	if math.Abs(u-src[2][0]) > 1e-6 || math.Abs(v-src[2][1]) > 1e-6 {
-		t.Fatalf("inverse mapped to (%v, %v), want %v", u, v, src[2])
-	}
-}
-
-func TestHomographyDegenerate(t *testing.T) {
-	// All four source points collinear: must fail, not produce garbage.
-	src := [4][2]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	dst := [4][2]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	if _, err := EstimateHomography(src, dst); err == nil {
-		t.Fatal("degenerate homography accepted")
-	}
-}
-
 func TestROICornersProject(t *testing.T) {
 	g := fullGeo()
 	r, _ := ROIByID(1)

@@ -160,20 +160,3 @@ func TestDetectCurvatureSign(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantizeToggle: disabling the 8-bit quantization must not break
-// detection (diagnostic mode).
-func TestQuantizeToggle(t *testing.T) {
-	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
-	tr := world.SituationTrack(sit)
-	cam := camera.Scaled(192, 96)
-	rend := camera.NewRenderer(tr, cam)
-	det := NewDetector(NewGeometry(cam))
-	det.Quantize = false
-	roi, _ := ROIByID(1)
-	cfg, _ := isp.ByID("S0")
-	img := cfg.Process(rend.RenderRAW(camera.PoseOnTrack(tr, 20, 0, 0), 3))
-	if res := det.Detect(img, roi, LookAhead); !res.OK {
-		t.Fatal("detection failed without quantization")
-	}
-}

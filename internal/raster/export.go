@@ -29,25 +29,6 @@ func (im *RGB) WritePPM(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WritePGM serializes g as a binary PGM (P5) with 8-bit samples.
-func (g *Gray) WritePGM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", g.W, g.H); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, g.W)
-	for y := 0; y < g.H; y++ {
-		buf = buf[:0]
-		for x := 0; x < g.W; x++ {
-			buf = append(buf, to8(g.Pix[y*g.W+x]))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // SavePPM writes im to the named file as binary PPM.
 func (im *RGB) SavePPM(path string) error {
 	f, err := os.Create(path)
@@ -56,19 +37,6 @@ func (im *RGB) SavePPM(path string) error {
 	}
 	defer f.Close()
 	if err := im.WritePPM(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// SavePGM writes g to the named file as binary PGM.
-func (g *Gray) SavePGM(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := g.WritePGM(f); err != nil {
 		return err
 	}
 	return f.Close()

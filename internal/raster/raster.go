@@ -1,17 +1,14 @@
 // Package raster provides the image substrate shared by the synthetic
 // camera, the ISP pipeline and the perception stage: planar float32 RGB
 // frames, single-channel gray frames, RGGB Bayer mosaics, bilinear
-// resampling and PPM/PGM export for debugging.
+// resizing and PPM export for debugging.
 //
 // All pixel values are linear-light floats nominally in [0, 1]; stages
 // may transiently exceed the range (e.g. specular highlights before gamut
 // mapping), so clamping is explicit, not implicit.
 package raster
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Gray is a single-channel float32 image, row-major.
 type Gray struct {
@@ -186,37 +183,11 @@ func reflect(i, n int) int {
 	return i
 }
 
-// Sample bilinearly interpolates g at the real-valued position (x, y).
-// Coordinates outside the frame are clamped to the border.
-func (g *Gray) Sample(x, y float64) float32 {
-	if math.IsNaN(x) || math.IsNaN(y) {
-		return 0
-	}
-	x = clampF(x, 0, float64(g.W-1))
-	y = clampF(y, 0, float64(g.H-1))
-	x0, y0 := int(x), int(y)
-	x1, y1 := x0+1, y0+1
-	if x1 >= g.W {
-		x1 = g.W - 1
-	}
-	if y1 >= g.H {
-		y1 = g.H - 1
-	}
-	fx := float32(x - float64(x0))
-	fy := float32(y - float64(y0))
-	v00 := g.Pix[y0*g.W+x0]
-	v10 := g.Pix[y0*g.W+x1]
-	v01 := g.Pix[y1*g.W+x0]
-	v11 := g.Pix[y1*g.W+x1]
-	return Bilerp(v00, v10, v01, v11, fx, 1-fx, fy, 1-fy)
-}
-
 // Bilerp blends the four corners of a bilinear footprint: v00 and v10
 // on the upper source row, v01 and v11 on the lower, fx and fy the
 // position's offsets from v00 and gx = 1-fx, gy = 1-fy their
-// complements. It is the one definition of the blend: Sample,
-// ResizeInto and the perception BEV gather all evaluate it, so all of
-// them round alike.
+// complements. It is the one definition of the blend: ResizeInto and
+// the perception BEV gather both evaluate it, so both round alike.
 //
 // The four terms are summed left to right, and a NaN sum is the one
 // x86 returns with the left operand first: the left operand where it
@@ -249,21 +220,16 @@ func leftSum(t0, t1, t2, t3 float32) float32 {
 	return t0
 }
 
-// Resize returns im resampled to w×h with bilinear interpolation. It is
-// used to shrink camera frames into classifier inputs.
-func (im *RGB) Resize(w, h int) *RGB {
-	return im.ResizeInto(NewRGB(w, h))
-}
-
-// axisTap is Sample's bilinear footprint along one axis: the two source
+// axisTap is a bilinear footprint along one axis: the two source
 // indices and the weights f of i1 and g = 1-f of i0.
 type axisTap struct {
 	i0, i1 int32
 	f, g   float32
 }
 
-// tapAt is the footprint Sample computes along an axis of n source
-// pixels at the position p, which must not be NaN.
+// tapAt is the footprint along an axis of n source pixels at the
+// position p, which must not be NaN: p clamped to the axis, i0 its
+// integer part, i1 the next pixel clamped to the axis, and f = p - i0.
 func tapAt(p float64, n int) axisTap {
 	p = clampF(p, 0, float64(n-1))
 	i0 := int(p)
@@ -279,10 +245,10 @@ const resizeCols = 128
 // size) and returns out. Every output pixel is written, so out may be a
 // recycled buffer with arbitrary contents. out must not alias im.
 //
-// Each output pixel is Sample of its plane at the pixel's centre,
-// mapped back to im. The footprints are separable: a column's (x0, x1,
-// fx, 1-fx) and a row's (y0, y1, fy, 1-fy) are computed once, and every
-// pixel and plane blends its four corners through Bilerp.
+// Each output pixel is the bilinear sample of its plane at the pixel's
+// centre, mapped back to im. The footprints are separable: a column's
+// (x0, x1, fx, 1-fx) and a row's (y0, y1, fy, 1-fy) are computed once,
+// and every pixel and plane blends its four corners through Bilerp.
 func (im *RGB) ResizeInto(out *RGB) *RGB {
 	if out == im {
 		panic("raster: ResizeInto output aliases input")

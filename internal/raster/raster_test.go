@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestGrayAccessBounds(t *testing.T) {
@@ -90,50 +89,12 @@ func TestBayerOddDimsPanics(t *testing.T) {
 	NewBayer(3, 4)
 }
 
-func TestSampleAtGridPoints(t *testing.T) {
-	g := NewGray(3, 3)
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			g.Set(x, y, float32(10*y+x))
-		}
-	}
-	// Property: sampling exactly at grid points returns the stored pixel.
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			if got := g.Sample(float64(x), float64(y)); got != g.At(x, y) {
-				t.Fatalf("Sample(%d,%d) = %v, want %v", x, y, got, g.At(x, y))
-			}
-		}
-	}
-	// Midpoint between (0,0) and (1,0) is the average.
-	if got := g.Sample(0.5, 0); math.Abs(float64(got)-0.5) > 1e-6 {
-		t.Fatalf("Sample(0.5,0) = %v, want 0.5", got)
-	}
-}
-
-func TestSampleIsBounded(t *testing.T) {
-	g := NewGray(8, 8)
-	for i := range g.Pix {
-		g.Pix[i] = float32(i%7) / 7
-	}
-	f := func(x, y float64) bool {
-		if math.IsInf(x, 0) || math.IsInf(y, 0) {
-			return true
-		}
-		v := g.Sample(x, y)
-		return v >= 0 && v <= 1 && !math.IsNaN(float64(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResizeConstantImage(t *testing.T) {
 	im := NewRGB(16, 8)
 	for i := range im.R {
 		im.R[i], im.G[i], im.B[i] = 0.3, 0.6, 0.9
 	}
-	out := im.Resize(5, 3)
+	out := im.ResizeInto(NewRGB(5, 3))
 	if out.W != 5 || out.H != 3 {
 		t.Fatalf("Resize dims %dx%d", out.W, out.H)
 	}
@@ -153,7 +114,7 @@ func TestResizePreservesMeanApprox(t *testing.T) {
 			im.Set(x, y, float32(x)/31, 0, 0)
 		}
 	}
-	out := im.Resize(8, 4)
+	out := im.ResizeInto(NewRGB(8, 4))
 	var inMean, outMean float64
 	for _, v := range im.R {
 		inMean += float64(v)
@@ -195,23 +156,6 @@ func TestWritePPMHeaderAndSize(t *testing.T) {
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte("P6\n3 2\n255\n")) {
 		t.Fatalf("PPM header wrong: %q", buf.Bytes()[:11])
-	}
-}
-
-func TestWritePGMHeaderAndSize(t *testing.T) {
-	g := NewGray(4, 4)
-	g.Set(0, 0, 2.0) // must clamp to 255
-	var buf bytes.Buffer
-	if err := g.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := len("P5\n4 4\n255\n") + 16
-	if buf.Len() != want {
-		t.Fatalf("PGM size = %d, want %d", buf.Len(), want)
-	}
-	body := buf.Bytes()[len("P5\n4 4\n255\n"):]
-	if body[0] != 255 {
-		t.Fatalf("clamped pixel = %d, want 255", body[0])
 	}
 }
 

@@ -28,8 +28,9 @@ func resizeOracle(im, out *RGB) {
 	}
 }
 
-// sampleOracle is Gray.Sample with the blend written out rather than
-// taken from Bilerp, its sums left to right through addLeft.
+// sampleOracle is the bilinear sample of g at (x, y), 0 at a NaN
+// position, with the blend written out rather than taken from Bilerp,
+// its sums left to right through addLeft.
 func sampleOracle(g *Gray, x, y float64) float32 {
 	if math.IsNaN(x) || math.IsNaN(y) {
 		return 0
@@ -83,7 +84,7 @@ func randomRGB(rng *rand.Rand, w, h, specialEvery int) *RGB {
 }
 
 // TestResizeIntoMatchesSample pins the separable-footprint ResizeInto to
-// the per-pixel Sample loop, bit for bit: random sizes shrinking and
+// the per-pixel sampleOracle loop, bit for bit: random sizes shrinking and
 // growing (1×N and N×1 sources among them), the classifier shapes from
 // the loop's frame sizes, widths past the footprint strip of
 // resizeCols columns, and frames holding NaN, ±Inf, ±0, subnormals and
@@ -124,7 +125,7 @@ func TestResizeIntoMatchesSample(t *testing.T) {
 		for k, planes := range [3][2][]float32{{got.R, want.R}, {got.G, want.G}, {got.B, want.B}} {
 			for j := range planes[1] {
 				if g, w := planes[0][j], planes[1][j]; math.Float32bits(g) != math.Float32bits(w) {
-					t.Fatalf("%dx%d → %dx%d (specials 1/%d) plane %d pixel (%d, %d) = %#08x, Sample loop %#08x",
+					t.Fatalf("%dx%d → %dx%d (specials 1/%d) plane %d pixel (%d, %d) = %#08x, oracle %#08x",
 						p.sw, p.sh, p.w, p.h, special, k, j%p.w, j/p.w, math.Float32bits(g), math.Float32bits(w))
 				}
 			}
