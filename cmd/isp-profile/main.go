@@ -45,7 +45,7 @@ func main() {
 		for i := 0; i < *reps; i++ {
 			cfg.Process(raw)
 		}
-		goMs := float64(time.Since(start).Milliseconds()) / float64(*reps)
+		goMs := time.Since(start).Seconds() * 1e3 / float64(*reps)
 		tm, err := xavier.TimingFor(cfg.ID, 0)
 		if err != nil {
 			panic(err)

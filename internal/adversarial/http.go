@@ -2,11 +2,10 @@ package adversarial
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"hsas/internal/campaign"
+	"hsas/internal/httpjson"
 	"hsas/internal/obs"
 )
 
@@ -33,46 +32,25 @@ type ServerConfig struct {
 func NewHandler(cfg ServerConfig) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if cfg.NewRunner == nil {
-			writeErr(w, http.StatusInternalServerError, "adversarial endpoint is not configured with a runner")
+			httpjson.Error(w, http.StatusInternalServerError, "adversarial endpoint is not configured with a runner")
 			return
 		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
 		var grid Grid
-		if err := dec.Decode(&grid); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding adversarial grid: %v", err)
+		if err := httpjson.Decode(w, r, 1<<20, &grid); err != nil {
+			httpjson.Error(w, http.StatusBadRequest, "decoding adversarial grid: %v", err)
 			return
 		}
 
-		fl, canFlush := w.(http.Flusher)
-		flush := func() {
-			if canFlush {
-				fl.Flush()
-			}
-		}
-		// An encode error means the client hung up: keep the first
-		// error, write nothing more and cancel the search so no further
-		// cells run. Progress calls are serialized and the last lines
-		// are written after Run returns, so encErr needs no lock.
+		// A write failure means the client hung up: cancel the search.
+		// Progress calls are serialized and the last lines are written
+		// after Run returns, so the stream needs no lock.
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
-		enc := json.NewEncoder(w)
-		headerSent := false
-		var encErr error
-		stream := func(v any) {
-			if encErr != nil {
-				return
-			}
-			if !headerSent {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				headerSent = true
-			}
-			if encErr = enc.Encode(v); encErr != nil {
+		stream := httpjson.NewStream(w)
+		send := func(v any) {
+			if stream.Send(v) != nil {
 				cancel()
-				return
 			}
-			flush()
 		}
 
 		res, err := Run(ctx, Config{
@@ -81,25 +59,18 @@ func NewHandler(cfg ServerConfig) http.Handler {
 			Parallel: cfg.Parallel,
 			Obs:      cfg.Obs,
 			Progress: func(c Cell) {
-				stream(map[string]any{"cell": c})
+				send(map[string]any{"cell": c})
 			},
 		})
-		if err != nil {
-			if !headerSent {
-				// Grid rejected before any cell completed: a plain
-				// JSON error is kinder to clients than a stream.
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			stream(map[string]any{"error": err.Error()})
-			return
+		switch {
+		case err != nil && !stream.Started():
+			// Grid rejected before any cell completed: a plain JSON
+			// error is kinder to clients than a stream.
+			httpjson.Error(w, http.StatusBadRequest, "%v", err)
+		case err != nil:
+			send(map[string]any{"error": err.Error()})
+		default:
+			send(map[string]any{"done": true, "stats": res.Stats, "cells": res.Cells, "fault": res.Fault})
 		}
-		stream(map[string]any{"done": true, "stats": res.Stats, "cells": res.Cells, "fault": res.Fault})
 	})
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -31,7 +31,9 @@ func TestRenderRAWIntoMatchesRenderRAW(t *testing.T) {
 		}
 		for fi, vp := range poses {
 			seed := int64(1000 + fi*7919)
-			golden := NewRenderer(track, cam).RenderRAW(vp, seed)
+			fresh := NewRenderer(track, cam)
+			fresh.Workers = 1
+			golden := fresh.RenderRAW(vp, seed)
 			rend.RenderRAWInto(raw, vp, seed)
 			for i := range golden.Pix {
 				if math.Float32bits(raw.Pix[i]) != math.Float32bits(golden.Pix[i]) {
@@ -52,7 +54,9 @@ func TestRenderSceneIntoParallelMatchesSerial(t *testing.T) {
 	})
 	cam := testCam()
 	vp := PoseOnTrack(track, world.LeadInLength+5, 0.2, 0.01)
-	serial := NewRenderer(track, cam).RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), vp)
+	ser := NewRenderer(track, cam)
+	ser.Workers = 1
+	serial := ser.RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), vp)
 	par := NewRenderer(track, cam)
 	par.Workers = 5
 	out := raster.NewRGB(cam.Width, cam.Height)

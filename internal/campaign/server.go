@@ -2,15 +2,16 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"hsas/internal/httpjson"
 	"hsas/internal/lake"
 	"hsas/internal/obs"
 )
@@ -336,36 +337,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var grid Grid
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&grid); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding campaign grid: %v", err)
+	if err := httpjson.Decode(w, r, 1<<20, &grid); err != nil {
+		httpjson.Error(w, http.StatusBadRequest, "decoding campaign grid: %v", err)
 		return
 	}
 	jobs, err := grid.Expand()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	s.seq++
@@ -377,21 +364,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.acceptedC.Inc()
 		s.depthG.Add(1)
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": st.id, "jobs": len(jobs)})
+		httpjson.Write(w, http.StatusAccepted, map[string]any{"id": st.id, "jobs": len(jobs)})
 	default:
 		s.seq-- // unused id
 		s.mu.Unlock()
 		s.rejectedC.Inc()
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, "campaign queue full (%d pending); retry later", s.cfg.QueueSize)
+		httpjson.Error(w, http.StatusTooManyRequests, "campaign queue full (%d pending); retry later", s.cfg.QueueSize)
 	}
 }
 
-func (s *Server) lookup(r *http.Request) (*campaignState, bool) {
+// lookup returns the campaign the request's path names, or answers 404
+// and returns nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *campaignState {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.campaigns[r.PathValue("id")]
-	return st, ok
+	st := s.campaigns[r.PathValue("id")]
+	s.mu.Unlock()
+	if st == nil {
+		httpjson.Error(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
+	}
+	return st
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -405,16 +397,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		out = append(out, st.snapshot())
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
+	st := s.lookup(w, r)
+	if st == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, st.snapshot())
+	httpjson.Write(w, http.StatusOK, st.snapshot())
 }
 
 func terminal(state string) bool {
@@ -424,29 +415,21 @@ func terminal(state string) bool {
 // handleEvents streams NDJSON status snapshots (one line per change)
 // until the campaign reaches a terminal state or the client goes away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
+	st := s.lookup(w, r)
+	if st == nil {
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	stream := httpjson.NewStream(w)
 	var last Status
-	first := true
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
 	for {
 		snap := st.snapshot()
-		if first || snap != last {
-			if err := enc.Encode(snap); err != nil {
+		if !stream.Started() || snap != last {
+			if stream.Send(snap) != nil {
 				return
 			}
-			if canFlush {
-				fl.Flush()
-			}
-			last, first = snap, false
+			last = snap
 		}
 		if terminal(snap.State) {
 			return
@@ -460,14 +443,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
+	st := s.lookup(w, r)
+	if st == nil {
 		return
 	}
 	snap := st.snapshot()
 	if snap.State != StateDone {
-		writeError(w, http.StatusConflict, "campaign %s is %s; results are available once done", snap.ID, snap.State)
+		httpjson.Error(w, http.StatusConflict, "campaign %s is %s; results are available once done", snap.ID, snap.State)
 		return
 	}
 	st.mu.Lock()
@@ -477,61 +459,51 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	// Stream the results array one job at a time instead of buffering
 	// the full payload: a 100k-job campaign's results are tens of MB,
 	// and materializing them doubles the server's peak heap for the
-	// duration of every download. The wire shape is unchanged — a
-	// single JSON object {<status fields>, "results": [...]} — so the
-	// status header is marshaled first and re-opened before the array.
-	head, err := json.Marshal(snap)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding status: %v", err)
-		return
-	}
+	// duration of every download. The wire shape is a single JSON
+	// object {<status fields>, "results": [...]}, so the status is
+	// encoded first and re-opened before the array.
+	var head strings.Builder
+	_ = httpjson.NewEncoder(&head).Encode(snap)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(head[:len(head)-1]) // drop closing '}'
-	_, _ = w.Write([]byte(`,"results":[`))
-	fl, canFlush := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	enc := httpjson.NewEncoder(w)
+	_ = enc.Raw(strings.TrimSuffix(head.String(), "}\n") + `,"results":[`)
 	for i := range st.jobs {
 		if i > 0 {
-			_, _ = w.Write([]byte(","))
+			_ = enc.Raw(",")
 		}
 		key, _ := st.jobs[i].Key() // jobs were normalized at submit; cannot fail
 		// Encode appends '\n'; inside an array that is insignificant
 		// whitespace, and it keeps the stream line-oriented.
-		if err := enc.Encode(jobOutcome{Job: st.jobs[i], Key: key, Result: results[i]}); err != nil {
+		if enc.Encode(jobOutcome{Job: st.jobs[i], Key: key, Result: results[i]}) != nil {
 			return // client went away
 		}
-		if canFlush && i%256 == 255 {
-			fl.Flush()
-		}
 	}
-	_, _ = w.Write([]byte("]}\n"))
+	_ = enc.Raw("]}\n")
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
+	st := s.lookup(w, r)
+	if st == nil {
 		return
 	}
 	idx, err := strconv.Atoi(r.PathValue("index"))
 	if err != nil || idx < 0 || idx >= len(st.jobs) {
-		writeError(w, http.StatusNotFound, "campaign %s has no job %q", st.id, r.PathValue("index"))
+		httpjson.Error(w, http.StatusNotFound, "campaign %s has no job %q", st.id, r.PathValue("index"))
 		return
 	}
 	if !st.jobs[idx].RecordTrace {
-		writeError(w, http.StatusNotFound, "campaign %s did not set record_trace", st.id)
+		httpjson.Error(w, http.StatusNotFound, "campaign %s did not set record_trace", st.id)
 		return
 	}
 	key, _ := st.jobs[idx].Key()
 	csv, ok2, err := s.cache.GetTrace(key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reading trace: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "reading trace: %v", err)
 		return
 	}
 	if !ok2 {
-		writeError(w, http.StatusNotFound, "trace for job %d not recorded yet", idx)
+		httpjson.Error(w, http.StatusNotFound, "trace for job %d not recorded yet", idx)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
@@ -544,8 +516,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		httpjson.Error(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpjson.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
 
+	"hsas/internal/httpjson"
 	"hsas/internal/lake"
 )
 
@@ -39,7 +39,7 @@ func (s *Server) observeScan(elapsed time.Duration, scan lake.ScanStats) {
 // was started without one.
 func (s *Server) lakeDir(w http.ResponseWriter) (string, bool) {
 	if s.cfg.Lake == nil {
-		writeError(w, http.StatusNotFound, "no result lake configured (start the server with a lake directory)")
+		httpjson.Error(w, http.StatusNotFound, "no result lake configured (start the server with a lake directory)")
 		return "", false
 	}
 	return s.cfg.Lake.Dir(), true
@@ -54,12 +54,12 @@ func (s *Server) handleAnalyticsSummary(w http.ResponseWriter, r *http.Request) 
 	start := time.Now()
 	groups, scan, err := lake.Aggregate(dir, lake.Query{Campaign: campaign})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "lake scan: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "lake scan: %v", err)
 		return
 	}
 	traces, tscan, err := lake.SummarizeTraces(dir, campaign)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "trace scan: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "trace scan: %v", err)
 		return
 	}
 	scan.Segments += tscan.Segments
@@ -75,7 +75,7 @@ func (s *Server) handleAnalyticsSummary(w http.ResponseWriter, r *http.Request) 
 	if len(groups) > 0 {
 		out.Results = &groups[0]
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, out)
 }
 
 func (s *Server) handleAnalyticsQuery(w http.ResponseWriter, r *http.Request) {
@@ -90,7 +90,7 @@ func (s *Server) handleAnalyticsQuery(w http.ResponseWriter, r *http.Request) {
 	case "1", "true":
 		q.Dedup = true
 	default:
-		writeError(w, http.StatusBadRequest, "dedup must be a boolean, got %q", v)
+		httpjson.Error(w, http.StatusBadRequest, "dedup must be a boolean, got %q", v)
 		return
 	}
 	if g := p.Get("group_by"); g != "" {
@@ -99,34 +99,27 @@ func (s *Server) handleAnalyticsQuery(w http.ResponseWriter, r *http.Request) {
 		q.GroupBy = []string{"situation"}
 	}
 	if err := q.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	start := time.Now()
 	groups, scan, err := lake.Aggregate(dir, q)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "lake scan: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "lake scan: %v", err)
 		return
 	}
 	s.observeScan(time.Since(start), scan)
 
 	// NDJSON: one GroupStats per line so clients can process groups as
 	// they arrive, then a trailer with the scan statistics.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, canFlush := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	stream := httpjson.NewStream(w)
 	for i := range groups {
-		if err := enc.Encode(groups[i]); err != nil {
+		if stream.Send(groups[i]) != nil {
 			return
 		}
-		if canFlush {
-			fl.Flush()
-		}
 	}
-	_ = enc.Encode(struct {
+	_ = stream.Send(struct {
 		Scan lake.ScanStats `json:"scan"`
 	}{scan})
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hsas/internal/lake"
 	"hsas/internal/obs"
 )
 
@@ -243,15 +245,24 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	defer ts.Close()
 
 	for name, body := range map[string]string{
-		"not json":      "{",
-		"unknown field": `{"situations":[1],"cases":[1],"frobnicate":true}`,
-		"empty grid":    `{}`,
-		"bad axis":      `{"situations":[99],"cases":[1]}`,
+		"not json":                    "{",
+		"unknown field":               `{"situations":[1],"cases":[1],"frobnicate":true}`,
+		"unknown setting field":       `{"situations":[1],"settings":[{"ISP":"S0","ROI":2,"SpeedKmph":30,"Gain":2}]}`,
+		"unknown degrade field":       `{"situations":[1],"cases":[1],"degrade":{"frobnicate":true}}`,
+		"second value":                tinyGrid + tinyGrid,
+		"second value after newline":  tinyGrid + "\n" + tinyGrid + "\n",
+		"trailing junk":               tinyGrid + "x",
+		"trailing junk after newline": tinyGrid + "\n]",
+		"empty grid":                  `{}`,
+		"bad axis":                    `{"situations":[99],"cases":[1]}`,
 	} {
 		resp, _ := postCampaign(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if resp, body := postCampaign(t, ts, tinyGrid+"\n"); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("grid with a trailing newline: status %d %v, want 202", resp.StatusCode, body)
 	}
 }
 
@@ -342,5 +353,106 @@ func TestServerResultsStreamedShape(t *testing.T) {
 	}
 	if json.Valid(raw) != true {
 		t.Fatal("payload failed json.Valid")
+	}
+}
+
+// steppingRunner completes its jobs one at a time, 150 ms apart, so an
+// events stream sees every change. Its results are empty.
+type steppingRunner struct{ hooks Hooks }
+
+func (r steppingRunner) Run(ctx context.Context, jobs []JobSpec) ([]*JobResult, RunStats, error) {
+	for i := range jobs {
+		select {
+		case <-ctx.Done():
+			return nil, RunStats{}, ctx.Err()
+		case <-time.After(150 * time.Millisecond):
+		}
+		r.hooks.JobDone(JobEvent{Index: i, Indices: []int{i}, Spec: &jobs[i], Result: &JobResult{}})
+	}
+	return make([]*JobResult, len(jobs)), RunStats{Jobs: len(jobs), Unique: len(jobs), Simulated: len(jobs)}, nil
+}
+
+// brokenPipe accepts limit bytes, then fails every write, as a
+// connection does once its client has gone, and counts the bytes
+// written and the writes refused.
+type brokenPipe struct {
+	header  http.Header
+	limit   int
+	written int
+	refused int
+}
+
+func (b *brokenPipe) Header() http.Header { return b.header }
+func (b *brokenPipe) WriteHeader(int)     {}
+
+func (b *brokenPipe) Write(p []byte) (int, error) {
+	if len(p) <= b.limit {
+		b.limit -= len(p)
+		b.written += len(p)
+		return len(p), nil
+	}
+	b.refused++
+	return 0, errors.New("broken pipe")
+}
+
+// TestHandlerStopsOnWriteError cuts each of the server's streams after
+// its first line: the handler must return and attempt no write after
+// the failed one.
+func TestHandlerStopsOnWriteError(t *testing.T) {
+	// A running campaign whose status changes four times.
+	running := NewServer(ServerConfig{NewRunner: func(_ string, _ Cache, hooks Hooks) Runner {
+		return steppingRunner{hooks: hooks}
+	}})
+	running.Start()
+	defer running.Shutdown(context.Background())
+	rec := httptest.NewRecorder()
+	running.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/campaigns",
+		strings.NewReader(`{"situations":[1],"cases":[1],"cameras":[[64,32]],"seeds":[1,2,3,4]}`)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d %s", rec.Code, rec.Body)
+	}
+
+	// A finished two-case campaign in the lake: two groups by case.
+	const twoCases = `{"situations":[1],"cases":[1,2],"cameras":[[64,32]]}`
+	cache := NewMemCache()
+	plantGrid(t, cache, twoCases)
+	lw, err := lake.OpenWriter(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analytics := NewServer(ServerConfig{Workers: 1, Cache: cache, Lake: lw})
+	analytics.Start()
+	defer analytics.Shutdown(context.Background())
+	ts := httptest.NewServer(analytics.Handler())
+	defer ts.Close()
+	_, body := postCampaign(t, ts, twoCases)
+	waitState(t, ts, body["id"].(string), StateDone)
+
+	for _, tc := range []struct {
+		name    string
+		handler http.Handler
+		path    string
+		limit   int // fits the first line, not the second
+	}{
+		{"events", running.Handler(), "/v1/campaigns/c000001/events", 100},
+		{"analytics query", analytics.Handler(), "/v1/analytics/query?group_by=case", 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &brokenPipe{header: http.Header{}, limit: tc.limit}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				tc.handler.ServeHTTP(w, httptest.NewRequest("GET", tc.path, nil))
+			}()
+			select {
+			case <-served:
+			case <-time.After(30 * time.Second):
+				t.Fatal("handler did not return after the stream broke")
+			}
+			if w.written == 0 || w.refused != 1 {
+				t.Errorf("handler wrote %d bytes, then attempted %d writes after the stream broke; want a first line, then 1 (the failing one)",
+					w.written, w.refused)
+			}
+		})
 	}
 }

@@ -47,13 +47,7 @@
 // is a 400. The GET point lookups are for operators and scripts.
 package fabric
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-
-	"hsas/internal/campaign"
-)
+import "hsas/internal/campaign"
 
 // leaseRequest is the POST /v1/lease body: a batch of jobs to resolve
 // (worker-local cache first, then simulate). Campaign labels the
@@ -85,16 +79,4 @@ type leaseLine struct {
 	Done      bool                `json:"done,omitempty"`
 	Simulated int                 `json:"simulated,omitempty"`
 	CacheHits int                 `json:"cache_hits,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -124,18 +125,57 @@ func TestWorkerLeaseStreamsResultsAndTrailer(t *testing.T) {
 	}
 }
 
+// TestWorkerLeaseRejectsEmptyAndMalformed: a lease body that is not
+// exactly one leaseRequest is refused whole with a 400 and runs no job;
+// a trailing newline is fine.
 func TestWorkerLeaseRejectsEmptyAndMalformed(t *testing.T) {
-	_, srv := newTestWorker(t)
-	for _, body := range []string{`{"jobs":[]}`, `{not json`} {
+	w, srv := newTestWorker(t)
+	body, err := json.Marshal(leaseRequest{Jobs: []campaign.JobSpec{tinyJob(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := string(body)
+	job, _ := json.Marshal(tinyJob(1))
+	post := func(body string) int {
 		resp, err := http.Post(srv.URL+"/v1/lease", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("lease(%q) status = %s, want 400", body, resp.Status)
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"jobs":[]}`,
+		`{not json`,
+		`{"jobs":[` + string(job) + `],"priority":1}`,
+		`{"jobs":[` + strings.Replace(string(job), `{`, `{"priority":1,`, 1) + `]}`,
+		valid + valid,
+		valid + "\n" + valid,
+		valid + "x",
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("lease(%q) status = %d, want 400", body, code)
 		}
 	}
+	if n := w.Cache().(*campaign.MemCache).Len(); n != 0 {
+		t.Fatalf("rejected leases ran %d jobs", n)
+	}
+	if err := w.Cache().Put(mustKey(t, tinyJob(1)), &campaign.JobResult{Frames: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if code := post(valid + "\n"); code != http.StatusOK {
+		t.Fatalf("lease with a trailing newline: status %d, want 200", code)
+	}
+}
+
+func mustKey(t testing.TB, j campaign.JobSpec) string {
+	t.Helper()
+	k, err := j.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 func TestWorkerFederatedCacheEndpoints(t *testing.T) {

@@ -121,7 +121,8 @@ func TestWorkerCacheLookupStreamsHits(t *testing.T) {
 }
 
 // TestWorkerCacheLookupRejectsMalformed: a lookup body the worker can
-// not trust is refused whole with a 400, before any cache read.
+// not trust is refused whole with a 400, before any cache read; a
+// trailing newline is fine.
 func TestWorkerCacheLookupRejectsMalformed(t *testing.T) {
 	w := NewWorker(WorkerConfig{MaxLeaseBytes: 1 << 10})
 	srv := httptest.NewServer(w.Handler())
@@ -132,6 +133,7 @@ func TestWorkerCacheLookupRejectsMalformed(t *testing.T) {
 		many[i] = key
 	}
 	big, _ := json.Marshal(lookupRequest{Keys: many, Trace: make([]bool, len(many))})
+	one := `{"keys":["` + key + `"],"trace":[false]}`
 	for _, tc := range []struct{ name, body string }{
 		{"bad JSON", `{"keys": [`},
 		{"not an object", `["` + key + `"]`},
@@ -142,6 +144,10 @@ func TestWorkerCacheLookupRejectsMalformed(t *testing.T) {
 		{"uppercase key", `{"keys":["` + strings.ToUpper(key) + `"],"trace":[false]}`},
 		{"short key", `{"keys":["` + key[:63] + `"],"trace":[false]}`},
 		{"path traversal", `{"keys":["../../secret"],"trace":[false]}`},
+		{"unknown field", `{"keys":["` + key + `"],"trace":[false],"since":0}`},
+		{"second value", one + one},
+		{"second value after newline", one + "\n" + one},
+		{"trailing junk", one + "x"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, _ := postLookup(t, srv.URL, tc.body)
@@ -149,6 +155,9 @@ func TestWorkerCacheLookupRejectsMalformed(t *testing.T) {
 				t.Fatalf("status = %s, want 400", resp.Status)
 			}
 		})
+	}
+	if resp, lines := postLookup(t, srv.URL, one+"\n"); resp.StatusCode != http.StatusOK || len(lines) != 1 || !lines[0].Done {
+		t.Fatalf("lookup with a trailing newline = %s %+v, want 200 and a trailer", resp.Status, lines)
 	}
 }
 

@@ -2,10 +2,10 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"hsas/internal/campaign"
+	"hsas/internal/httpjson"
 	"hsas/internal/lake"
 	"hsas/internal/obs"
 )
@@ -99,7 +99,7 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cache/{key}", w.handleCacheGet)
 	mux.HandleFunc("GET /v1/cache/{key}/trace", w.handleCacheTrace)
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
+		httpjson.Write(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.Handle("GET /metrics", w.cfg.Obs.Registry().Handler())
 	return mux
@@ -110,13 +110,12 @@ func (w *Worker) Handler() http.Handler {
 // coordinator's liveness signal) and a trailer line with batch totals.
 func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.cfg.MaxLeaseBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "decoding lease request: %v", err)
+	if err := httpjson.Decode(rw, r, w.cfg.MaxLeaseBytes, &req); err != nil {
+		httpjson.Error(rw, http.StatusBadRequest, "decoding lease request: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(rw, http.StatusBadRequest, "lease request carries no jobs")
+		httpjson.Error(rw, http.StatusBadRequest, "lease request carries no jobs")
 		return
 	}
 	w.met.leases.Inc()
@@ -128,25 +127,11 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	rw.Header().Set("Content-Type", "application/x-ndjson")
-	rw.Header().Set("X-Accel-Buffering", "no")
-	rw.WriteHeader(http.StatusOK)
-	flusher, _ := rw.(http.Flusher)
-
 	// JobDone is serialized by the engine, so the stream needs no extra
-	// locking. An encode failure means the coordinator hung up: cancel
+	// locking. A write failure means the coordinator hung up: cancel
 	// the engine so the remaining jobs re-queue elsewhere instead of
 	// burning this node.
-	enc := json.NewEncoder(rw)
-	emit := func(line leaseLine) {
-		if err := enc.Encode(line); err != nil {
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	stream := httpjson.NewStream(rw)
 	eng := &campaign.Engine{
 		Workers:       w.cfg.Workers,
 		KernelWorkers: w.cfg.KernelWorkers,
@@ -168,7 +153,9 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 					line.Trace = csv
 				}
 			}
-			emit(line)
+			if stream.Send(line) != nil {
+				cancel()
+			}
 		}},
 	}
 	_, stats, err := eng.Run(ctx, req.Jobs)
@@ -176,7 +163,7 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	if err != nil && ctx.Err() == nil {
 		trailer.Error = err.Error()
 	}
-	emit(trailer)
+	_ = stream.Send(trailer)
 }
 
 // handleCacheLookup serves the federated cache tier in bulk: one
@@ -187,31 +174,26 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 // point lookups.
 func (w *Worker) handleCacheLookup(rw http.ResponseWriter, r *http.Request) {
 	var req lookupRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.cfg.MaxLeaseBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "decoding lookup request: %v", err)
+	if err := httpjson.Decode(rw, r, w.cfg.MaxLeaseBytes, &req); err != nil {
+		httpjson.Error(rw, http.StatusBadRequest, "decoding lookup request: %v", err)
 		return
 	}
 	if len(req.Keys) == 0 {
-		writeError(rw, http.StatusBadRequest, "lookup request carries no keys")
+		httpjson.Error(rw, http.StatusBadRequest, "lookup request carries no keys")
 		return
 	}
 	if len(req.Trace) != len(req.Keys) {
-		writeError(rw, http.StatusBadRequest, "lookup request has %d keys but %d trace flags", len(req.Keys), len(req.Trace))
+		httpjson.Error(rw, http.StatusBadRequest, "lookup request has %d keys but %d trace flags", len(req.Keys), len(req.Trace))
 		return
 	}
 	for _, key := range req.Keys {
 		if !campaign.ValidKey(key) {
-			writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+			httpjson.Error(rw, http.StatusBadRequest, "malformed cache key %q", key)
 			return
 		}
 	}
 
-	rw.Header().Set("Content-Type", "application/x-ndjson")
-	rw.Header().Set("X-Accel-Buffering", "no")
-	rw.WriteHeader(http.StatusOK)
-	flusher, _ := rw.(http.Flusher)
-	enc := json.NewEncoder(rw)
+	stream := httpjson.NewStream(rw)
 	hits := 0
 	for i, key := range req.Keys {
 		if r.Context().Err() != nil {
@@ -235,50 +217,47 @@ func (w *Worker) handleCacheLookup(rw http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		if err := enc.Encode(line); err != nil {
+		if stream.Send(line) != nil {
 			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		hits++
 	}
-	_ = enc.Encode(leaseLine{Done: true, CacheHits: hits})
+	_ = stream.Send(leaseLine{Done: true, CacheHits: hits})
 }
 
 // handleCacheGet serves one key of the federated cache tier.
 func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !campaign.ValidKey(key) {
-		writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+		httpjson.Error(rw, http.StatusBadRequest, "malformed cache key %q", key)
 		return
 	}
 	res, ok, err := w.getResult(key)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "cache read: %v", err)
+		httpjson.Error(rw, http.StatusInternalServerError, "cache read: %v", err)
 		return
 	}
 	if !ok {
-		writeError(rw, http.StatusNotFound, "no cached result for %s", key)
+		httpjson.Error(rw, http.StatusNotFound, "no cached result for %s", key)
 		return
 	}
-	writeJSON(rw, http.StatusOK, res)
+	httpjson.Write(rw, http.StatusOK, res)
 }
 
 // handleCacheTrace serves a cached trace CSV for record_trace jobs.
 func (w *Worker) handleCacheTrace(rw http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !campaign.ValidKey(key) {
-		writeError(rw, http.StatusBadRequest, "malformed cache key %q", key)
+		httpjson.Error(rw, http.StatusBadRequest, "malformed cache key %q", key)
 		return
 	}
 	csv, ok, err := w.getTrace(key)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "cache trace read: %v", err)
+		httpjson.Error(rw, http.StatusInternalServerError, "cache trace read: %v", err)
 		return
 	}
 	if !ok {
-		writeError(rw, http.StatusNotFound, "no cached trace for %s", key)
+		httpjson.Error(rw, http.StatusNotFound, "no cached trace for %s", key)
 		return
 	}
 	rw.Header().Set("Content-Type", "text/csv")
