@@ -23,9 +23,10 @@ func lapPoses(tr *world.Track, n int) []VehiclePose {
 
 // BenchmarkRender times one frame of the loop's camera at 192×96 over
 // poses spread across the nine-sector lap (every sector's scene and
-// layout), in two parts: the scene shading (RenderSceneInto) at one and
-// two workers, and the sensor mosaic (MosaicInto), which is serial.
-// One op is one frame; the poses are taken in turn.
+// layout) at one and two workers, in two forms: the scene shading alone
+// (RenderSceneInto), and the whole RAW frame (RenderRAWInto: shading,
+// noise draw and sensor model) as the loop renders it. One op is one
+// frame; the poses are taken in turn, each with its own seed.
 func BenchmarkRender(b *testing.B) {
 	tr := world.NineSectorTrack()
 	cam := Scaled(192, 96)
@@ -43,19 +44,17 @@ func BenchmarkRender(b *testing.B) {
 			}
 		})
 	}
-	b.Run("mosaic", func(b *testing.B) {
-		rend := NewRenderer(tr, cam)
-		rend.Workers = 1
-		var scenes []*raster.RGB
-		for i := 0; i < len(poses); i += 4 {
-			scenes = append(scenes, rend.RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), poses[i]))
-		}
-		raw := raster.NewBayer(cam.Width, cam.Height)
-		rend.MosaicInto(raw, scenes[0], 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rend.MosaicInto(raw, scenes[i%len(scenes)], int64(i))
-		}
-	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("raw/workers=%d", workers), func(b *testing.B) {
+			rend := NewRenderer(tr, cam)
+			rend.Workers = workers
+			raw := raster.NewBayer(cam.Width, cam.Height)
+			rend.RenderRAWInto(raw, poses[0], 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rend.RenderRAWInto(raw, poses[i%len(poses)], int64(i))
+			}
+		})
+	}
 }

@@ -23,6 +23,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"hsas/internal/raster"
 	"hsas/internal/world"
@@ -78,22 +81,27 @@ const (
 // Renderer renders RAW frames of a track from a vehicle pose.
 //
 // Every render reuses per-renderer scratch (the scene buffer, the
-// frame's track view and the noise stream), so a Renderer must be used
-// from one goroutine at a time; run-level parallelism (the
-// characterization sweep) gives each run its own Renderer. Within a
-// frame the scene shading is split over Workers.
+// frame's track view, the noise stream and its drawn normals), so a
+// Renderer must be used from one goroutine at a time; run-level
+// parallelism (the characterization sweep) gives each run its own
+// Renderer. Within a frame the ground rows are split over Workers, each
+// chunk shading its rows and then applying the sensor model to them,
+// while the frame's sensor noise is drawn alongside.
 type Renderer struct {
 	Track *world.Track
 
 	// Cam is the camera the renderer was built for. NewRenderer derives
-	// the ray, ground and vignetting tables from it, so it is fixed from
-	// then on: build a new Renderer for another camera.
+	// the ray, ground and vignetting tables from it, and shares them with
+	// other renderers of the same camera, so it is fixed from then on:
+	// build a new Renderer for another camera.
 	Cam Camera
 
-	// Workers bounds the row-parallel scene shading: 0 uses GOMAXPROCS,
-	// 1 forces serial. The rendered image is byte-identical for every
-	// worker count — the split only partitions loop bounds over
-	// independent pixels.
+	// Workers bounds the row-parallel render: 0 uses GOMAXPROCS, 1
+	// forces serial. With two or more, RenderRAWInto also draws the
+	// frame's sensor noise on its own goroutine while the scene shades.
+	// The rendered image is byte-identical for every worker count — the
+	// split only partitions loop bounds over independent pixels, and the
+	// noise is one stream drawn in raster order whatever the split.
 	Workers int
 
 	// Occlude, when non-nil, masks lane-marking paint: a marking point at
@@ -104,12 +112,38 @@ type Renderer struct {
 	// byte-identical-for-any-worker-count contract breaks.
 	Occlude func(s, lat float64) bool
 
-	ground groundTable
-	vig    []float32 // per-pixel vignetting gain
+	ground *groundTable // shared with every renderer of Cam; read only
+	vig    []float32    // per-pixel vignetting gain; shared like ground
 
-	rng   *rand.Rand  // MosaicInto's reusable noise stream
-	scene *raster.RGB // RenderRAWInto's scene scratch
-	view  world.View  // RenderSceneInto's track window of the frame
+	rng   *rand.Rand     // RenderRAWInto's reusable noise stream
+	noise []float64      // the frame's normals: pixel i takes 2i and 2i+1
+	draw  func()         // r.drawNoise, bound once so go r.draw() allocates nothing
+	drawn sync.WaitGroup // done once noise holds the frame's normals
+	scene *raster.RGB    // RenderRAWInto's scene scratch
+	view  world.View     // the frame's track window
+}
+
+// cameraTables are what NewRenderer derives from the camera alone. They
+// are never written after they are built, so renderers of one camera
+// share them.
+type cameraTables struct {
+	cam    Camera
+	ground groundTable
+	vig    []float32
+}
+
+// lastTables holds the tables of the camera a renderer was last built
+// for. A run builds one renderer and a sweep builds many of one camera,
+// so one entry serves them all; another camera replaces it.
+var lastTables atomic.Pointer[cameraTables]
+
+func tablesFor(cam Camera) *cameraTables {
+	if t := lastTables.Load(); t != nil && t.cam == cam {
+		return t
+	}
+	t := &cameraTables{cam: cam, ground: newGroundTable(cam), vig: newVignetting(cam)}
+	lastTables.Store(t)
+	return t
 }
 
 // groundTable is what each pixel's ray needs from the camera alone. The
@@ -159,21 +193,25 @@ func (ray *groundRay) hit(x, y float64, ax frameAxes) (gx, gy float64) {
 	return x + ray.t*dx, y + ray.t*dy
 }
 
-// NewRenderer precomputes the per-pixel ground and vignetting tables for
-// the camera.
+// NewRenderer returns a renderer of track through cam. The per-pixel
+// ground and vignetting tables are built once per camera and shared.
 func NewRenderer(track *world.Track, cam Camera) *Renderer {
-	r := &Renderer{Track: track, Cam: cam, ground: newGroundTable(cam)}
+	t := tablesFor(cam)
+	return &Renderer{Track: track, Cam: cam, ground: &t.ground, vig: t.vig}
+}
+
+func newVignetting(cam Camera) []float32 {
 	w, h := cam.Width, cam.Height
 	cx, cy := float64(w)/2-0.5, float64(h)/2-0.5
-	r.vig = make([]float32, w*h)
+	vig := make([]float32, w*h)
 	maxR2 := cx*cx + cy*cy
 	for v := 0; v < h; v++ {
 		for u := 0; u < w; u++ {
 			r2 := ((float64(u)-cx)*(float64(u)-cx) + (float64(v)-cy)*(float64(v)-cy)) / maxR2
-			r.vig[v*w+u] = float32(1 - Vignetting*r2)
+			vig[v*w+u] = float32(1 - Vignetting*r2)
 		}
 	}
-	return r
+	return vig
 }
 
 func newGroundTable(cam Camera) groundTable {
@@ -235,8 +273,17 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 	if out.W != w || out.H != h {
 		panic(fmt.Sprintf("camera: RenderSceneInto buffer is %dx%d, camera is %dx%d", out.W, out.H, w, h))
 	}
+	r.render(out, nil, vp)
+	return out
+}
 
-	g := &r.ground
+// render shades the frame into out. When raw is non-nil, each chunk of
+// ground rows then waits for the frame's noise and applies the sensor
+// model to the rows it shaded, and the sky and haze rows get it on the
+// calling goroutine once the split returns.
+func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
+	w, h := r.Cam.Width, r.Cam.Height
+	g := r.ground
 	ax := g.axes(vp.Psi)
 	scene := r.Track.SituationAt(vp.S).Scene
 	sky := skyColor(scene)
@@ -267,8 +314,15 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 			rad := r.shadeGround(gx, gy, vp, scene, ray.t)
 			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
 		}
+		if raw != nil {
+			r.drawn.Wait()
+			r.sensorRows(raw, out, r.noise, g.groundRow+y0, g.groundRow+y1)
+		}
 	})
-	return out
+	if raw != nil {
+		r.drawn.Wait()
+		r.sensorRows(raw, out, r.noise, 0, g.groundRow)
+	}
 }
 
 // shadeGround returns the linear radiance of the ground point (gx, gy).
@@ -428,38 +482,71 @@ func (r *Renderer) RenderRAW(vp VehiclePose, seed int64) *raster.Bayer {
 // the RAW mosaic the ISP consumes; seed makes the per-frame noise
 // deterministic. Every sample is written, so raw may be a recycled
 // buffer. It returns raw.
+//
+// The noise is one stream reseeded per frame, two normals per pixel in
+// raster order (shot, then read), and reseeding a rand.Rand restores
+// exactly the state of rand.New(rand.NewSource(seed)), so the mosaic
+// depends only on the scene and the seed. The normals never depend on
+// the scene, so with two or more workers a goroutine draws them while
+// the scene shades; with one the calling goroutine draws them first.
+// Either way the sensor model runs in the row split, each chunk on the
+// rows it shaded.
 func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
+	if raw.W != w || raw.H != h {
+		panic(fmt.Sprintf("camera: RenderRAWInto buffer is %dx%d, camera is %dx%d", raw.W, raw.H, w, h))
+	}
 	if r.scene == nil || r.scene.W != w || r.scene.H != h {
 		r.scene = raster.NewRGB(w, h)
 	}
-	r.RenderSceneInto(r.scene, vp)
-	return r.MosaicInto(raw, r.scene, seed)
-}
-
-// MosaicInto applies the sensor model to a linear scene radiance image
-// into raw and returns raw. It reseeds a per-renderer noise stream;
-// reseeding a rand.Rand restores exactly the state of
-// rand.New(rand.NewSource(seed)), so the mosaic depends only on the
-// scene and the seed. The sensor noise is a single sequential stream
-// (two normal variates per pixel in raster order), so this stage stays
-// serial by construction.
-func (r *Renderer) MosaicInto(raw *raster.Bayer, scene *raster.RGB, seed int64) *raster.Bayer {
-	w, h := scene.W, scene.H
-	if raw.W != w || raw.H != h {
-		panic(fmt.Sprintf("camera: mosaic buffer is %dx%d, scene is %dx%d", raw.W, raw.H, w, h))
+	if len(r.noise) != 2*w*h {
+		r.noise = make([]float64, 2*w*h)
 	}
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(seed))
 	} else {
 		r.rng.Seed(seed)
 	}
-	rng, vig := r.rng, r.vig
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if r.draw == nil {
+		r.draw = r.drawNoise
+	}
+	r.drawn.Add(1)
+	if workers >= 2 {
+		go r.draw()
+	} else {
+		r.draw()
+	}
+	r.render(r.scene, raw, vp)
+	return raw
+}
+
+// drawNoise fills r.noise from the freshly seeded stream.
+func (r *Renderer) drawNoise() {
+	defer r.drawn.Done()
+	rng, noise := r.rng, r.noise
+	for i := range noise {
+		noise[i] = rng.NormFloat64()
+	}
+}
+
+// sensorRows applies the sensor model to rows [y0, y1) of the scene
+// radiance into raw, pixel i taking the normals noise[2i] and
+// noise[2i+1]. Each row is sliced out once, so the pixel loop indexes
+// within the row.
+func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, noise []float64, y0, y1 int) {
+	w := scene.W
 	m := &SensorMatrix
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			sr, sg, sb := float64(scene.R[i]), float64(scene.G[i]), float64(scene.B[i])
+	for y := y0; y < y1; y++ {
+		row := y * w
+		sR, sG, sB := scene.R[row:row+w], scene.G[row:row+w], scene.B[row:row+w]
+		vig, out := r.vig[row:row+w], raw.Pix[row:row+w]
+		n := noise[2*row : 2*row+2*w]
+		for x := range out {
+			sr, sg, sb := float64(sR[x]), float64(sG[x]), float64(sB[x])
 			var v float64
 			switch raster.ColorAt(x, y) {
 			case raster.CFARed:
@@ -469,8 +556,8 @@ func (r *Renderer) MosaicInto(raw *raster.Bayer, scene *raster.RGB, seed int64) 
 			default:
 				v = m[2][0]*sr + m[2][1]*sg + m[2][2]*sb
 			}
-			v *= float64(vig[i])
-			v += math.Sqrt(math.Max(v, 0))*ShotNoise*rng.NormFloat64() + ReadNoise*rng.NormFloat64()
+			v *= float64(vig[x])
+			v += math.Sqrt(math.Max(v, 0))*ShotNoise*n[2*x] + ReadNoise*n[2*x+1]
 			if v < 0 {
 				v = 0
 			}
@@ -480,10 +567,9 @@ func (r *Renderer) MosaicInto(raw *raster.Bayer, scene *raster.RGB, seed int64) 
 				v = 1
 			}
 			v = math.Round(v*QuantLevel) / QuantLevel
-			raw.Pix[i] = float32(v)
+			out[x] = float32(v)
 		}
 	}
-	return raw
 }
 
 // PoseOnTrack returns the vehicle pose at arclength s with lateral offset

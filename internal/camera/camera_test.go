@@ -2,6 +2,7 @@ package camera
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hsas/internal/fault"
@@ -160,7 +161,12 @@ func TestMosaicCrosstalkOnWhite(t *testing.T) {
 		scene.R[i] = 1
 	}
 	r := NewRenderer(dayTrack(), Scaled(4, 4))
-	raw := r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, 1)
+	r.noise = make([]float64, 2*len(scene.R))
+	r.rng = rand.New(rand.NewSource(1))
+	r.drawn.Add(1)
+	r.drawNoise()
+	raw := raster.NewBayer(scene.W, scene.H)
+	r.sensorRows(raw, scene, r.noise, 0, scene.H)
 	// Average G cells: should be near SensorMatrix[1][0] = 0.18, not 0.
 	var g float64
 	var n int

@@ -3,6 +3,7 @@ package camera
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"hsas/internal/fault"
@@ -110,11 +111,41 @@ func (o *oracleRenderer) shadeGround(gx, gy float64, vp VehiclePose, scene world
 	}
 }
 
-// mosaic applies the renderer's sensor model with the oracle's
-// vignetting table and a fresh noise stream.
+// mosaic is the serial sensor model RenderRAWInto's row split replaced,
+// kept as the oracle of its RAW frames: the oracle's vignetting table, a
+// fresh noise stream drawn two normals per pixel in raster order as the
+// loop goes, and the per-pixel arithmetic of sensorRows.
 func (o *oracleRenderer) mosaic(scene *raster.RGB, seed int64) *raster.Bayer {
-	r := &Renderer{vig: o.vig}
-	return r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, seed)
+	w, h := scene.W, scene.H
+	raw := raster.NewBayer(w, h)
+	rng := rand.New(rand.NewSource(seed))
+	m := &SensorMatrix
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			sr, sg, sb := float64(scene.R[i]), float64(scene.G[i]), float64(scene.B[i])
+			var v float64
+			switch raster.ColorAt(x, y) {
+			case raster.CFARed:
+				v = m[0][0]*sr + m[0][1]*sg + m[0][2]*sb
+			case raster.CFAGreen:
+				v = m[1][0]*sr + m[1][1]*sg + m[1][2]*sb
+			default:
+				v = m[2][0]*sr + m[2][1]*sg + m[2][2]*sb
+			}
+			v *= float64(o.vig[i])
+			v += math.Sqrt(math.Max(v, 0))*ShotNoise*rng.NormFloat64() + ReadNoise*rng.NormFloat64()
+			if v < 0 {
+				v = 0
+			}
+			if v > 1 {
+				v = 1
+			}
+			v = math.Round(v*QuantLevel) / QuantLevel
+			raw.Pix[i] = float32(v)
+		}
+	}
+	return raw
 }
 
 // fiveSceneTrack strings one segment of every scene together, with
@@ -164,19 +195,19 @@ func oraclePoses(tr *world.Track) []VehiclePose {
 		PoseOnTrack(tr, cum+3, -0.2, -0.02))
 }
 
-// TestRenderMatchesOracle compares the scene radiance and the RAW mosaic
-// bit for bit with the per-pixel oracle over all five scenes, four camera
-// sizes, poses on straights, turns, sector joins and both track ends,
-// the occluder on and off, and worker counts 1, 2, 3 and 8, rendering
-// into buffers dirtied before every frame. Each pose's RAW frame is
-// checked at one worker count, taken in turn. The 512×256 camera takes
-// every fifth pose (every eighth with -short) to bound the test's time.
-func TestRenderMatchesOracle(t *testing.T) {
+// oracleSweep runs check on every frame of the oracle sweep: both
+// tracks (five scenes, straights, turns, sector joins and both track
+// ends), four camera sizes and the occluder off and on, with one renderer
+// per worker count and the oracle's scene of the pose. The 512×256
+// camera takes every fifth pose (every eighth with -short) to bound the
+// tests' time. It fails unless the poses covered all five scenes.
+func oracleSweep(t *testing.T, workerCounts []int,
+	check func(where string, pi int, vp VehiclePose, rends []*Renderer, oracle *oracleRenderer, wantScene *raster.RGB)) {
+	t.Helper()
 	patchy := func(s, lat float64) bool {
 		return fault.MarkingOccluded(s, lat, 0.5, fault.OcclusionSeed(3))
 	}
 	cams := []Camera{Scaled(64, 32), Scaled(96, 48), Scaled(192, 96), Default()}
-	workerCounts := []int{1, 2, 3, 8}
 	tracks := map[string]*world.Track{"five-scene": fiveSceneTrack(), "nine-sector": world.NineSectorTrack()}
 	scenes := map[world.Scene]bool{}
 	for name, tr := range tracks {
@@ -199,30 +230,11 @@ func TestRenderMatchesOracle(t *testing.T) {
 					rends[k].Workers, rends[k].Occlude = n, occlude
 				}
 				oracle := newOracleRenderer(rends[0])
-				scene := raster.NewRGB(cam.Width, cam.Height)
-				raw := raster.NewBayer(cam.Width, cam.Height)
 				for pi := 0; pi < len(poses); pi += stride {
 					vp := poses[pi]
-					wantScene := oracle.renderScene(vp)
-					for k, rend := range rends {
-						where := fmt.Sprintf("%s %dx%d occlude=%v workers=%d pose %d (s=%.3f)",
-							name, cam.Width, cam.Height, occlude != nil, rend.Workers, pi, vp.S)
-						dirtyRGB(scene, pi+k)
-						rend.RenderSceneInto(scene, vp)
-						checkSceneBits(t, where, scene, wantScene)
-						if k != pi%len(rends) {
-							continue
-						}
-						seed := int64(17 + 7919*pi)
-						want := oracle.mosaic(wantScene, seed)
-						dirtyBayer(raw, pi+k)
-						rend.RenderRAWInto(raw, vp, seed)
-						for i := range want.Pix {
-							if math.Float32bits(raw.Pix[i]) != math.Float32bits(want.Pix[i]) {
-								t.Fatalf("%s: RAW sample %d is %v, oracle %v", where, i, raw.Pix[i], want.Pix[i])
-							}
-						}
-					}
+					where := fmt.Sprintf("%s %dx%d occlude=%v pose %d (s=%.3f)",
+						name, cam.Width, cam.Height, occlude != nil, pi, vp.S)
+					check(where, pi, vp, rends, oracle, oracle.renderScene(vp))
 				}
 			}
 		}
@@ -230,6 +242,46 @@ func TestRenderMatchesOracle(t *testing.T) {
 	if len(scenes) != 5 {
 		t.Fatalf("poses covered scenes %v, want all five", scenes)
 	}
+}
+
+// TestRenderMatchesOracle compares the scene radiance bit for bit with
+// the per-pixel oracle over the oracle sweep at worker counts 1, 2, 3
+// and 8, rendering into buffers dirtied before every frame.
+func TestRenderMatchesOracle(t *testing.T) {
+	var scene *raster.RGB
+	oracleSweep(t, []int{1, 2, 3, 8}, func(where string, pi int, vp VehiclePose, rends []*Renderer, _ *oracleRenderer, want *raster.RGB) {
+		if scene == nil || scene.W != want.W || scene.H != want.H {
+			scene = raster.NewRGB(want.W, want.H)
+		}
+		for k, rend := range rends {
+			dirtyRGB(scene, pi+k)
+			rend.RenderSceneInto(scene, vp)
+			checkSceneBits(t, fmt.Sprintf("%s workers=%d", where, rend.Workers), scene, want)
+		}
+	})
+}
+
+// TestRenderRAWMatchesOracle compares every RAW frame bit for bit with
+// the serial mosaic applied to the oracle's scene, over the oracle sweep
+// at every worker count from 1 to 8, rendering into mosaics dirtied
+// before every frame. The renderers are reused from pose to pose with a
+// new seed each, as the loop uses them.
+func TestRenderRAWMatchesOracle(t *testing.T) {
+	var raw *raster.Bayer
+	oracleSweep(t, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(where string, pi int, vp VehiclePose, rends []*Renderer, oracle *oracleRenderer, wantScene *raster.RGB) {
+		seed := int64(17 + 7919*pi)
+		want := oracle.mosaic(wantScene, seed)
+		if raw == nil || raw.W != want.W || raw.H != want.H {
+			raw = raster.NewBayer(want.W, want.H)
+		}
+		for k, rend := range rends {
+			dirtyBayer(raw, pi+k)
+			if got := rend.RenderRAWInto(raw, vp, seed); got != raw {
+				t.Fatalf("%s workers=%d: RenderRAWInto did not return its buffer", where, rend.Workers)
+			}
+			checkRAWBits(t, fmt.Sprintf("%s workers=%d", where, rend.Workers), raw, want)
+		}
+	})
 }
 
 // TestGroundTableMatchesOracle checks the ground table and the per-frame
@@ -246,7 +298,7 @@ func TestGroundTableMatchesOracle(t *testing.T) {
 	for _, cam := range []Camera{Scaled(64, 32), Scaled(96, 48), Scaled(192, 96), Default(), Scaled(40, 7)} {
 		rend := NewRenderer(tr, cam)
 		oracle := newOracleRenderer(rend)
-		g := &rend.ground
+		g := rend.ground
 		off := g.skyRows * cam.Width
 		for pi, vp := range poses {
 			ax := g.axes(vp.Psi)
@@ -290,6 +342,16 @@ func TestRenderSceneMatchesOracle(t *testing.T) {
 			t.Fatalf("pose %d: RenderSceneInto did not return its buffer", pi)
 		}
 		checkSceneBits(t, fmt.Sprintf("pose %d", pi), out, oracle.renderScene(vp))
+	}
+}
+
+func checkRAWBits(t *testing.T, where string, got, want *raster.Bayer) {
+	t.Helper()
+	for i := range want.Pix {
+		if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+			t.Fatalf("%s: RAW sample %d (x %d, y %d) is %v, oracle %v",
+				where, i, i%want.W, i/want.W, got.Pix[i], want.Pix[i])
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func TestNoiseScalesWithSignal(t *testing.T) {
 	const reps = 40
 	var sum, sum2 [2]float64
 	for rep := 0; rep < reps; rep++ {
-		raw := r.MosaicInto(raster.NewBayer(scene.W, scene.H), scene, int64(rep))
+		raw := r.RenderRAW(vp, int64(rep))
 		for j, idx := range [2]int{brightIdx, dimIdx} {
 			v := float64(raw.Pix[idx])
 			sum[j] += v

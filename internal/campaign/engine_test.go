@@ -163,6 +163,28 @@ func TestEngineInterruptResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestEngineCancelledSkipsCacheHits: a campaign whose context is
+// already cancelled completes nothing, not even the jobs the cache
+// holds, and reports the interruption.
+func TestEngineCancelledSkipsCacheHits(t *testing.T) {
+	jobs := []JobSpec{tinyJob(1), tinyJob(2)}
+	cache := NewMemCache()
+	if _, _, err := (&Engine{Workers: 1, Cache: cache}).Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := 0
+	eng := &Engine{Workers: 1, Cache: cache, Hooks: Hooks{JobDone: func(JobEvent) { done++ }}}
+	results, stats, err := eng.Run(ctx, jobs)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if done != 0 || stats.CacheHits != 0 || results[0] != nil || results[1] != nil {
+		t.Fatalf("cancelled run completed %d jobs (%d cache hits, results %v), want none", done, stats.CacheHits, results)
+	}
+}
+
 func TestEngineFailsFastOnInvalidJob(t *testing.T) {
 	jobs := []JobSpec{tinyJob(1), {Camera: camera.Scaled(64, 32), Case: 1}} // job 1: no situation
 	_, _, err := (&Engine{Workers: 1}).Run(context.Background(), jobs)
