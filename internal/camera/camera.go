@@ -115,12 +115,13 @@ type Renderer struct {
 	ground *groundTable // shared with every renderer of Cam; read only
 	vig    []float32    // per-pixel vignetting gain; shared like ground
 
-	rng   *rand.Rand     // RenderRAWInto's reusable noise stream
-	noise []float64      // the frame's normals: pixel i takes 2i and 2i+1
-	draw  func()         // r.drawNoise, bound once so go r.draw() allocates nothing
-	drawn sync.WaitGroup // done once noise holds the frame's normals
-	scene *raster.RGB    // RenderRAWInto's scene scratch
-	view  world.View     // the frame's track window
+	rng     *rand.Rand     // RenderRAWInto's reusable noise stream
+	noise   []float64      // the frame's normals: pixel i takes 2i and 2i+1
+	draw    func()         // r.drawNoise, bound once so go r.draw() allocates nothing
+	drawn   sync.WaitGroup // done once noise holds the frame's normals
+	claimed atomic.Int64   // rows the row split's goroutines have claimed
+	scene   *raster.RGB    // RenderRAWInto's scene scratch
+	view    world.View     // the frame's track window
 }
 
 // cameraTables are what NewRenderer derives from the camera alone. They
@@ -277,10 +278,18 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 	return out
 }
 
-// render shades the frame into out. When raw is non-nil, each chunk of
-// ground rows then waits for the frame's noise and applies the sensor
-// model to the rows it shaded, and the sky and haze rows get it on the
-// calling goroutine once the split returns.
+// render shades the frame into out. When raw is non-nil it also applies
+// the sensor model to every row once the frame's noise is drawn.
+//
+// The sky and haze rows above the first ground row are filled on the
+// calling goroutine. The row split's goroutines then claim rows one at a
+// time from a shared counter: first the ground rows, which they shade,
+// then, rendering RAW, the sky and haze rows. A goroutine keeps the
+// ground rows it shaded and applies the sensor model to them once the
+// noise is drawn, at the latest when it claims a sky row, whose sensor
+// model it then applies too. A goroutine that starts late, behind the
+// noise draw on its CPU, so claims fewer rows than one that starts at
+// once, which fixed halves of the rows could not allow.
 func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
 	w, h := r.Cam.Width, r.Cam.Height
 	g := r.ground
@@ -299,29 +308,59 @@ func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
 		}
 		out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
 	}
-	raster.ParallelRows(h-g.groundRow, r.Workers, func(y0, y1 int) {
-		for i := (g.groundRow + y0) * w; i < (g.groundRow+y1)*w; i++ {
-			switch g.class[i-off] {
-			case pixelSky:
-				out.R[i], out.G[i], out.B[i] = sky[0], sky[1], sky[2]
-				continue
-			case pixelHaze:
-				out.R[i], out.G[i], out.B[i] = haze[0], haze[1], haze[2]
+	ground, claims := h-g.groundRow, h-g.groundRow
+	if raw != nil {
+		claims = h
+	}
+	r.claimed.Store(0)
+	raster.ParallelRows(ground, r.Workers, func(int, int) {
+		var mine [256]int32 // claimed rows awaiting the sensor model
+		n := 0
+		for {
+			c := int(r.claimed.Add(1)) - 1
+			if c >= claims {
+				break
+			}
+			y := c - ground // claims past the ground rows are sky rows
+			if c < ground {
+				y = g.groundRow + c
+				for i := y * w; i < (y+1)*w; i++ {
+					switch g.class[i-off] {
+					case pixelSky:
+						out.R[i], out.G[i], out.B[i] = sky[0], sky[1], sky[2]
+						continue
+					case pixelHaze:
+						out.R[i], out.G[i], out.B[i] = haze[0], haze[1], haze[2]
+						continue
+					}
+					ray := &g.ray[i-off]
+					gx, gy := ray.hit(vp.X, vp.Y, ax)
+					rad := r.shadeGround(gx, gy, vp, scene, ray.t)
+					out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
+				}
+			}
+			if raw == nil {
 				continue
 			}
-			ray := &g.ray[i-off]
-			gx, gy := ray.hit(vp.X, vp.Y, ax)
-			rad := r.shadeGround(gx, gy, vp, scene, ray.t)
-			out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
+			mine[n] = int32(y)
+			n++
+			if n == len(mine) || c >= ground {
+				r.sensorClaimed(raw, out, mine[:n])
+				n = 0
+			}
 		}
 		if raw != nil {
-			r.drawn.Wait()
-			r.sensorRows(raw, out, r.noise, g.groundRow+y0, g.groundRow+y1)
+			r.sensorClaimed(raw, out, mine[:n])
 		}
 	})
-	if raw != nil {
-		r.drawn.Wait()
-		r.sensorRows(raw, out, r.noise, 0, g.groundRow)
+}
+
+// sensorClaimed waits for the frame's noise and applies the sensor model
+// to the given rows.
+func (r *Renderer) sensorClaimed(raw *raster.Bayer, scene *raster.RGB, rows []int32) {
+	r.drawn.Wait()
+	for _, y := range rows {
+		r.sensorRows(raw, scene, r.noise, int(y), int(y)+1)
 	}
 }
 

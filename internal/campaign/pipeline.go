@@ -71,8 +71,7 @@ type Plan struct {
 // Resolve runs jobs through the campaign pipeline. It normalizes and
 // addresses every job (an invalid spec fails the campaign before any
 // work starts), completes the jobs the local cache holds, passes the
-// misses to resolveMisses unless ctx is done by then, and flushes the
-// lake on every exit path. The
+// misses to resolveMisses, and flushes the lake on every exit path. The
 // Plan carries the results in submission order (nil for jobs that never
 // completed). When ctx is cancelled Resolve reports the interruption,
 // wrapping ctx's error; otherwise it returns resolveMisses' error.
@@ -109,11 +108,7 @@ func (e *Engine) Resolve(ctx context.Context, jobs []JobSpec,
 	p.lakeCampaign = cmp.Or(e.LakeCampaign, "adhoc")
 	defer p.flush()
 
-	misses := p.local(ctx)
-	var err error
-	if ctx.Err() == nil {
-		err = resolveMisses(ctx, p, misses)
-	}
+	err := resolveMisses(ctx, p, p.local(ctx))
 	if cerr := ctx.Err(); cerr != nil {
 		done := p.Unique() - p.Left()
 		e.Obs.Logger().Info("campaign interrupted", "jobs", len(jobs), "unique", p.Unique(), "done", done)
@@ -173,7 +168,8 @@ func (p *Plan) Remaining() []*Job {
 
 // local completes every job the local cache holds and returns the
 // misses in submission order. Once ctx is done it reads no more of the
-// cache and completes no more jobs; Resolve reports the interruption.
+// cache, completes no more jobs and returns no misses; Resolve reports
+// the interruption.
 func (p *Plan) local(ctx context.Context) []*Job {
 	var misses []*Job
 	for _, u := range p.uniq {
