@@ -84,9 +84,9 @@ const (
 // frame's track view, the noise stream and its drawn normals), so a
 // Renderer must be used from one goroutine at a time; run-level
 // parallelism (the characterization sweep) gives each run its own
-// Renderer. Within a frame the ground rows are split over Workers, each
-// chunk shading its rows and then applying the sensor model to them,
-// while the frame's sensor noise is drawn alongside.
+// Renderer. Within a frame the rows are split over Workers, which shade
+// them and apply the sensor model to them, while the frame's sensor
+// noise is drawn alongside.
 type Renderer struct {
 	Track *world.Track
 
@@ -100,8 +100,9 @@ type Renderer struct {
 	// forces serial. With two or more, RenderRAWInto also draws the
 	// frame's sensor noise on its own goroutine while the scene shades.
 	// The rendered image is byte-identical for every worker count — the
-	// split only partitions loop bounds over independent pixels, and the
-	// noise is one stream drawn in raster order whatever the split.
+	// split only decides which goroutine computes which independent row,
+	// and the noise is one stream drawn in raster order whatever the
+	// split.
 	Workers int
 
 	// Occlude, when non-nil, masks lane-marking paint: a marking point at
@@ -345,23 +346,14 @@ func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
 			mine[n] = int32(y)
 			n++
 			if n == len(mine) || c >= ground {
-				r.sensorClaimed(raw, out, mine[:n])
+				r.sensorRows(raw, out, mine[:n])
 				n = 0
 			}
 		}
 		if raw != nil {
-			r.sensorClaimed(raw, out, mine[:n])
+			r.sensorRows(raw, out, mine[:n])
 		}
 	})
-}
-
-// sensorClaimed waits for the frame's noise and applies the sensor model
-// to the given rows.
-func (r *Renderer) sensorClaimed(raw *raster.Bayer, scene *raster.RGB, rows []int32) {
-	r.drawn.Wait()
-	for _, y := range rows {
-		r.sensorRows(raw, scene, r.noise, int(y), int(y)+1)
-	}
 }
 
 // shadeGround returns the linear radiance of the ground point (gx, gy).
@@ -528,8 +520,7 @@ func (r *Renderer) RenderRAW(vp VehiclePose, seed int64) *raster.Bayer {
 // depends only on the scene and the seed. The normals never depend on
 // the scene, so with two or more workers a goroutine draws them while
 // the scene shades; with one the calling goroutine draws them first.
-// Either way the sensor model runs in the row split, each chunk on the
-// rows it shaded.
+// Either way the sensor model runs in the row split; see render.
 func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
 	if raw.W != w || raw.H != h {
@@ -572,22 +563,23 @@ func (r *Renderer) drawNoise() {
 	}
 }
 
-// sensorRows applies the sensor model to rows [y0, y1) of the scene
-// radiance into raw, pixel i taking the normals noise[2i] and
-// noise[2i+1]. Each row is sliced out once, so the pixel loop indexes
-// within the row.
-func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, noise []float64, y0, y1 int) {
+// sensorRows waits for the frame's noise and applies the sensor model to
+// the given rows of the scene radiance into raw, pixel i taking the
+// normals noise[2i] and noise[2i+1]. Each row is sliced out once, so the
+// pixel loop indexes within the row.
+func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, rows []int32) {
+	r.drawn.Wait()
 	w := scene.W
 	m := &SensorMatrix
-	for y := y0; y < y1; y++ {
-		row := y * w
+	for _, y := range rows {
+		row := int(y) * w
 		sR, sG, sB := scene.R[row:row+w], scene.G[row:row+w], scene.B[row:row+w]
 		vig, out := r.vig[row:row+w], raw.Pix[row:row+w]
-		n := noise[2*row : 2*row+2*w]
+		n := r.noise[2*row : 2*row+2*w]
 		for x := range out {
 			sr, sg, sb := float64(sR[x]), float64(sG[x]), float64(sB[x])
 			var v float64
-			switch raster.ColorAt(x, y) {
+			switch raster.ColorAt(x, int(y)) {
 			case raster.CFARed:
 				v = m[0][0]*sr + m[0][1]*sg + m[0][2]*sb
 			case raster.CFAGreen:
