@@ -136,7 +136,9 @@ type cameraTables struct {
 
 // lastTables holds the tables of the camera a renderer was last built
 // for. A run builds one renderer and a sweep builds many of one camera,
-// so one entry serves them all; another camera replaces it.
+// so one entry serves them all; another camera replaces it. The tables
+// are a pure function of the camera, so no caller can tell whether it
+// got shared ones or fresh ones.
 var lastTables atomic.Pointer[cameraTables]
 
 func tablesFor(cam Camera) *cameraTables {
