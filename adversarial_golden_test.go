@@ -4,7 +4,8 @@ import (
 	"context"
 	"testing"
 
-	hsas "hsas"
+	"hsas/internal/adversarial"
+	"hsas/internal/campaign"
 )
 
 // TestGoldenAdversarialMargins pins the end-to-end robustness-margin
@@ -49,12 +50,12 @@ func TestGoldenAdversarialMargins(t *testing.T) {
 	}
 	grids := []struct {
 		name   string
-		grid   hsas.AdversarialGrid
+		grid   adversarial.Grid
 		golden []cellGolden
 	}{
 		{
 			name: "noise",
-			grid: hsas.AdversarialGrid{
+			grid: adversarial.Grid{
 				Situations: []int{1, 8},
 				Cases:      []int{1, 4},
 				Width:      192, Height: 96, Seed: 1,
@@ -62,15 +63,15 @@ func TestGoldenAdversarialMargins(t *testing.T) {
 				Lo:    0, Hi: 2, Tol: 0.25,
 			},
 			golden: []cellGolden{
-				{1, "case 1 (no classifiers)", 0, 0.25, hsas.AdversarialStatusBounded, 5},
-				{1, "case 4 (all classifiers)", 0.25, 0.5, hsas.AdversarialStatusBounded, 5},
-				{8, "case 1 (no classifiers)", 0, 0, hsas.AdversarialStatusUnsafe, 1},
-				{8, "case 4 (all classifiers)", 0, 0.25, hsas.AdversarialStatusBounded, 5},
+				{1, "case 1 (no classifiers)", 0, 0.25, adversarial.StatusBounded, 5},
+				{1, "case 4 (all classifiers)", 0.25, 0.5, adversarial.StatusBounded, 5},
+				{8, "case 1 (no classifiers)", 0, 0, adversarial.StatusUnsafe, 1},
+				{8, "case 4 (all classifiers)", 0, 0.25, adversarial.StatusBounded, 5},
 			},
 		},
 		{
 			name: "occlusion",
-			grid: hsas.AdversarialGrid{
+			grid: adversarial.Grid{
 				Situations: []int{1, 8},
 				Cases:      []int{1, 4},
 				Width:      192, Height: 96, Seed: 1,
@@ -78,19 +79,19 @@ func TestGoldenAdversarialMargins(t *testing.T) {
 				Lo:    0, Hi: 0.8, Tol: 0.2,
 			},
 			golden: []cellGolden{
-				{1, "case 1 (no classifiers)", 0.8, 0, hsas.AdversarialStatusSaturated, 2},
-				{1, "case 4 (all classifiers)", 0.8, 0, hsas.AdversarialStatusSaturated, 2},
-				{8, "case 1 (no classifiers)", 0, 0, hsas.AdversarialStatusUnsafe, 1},
-				{8, "case 4 (all classifiers)", 0.8, 0, hsas.AdversarialStatusSaturated, 2},
+				{1, "case 1 (no classifiers)", 0.8, 0, adversarial.StatusSaturated, 2},
+				{1, "case 4 (all classifiers)", 0.8, 0, adversarial.StatusSaturated, 2},
+				{8, "case 1 (no classifiers)", 0, 0, adversarial.StatusUnsafe, 1},
+				{8, "case 4 (all classifiers)", 0.8, 0, adversarial.StatusSaturated, 2},
 			},
 		},
 	}
 
-	cache := hsas.NewCampaignMemCache()
-	runner := &hsas.CampaignEngine{Cache: cache}
-	run := func(g hsas.AdversarialGrid) *hsas.AdversarialResult {
+	cache := campaign.NewMemCache()
+	runner := &campaign.Engine{Cache: cache}
+	run := func(g adversarial.Grid) *adversarial.Result {
 		t.Helper()
-		res, err := hsas.AdversarialRun(context.Background(), hsas.AdversarialConfig{
+		res, err := adversarial.Run(context.Background(), adversarial.Config{
 			Grid: g, Runner: runner,
 		})
 		if err != nil {

@@ -4,11 +4,17 @@ import (
 	"testing"
 
 	"hsas"
+	"hsas/internal/control"
+	"hsas/internal/isp"
+	"hsas/internal/perception"
+	"hsas/internal/scheduler"
+	"hsas/internal/trace"
 )
 
 // TestFacadeSurface exercises the public API end to end at a small scale:
 // taxonomy, tracks, knobs, platform timing, one closed-loop run and the
-// runtime reconfigurator.
+// runtime reconfigurator. The ISP and ROI knob lookups are not part of the
+// facade and go through their packages.
 func TestFacadeSurface(t *testing.T) {
 	if len(hsas.PaperSituations) != 21 {
 		t.Fatalf("PaperSituations = %d", len(hsas.PaperSituations))
@@ -31,11 +37,11 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatalf("case-3 period = %v, want 40 (Table V)", tm.HMs)
 	}
 
-	if _, ok := hsas.ISPByID("S3"); !ok {
-		t.Fatal("ISPByID(S3) missing")
+	if _, ok := isp.ByID("S3"); !ok {
+		t.Fatal("isp.ByID(S3) missing")
 	}
-	if _, ok := hsas.ROIByID(5); !ok {
-		t.Fatal("ROIByID(5) missing")
+	if _, ok := perception.ROIByID(5); !ok {
+		t.Fatal("perception.ROIByID(5) missing")
 	}
 
 	sit := hsas.Situation{Layout: hsas.Straight, Lane: hsas.LaneMarking{Color: hsas.White, Form: hsas.Continuous}, Scene: hsas.Day}
@@ -60,9 +66,10 @@ func TestFacadeSurface(t *testing.T) {
 	}
 }
 
-// TestFacadePolicy checks the invocation policies through the facade.
+// TestFacadePolicy checks the cases the facade exports against their
+// invocation policies.
 func TestFacadePolicy(t *testing.T) {
-	p := hsas.ForCase(hsas.CaseVariable)
+	p := scheduler.ForCase(hsas.CaseVariable)
 	if p.PerFrame() != 1 {
 		t.Fatalf("variable policy per-frame = %d", p.PerFrame())
 	}
@@ -71,13 +78,13 @@ func TestFacadePolicy(t *testing.T) {
 	}
 }
 
-// TestFacadeExtensions exercises the extension APIs: approximation
-// quality, trace analysis, LQG and the sensitivity types.
+// TestFacadeExtensions exercises the LQG extension through the facade,
+// with the trace analysis and ISP knob list from their packages.
 func TestFacadeExtensions(t *testing.T) {
 	sit := hsas.Situation{Layout: hsas.Straight, Lane: hsas.LaneMarking{Color: hsas.White, Form: hsas.Continuous}, Scene: hsas.Day}
 	track := hsas.SituationTrack(sit)
 
-	rec := &hsas.TraceRecorder{}
+	rec := &trace.Recorder{}
 	res, err := hsas.Run(hsas.SimConfig{
 		Track:  track,
 		Camera: hsas.ScaledCamera(160, 80),
@@ -88,12 +95,12 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := hsas.AnalyzeTrace(rec.Points)
+	m := trace.Analyze(rec.Points)
 	if m.DetectionAvailability <= 0 || len(rec.Points) != res.Frames {
 		t.Fatalf("trace metrics wrong: %+v", m)
 	}
 
-	d, err := hsas.NewLQGDesign(hsas.BMWX5(), 30, 0.025, 0.025, hsas.LookAhead, hsas.DefaultNoise())
+	d, err := hsas.NewLQGDesign(hsas.BMWX5(), 30, 0.025, 0.025, hsas.LookAhead, control.DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal("facade LQG design unstable")
 	}
 
-	if len(hsas.ISPConfigs) != 9 {
+	if len(isp.Knobs) != 9 {
 		t.Fatal("ISP configs missing")
 	}
 	xavier := hsas.Xavier()

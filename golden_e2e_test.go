@@ -6,7 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	hsas "hsas"
+	"hsas/internal/campaign"
+	"hsas/internal/sim"
 )
 
 // TestGoldenCaseSweep pins the end-to-end behavior of every evaluation
@@ -31,7 +32,7 @@ func TestGoldenCaseSweep(t *testing.T) {
 	// Grid expansion order is documented: situations outer, cases inner.
 	// Rows 1 and 8 are the straight and the right turn (both white
 	// continuous, day).
-	grid := hsas.CampaignGrid{
+	grid := campaign.Grid{
 		Situations: []int{1, 8},
 		Cases:      []int{1, 2, 3, 4, 5},
 		Cameras:    [][2]int{{192, 96}},
@@ -65,8 +66,8 @@ func TestGoldenCaseSweep(t *testing.T) {
 		t.Fatalf("grid expanded to %d jobs, want %d", len(jobs), len(golden))
 	}
 
-	cache := hsas.NewCampaignMemCache()
-	eng := &hsas.CampaignEngine{Cache: cache}
+	cache := campaign.NewMemCache()
+	eng := &campaign.Engine{Cache: cache}
 	results, stats, err := eng.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestGoldenCaseSweep(t *testing.T) {
 			if !tc.crashed && math.Abs(res.MAE-tc.mae) > maeTol {
 				t.Fatalf("MAE = %.6f, want %.6f +/- %.3f", res.MAE, tc.mae, maeTol)
 			}
-			if res.Faults.Total() != 0 || res.Degraded != (hsas.SimDegradationStats{}) {
+			if res.Faults.Total() != 0 || res.Degraded != (sim.DegradationStats{}) {
 				t.Fatalf("fault-free golden run recorded fault activity: %s %+v",
 					res.Faults, res.Degraded)
 			}

@@ -26,35 +26,29 @@
 //     that evaluates all of the above and reproduces the paper's
 //     experiments (see EXPERIMENTS.md).
 //
-// Most users start with Run (one closed-loop evaluation), Characterize
-// (the design-time flow) or TrainClassifier (Table IV):
+// Most users start with Run (one closed-loop evaluation) or Characterize
+// (the design-time flow):
 //
 //	track := hsas.NineSectorTrack()
 //	res, err := hsas.Run(hsas.SimConfig{Track: track, Case: hsas.Case4})
 //
-// The examples/ directory contains runnable walkthroughs.
+// The contract: this package exports exactly the names that README.md or
+// a program under examples/ uses, and TestFacadeMatchesContract enforces
+// it. A new export comes with the README section or example that uses
+// it. The commands under cmd/ and the tests import the internal packages
+// directly.
 package hsas
 
 import (
-	"hsas/internal/adversarial"
-	"hsas/internal/approx"
 	"hsas/internal/camera"
-	"hsas/internal/campaign"
-	"hsas/internal/classifier"
-	"hsas/internal/cnn"
 	"hsas/internal/control"
 	"hsas/internal/core"
-	"hsas/internal/fabric"
 	"hsas/internal/fault"
-	"hsas/internal/isp"
 	"hsas/internal/knobs"
-	"hsas/internal/lake"
 	"hsas/internal/obs"
 	"hsas/internal/perception"
 	"hsas/internal/platform"
-	"hsas/internal/scheduler"
 	"hsas/internal/sim"
-	"hsas/internal/trace"
 	"hsas/internal/vehicle"
 	"hsas/internal/world"
 )
@@ -65,62 +59,31 @@ type (
 	Situation = world.Situation
 	// LaneMarking is a marking's color and form.
 	LaneMarking = world.LaneMarking
-	// RoadLayout is straight / left turn / right turn.
-	RoadLayout = world.RoadLayout
-	// Scene is the scene/weather factor.
-	Scene = world.Scene
-	// Track is a parametric road built from constant-curvature segments.
-	Track = world.Track
-	// Segment is one homogeneous piece of a track.
-	Segment = world.Segment
 )
 
-// Road layouts.
+// Road layouts, lane colors and forms, and scenes.
 const (
-	Straight  = world.Straight
-	LeftTurn  = world.LeftTurn
-	RightTurn = world.RightTurn
-)
-
-// Lane colors and forms.
-const (
-	White            = world.White
-	Yellow           = world.Yellow
-	Continuous       = world.Continuous
-	Dotted           = world.Dotted
-	DoubleContinuous = world.DoubleContinuous
-)
-
-// Scenes.
-const (
-	Day   = world.Day
-	Night = world.Night
-	Dark  = world.Dark
-	Dawn  = world.Dawn
-	Dusk  = world.Dusk
+	Straight   = world.Straight
+	RightTurn  = world.RightTurn
+	White      = world.White
+	Yellow     = world.Yellow
+	Continuous = world.Continuous
+	Day        = world.Day
+	Dusk       = world.Dusk
 )
 
 // PaperSituations lists the 21 situations of Table III.
 var PaperSituations = world.PaperSituations
 
-// NewTrack assembles a custom track; SituationTrack builds the
-// single-situation track used by the static evaluation; NineSectorTrack
-// is the Fig. 7 dynamic case study.
+// SituationTrack builds the single-situation track used by the static
+// evaluation; NineSectorTrack is the Fig. 7 dynamic case study.
 var (
-	NewTrack        = world.NewTrack
 	SituationTrack  = world.SituationTrack
 	NineSectorTrack = world.NineSectorTrack
 )
 
-// Knobs and evaluation cases (Tables II and V).
-type (
-	// KnobSetting is one complete configurable-knob assignment.
-	KnobSetting = knobs.Setting
-	// KnobTable maps situations to their characterized best setting.
-	KnobTable = knobs.Table
-	// Case is a Table V evaluation configuration.
-	Case = knobs.Case
-)
+// Case is a Table V evaluation configuration.
+type Case = knobs.Case
 
 // Evaluation cases.
 const (
@@ -131,33 +94,11 @@ const (
 	CaseVariable = knobs.CaseVariable
 )
 
-// Classifier arithmetic-precision knob values. PrecisionFP32 is the
-// canonical empty string so settings predating the knob keep their
-// content addresses; ParsePrecision canonicalizes the accepted
-// spellings ("", "fp32", "float32", "int8") and PrecisionName renders
-// the canonical form for humans ("fp32"/"int8").
-const (
-	PrecisionFP32 = knobs.PrecisionFP32
-	PrecisionInt8 = knobs.PrecisionInt8
-)
-
-var (
-	ParsePrecision = knobs.ParsePrecision
-	PrecisionName  = knobs.PrecisionName
-)
+// PrecisionInt8 selects the quantized int8 classifier path.
+const PrecisionInt8 = knobs.PrecisionInt8
 
 // PaperTable returns Table III as a lookup table.
 var PaperTable = knobs.PaperTable
-
-// Camera and platform models.
-type (
-	// Camera is the synthetic front camera's intrinsics and mounting.
-	Camera = camera.Camera
-	// Platform is the target hardware timing model.
-	Platform = platform.Platform
-	// VehicleParams is the single-track plant parameterization.
-	VehicleParams = vehicle.Params
-)
 
 // DefaultCamera is the paper's 512×256 front camera; ScaledCamera keeps
 // the geometry at a different resolution. Xavier is the 30 W NVIDIA AGX
@@ -169,368 +110,51 @@ var (
 	BMWX5         = vehicle.BMWX5
 )
 
-// ISPConfigs lists the Table II ISP knobs S0–S8; ISPByID resolves one.
-var (
-	ISPConfigs = isp.Knobs
-	ISPByID    = isp.ByID
-)
-
-// ROIByID resolves a Table II perception ROI knob (1–5).
-var ROIByID = perception.ROIByID
-
 // LookAhead is the controller look-ahead distance LL (5.5 m).
 const LookAhead = perception.LookAhead
 
-// Closed-loop simulation (the HiL substitute).
-type (
-	// SimConfig parameterizes one closed-loop run.
-	SimConfig = sim.Config
-	// SimResult summarizes one run.
-	SimResult = sim.Result
-	// TracePoint is one control-cycle sample.
-	TracePoint = sim.TracePoint
-	// Sensors bundles the three situation sensors used in the loop.
-	Sensors = sim.Sensors
-)
+// SimConfig parameterizes one closed-loop run (the HiL substitute).
+type SimConfig = sim.Config
 
-// Run executes one closed-loop evaluation; OracleSensors returns perfect
-// situation sensors (the default); ForCase returns a case's classifier
-// invocation policy.
-var (
-	Run           = sim.Run
-	OracleSensors = sim.OracleSensors
-	ForCase       = scheduler.ForCase
-)
-
-// Deterministic fault injection and graceful degradation. A
-// FaultSchedule on SimConfig.Faults perturbs the sensing pipeline
-// (frame drops, RAW noise bursts, ISP corruption, classifier stuck-at /
-// bit-flips, actuation overruns); every decision is a hash of the run
-// seed, so the same seed replays the same faults bit for bit.
-type (
-	// FaultSchedule is a declarative set of fault events.
-	FaultSchedule = fault.Schedule
-	// FaultEvent is one windowed or probabilistic fault source.
-	FaultEvent = fault.Event
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = fault.Kind
-	// FaultCounts tallies injected events by kind.
-	FaultCounts = fault.Counts
-	// SimDegradation tunes the graceful-degradation policies.
-	SimDegradation = sim.Degradation
-	// SimDegradationStats summarizes one run's degradation activity.
-	SimDegradationStats = sim.DegradationStats
-)
-
-// Fault kinds.
-const (
-	FaultFrameDrop       = fault.FrameDrop
-	FaultNoiseBurst      = fault.NoiseBurst
-	FaultISPCorrupt      = fault.ISPCorrupt
-	FaultClassStuck      = fault.ClassStuck
-	FaultClassFlip       = fault.ClassFlip
-	FaultDeadlineOverrun = fault.DeadlineOverrun
-	FaultCorrelated      = fault.Correlated
-	FaultLaneOcclude     = fault.LaneOcclude
-)
+// Run executes one closed-loop evaluation.
+var Run = sim.Run
 
 // ParseFaultSpec parses the -faults text format (see the fault package
-// for the grammar), e.g. "drop:p=0.02;noise:mag=0.2@200-400".
+// for the grammar), e.g. "drop:p=0.02;noise:mag=0.2@200-400", into a
+// schedule for SimConfig.Faults.
 var ParseFaultSpec = fault.ParseSpec
 
-// Design flow (the paper's contribution).
-type (
-	// CharacterizeConfig parameterizes the design-time knob sweep.
-	CharacterizeConfig = core.CharacterizeConfig
-	// CharacterizationResult holds the regenerated Table III.
-	CharacterizationResult = core.Result
-	// Reconfigurator applies runtime reconfiguration in any loop.
-	Reconfigurator = core.Reconfigurator
-)
+// CharacterizeConfig parameterizes the design-time knob sweep.
+type CharacterizeConfig = core.CharacterizeConfig
 
 // Characterize runs the design-time flow; NewReconfigurator embeds the
 // runtime reconfiguration; VerifySwitchingStability certifies the
-// controller bank's common Lyapunov function; AnalyzeSensitivity is the
-// Monte-Carlo knob screening of Sec. III-B.
+// controller bank's common Lyapunov function.
 var (
 	Characterize             = core.Characterize
 	NewReconfigurator        = core.NewReconfigurator
 	VerifySwitchingStability = core.VerifySwitchingStability
-	AnalyzeSensitivity       = core.AnalyzeSensitivity
-)
-
-// SensitivityConfig parameterizes the Monte-Carlo knob screening;
-// SensitivityResult ranks the knobs by QoC impact.
-type (
-	SensitivityConfig = core.SensitivityConfig
-	SensitivityResult = core.SensitivityResult
-)
-
-// Simulation campaigns: declarative grids of closed-loop runs executed
-// on a sharded worker pool with a content-addressed result cache
-// (interrupted campaigns resume from checkpoint; repeats cost zero
-// simulations). cmd/lkas-serve exposes the same engine over HTTP.
-type (
-	// CampaignJob declares one deterministic closed-loop run.
-	CampaignJob = campaign.JobSpec
-	// CampaignJobResult is the cached outcome of one run.
-	CampaignJobResult = campaign.JobResult
-	// CampaignGrid is the declarative cross product of campaign axes.
-	CampaignGrid = campaign.Grid
-	// CampaignEngine runs jobs with dedup, caching and checkpointing.
-	CampaignEngine = campaign.Engine
-	// CampaignCache stores results under their content address.
-	CampaignCache = campaign.Cache
-	// CampaignRunStats summarizes one engine run (jobs, hits, simulated).
-	CampaignRunStats = campaign.RunStats
-	// CampaignHooks observes job lifecycle events.
-	CampaignHooks = campaign.Hooks
-	// CampaignJobEvent is one job lifecycle event.
-	CampaignJobEvent = campaign.JobEvent
-	// CampaignServer is the lkas-serve HTTP service.
-	CampaignServer = campaign.Server
-	// CampaignServerConfig parameterizes it.
-	CampaignServerConfig = campaign.ServerConfig
-)
-
-// Campaign track selectors.
-const (
-	CampaignTrackSituation  = campaign.TrackSituation
-	CampaignTrackNineSector = campaign.TrackNineSector
-)
-
-// NewCampaignMemCache is the in-process cache; NewCampaignDirCache the
-// durable content-addressed directory cache (atomic writes, resumable);
-// NewCampaignServer builds the HTTP service behind cmd/lkas-serve.
-var (
-	NewCampaignMemCache = campaign.NewMemCache
-	NewCampaignDirCache = campaign.NewDirCache
-	NewCampaignServer   = campaign.NewServer
-)
-
-// Adversarial robustness-margin search: for every (situation, knob)
-// cell of a grid, bisect (with optional evolutionary refinement) over a
-// fault template's scalar magnitude for the largest perturbation the
-// closed loop still survives without crashing or entering fallback.
-// Every probe is an ordinary campaign job — content-addressed, cached
-// and bit-deterministic — so margins are identical for any worker count
-// or fabric fleet, and a warm re-search simulates nothing.
-// cmd/characterize -adversarial and the lkas-serve POST /v1/adversarial
-// endpoint expose the same search.
-type (
-	// AdversarialGrid declares a margin-search grid (situations × knob
-	// axis, fault template with a $mag placeholder, search range).
-	AdversarialGrid = adversarial.Grid
-	// AdversarialConfig binds a grid to a campaign runner.
-	AdversarialConfig = adversarial.Config
-	// AdversarialCell is one (situation, knob) cell's search outcome.
-	AdversarialCell = adversarial.Cell
-	// AdversarialResult is the full margin table plus run statistics.
-	AdversarialResult = adversarial.Result
-	// AdversarialSearch tunes the bisection (range, tolerance, refine).
-	AdversarialSearch = adversarial.Search
-	// AdversarialSearchResult is one cell's margin, status and probes.
-	AdversarialSearchResult = adversarial.SearchResult
-	// AdversarialServerConfig parameterizes the streaming HTTP handler.
-	AdversarialServerConfig = adversarial.ServerConfig
-)
-
-// Margin-search cell statuses, and the magnitude placeholder substituted
-// into fault templates.
-const (
-	AdversarialStatusUnsafe    = adversarial.StatusUnsafe
-	AdversarialStatusBounded   = adversarial.StatusBounded
-	AdversarialStatusSaturated = adversarial.StatusSaturated
-	AdversarialPlaceholder     = adversarial.MagPlaceholder
-)
-
-// AdversarialRun executes a margin search over a campaign runner;
-// AdversarialMagSpec substitutes a magnitude into a fault template and
-// canonicalizes it; NewAdversarialHandler builds the streaming NDJSON
-// HTTP handler mounted by lkas-serve.
-var (
-	AdversarialRun        = adversarial.Run
-	AdversarialMagSpec    = adversarial.MagSpec
-	NewAdversarialHandler = adversarial.NewHandler
-)
-
-// Distributed campaign fabric: a coordinator shards campaign jobs
-// across lkas-worker nodes over HTTP, resolving every job through a
-// federated read-through cache tier (local → remote peer → simulate)
-// first. Bit-determinism makes any node's result canonical, so results
-// merge exactly and a fleet-wide resubmit simulates nothing.
-type (
-	// FabricCoordinator drives a campaign across a worker fleet; it
-	// implements the same Run contract as CampaignEngine.
-	FabricCoordinator = fabric.Coordinator
-	// FabricCoordinatorConfig parameterizes it (fleet URLs, batch and
-	// lease sizing, retry/steal policy, local fallback).
-	FabricCoordinatorConfig = fabric.CoordinatorConfig
-	// FabricStats splits a distributed run's totals by resolving tier.
-	FabricStats = fabric.FabricStats
-	// FabricWorker is one lease-executing node (cmd/lkas-worker).
-	FabricWorker = fabric.Worker
-	// FabricWorkerConfig parameterizes it.
-	FabricWorkerConfig = fabric.WorkerConfig
-)
-
-// NewFabricCoordinator validates a fleet config and builds the
-// coordinator; NewFabricWorker builds a worker node for mounting its
-// Handler on an HTTP server.
-var (
-	NewFabricCoordinator = fabric.NewCoordinator
-	NewFabricWorker      = fabric.NewWorker
-)
-
-// Columnar result lake: an append-only store of campaign results and
-// per-cycle traces with single-scan fleet aggregation (QoC percentiles,
-// crash and fault-activation rates, degradation dwell, grouped by any
-// grid axis). The campaign engine appends to it alongside the cache;
-// cmd/lkas-lake and the lkas-serve /v1/analytics endpoints query it.
-type (
-	// LakeWriter appends rows and seals them into immutable segments.
-	LakeWriter = lake.Writer
-	// LakeWriterOptions tunes segment sizing.
-	LakeWriterOptions = lake.WriterOptions
-	// LakeResultRow is one completed job in the lake's result schema.
-	LakeResultRow = lake.ResultRow
-	// LakeTraceRow is one per-cycle sample in the trace schema.
-	LakeTraceRow = lake.TraceRow
-	// LakeQuery selects and groups result rows for aggregation.
-	LakeQuery = lake.Query
-	// LakeGroupStats is one aggregation group's statistics.
-	LakeGroupStats = lake.GroupStats
-	// LakeScanStats reports segments, rows and bytes visited by a scan.
-	LakeScanStats = lake.ScanStats
-	// LakeTraceSummary rolls up trace rows (gate trips, coasted cycles).
-	LakeTraceSummary = lake.TraceSummary
-)
-
-// OpenLakeWriter opens (or resumes) a lake directory for appending;
-// LakeAggregate answers a grouped aggregation from one sequential scan;
-// LakeSummarizeTraces rolls up the per-cycle trace store; LakeAxes
-// lists the valid group-by axes.
-var (
-	OpenLakeWriter      = lake.OpenWriter
-	LakeAggregate       = lake.Aggregate
-	LakeSummarizeTraces = lake.SummarizeTraces
-	LakeAxes            = lake.Axes
 )
 
 // NoiseModel characterizes situation-dependent sensing noise for the LQG
 // control extension (the paper's named future work).
 type NoiseModel = control.NoiseModel
 
-// NewLQGDesign builds a noise-aware controller design; DefaultNoise is a
-// mid-range sensing noise model; NewController instantiates the runtime
-// controller for a design.
-var (
-	NewLQGDesign  = control.NewLQGDesign
-	DefaultNoise  = control.DefaultNoise
-	NewController = control.NewController
-)
+// NewLQGDesign builds a noise-aware controller design.
+var NewLQGDesign = control.NewLQGDesign
 
-// Situation classifiers (Table IV).
-type (
-	// ClassifierKind selects road / lane / scene.
-	ClassifierKind = classifier.Kind
-	// Classifier is a trained situation classifier.
-	Classifier = classifier.Classifier
-	// ClassifierReport is a Table IV-style training summary.
-	ClassifierReport = classifier.Report
-	// DatasetConfig controls synthetic dataset generation.
-	DatasetConfig = classifier.DatasetConfig
-	// TrainConfig controls CNN training.
-	TrainConfig = cnn.TrainConfig
-)
-
-// Classifier kinds.
-const (
-	RoadClassifier  = classifier.Road
-	LaneClassifier  = classifier.Lane
-	SceneClassifier = classifier.Scene
-)
-
-// TrainClassifier trains one situation classifier on synthetic data;
-// DefaultDatasetConfig and DefaultTrainConfig give the laptop-scale
-// defaults used by cmd/train-classifiers.
-var (
-	TrainClassifier      = classifier.Train
-	DefaultDatasetConfig = classifier.DefaultDatasetConfig
-	DefaultTrainConfig   = cnn.DefaultTrainConfig
-	DatasetConfigFor     = classifier.DatasetConfigFor
-	TrainConfigFor       = classifier.TrainConfigFor
-	// GenerateDataset renders a labeled synthetic dataset for one
-	// classifier kind — the eval-set builder for accuracy/agreement
-	// checks outside the training loop.
-	GenerateDataset = classifier.Generate
-)
-
-// QuantizedNetwork is the int8 inference form of a trained CNN:
-// per-tensor symmetric quantize-after-training with exact int32
-// accumulation, so inference is bit-deterministic for any worker count.
-// Classifier.SetPrecision(PrecisionInt8) builds one lazily; Quantize
-// converts a trained network directly.
-type QuantizedNetwork = cnn.QNet
-
-// Quantize converts a trained float32 network to its int8 inference
-// form (the tentpole of the precision knob: ~2.5× faster classifier
-// inference at zero allocations per call).
-var Quantize = cnn.Quantize
-
-// ApproxQuality is one point of the ISP latency-vs-quality frontier (the
-// approximation trade-off of reference [8] that the characterization
-// navigates).
-type ApproxQuality = approx.Quality
-
-// PSNR and SSIM score approximate ISP outputs against the full pipeline;
-// ApproxSweep produces the full Table II frontier for a RAW frame.
-var (
-	PSNR        = approx.PSNR
-	SSIM        = approx.SSIM
-	ApproxSweep = approx.Sweep
-)
-
-// Trace recording and analysis (the IMACS-framework role in the paper's
-// HiL setup).
-type (
-	// TraceRecorder accumulates per-cycle samples from a run; wire its
-	// Add method to SimConfig.Trace.
-	TraceRecorder = trace.Recorder
-	// TraceMetrics summarizes a recorded run (settling time, peak,
-	// control effort, detection availability, reconfigurations).
-	TraceMetrics = trace.Metrics
-)
-
-// AnalyzeTrace computes the transient and steady-state metrics of a
-// recorded run.
-var AnalyzeTrace = trace.Analyze
-
-// Observability (stdlib-only metrics, tracing and structured logging).
-type (
-	// Observer bundles the optional telemetry sinks; set SimConfig.Obs or
-	// CharacterizeConfig.Obs to attach it. A nil Observer disables all
-	// instrumentation at negligible cost.
-	Observer = obs.Observer
-	// MetricsRegistry collects counters, gauges and histograms and writes
-	// Prometheus text exposition.
-	MetricsRegistry = obs.Registry
-	// SpanTracer records per-stage spans exportable as Chrome trace-event
-	// JSON (Perfetto-loadable) or JSON lines.
-	SpanTracer = obs.Tracer
-	// MetricsServer serves /metrics and /debug/vars over HTTP.
-	MetricsServer = obs.Server
-)
+// Observer bundles the optional telemetry sinks; set SimConfig.Obs or
+// CharacterizeConfig.Obs to attach it. A nil Observer disables all
+// instrumentation at negligible cost.
+type Observer = obs.Observer
 
 // NewMetricsRegistry, NewSpanTracer and StartMetricsServer build the
-// telemetry sinks; NewObsLogger wraps a writer in a leveled slog logger
-// and ParseLogLevel parses "debug"/"info"/"warn"/"error";
-// TrainClassifierObserved is TrainClassifier with per-epoch telemetry.
+// telemetry sinks (Prometheus text exposition, Chrome trace-event spans,
+// /metrics and /debug/vars over HTTP); NewObsLogger wraps a writer in a
+// leveled slog logger.
 var (
-	NewMetricsRegistry      = obs.NewRegistry
-	NewSpanTracer           = obs.NewTracer
-	StartMetricsServer      = obs.StartServer
-	NewObsLogger            = obs.NewLogger
-	ParseLogLevel           = obs.ParseLevel
-	TrainClassifierObserved = classifier.TrainObserved
+	NewMetricsRegistry = obs.NewRegistry
+	NewSpanTracer      = obs.NewTracer
+	StartMetricsServer = obs.StartServer
+	NewObsLogger       = obs.NewLogger
 )

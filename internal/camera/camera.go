@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -316,7 +317,7 @@ func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
 		claims = h
 	}
 	r.claimed.Store(0)
-	raster.ParallelRows(ground, r.Workers, func(int, int) {
+	mat.ParallelRows(ground, r.Workers, func(int, int) {
 		var mine [256]int32 // claimed rows awaiting the sensor model
 		n := 0
 		for {

@@ -79,9 +79,6 @@ var (
 	}
 )
 
-// XavierRuntimeMs is the paper's profiled per-classifier runtime (Table IV).
-const XavierRuntimeMs = 5.5
-
 // DatasetConfig controls synthetic dataset generation.
 type DatasetConfig struct {
 	N         int   // total samples
@@ -437,15 +434,4 @@ func (c *Classifier) Classify(img *raster.RGB) int {
 		return c.qnet.Infer(toTensorInto(c.input, img))
 	}
 	return c.Net.Infer(toTensorInto(c.input, img))
-}
-
-// Oracle returns a perfect classifier of the given kind, used to isolate
-// perception effects from classification errors in ablation experiments.
-// Its Net is nil; use ClassifySituation instead of Classify.
-type Oracle struct{ Kind Kind }
-
-// ClassifySituation returns the ground-truth label.
-func (o Oracle) ClassifySituation(sit world.Situation) int {
-	l, _ := o.Kind.Label(sit)
-	return l
 }

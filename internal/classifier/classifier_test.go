@@ -177,13 +177,3 @@ func TestToTensorLayoutCentered(t *testing.T) {
 		t.Fatalf("tensor layout wrong: %v", tens.Data)
 	}
 }
-
-func TestOracle(t *testing.T) {
-	sit := world.Situation{Layout: world.LeftTurn, Lane: world.LaneMarking{Color: world.White, Form: world.Dotted}, Scene: world.Night}
-	if (Oracle{Kind: Road}).ClassifySituation(sit) != int(world.LeftTurn) {
-		t.Fatal("road oracle wrong")
-	}
-	if (Oracle{Kind: Scene}).ClassifySituation(sit) != int(world.Night) {
-		t.Fatal("scene oracle wrong")
-	}
-}

@@ -146,13 +146,3 @@ func SaveFile(path string, n *Network) error {
 	}
 	return f.Close()
 }
-
-// LoadFile reads a network from the named file.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}

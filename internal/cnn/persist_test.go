@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,7 +28,12 @@ func TestPersistTrainedRoundTrip(t *testing.T) {
 	if err := SaveFile(path, net); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}

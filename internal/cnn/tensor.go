@@ -37,13 +37,6 @@ func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
 // Set writes element (c, y, x).
 func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	o := NewTensor(t.C, t.H, t.W)
-	copy(o.Data, t.Data)
-	return o
-}
-
 // SameShape reports whether two tensors have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	return t.C == o.C && t.H == o.H && t.W == o.W

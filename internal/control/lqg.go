@@ -65,25 +65,3 @@ func NewLQGDesign(p vehicle.Params, speedKmph, h, tau, lookAhead float64, noise 
 	d.L = mat.Scale(1/s.At(0, 0), sc) // filter gain
 	return d, nil
 }
-
-// EstimateMeasurementVar turns a series of (measured, truth) residuals
-// into a measurement variance for NoiseModel, ignoring dropouts.
-func EstimateMeasurementVar(measured, truth []float64) float64 {
-	if len(measured) != len(truth) || len(measured) == 0 {
-		return DefaultNoise().MeasurementVar
-	}
-	var s, s2 float64
-	n := 0.0
-	for i := range measured {
-		e := measured[i] - truth[i]
-		s += e
-		s2 += e * e
-		n++
-	}
-	mean := s / n
-	v := s2/n - mean*mean
-	if v < 1e-6 {
-		v = 1e-6
-	}
-	return v
-}

@@ -83,25 +83,3 @@ func TestLQGTracksCleanMeasurementsFast(t *testing.T) {
 		t.Fatalf("clean-measurement LQG MAE = %v", mae)
 	}
 }
-
-func TestEstimateMeasurementVar(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var meas, truth []float64
-	sigma := 0.2
-	for i := 0; i < 4000; i++ {
-		tr := rng.NormFloat64()
-		truth = append(truth, tr)
-		meas = append(meas, tr+sigma*rng.NormFloat64())
-	}
-	v := EstimateMeasurementVar(meas, truth)
-	if math.Abs(v-sigma*sigma) > 0.01 {
-		t.Fatalf("estimated var %v, want ~%v", v, sigma*sigma)
-	}
-	// Degenerate inputs fall back to the default.
-	if EstimateMeasurementVar(nil, nil) != DefaultNoise().MeasurementVar {
-		t.Fatal("empty input fallback broken")
-	}
-	if EstimateMeasurementVar([]float64{1}, []float64{1, 2}) != DefaultNoise().MeasurementVar {
-		t.Fatal("length mismatch fallback broken")
-	}
-}

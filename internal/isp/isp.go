@@ -17,6 +17,7 @@ import (
 
 	"hsas/internal/camera"
 	"hsas/internal/cpufeat"
+	"hsas/internal/mat"
 	"hsas/internal/obs"
 	"hsas/internal/raster"
 )
@@ -177,7 +178,7 @@ func DemosaicBilinearInto(raw *raster.Bayer, out *raster.RGB, workers int) *rast
 	} else if out.W != w || out.H != h {
 		panic(fmt.Sprintf("isp: demosaic buffer is %dx%d, raw is %dx%d", out.W, out.H, w, h))
 	}
-	raster.ParallelRows(h, workers, func(y0, y1 int) { demosaicRows(raw, out, y0, y1) })
+	mat.ParallelRows(h, workers, func(y0, y1 int) { demosaicRows(raw, out, y0, y1) })
 	return out
 }
 
@@ -274,7 +275,7 @@ func DenoiseBilateralInto(img, out *raster.RGB, workers int) *raster.RGB {
 	if out == img {
 		panic("isp: denoise output aliases input")
 	}
-	raster.ParallelRows(h, workers, func(y0, y1 int) { denoiseRows(img, out, y0, y1) })
+	mat.ParallelRows(h, workers, func(y0, y1 int) { denoiseRows(img, out, y0, y1) })
 	return out
 }
 
@@ -431,7 +432,7 @@ func invert3(m [3][3]float64) [3][3]float32 {
 func ApplyColorMap(img *raster.RGB, workers int) {
 	w := img.W
 	m := &ColorMapMatrix
-	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
+	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for i := y0 * w; i < y1*w; i++ {
 			r, g, b := img.R[i], img.G[i], img.B[i]
 			img.R[i] = m[0][0]*r + m[0][1]*g + m[0][2]*b
@@ -449,7 +450,7 @@ const gamutKnee = 0.85
 // gamutKnee and a hard clip below zero, with row-parallel execution.
 func ApplyGamutMap(img *raster.RGB, workers int) {
 	w := img.W
-	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
+	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
 			row := ch[y0*w : y1*w]
 			for i, v := range row {
@@ -477,7 +478,7 @@ func ApplyGamutMap(img *raster.RGB, workers int) {
 // row-parallel execution.
 func ApplyToneMap(img *raster.RGB, workers int) {
 	w := img.W
-	raster.ParallelRows(img.H, workers, func(y0, y1 int) {
+	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
 			toneRow(ch[y0*w : y1*w])
 		}

@@ -41,9 +41,6 @@ const (
 	PrecisionInt8 = "int8" // quantize-after-training int8 inference
 )
 
-// Precisions enumerates the precision knob values in sweep order.
-var Precisions = []string{PrecisionFP32, PrecisionInt8}
-
 // ParsePrecision canonicalizes a user-facing precision name: "" and
 // "fp32" (and "float32") mean the float32 default, "int8" the quantized
 // path. Anything else is an error.

@@ -14,21 +14,17 @@
 // dispatch decision. A vector lane is one output element: VMULPS then
 // VADDPS round exactly like the scalar `v += a*b`, and no kernel uses a
 // fused multiply-add, whose single rounding would move result bits.
-// Workers partition disjoint output rows and never share accumulators,
-// so results are bit-identical for any worker count and with or without
-// the vector kernel — the same property the image kernels guarantee via
-// raster.ParallelRows, and the property the cnn golden tests pin against
-// the naive reference convolution. NaN payloads are the one exception:
+// Workers partition disjoint output rows (ParallelRows, which the image
+// kernels share) and never share accumulators, so results are
+// bit-identical for any worker count and with or without the vector
+// kernel — the property the cnn golden tests pin against the naive
+// reference convolution. NaN payloads are the one exception:
 // when both operands are NaN the hardware returns the first, and the
 // compiler does not pin the operand order of commutative operations, so
 // which NaN comes out may differ; that a NaN comes out does not.
 package mat
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // gemmKC is the contraction-dimension block: B-panel rows streamed per
 // pass stay resident while a C row is updated. 240 rows × a few KB per
@@ -65,7 +61,7 @@ func GemmOff(m, n, k int, a, b []float32, off []int, c []float32, accumulate boo
 	if w := resolveWorkers(m, gemmWorkers(m, n, k, workers)); w <= 1 {
 		gemmRows(0, m, n, k, a, b, off, c, accumulate)
 	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
+		ParallelRows(m, w, func(i0, i1 int) {
 			gemmRows(i0, i1, n, k, a, b, off, c, accumulate)
 		})
 	}
@@ -105,7 +101,7 @@ func GemmT(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
 	if w := resolveWorkers(m, gemmWorkers(m, n, k, workers)); w <= 1 {
 		gemmTN(0, m, m, n, k, a, b, c, accumulate)
 	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
+		ParallelRows(m, w, func(i0, i1 int) {
 			gemmTN(i0, i1, m, n, k, a, b, c, accumulate)
 		})
 	}
@@ -118,7 +114,7 @@ func GemmNT(m, n, k int, a, b, c []float32, accumulate bool, workers int) {
 	if w := resolveWorkers(m, gemmWorkers(m, n, k, workers)); w <= 1 {
 		gemmNT(0, m, n, k, a, b, c, accumulate)
 	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
+		ParallelRows(m, w, func(i0, i1 int) {
 			gemmNT(i0, i1, n, k, a, b, c, accumulate)
 		})
 	}
@@ -204,43 +200,6 @@ func gemmWorkers(m, n, k, workers int) int {
 		return 1
 	}
 	return workers
-}
-
-// resolveWorkers turns a requested worker bound into an effective one:
-// <= 0 means GOMAXPROCS, and the bound never exceeds the row count.
-func resolveWorkers(rows, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, rows)
-}
-
-// parallelRowRange splits [0, rows) into up to `workers` contiguous
-// chunks and runs fn on each concurrently. workers <= 0 uses GOMAXPROCS;
-// workers == 1 runs on the calling goroutine. This is the mat analog of
-// raster.ParallelRows (kept local so the numerics package stays free of
-// image-pipeline imports).
-func parallelRowRange(rows, workers int, fn func(i0, i1 int)) {
-	workers = resolveWorkers(rows, workers)
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		i0 := w * chunk
-		i1 := min(i0+chunk, rows)
-		if i0 >= i1 {
-			break
-		}
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			fn(i0, i1)
-		}(i0, i1)
-	}
-	wg.Wait()
 }
 
 // checkOffsets validates a B row-offset table: at least k entries, each

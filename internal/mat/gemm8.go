@@ -98,7 +98,7 @@ func Gemm8NT(m, n, k int, a, b []int8, c []int32, workers int) {
 	if w := gemm8Workers(m, n, k, workers); w <= 1 {
 		gemm8NT(0, m, n, k, a, b, c)
 	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
+		ParallelRows(m, w, func(i0, i1 int) {
 			gemm8NT(i0, i1, n, k, a, b, c)
 		})
 	}

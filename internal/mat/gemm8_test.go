@@ -194,7 +194,7 @@ func Gemm8(m, n, k int, a, b []int8, c []int32, workers int) {
 	if w := gemm8Workers(m, n, k, workers); w <= 1 {
 		gemm8NN(0, m, n, k, a, b, c)
 	} else {
-		parallelRowRange(m, w, func(i0, i1 int) {
+		ParallelRows(m, w, func(i0, i1 int) {
 			gemm8NN(i0, i1, n, k, a, b, c)
 		})
 	}

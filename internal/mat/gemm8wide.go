@@ -58,7 +58,7 @@ func gemm8WideRun(m, n, k int, a []int16, b []int8, off []int, c []int32, w int)
 		if w <= 1 {
 			gemm8NNW(0, m, n, k, a, b, off, c)
 		} else {
-			parallelRowRange(m, w, func(i0, i1 int) {
+			ParallelRows(m, w, func(i0, i1 int) {
 				gemm8NNW(i0, i1, n, k, a, b, off, c)
 			})
 		}
@@ -76,7 +76,7 @@ func gemm8WideRun(m, n, k int, a []int16, b []int8, off []int, c []int32, w int)
 	if w > tiles {
 		w = tiles
 	}
-	parallelRowRange(tiles, w, func(t0, t1 int) {
+	ParallelRows(tiles, w, func(t0, t1 int) {
 		j1 := t1 * 8
 		if t1 == tiles {
 			j1 = n

@@ -90,7 +90,7 @@ func TestImplicitConvMatchesIm2col(t *testing.T) {
 			case "dispatch":
 				GemmOff(m, nw, ckk, wts, padded, off, wide, true, 1)
 			case "dispatch-w2":
-				parallelRowRange(m, 2, func(i0, i1 int) { gemmRows(i0, i1, nw, ckk, wts, padded, off, wide, true) })
+				ParallelRows(m, 2, func(i0, i1 int) { gemmRows(i0, i1, nw, ckk, wts, padded, off, wide, true) })
 			case "pure-go":
 				gemmNN(0, m, nw, ckk, wts, padded, off, wide, true)
 			}
@@ -118,7 +118,7 @@ func TestImplicitConvMatchesIm2col(t *testing.T) {
 				Gemm8Wide(m, nw, ckk, ap, padded8, off, acc, 1)
 			case "dispatch-w2": // two column stripes, as two workers split them
 				if !hasAVX2 {
-					parallelRowRange(m, 2, func(i0, i1 int) { gemm8NNW(i0, i1, nw, ckk, ap, padded8, off, acc) })
+					ParallelRows(m, 2, func(i0, i1 int) { gemm8NNW(i0, i1, nw, ckk, ap, padded8, off, acc) })
 					break
 				}
 				j := nw / 16 * 8

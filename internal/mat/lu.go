@@ -11,9 +11,8 @@ var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Mat  // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv  []int // row permutation
-	sign float64
+	lu  *Mat  // packed L (unit diagonal, below) and U (on/above diagonal)
+	piv []int // row permutation
 }
 
 // Factor computes the LU factorization of the square matrix a.
@@ -27,7 +26,6 @@ func Factor(a *Mat) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |entry| in column k at/below row k.
 		p := k
@@ -47,7 +45,6 @@ func Factor(a *Mat) (*LU, error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -61,7 +58,7 @@ func Factor(a *Mat) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A*X = B for X, where B may have multiple columns.
@@ -106,15 +103,6 @@ func (f *LU) Solve(b *Mat) *Mat {
 	return x
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves A*X = B via LU with partial pivoting.
 func Solve(a, b *Mat) (*Mat, error) {
 	f, err := Factor(a)
@@ -122,18 +110,4 @@ func Solve(a, b *Mat) (*Mat, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns A^-1 via LU with partial pivoting.
-func Inverse(a *Mat) (*Mat, error) {
-	return Solve(a, Identity(a.Rows))
-}
-
-// Det returns the determinant of a square matrix (0 when singular).
-func Det(a *Mat) float64 {
-	f, err := Factor(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

@@ -210,52 +210,6 @@ func (m *Mat) String() string {
 	return sb.String()
 }
 
-// HStack concatenates matrices left-to-right. All must share Rows.
-func HStack(ms ...*Mat) *Mat {
-	if len(ms) == 0 {
-		panic("mat: HStack of nothing")
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("mat: HStack row mismatch")
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		off := 0
-		for _, m := range ms {
-			copy(out.Data[i*cols+off:i*cols+off+m.Cols], m.Data[i*m.Cols:(i+1)*m.Cols])
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// VStack concatenates matrices top-to-bottom. All must share Cols.
-func VStack(ms ...*Mat) *Mat {
-	if len(ms) == 0 {
-		panic("mat: VStack of nothing")
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic("mat: VStack col mismatch")
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
 // Slice returns the sub-matrix rows [r0, r1) × cols [c0, c1) as a copy.
 func (m *Mat) Slice(r0, r1, c0, c1 int) *Mat {
 	if r0 < 0 || c0 < 0 || r1 > m.Rows || c1 > m.Cols || r0 >= r1 || c0 >= c1 {

@@ -89,19 +89,6 @@ func TestAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHStackVStack(t *testing.T) {
-	a := FromRows([][]float64{{1}, {2}})
-	b := FromRows([][]float64{{3}, {4}})
-	h := HStack(a, b)
-	if h.Rows != 2 || h.Cols != 2 || h.At(0, 1) != 3 || h.At(1, 0) != 2 {
-		t.Fatalf("HStack wrong:\n%v", h)
-	}
-	v := VStack(a.T(), b.T())
-	if v.Rows != 2 || v.Cols != 2 || v.At(1, 0) != 3 {
-		t.Fatalf("VStack wrong:\n%v", v)
-	}
-}
-
 func TestSliceSetSub(t *testing.T) {
 	m := New(3, 3)
 	m.SetSub(1, 1, FromRows([][]float64{{7, 8}, {9, 10}}))
@@ -139,42 +126,10 @@ func TestSolveRandomSystems(t *testing.T) {
 	}
 }
 
-func TestInverseProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(6)
-		a := New(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)+1)
-		}
-		inv, err := Inverse(a)
-		if err != nil {
-			t.Fatalf("Inverse: %v", err)
-		}
-		if got := Mul(a, inv); !Equalish(got, Identity(n), 1e-8) {
-			t.Fatalf("A*A^-1 != I:\n%v", got)
-		}
-	}
-}
-
 func TestSolveSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, Identity(2)); err == nil {
 		t.Fatal("Solve of singular matrix did not error")
-	}
-}
-
-func TestDetKnown(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 3}})
-	if got := Det(a); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("Det = %v, want 6", got)
-	}
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
-	if got := Det(b); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("Det(perm) = %v, want -1", got)
 	}
 }
 

@@ -8,12 +8,10 @@
 // The paper never uses the GPU microarchitecture directly: profiled
 // runtimes are the interface between hardware and design flow. This
 // package therefore reproduces the schedule algebra exactly, seeded with
-// the paper's profiled numbers, and exposes utilization/power estimates
-// for schedulability checks.
+// the paper's profiled numbers.
 package platform
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -101,16 +99,10 @@ type Task struct {
 	RuntimeMs float64
 }
 
-// PipelineTasks builds the per-frame task chain (Fig. 4b mapping) for an
-// ISP configuration and a number of classifier invocations this frame,
-// at the canonical float32 classifier precision.
-func PipelineTasks(ispID string, classifiers int) ([]Task, error) {
-	return PipelineTasksPrecision(ispID, classifiers, knobs.PrecisionFP32)
-}
-
-// PipelineTasksPrecision is PipelineTasks with the classifier
-// arithmetic-precision knob applied: int8 charges the quantized
-// per-classifier runtime to the chain.
+// PipelineTasksPrecision builds the per-frame task chain (Fig. 4b
+// mapping) for an ISP configuration, a number of classifier invocations
+// this frame and the classifier arithmetic-precision knob: int8 charges
+// the quantized per-classifier runtime to the chain.
 func PipelineTasksPrecision(ispID string, classifiers int, precision string) ([]Task, error) {
 	rt, ok := isp.XavierRuntimeMs[ispID]
 	if !ok {
@@ -143,10 +135,6 @@ type Timing struct {
 	HMs   float64 // sampling period, ceiled to the simulation step
 	FPS   float64 // 1000 / tau: the pipeline is not software-pipelined
 }
-
-// ErrBudget is returned when a pipeline cannot meet the platform's
-// scheduling or power constraints.
-var ErrBudget = errors.New("platform: budget exceeded")
 
 // Timing computes (tau, h, FPS) for the given per-frame task chain: tau is
 // the serial latency plus sensor overhead; h is tau ceiled up to the next
@@ -185,59 +173,6 @@ func (p Platform) TimingForPrecision(ispID string, classifiers int, precision st
 // HiL setup does for both h and tau (footnote 5).
 func (p Platform) CeilToStep(ms float64) float64 {
 	return math.Ceil(ms/p.SimStepMs-1e-9) * p.SimStepMs
-}
-
-// Utilization returns the per-resource busy fraction of a period h.
-func Utilization(tasks []Task, hMs float64) map[Resource]float64 {
-	u := map[Resource]float64{}
-	for _, t := range tasks {
-		u[t.Resource] += t.RuntimeMs / hMs
-	}
-	return u
-}
-
-// Power coefficients for the 30 W MAXN-like profile: a fixed base draw
-// plus utilization-proportional dynamic power.
-const (
-	basePowerW    = 6.0
-	gpuPowerW     = 18.0 // fully-utilized iGPU
-	cpuCorePowerW = 1.5  // per fully-utilized Carmel core
-)
-
-// EstimatePowerW estimates average power for a task chain at period h.
-func (p Platform) EstimatePowerW(tasks []Task, hMs float64) float64 {
-	u := Utilization(tasks, hMs)
-	pw := basePowerW + gpuPowerW*math.Min(u[GPU], 1)
-	// The CPU tasks serialize on one core in this pipeline.
-	pw += cpuCorePowerW * math.Min(u[CPU], 1)
-	return pw
-}
-
-// Validate checks that a pipeline is schedulable at its own period and
-// within the platform power budget.
-func (p Platform) Validate(tasks []Task) error {
-	tm := p.Timing(tasks)
-	for res, u := range Utilization(tasks, tm.HMs) {
-		if u > 1 {
-			return fmt.Errorf("%w: %v utilization %.2f", ErrBudget, res, u)
-		}
-	}
-	if pw := p.EstimatePowerW(tasks, tm.HMs); pw > p.PowerBudgetW {
-		return fmt.Errorf("%w: %.1f W > %.1f W", ErrBudget, pw, p.PowerBudgetW)
-	}
-	return nil
-}
-
-// Schedule lays the tasks out serially and returns start offsets (ms),
-// mirroring the sequential frame pipeline of Fig. 4b.
-func Schedule(tasks []Task) []float64 {
-	offsets := make([]float64, len(tasks))
-	var t float64
-	for i, task := range tasks {
-		offsets[i] = t
-		t += task.RuntimeMs
-	}
-	return offsets
 }
 
 // PowerMode is an nvpmodel-style operating point of the Xavier: a power

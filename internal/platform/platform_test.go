@@ -3,6 +3,8 @@ package platform
 import (
 	"math"
 	"testing"
+
+	"hsas/internal/knobs"
 )
 
 func TestXavierSpec(t *testing.T) {
@@ -83,7 +85,7 @@ func TestCeilToStep(t *testing.T) {
 }
 
 func TestPipelineTaskMapping(t *testing.T) {
-	tasks, err := PipelineTasks("S0", 3)
+	tasks, err := PipelineTasksPrecision("S0", 3, knobs.PrecisionFP32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,68 +100,6 @@ func TestPipelineTaskMapping(t *testing.T) {
 	}
 	if tasks[5].Resource != CPU {
 		t.Fatalf("control mapped to %v, want CPU", tasks[5].Resource)
-	}
-}
-
-func TestScheduleSerial(t *testing.T) {
-	tasks, _ := PipelineTasks("S5", 1)
-	offs := Schedule(tasks)
-	if offs[0] != 0 {
-		t.Fatalf("first task offset %v", offs[0])
-	}
-	for i := 1; i < len(offs); i++ {
-		want := offs[i-1] + tasks[i-1].RuntimeMs
-		if math.Abs(offs[i]-want) > 1e-9 {
-			t.Fatalf("offset %d = %v, want %v", i, offs[i], want)
-		}
-	}
-}
-
-func TestUtilizationAndPower(t *testing.T) {
-	p := Xavier()
-	tasks, _ := PipelineTasks("S0", 2)
-	tm := p.Timing(tasks)
-	u := Utilization(tasks, tm.HMs)
-	if u[GPU] <= 0 || u[GPU] > 1 {
-		t.Fatalf("GPU utilization = %v", u[GPU])
-	}
-	if u[CPU] <= 0 || u[CPU] > 0.01 {
-		t.Fatalf("CPU utilization = %v", u[CPU])
-	}
-	if pw := p.EstimatePowerW(tasks, tm.HMs); pw <= basePowerW || pw > p.PowerBudgetW {
-		t.Fatalf("power estimate = %v", pw)
-	}
-}
-
-func TestValidateAllConfigsWithinBudget(t *testing.T) {
-	// Every Table II ISP config with up to 3 classifiers must be
-	// schedulable on the Xavier within 30 W.
-	p := Xavier()
-	for _, id := range []string{"S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"} {
-		for n := 0; n <= 3; n++ {
-			tasks, err := PipelineTasks(id, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Validate(tasks); err != nil {
-				t.Fatalf("%s + %d classifiers: %v", id, n, err)
-			}
-		}
-	}
-}
-
-func TestValidateOverload(t *testing.T) {
-	p := Xavier()
-	tasks := []Task{{Name: "impossible", Resource: GPU, RuntimeMs: 1e6}}
-	tm := p.Timing(tasks)
-	// Serial schedule always fits its own h; force utilization overload.
-	tasks = append(tasks, Task{Name: "also", Resource: GPU, RuntimeMs: tm.HMs})
-	longer := []Task{
-		{Name: "a", Resource: GPU, RuntimeMs: 10},
-	}
-	u := Utilization(longer, 5)
-	if u[GPU] <= 1 {
-		t.Fatalf("expected overload, got %v", u[GPU])
 	}
 }
 

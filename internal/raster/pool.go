@@ -1,7 +1,6 @@
 package raster
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -22,8 +21,7 @@ import (
 type poolKind uint8
 
 const (
-	poolGray poolKind = iota
-	poolRGB
+	poolRGB poolKind = iota
 	poolBayer
 )
 
@@ -100,22 +98,6 @@ func PutRGB(im *RGB) {
 	poolPut(poolRGB, im.W, im.H, im)
 }
 
-// GetGray returns a w×h gray frame with arbitrary contents.
-func GetGray(w, h int) *Gray {
-	if v := poolGet(poolGray, w, h); v != nil {
-		return v.(*Gray)
-	}
-	return NewGray(w, h)
-}
-
-// PutGray returns a gray frame to its pool.
-func PutGray(g *Gray) {
-	if g == nil {
-		return
-	}
-	poolPut(poolGray, g.W, g.H, g)
-}
-
 // GetBayer returns a w×h RAW mosaic with arbitrary contents.
 func GetBayer(w, h int) *Bayer {
 	if v := poolGet(poolBayer, w, h); v != nil {
@@ -130,41 +112,4 @@ func PutBayer(b *Bayer) {
 		return
 	}
 	poolPut(poolBayer, b.W, b.H, b)
-}
-
-// ParallelRows splits the row range [0, h) into up to `workers`
-// contiguous chunks and runs fn on each concurrently, returning when all
-// chunks are done. workers <= 0 uses GOMAXPROCS; workers == 1 (or h == 1)
-// runs fn(0, h) on the calling goroutine.
-//
-// The split only partitions loop bounds: a kernel whose per-row output
-// depends solely on its (immutable) inputs produces byte-identical
-// results for every worker count. All image kernels in internal/camera
-// and internal/isp satisfy this, which the golden-output tests enforce.
-func ParallelRows(h, workers int, fn func(y0, y1 int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > h {
-		workers = h
-	}
-	if workers <= 1 {
-		fn(0, h)
-		return
-	}
-	chunk := (h + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		y0 := w * chunk
-		y1 := min(y0+chunk, h)
-		if y0 >= y1 {
-			break
-		}
-		wg.Add(1)
-		go func(y0, y1 int) {
-			defer wg.Done()
-			fn(y0, y1)
-		}(y0, y1)
-	}
-	wg.Wait()
 }

@@ -1,9 +1,6 @@
 package raster
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestPoolRecyclesBuffers(t *testing.T) {
 	// Pools are process-wide; measure deltas, not absolutes.
@@ -47,59 +44,13 @@ func TestPoolKeysBySizeAndKind(t *testing.T) {
 	if b.W != 128 || b.H != 32 {
 		t.Fatalf("GetRGB(128, 32) returned %dx%d", b.W, b.H)
 	}
-	g := GetGray(64, 32)
-	if g.W != 64 || g.H != 32 || len(g.Pix) != 64*32 {
-		t.Fatalf("GetGray returned %dx%d", g.W, g.H)
-	}
 	ba := GetBayer(64, 32)
 	if ba.W != 64 || ba.H != 32 {
 		t.Fatalf("GetBayer returned %dx%d", ba.W, ba.H)
 	}
 	PutRGB(b)
-	PutGray(g)
 	PutBayer(ba)
 	// nil Puts are tolerated.
 	PutRGB(nil)
-	PutGray(nil)
 	PutBayer(nil)
-}
-
-func TestParallelRowsCoversEveryRowOnce(t *testing.T) {
-	for _, h := range []int{1, 2, 3, 7, 16, 100, 101} {
-		for _, workers := range []int{-1, 0, 1, 2, 3, 8, 200} {
-			counts := make([]int32, h)
-			var mu sync.Mutex
-			ParallelRows(h, workers, func(y0, y1 int) {
-				if y0 < 0 || y1 > h || y0 >= y1 {
-					t.Errorf("h=%d workers=%d: bad chunk [%d, %d)", h, workers, y0, y1)
-					return
-				}
-				mu.Lock()
-				for y := y0; y < y1; y++ {
-					counts[y]++
-				}
-				mu.Unlock()
-			})
-			for y, c := range counts {
-				if c != 1 {
-					t.Fatalf("h=%d workers=%d: row %d visited %d times", h, workers, y, c)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelRowsSerialOnCallerGoroutine(t *testing.T) {
-	// workers==1 must run inline (kernels rely on this for the RNG-bearing
-	// serial paths).
-	calls := 0
-	ParallelRows(10, 1, func(y0, y1 int) {
-		calls++
-		if y0 != 0 || y1 != 10 {
-			t.Fatalf("serial chunk [%d, %d)", y0, y1)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial ParallelRows made %d calls", calls)
-	}
 }

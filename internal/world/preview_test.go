@@ -1,9 +1,6 @@
 package world
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func turnApproachTrack() *Track {
 	sit := Situation{RightTurn, LaneMarking{White, Continuous}, Day}
@@ -61,26 +58,6 @@ func TestDominantSituationAheadBeyondTrackEnd(t *testing.T) {
 	got := tr.DominantSituationAhead(tr.Length()-2, 4, 30)
 	if got.Layout != Straight {
 		t.Fatalf("end-of-track window = %v", got)
-	}
-}
-
-func TestSituationAheadClamps(t *testing.T) {
-	tr := turnApproachTrack()
-	if got := tr.SituationAhead(tr.Length()+100, 50); got != tr.Segments[len(tr.Segments)-1].Situation {
-		t.Fatalf("beyond-end situation = %v", got)
-	}
-}
-
-func TestRightLaneAtAndCurvatureAt(t *testing.T) {
-	tr := turnApproachTrack()
-	if got := tr.RightLaneAt(5); got.Form != Dotted {
-		t.Fatalf("right lane = %v", got)
-	}
-	if k := tr.CurvatureAt(5); k != 0 {
-		t.Fatalf("lead-in curvature = %v", k)
-	}
-	if k := tr.CurvatureAt(LeadInLength + 5); math.Abs(k+1.0/TurnRadius) > 1e-12 {
-		t.Fatalf("arc curvature = %v", k)
 	}
 }
 

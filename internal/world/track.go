@@ -156,14 +156,6 @@ func (t *Track) SituationAt(s float64) Situation {
 	return t.Segments[t.segIndex(s)].Situation
 }
 
-// SituationAhead returns the situation at preview meters ahead of s
-// (clamped to the track) — what a forward-looking camera actually frames,
-// and therefore what the situation classifiers report while approaching a
-// sector transition.
-func (t *Track) SituationAhead(s, preview float64) Situation {
-	return t.SituationAt(s + preview)
-}
-
 // CameraSituationAhead returns the situation a forward camera's frame
 // depicts over the ground window [s+near, s+far]. Curved geometry
 // dominates the appearance of a road image, so if any turn segment
@@ -224,16 +216,6 @@ func (t *Track) DominantSituationAhead(s, near, far float64) Situation {
 		}
 	}
 	return best
-}
-
-// RightLaneAt returns the right-hand marking of the segment containing s.
-func (t *Track) RightLaneAt(s float64) LaneMarking {
-	return t.Segments[t.segIndex(s)].RightLane
-}
-
-// CurvatureAt returns the signed centerline curvature at s.
-func (t *Track) CurvatureAt(s float64) float64 {
-	return t.Segments[t.segIndex(s)].Curvature
 }
 
 // Pose returns the centerline pose at arclength s (clamped to the track).
