@@ -82,8 +82,8 @@ const (
 // Renderer renders RAW frames of a track from a vehicle pose.
 //
 // Every render reuses per-renderer scratch (the scene buffer, the
-// frame's track view, the noise stream and its drawn normals), so a
-// Renderer must be used from one goroutine at a time; run-level
+// frame's state and track view, the noise stream and its drawn normals),
+// so a Renderer must be used from one goroutine at a time; run-level
 // parallelism (the characterization sweep) gives each run its own
 // Renderer. Within a frame the rows are split over Workers, which shade
 // them and apply the sensor model to them, while the frame's sensor
@@ -98,7 +98,7 @@ type Renderer struct {
 	Cam Camera
 
 	// Workers bounds the row-parallel render: 0 uses GOMAXPROCS, 1
-	// forces serial. With two or more, RenderRAWInto also draws the
+	// forces serial. With two or more, RenderRAWRowsInto also draws the
 	// frame's sensor noise on its own goroutine while the scene shades.
 	// The rendered image is byte-identical for every worker count — the
 	// split only decides which goroutine computes which independent row,
@@ -117,13 +117,33 @@ type Renderer struct {
 	ground *groundTable // shared with every renderer of Cam; read only
 	vig    []float32    // per-pixel vignetting gain; shared like ground
 
-	rng     *rand.Rand     // RenderRAWInto's reusable noise stream
+	rng     *rand.Rand     // RenderRAWRowsInto's reusable noise stream
 	noise   []float64      // the frame's normals: pixel i takes 2i and 2i+1
+	drawTo  int            // normals the frame draws: those of its last raw row and above
 	draw    func()         // r.drawNoise, bound once so go r.draw() allocates nothing
 	drawn   sync.WaitGroup // done once noise holds the frame's normals
+	split   func(_, _ int) // r.claimRows, bound once so the row split allocates nothing
 	claimed atomic.Int64   // rows the row split's goroutines have claimed
-	scene   *raster.RGB    // RenderRAWInto's scene scratch
+	scene   *raster.RGB    // RenderRAWRowsInto's scene scratch
 	view    world.View     // the frame's track window
+	frame   frameState     // what the row split reads
+}
+
+// frameState is the frame being rendered, as the row split's goroutines
+// read it. render sets their claim order once per frame: claim c below
+// ground shades ground row g0+c, and, rendering RAW, claim c from ground
+// up to claims takes the sky or haze row lo+c-ground, which the calling
+// goroutine filled.
+type frameState struct {
+	vp        VehiclePose
+	ax        frameAxes
+	scene     world.Scene
+	sky, haze [3]float32
+	out       *raster.RGB
+	raw       *raster.Bayer // nil rendering the scene alone
+	lo, g0    int
+	ground    int
+	claims    int
 }
 
 // cameraTables are what NewRenderer derives from the camera alone. They
@@ -278,85 +298,100 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 	if out.W != w || out.H != h {
 		panic(fmt.Sprintf("camera: RenderSceneInto buffer is %dx%d, camera is %dx%d", out.W, out.H, w, h))
 	}
-	r.render(out, nil, vp)
+	r.render(out, nil, vp, 0, h)
 	return out
 }
 
-// render shades the frame into out. When raw is non-nil it also applies
-// the sensor model to every row once the frame's noise is drawn.
+// render shades rows [lo, hi) of the frame into out. When raw is non-nil
+// it also applies the sensor model to those rows once the frame's noise
+// is drawn. Every pixel of those rows is written and no other is.
 //
 // The sky and haze rows above the first ground row are filled on the
 // calling goroutine. The row split's goroutines then claim rows one at a
-// time from a shared counter: first the ground rows, which they shade,
-// then, rendering RAW, the sky and haze rows. A goroutine keeps the
-// ground rows it shaded and applies the sensor model to them once the
-// noise is drawn, at the latest when it claims a sky row, whose sensor
-// model it then applies too. A goroutine that starts late, behind the
-// noise draw on its CPU, so claims fewer rows than one that starts at
-// once, which fixed halves of the rows could not allow.
-func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose) {
-	w, h := r.Cam.Width, r.Cam.Height
+// time from a shared counter (claimRows): first the ground rows, which
+// they shade, then, rendering RAW, the sky and haze rows. A goroutine
+// keeps the ground rows it shaded and applies the sensor model to them
+// once the noise is drawn, at the latest when it claims a sky row, whose
+// sensor model it then applies too. A goroutine that starts late, behind
+// the noise draw on its CPU, so claims fewer rows than one that starts
+// at once, which fixed halves of the rows could not allow.
+func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, lo, hi int) {
+	w := r.Cam.Width
 	g := r.ground
-	ax := g.axes(vp.Psi)
-	scene := r.Track.SituationAt(vp.S).Scene
-	sky := skyColor(scene)
+	f := &r.frame
+	f.vp, f.ax, f.out, f.raw = vp, g.axes(vp.Psi), out, raw
+	f.scene = r.Track.SituationAt(vp.S).Scene
+	f.sky = skyColor(f.scene)
 	// Haze fades the ground into the sky color.
-	haze := [3]float32{sky[0] * 0.9, sky[1] * 0.9, sky[2] * 0.9}
+	f.haze = [3]float32{f.sky[0] * 0.9, f.sky[1] * 0.9, f.sky[2] * 0.9}
 	r.view = r.Track.View(vp.S, 20, r.Cam.MaxDist+10)
 
 	off := g.skyRows * w
-	for i := 0; i < g.groundRow*w; i++ {
-		c := sky
+	skyHi := max(min(g.groundRow, hi), lo)
+	for i := lo * w; i < skyHi*w; i++ {
+		c := f.sky
 		if i >= off && g.class[i-off] == pixelHaze {
-			c = haze
+			c = f.haze
 		}
 		out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
 	}
-	ground, claims := h-g.groundRow, h-g.groundRow
+	f.lo, f.g0 = lo, max(g.groundRow, lo)
+	f.ground = max(hi-f.g0, 0)
+	f.claims = f.ground
 	if raw != nil {
-		claims = h
+		f.claims += skyHi - lo
+	}
+	if r.split == nil {
+		r.split = r.claimRows
 	}
 	r.claimed.Store(0)
-	mat.ParallelRows(ground, r.Workers, func(int, int) {
-		var mine [256]int32 // claimed rows awaiting the sensor model
-		n := 0
-		for {
-			c := int(r.claimed.Add(1)) - 1
-			if c >= claims {
-				break
-			}
-			y := c - ground // claims past the ground rows are sky rows
-			if c < ground {
-				y = g.groundRow + c
-				for i := y * w; i < (y+1)*w; i++ {
-					switch g.class[i-off] {
-					case pixelSky:
-						out.R[i], out.G[i], out.B[i] = sky[0], sky[1], sky[2]
-						continue
-					case pixelHaze:
-						out.R[i], out.G[i], out.B[i] = haze[0], haze[1], haze[2]
-						continue
-					}
-					ray := &g.ray[i-off]
-					gx, gy := ray.hit(vp.X, vp.Y, ax)
-					rad := r.shadeGround(gx, gy, vp, scene, ray.t)
-					out.R[i], out.G[i], out.B[i] = rad[0], rad[1], rad[2]
+	mat.ParallelRows(f.ground, r.Workers, r.split)
+	f.out, f.raw = nil, nil
+}
+
+// claimRows is one goroutine of render's row split; its row range is
+// unused, since the rows are claimed from r.claimed.
+func (r *Renderer) claimRows(_, _ int) {
+	f, g, w := &r.frame, r.ground, r.Cam.Width
+	off := g.skyRows * w
+	var mine [256]int32 // claimed rows awaiting the sensor model
+	n := 0
+	for {
+		c := int(r.claimed.Add(1)) - 1
+		if c >= f.claims {
+			break
+		}
+		y := f.lo + c - f.ground // claims past the ground rows are sky rows
+		if c < f.ground {
+			y = f.g0 + c
+			for i := y * w; i < (y+1)*w; i++ {
+				switch g.class[i-off] {
+				case pixelSky:
+					f.out.R[i], f.out.G[i], f.out.B[i] = f.sky[0], f.sky[1], f.sky[2]
+					continue
+				case pixelHaze:
+					f.out.R[i], f.out.G[i], f.out.B[i] = f.haze[0], f.haze[1], f.haze[2]
+					continue
 				}
-			}
-			if raw == nil {
-				continue
-			}
-			mine[n] = int32(y)
-			n++
-			if n == len(mine) || c >= ground {
-				r.sensorRows(raw, out, mine[:n])
-				n = 0
+				ray := &g.ray[i-off]
+				gx, gy := ray.hit(f.vp.X, f.vp.Y, f.ax)
+				rad := r.shadeGround(gx, gy, f.vp, f.scene, ray.t)
+				f.out.R[i], f.out.G[i], f.out.B[i] = rad[0], rad[1], rad[2]
 			}
 		}
-		if raw != nil {
-			r.sensorRows(raw, out, mine[:n])
+		if f.raw == nil {
+			continue
 		}
-	})
+		mine[n] = int32(y)
+		n++
+		if n == len(mine) || c >= f.ground {
+			r.sensorRows(f.raw, f.out, mine[:n])
+			n = 0
+		}
+	}
+	if f.raw != nil {
+		r.sensorRows(f.raw, f.out, mine[:n])
+	}
 }
 
 // shadeGround returns the linear radiance of the ground point (gx, gy).
@@ -505,29 +540,40 @@ func skyColor(scene world.Scene) [3]float32 {
 }
 
 // RenderRAW renders the scene and applies the full sensor model into a
-// new mosaic; see RenderRAWInto.
+// new mosaic; see RenderRAWRowsInto.
 func (r *Renderer) RenderRAW(vp VehiclePose, seed int64) *raster.Bayer {
 	return r.RenderRAWInto(raster.NewBayer(r.Cam.Width, r.Cam.Height), vp, seed)
 }
 
-// RenderRAWInto renders the scene into per-renderer scratch and applies
-// the full sensor model into raw: spectral crosstalk, vignetting, CFA
-// sampling, shot + read noise, and 10-bit quantization. The result is
-// the RAW mosaic the ISP consumes; seed makes the per-frame noise
-// deterministic. Every sample is written, so raw may be a recycled
-// buffer. It returns raw.
+// RenderRAWInto is RenderRAWRowsInto over every row.
+func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
+	return r.RenderRAWRowsInto(raw, vp, seed, 0, r.Cam.Height)
+}
+
+// RenderRAWRowsInto renders rows [lo, hi) of the scene into per-renderer
+// scratch and applies the full sensor model to them into raw: spectral
+// crosstalk, vignetting, CFA sampling, shot + read noise, and 10-bit
+// quantization. The result is the RAW mosaic the ISP consumes; seed
+// makes the per-frame noise deterministic. Every sample of those rows is
+// written and no other is, so raw may be a recycled buffer. It returns
+// raw.
 //
 // The noise is one stream reseeded per frame, two normals per pixel in
 // raster order (shot, then read), and reseeding a rand.Rand restores
 // exactly the state of rand.New(rand.NewSource(seed)), so the mosaic
-// depends only on the scene and the seed. The normals never depend on
-// the scene, so with two or more workers a goroutine draws them while
-// the scene shades; with one the calling goroutine draws them first.
-// Either way the sensor model runs in the row split; see render.
-func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
+// depends only on the scene and the seed. The stream stops at row hi-1,
+// so rows [lo, hi) get the normals the whole frame gives them. The
+// normals never depend on the scene, so with two or more workers a
+// goroutine draws them while the scene shades; with one the calling
+// goroutine draws them first. Either way the sensor model runs in the
+// row split; see render.
+func (r *Renderer) RenderRAWRowsInto(raw *raster.Bayer, vp VehiclePose, seed int64, lo, hi int) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
 	if raw.W != w || raw.H != h {
-		panic(fmt.Sprintf("camera: RenderRAWInto buffer is %dx%d, camera is %dx%d", raw.W, raw.H, w, h))
+		panic(fmt.Sprintf("camera: RenderRAWRowsInto buffer is %dx%d, camera is %dx%d", raw.W, raw.H, w, h))
+	}
+	if lo < 0 || lo > hi || hi > h {
+		panic(fmt.Sprintf("camera: rows [%d, %d) outside a frame of %d rows", lo, hi, h))
 	}
 	if r.scene == nil || r.scene.W != w || r.scene.H != h {
 		r.scene = raster.NewRGB(w, h)
@@ -547,20 +593,22 @@ func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) 
 	if r.draw == nil {
 		r.draw = r.drawNoise
 	}
+	r.drawTo = 2 * w * hi
 	r.drawn.Add(1)
 	if workers >= 2 {
 		go r.draw()
 	} else {
 		r.draw()
 	}
-	r.render(r.scene, raw, vp)
+	r.render(r.scene, raw, vp, lo, hi)
 	return raw
 }
 
-// drawNoise fills r.noise from the freshly seeded stream.
+// drawNoise fills r.noise through r.drawTo from the freshly seeded
+// stream.
 func (r *Renderer) drawNoise() {
 	defer r.drawn.Done()
-	rng, noise := r.rng, r.noise
+	rng, noise := r.rng, r.noise[:r.drawTo]
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}

@@ -382,3 +382,51 @@ func dirtyBayer(b *raster.Bayer, n int) {
 		b.Pix[i] = vals[(i+n)%4]
 	}
 }
+
+// TestRenderRAWRowsMatchesFullFrame renders row ranges that the loop's
+// detection band never takes: ranges inside the all-sky rows, across the
+// first ground row, at both frame borders, single rows and empty ones.
+// Each must hold the whole frame's bits in its rows and leave every other
+// row of a dirtied mosaic as it was, at worker counts 1, 2, 3 and 8, with
+// renderers reused from range to range and a new seed for each range, so
+// normals left from the previous frame cannot pass for this one's.
+func TestRenderRAWRowsMatchesFullFrame(t *testing.T) {
+	tr := fiveSceneTrack()
+	poses := oraclePoses(tr)
+	for _, cam := range []Camera{Scaled(64, 32), Scaled(192, 96), Scaled(40, 8)} {
+		w, h := cam.Width, cam.Height
+		full := NewRenderer(tr, cam)
+		g := full.ground
+		ranges := [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
+			{0, g.skyRows}, {max(g.skyRows-1, 0), min(g.groundRow+2, h)}, {g.groundRow, h},
+			{max(g.groundRow-3, 0), g.groundRow}, {h / 3, 2 * h / 3}, {1, h - 1}}
+		rends := map[int]*Renderer{}
+		for _, n := range []int{1, 2, 3, 8} {
+			rends[n] = NewRenderer(tr, cam)
+			rends[n].Workers = n
+		}
+		dirt := raster.NewBayer(w, h)
+		dirtyBayer(dirt, 0)
+		raw := raster.NewBayer(w, h)
+		for pi, vp := range poses {
+			for ri, rows := range ranges {
+				seed := int64(5 + 7919*pi + 31*ri)
+				want := full.RenderRAW(vp, seed)
+				for _, n := range []int{1, 2, 3, 8} {
+					copy(raw.Pix, dirt.Pix)
+					rends[n].RenderRAWRowsInto(raw, vp, seed, rows[0], rows[1])
+					for i := range raw.Pix {
+						ref := want.Pix[i]
+						if y := i / w; y < rows[0] || y >= rows[1] {
+							ref = dirt.Pix[i]
+						}
+						if math.Float32bits(raw.Pix[i]) != math.Float32bits(ref) {
+							t.Fatalf("%dx%d pose %d rows %d [%d, %d) workers=%d: sample (%d, %d) is %v, want %v",
+								w, h, pi, ri, rows[0], rows[1], n, i%w, i/w, raw.Pix[i], ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}

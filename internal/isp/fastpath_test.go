@@ -193,9 +193,9 @@ func TestDemosaicDenoiseMatchOracle(t *testing.T) {
 		denoiseRowsOracle(dmWant, dnWant, 0, h)
 		for _, workers := range []int{1, 2, 3} {
 			what := fmt.Sprintf("%s workers=%d", name, workers)
-			dm := DemosaicBilinearInto(raw, dirtyRGB(w, h), workers)
+			dm := demosaic(raw, dirtyRGB(w, h), 0, raw.H, workers)
 			assertSameRGB(t, "demosaic "+what, dm, dmWant)
-			dn := DenoiseBilateralInto(dmWant, dirtyRGB(w, h), workers)
+			dn := denoise(dmWant, dirtyRGB(w, h), 0, dmWant.H, workers)
 			assertSameRGB(t, "denoise "+what, dn, dnWant)
 		}
 	}

@@ -88,35 +88,71 @@ func TestProcessIntoNilBuffers(t *testing.T) {
 // its serial counterpart on its own (not just composed in Process).
 func TestStageWorkersMatchSerial(t *testing.T) {
 	raw := syntheticRAW(64, 32)
-	base := DemosaicBilinearInto(raw, nil, 1)
+	base := demosaic(raw, nil, 0, raw.H, 1)
 	for _, workers := range []int{2, 5} {
-		dm := DemosaicBilinearInto(raw, dirtyRGB(64, 32), workers)
+		dm := demosaic(raw, dirtyRGB(64, 32), 0, raw.H, workers)
 		for i := range base.R {
 			if dm.R[i] != base.R[i] || dm.G[i] != base.G[i] || dm.B[i] != base.B[i] {
 				t.Fatalf("demosaic workers=%d differs at %d", workers, i)
 			}
 		}
-		dnSerial := DenoiseBilateralInto(base, nil, 1)
-		dn := DenoiseBilateralInto(base, dirtyRGB(64, 32), workers)
+		dnSerial := denoise(base, nil, 0, base.H, 1)
+		dn := denoise(base, dirtyRGB(64, 32), 0, base.H, workers)
 		for i := range dnSerial.R {
 			if dn.R[i] != dnSerial.R[i] {
 				t.Fatalf("denoise workers=%d differs at %d", workers, i)
 			}
 		}
 		cmSerial, cmPar := base.Clone(), base.Clone()
-		ApplyColorMap(cmSerial, 1)
-		ApplyColorMap(cmPar, workers)
+		colorMap(cmSerial, 0, cmSerial.H, 1)
+		colorMap(cmPar, 0, cmPar.H, workers)
 		gmSerial, gmPar := base.Clone(), base.Clone()
 		gmSerial.R[5] = float32(math.NaN())
 		gmPar.R[5] = float32(math.NaN())
-		ApplyGamutMap(gmSerial, 1)
-		ApplyGamutMap(gmPar, workers)
+		gamutMap(gmSerial, 0, gmSerial.H, 1)
+		gamutMap(gmPar, 0, gmPar.H, workers)
 		tmSerial, tmPar := base.Clone(), base.Clone()
-		ApplyToneMap(tmSerial, 1)
-		ApplyToneMap(tmPar, workers)
+		toneMap(tmSerial, 0, tmSerial.H, 1)
+		toneMap(tmPar, 0, tmPar.H, workers)
 		for i := range base.R {
 			if cmPar.R[i] != cmSerial.R[i] || gmPar.R[i] != gmSerial.R[i] || tmPar.R[i] != tmSerial.R[i] {
 				t.Fatalf("in-place stage workers=%d differs at %d", workers, i)
+			}
+		}
+	}
+}
+
+// TestProcessRowsMatchesFullFrame runs every configuration over row
+// ranges of the oracle mosaics (rendered frames and odd, degenerate
+// sizes): ranges touching either border, single rows, empty ranges and
+// interior bands. Rows [lo, hi) of the result must hold the whole
+// frame's bits, and every other row must keep the dirt the buffers held,
+// at worker counts 1, 2, 3 and 8.
+func TestProcessRowsMatchesFullFrame(t *testing.T) {
+	for name, raw := range oracleMosaics() {
+		w, h := raw.W, raw.H
+		ranges := [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
+			{0, (h + 1) / 2}, {h / 2, h}, {1, max(h-1, 1)}, {h / 3, max(2*h/3, h/3)}, {min(2, h), min(3, h)}}
+		for _, cfg := range Knobs {
+			want := cfg.Process(raw)
+			for _, rows := range ranges {
+				for _, workers := range []int{1, 2, 3, 8} {
+					out, tmp := dirtyRGB(w, h), dirtyRGB(w, h)
+					got := cfg.ProcessObservedInto(raw, out, tmp, rows[0], rows[1], workers, nil)
+					dirt := dirtyRGB(w, h)
+					for c, pl := range [3][3][]float32{{got.R, want.R, dirt.R}, {got.G, want.G, dirt.G}, {got.B, want.B, dirt.B}} {
+						for i := range pl[0] {
+							ref := pl[1][i]
+							if y := i / w; y < rows[0] || y >= rows[1] {
+								ref = pl[2][i]
+							}
+							if math.Float32bits(pl[0][i]) != math.Float32bits(ref) {
+								t.Fatalf("%s %s rows [%d, %d) workers=%d: channel %d pixel (%d, %d) is %v, want %v",
+									name, cfg.ID, rows[0], rows[1], workers, c, i%w, i/w, pl[0][i], ref)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

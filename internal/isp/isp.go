@@ -114,29 +114,47 @@ var XavierRuntimeMs = map[string]float64{
 // Process runs the configured pipeline over a RAW mosaic into new
 // buffers; see ProcessObservedInto.
 func (c Config) Process(raw *raster.Bayer) *raster.RGB {
-	return c.ProcessObservedInto(raw, nil, nil, 1, nil)
+	return c.ProcessObservedInto(raw, nil, nil, 0, raw.H, 1, nil)
 }
 
-// ProcessInto is ProcessObservedInto without an observer.
+// ProcessInto is ProcessObservedInto over every row, without an
+// observer.
 func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int) *raster.RGB {
-	return c.ProcessObservedInto(raw, out, tmp, workers, nil)
+	return c.ProcessObservedInto(raw, out, tmp, 0, raw.H, workers, nil)
 }
 
-// ProcessObservedInto runs the configured pipeline with caller-held
-// buffers and row-parallel kernels. Stages execute in canonical order
-// regardless of their order in the Config. out receives the demosaic
-// result; tmp is the ping-pong target when the configuration denoises
-// (pass nil to allocate either). The returned image is whichever buffer
-// holds the final stage's output — callers reusing buffers across
-// frames must use the return value, not assume out. Every stage writes
-// every pixel of its output, so recycled buffers with arbitrary contents
-// are safe, and the result is byte-identical for every worker count.
+// ProcessObservedInto runs the configured pipeline over the output rows
+// [lo, hi) with caller-held buffers and row-parallel kernels. Stages
+// execute in canonical order regardless of their order in the Config.
+// out receives the demosaic result; tmp is the ping-pong target when the
+// configuration denoises (pass nil to allocate either). The returned
+// image is whichever buffer holds the final stage's output — callers
+// reusing buffers across frames must use the return value, not assume
+// out.
+//
+// The range only bounds the stages' row splits. Demosaic covers one more
+// row on each side when the configuration denoises, since the 3×3
+// filter reads them; every other stage covers [lo, hi). The image's own
+// first and last rows keep their border code, and the range's edges are
+// interior rows, so rows [lo, hi) of the result are bit for bit those of
+// the whole frame [0, H) whatever the range, the worker count or the
+// buffers' old contents. The rows of raw the demosaic reads (one beyond
+// its own on each side) must hold the frame. Rows a stage does not cover
+// are left as they were, so the result holds its old contents outside
+// [lo, hi).
 //
 // With an enabled observer each executed stage records one wall-time
 // sample of hsas_isp_stage_seconds and one trace span (the per-stage
 // timings Table II profiles per configuration). A nil observer reads no
 // clock and allocates nothing.
-func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int, o *obs.Observer) *raster.RGB {
+func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, lo, hi, workers int, o *obs.Observer) *raster.RGB {
+	if lo < 0 || lo > hi || hi > raw.H {
+		panic(fmt.Sprintf("isp: rows [%d, %d) outside a raw frame of %d rows", lo, hi, raw.H))
+	}
+	dlo, dhi := lo, hi
+	if c.Has(Denoise) && lo < hi {
+		dlo, dhi = max(lo-1, 0), min(hi+1, raw.H)
+	}
 	var img *raster.RGB
 	for s := Demosaic; s <= ToneMap; s++ {
 		if s != Demosaic && !c.Has(s) {
@@ -148,15 +166,15 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, wor
 		}
 		switch s {
 		case Demosaic:
-			img = DemosaicBilinearInto(raw, out, workers)
+			img = demosaic(raw, out, dlo, dhi, workers)
 		case Denoise:
-			img = DenoiseBilateralInto(img, tmp, workers)
+			img = denoise(img, tmp, lo, hi, workers)
 		case ColorMap:
-			ApplyColorMap(img, workers)
+			colorMap(img, lo, hi, workers)
 		case GamutMap:
-			ApplyGamutMap(img, workers)
+			gamutMap(img, lo, hi, workers)
 		case ToneMap:
-			ApplyToneMap(img, workers)
+			toneMap(img, lo, hi, workers)
 		}
 		if o.Enabled() {
 			o.Registry().Histogram("hsas_isp_stage_seconds", "wall time per executed ISP stage",
@@ -167,18 +185,18 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, wor
 	return img
 }
 
-// DemosaicBilinearInto reconstructs a full RGB image from an RGGB
+// demosaic reconstructs rows [lo, hi) of an RGB image from an RGGB
 // mosaic with bilinear interpolation of the missing samples, into out
-// (allocated when nil) with row-parallel interpolation. Every output
-// sample is written.
-func DemosaicBilinearInto(raw *raster.Bayer, out *raster.RGB, workers int) *raster.RGB {
+// (allocated when nil) with row-parallel interpolation. Every sample of
+// those rows is written.
+func demosaic(raw *raster.Bayer, out *raster.RGB, lo, hi, workers int) *raster.RGB {
 	w, h := raw.W, raw.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
 	} else if out.W != w || out.H != h {
 		panic(fmt.Sprintf("isp: demosaic buffer is %dx%d, raw is %dx%d", out.W, out.H, w, h))
 	}
-	mat.ParallelRows(h, workers, func(y0, y1 int) { demosaicRows(raw, out, y0, y1) })
+	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) { demosaicRows(raw, out, lo+i0, lo+i1) })
 	return out
 }
 
@@ -260,12 +278,12 @@ const (
 	denoiseRangeSigma = 0.08
 )
 
-// DenoiseBilateralInto applies an edge-preserving 3×3 bilateral filter
-// per channel of img into out (allocated when nil) with row-parallel
-// kernels and returns out. The filter reads only img and
-// writes every pixel of out, so out may be recycled but must not alias
-// img.
-func DenoiseBilateralInto(img, out *raster.RGB, workers int) *raster.RGB {
+// denoise applies an edge-preserving 3×3 bilateral filter per channel
+// to rows [lo, hi) of img into out (allocated when nil) with row-parallel
+// kernels and returns out. The filter reads only img, one row beyond the
+// range on each side, and writes every pixel of those rows of out, so
+// out may be recycled but must not alias img.
+func denoise(img, out *raster.RGB, lo, hi, workers int) *raster.RGB {
 	w, h := img.W, img.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
@@ -275,7 +293,7 @@ func DenoiseBilateralInto(img, out *raster.RGB, workers int) *raster.RGB {
 	if out == img {
 		panic("isp: denoise output aliases input")
 	}
-	mat.ParallelRows(h, workers, func(y0, y1 int) { denoiseRows(img, out, y0, y1) })
+	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) { denoiseRows(img, out, lo+i0, lo+i1) })
 	return out
 }
 
@@ -426,14 +444,14 @@ func invert3(m [3][3]float64) [3][3]float32 {
 	return out
 }
 
-// ApplyColorMap applies the color-correction matrix in place, restoring
-// scene colorimetry from the sensor's crosstalked channels, with
-// row-parallel execution.
-func ApplyColorMap(img *raster.RGB, workers int) {
+// colorMap applies the color-correction matrix in place to rows
+// [lo, hi), restoring scene colorimetry from the sensor's crosstalked
+// channels, with row-parallel execution.
+func colorMap(img *raster.RGB, lo, hi, workers int) {
 	w := img.W
 	m := &ColorMapMatrix
-	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
-		for i := y0 * w; i < y1*w; i++ {
+	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
+		for i := (lo + i0) * w; i < (lo+i1)*w; i++ {
 			r, g, b := img.R[i], img.G[i], img.B[i]
 			img.R[i] = m[0][0]*r + m[0][1]*g + m[0][2]*b
 			img.G[i] = m[1][0]*r + m[1][1]*g + m[1][2]*b
@@ -446,13 +464,14 @@ func ApplyColorMap(img *raster.RGB, workers int) {
 // negatives (possible after color correction) are clipped.
 const gamutKnee = 0.85
 
-// ApplyGamutMap compresses out-of-gamut values in place: a soft knee above
-// gamutKnee and a hard clip below zero, with row-parallel execution.
-func ApplyGamutMap(img *raster.RGB, workers int) {
+// gamutMap compresses out-of-gamut values of rows [lo, hi) in place: a
+// soft knee above gamutKnee and a hard clip below zero, with row-parallel
+// execution.
+func gamutMap(img *raster.RGB, lo, hi, workers int) {
 	w := img.W
-	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
+	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
-			row := ch[y0*w : y1*w]
+			row := ch[(lo+i0)*w : (lo+i1)*w]
 			for i, v := range row {
 				switch {
 				case v != v: // NaN from upstream arithmetic: map to black
@@ -473,14 +492,14 @@ func ApplyGamutMap(img *raster.RGB, workers int) {
 	})
 }
 
-// ApplyToneMap applies the sRGB-like transfer curve (gamma 1/2.2 with a
-// linear toe) in place, lifting shadows before 8-bit quantization, with
-// row-parallel execution.
-func ApplyToneMap(img *raster.RGB, workers int) {
+// toneMap applies the sRGB-like transfer curve (gamma 1/2.2 with a
+// linear toe) in place to rows [lo, hi), lifting shadows before 8-bit
+// quantization, with row-parallel execution.
+func toneMap(img *raster.RGB, lo, hi, workers int) {
 	w := img.W
-	mat.ParallelRows(img.H, workers, func(y0, y1 int) {
+	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
-			toneRow(ch[y0*w : y1*w])
+			toneRow(ch[(lo+i0)*w : (lo+i1)*w])
 		}
 	})
 }

@@ -198,11 +198,8 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 		left, right := roi.LatAt(dist)
 		fr := bevRow{}
 		for col := 0; col < w; col++ {
-			lat := left + (right-left)*float64(col)/float64(w-1)
-			u, v, ok := d.Geo.GroundToImage(dist, lat)
-			// Rejecting NaN here writes the 0 that sampling NaN
-			// coordinates would score.
-			if !ok || !(u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)) {
+			u, v, ok := d.project(dist, left, right, col, iw, ih)
+			if !ok {
 				fp.samples[row*w+col] = bevSample{x0: -1}
 				continue
 			}
@@ -215,6 +212,45 @@ func (d *Detector) footprint(roi ROI, iw, ih int) *bevFootprint {
 		fp.rows[row] = fr
 	}
 	return fp
+}
+
+// project returns where the BEV sample in column col of the row at
+// distance dist, whose lateral bounds are left and right, lands on an
+// iw×ih image, and whether it lands on it at all. Rejecting NaN here
+// gives the 0 that sampling NaN coordinates would score.
+func (d *Detector) project(dist, left, right float64, col, iw, ih int) (u, v float64, ok bool) {
+	lat := left + (right-left)*float64(col)/float64(d.BevW-1)
+	u, v, ok = d.Geo.GroundToImage(dist, lat)
+	return u, v, ok && u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)
+}
+
+// SourceRows returns the rows [lo, hi) of an iw×ih frame that Detect
+// can read under any of rois: both bilinear source rows of every BEV row
+// that lands on the image, which is all its footprint reads. It is empty
+// (lo == hi) when no such row exists. It allocates nothing, and each BEV
+// row stops at its first sample on the image, because every sample of a
+// row has the same image row v (see bevRow).
+func (d *Detector) SourceRows(iw, ih int, rois ...ROI) (lo, hi int) {
+	lo, hi = ih, 0
+	for _, roi := range rois {
+		work := *d
+		work.BevW = d.bevWidth(roi)
+		for row := 0; row < work.BevH; row++ {
+			dist := work.rowToDist(roi, row)
+			left, right := roi.LatAt(dist)
+			for col := 0; col < work.BevW; col++ {
+				if _, v, ok := work.project(dist, left, right, col, iw, ih); ok {
+					y0 := int(v)
+					lo, hi = min(lo, y0), max(hi, min(y0+1, ih-1)+1)
+					break
+				}
+			}
+		}
+	}
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // scoreBEVInto samples the bird's-eye view of the ROI into out (sized

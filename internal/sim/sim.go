@@ -301,9 +301,11 @@ type loop struct {
 	targetSpeed float64
 
 	// Frame buffers leased from the raster pool for the whole run: the RAW
-	// mosaic and the ISP's ping/pong RGB pair, fully overwritten per frame.
+	// mosaic and the ISP's ping/pong RGB pair. Every frame overwrites the
+	// mosaic's rows rawRows and the RGB pair's rows rows; see frameRows.
 	raw            *raster.Bayer
 	frameA, frameB *raster.RGB
+	rows, rawRows  [2]int
 
 	// One occlusion closure for the whole run (the pattern is fixed in
 	// world space; only its area fraction varies per frame).
@@ -401,7 +403,35 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 	l.plant = vehicle.NewPlant(cfg.Plant, l.targetSpeed, vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
 	fw, fh := cfg.Camera.Width, cfg.Camera.Height
 	l.raw, l.frameA, l.frameB = raster.GetBayer(fw, fh), raster.GetRGB(fw, fh), raster.GetRGB(fw, fh)
+	l.rows, l.rawRows = l.frameRows(fw, fh)
 	return l, nil
+}
+
+// frameRows returns the rows [lo, hi) of each frame the run computes:
+// rows through the ISP and rawRows through the renderer. With oracle
+// sensors nothing but lane detection reads a frame, and detection reads
+// only its footprint's source rows, so rows are the union of the source
+// rows of every ROI (the ROI is chosen after the ISP runs). The band's
+// rows come out bit for bit as the whole frame's. Any other sensor may
+// read every pixel, so then the whole frame is computed.
+func (l *loop) frameRows(fw, fh int) (rows, rawRows [2]int) {
+	for _, s := range l.sens {
+		if _, ok := s.(Oracle); !ok {
+			return [2]int{0, fh}, [2]int{0, fh}
+		}
+	}
+	lo, hi := l.det.SourceRows(fw, fh, perception.ROIs...)
+	return [2]int{lo, hi}, rawRowsFor(lo, hi, fh)
+}
+
+// rawRowsFor returns the rows of a RAW frame of fh rows that the ISP
+// reads to compute rows [lo, hi): two more on each side, one for the
+// denoise filter's 3×3 window and one for the demosaic's under it.
+func rawRowsFor(lo, hi, fh int) [2]int {
+	if lo >= hi {
+		return [2]int{lo, hi}
+	}
+	return [2]int{max(lo-2, 0), min(hi+2, fh)}
 }
 
 // release returns the frame buffers to the raster pool.
@@ -533,7 +563,8 @@ func (l *loop) capture(c *cycle) {
 		l.rend.Occlude = nil
 	}
 	st := l.plant.St
-	l.rend.RenderRAWInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919)
+	l.rend.RenderRAWRowsInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919,
+		l.rawRows[0], l.rawRows[1])
 	if sigma, ok := l.inj.Noise(l.frame); ok {
 		fault.AddBayerNoise(l.raw, sigma, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault.Add(fault.NoiseBurst)
@@ -547,7 +578,7 @@ func (l *loop) capture(c *cycle) {
 // sensor's verdict at its output, so they corrupt the belief exactly
 // when the policy actually invokes that classifier.
 func (l *loop) identify(c *cycle) {
-	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.workers, l.cfg.Obs)
+	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.rows[0], l.rows[1], l.workers, l.cfg.Obs)
 	if frac, kinds := l.inj.CorruptFrac(l.frame); kinds != 0 {
 		fault.CorruptRGBBand(c.rgb, frac, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault |= kinds
