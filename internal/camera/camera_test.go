@@ -25,11 +25,12 @@ func TestRendererHorizonSplitsSkyAndGround(t *testing.T) {
 	img := r.RenderSceneInto(raster.NewRGB(r.Cam.Width, r.Cam.Height), PoseOnTrack(r.Track, 10, 0, 0))
 	// Top row must be sky (bright blue-ish in day), bottom row ground.
 	sky := skyColor(world.Day)
-	tr, tg, tb := img.At(64, 0)
+	tr, tg, tb := img.R[64], img.G[64], img.B[64]
 	if tr != sky[0] || tg != sky[1] || tb != sky[2] {
 		t.Fatalf("top pixel = %v %v %v, want sky %v", tr, tg, tb, sky)
 	}
-	br, bg, bb := img.At(64, 63)
+	i := 63*img.W + 64
+	br, bg, bb := img.R[i], img.G[i], img.B[i]
 	if br == sky[0] && bg == sky[1] && bb == sky[2] {
 		t.Fatal("bottom pixel is sky; ground not rendered")
 	}
@@ -105,7 +106,7 @@ func TestYellowMarkingHasColor(t *testing.T) {
 	var bestGap float32
 	for y := img.H / 2; y < img.H; y++ {
 		for x := 0; x < img.W; x++ {
-			r8, _, b8 := img.At(x, y)
+			r8, b8 := img.R[y*img.W+x], img.B[y*img.W+x]
 			if gap := r8 - b8; gap > bestGap {
 				bestGap = gap
 			}

@@ -15,16 +15,19 @@ import (
 // view replaced, kept as the oracle of TestRenderMatchesOracle. It holds
 // three full-frame ray tables, rotates every pixel's ray into the world,
 // intersects it with the ground per pixel, and locates each ground point
-// with Track.Locate and Track.SurfaceAt. It renders serially.
+// with Track.Locate and the SurfaceAt of a view holding the whole track,
+// whose segment search starts at the track's last segment. It renders
+// serially.
 type oracleRenderer struct {
 	r                *Renderer // track, camera, occluder, illumination
+	whole            world.View
 	rayX, rayY, rayZ []float64
 	vig              []float32
 }
 
 func newOracleRenderer(r *Renderer) *oracleRenderer {
 	cam := r.Cam
-	o := &oracleRenderer{r: r}
+	o := &oracleRenderer{r: r, whole: r.Track.View(0, math.Inf(1), math.Inf(1))}
 	w, h := cam.Width, cam.Height
 	fx := float64(w) / 2 / math.Tan(cam.FOVDeg*math.Pi/360)
 	cx, cy := float64(w)/2-0.5, float64(h)/2-0.5
@@ -95,7 +98,7 @@ func (o *oracleRenderer) shadeGround(gx, gy float64, vp VehiclePose, scene world
 	s, lat, ok := r.Track.Locate(gx, gy, vp.S, 20, r.Cam.MaxDist+10, world.RoadHalfWidth+6)
 	var alb [3]float64
 	if ok {
-		sf := r.Track.SurfaceAt(s, lat)
+		sf := o.whole.SurfaceAt(s, lat)
 		if sf.Kind == world.SurfaceMarking && r.Occlude != nil && r.Occlude(s, lat) {
 			sf = world.Surface{Kind: world.SurfaceAsphalt}
 		}

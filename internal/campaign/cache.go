@@ -115,9 +115,6 @@ func NewDirCache(dir string) (*DirCache, error) {
 	return &DirCache{dir: dir}, nil
 }
 
-// Dir returns the cache root.
-func (c *DirCache) Dir() string { return c.dir }
-
 func (c *DirCache) path(key, suffix string) string {
 	fan := key
 	if len(fan) > 2 {

@@ -226,7 +226,8 @@ func TestEngineEmptyAndNilDefaults(t *testing.T) {
 // only with its trace. When the cached trace is torn the job
 // re-simulates, and the rerun restores the trace.
 func TestEngineResimulatesTornTrace(t *testing.T) {
-	dc, err := NewDirCache(t.TempDir())
+	dir := t.TempDir()
+	dc, err := NewDirCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestEngineResimulatesTornTrace(t *testing.T) {
 	if _, _, err := eng.Run(context.Background(), []JobSpec{job}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dc.Dir(), key[:2], key+".trace.csv"), []byte("garbage\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".trace.csv"), []byte("garbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, stats, err := eng.Run(context.Background(), []JobSpec{job})

@@ -171,9 +171,10 @@ func TestToTensorLayoutCentered(t *testing.T) {
 	img.Set(0, 0, 0.1, 0.2, 0.3)
 	img.Set(1, 0, 0.4, 0.5, 0.6)
 	tens := ToTensor(img)
-	// Inputs are mean-centered by 0.5 in CHW order.
+	// Inputs are mean-centered by 0.5 in CHW order: element (c, y, x)
+	// is Data[(c*H+y)*W+x].
 	close := func(a, b float32) bool { d := a - b; return d < 1e-6 && d > -1e-6 }
-	if !close(tens.At(0, 0, 0), -0.4) || !close(tens.At(1, 0, 0), -0.3) || !close(tens.At(2, 0, 1), 0.1) {
+	if !close(tens.Data[0], -0.4) || !close(tens.Data[2], -0.3) || !close(tens.Data[5], 0.1) {
 		t.Fatalf("tensor layout wrong: %v", tens.Data)
 	}
 }

@@ -7,17 +7,6 @@ import (
 	"testing"
 )
 
-func TestTensorAccess(t *testing.T) {
-	x := NewTensor(2, 3, 4)
-	x.Set(1, 2, 3, 7)
-	if x.At(1, 2, 3) != 7 {
-		t.Fatal("tensor access broken")
-	}
-	if len(x.Data) != 24 {
-		t.Fatalf("tensor size %d", len(x.Data))
-	}
-}
-
 func TestSoftmaxProperties(t *testing.T) {
 	p := Softmax([]float32{1, 2, 3})
 	var sum float64
@@ -111,11 +100,15 @@ func TestGlobalAvgPool(t *testing.T) {
 // numericalGrad estimates dLoss/dtheta by central differences.
 func numericalGrad(n *Network, x *Tensor, label int, p *Param, i int) float64 {
 	const eps = 1e-3
+	loss := func() float64 {
+		logits := n.Forward(x, false)
+		return lossAndGradInto(logits, label, NewTensor(logits.C, logits.H, logits.W))
+	}
 	orig := p.Data[i]
 	p.Data[i] = orig + eps
-	l1, _ := LossAndGrad(n.Forward(x, false), label)
+	l1 := loss()
 	p.Data[i] = orig - eps
-	l2, _ := LossAndGrad(n.Forward(x, false), label)
+	l2 := loss()
 	p.Data[i] = orig
 	return (l1 - l2) / (2 * eps)
 }
@@ -143,7 +136,8 @@ func TestGradientCheck(t *testing.T) {
 	label := 1
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, g := LossAndGrad(logits, label)
+	g := NewTensor(logits.C, logits.H, logits.W)
+	lossAndGradInto(logits, label, g)
 	net.Backward(g)
 
 	checked := 0
@@ -276,7 +270,8 @@ func TestNetworkShapeValidation(t *testing.T) {
 func TestLossAndGradShape(t *testing.T) {
 	logits := NewTensor(3, 1, 1)
 	logits.Data = []float32{0, 0, 0}
-	loss, grad := LossAndGrad(logits, 2)
+	grad := NewTensor(3, 1, 1)
+	loss := lossAndGradInto(logits, 2, grad)
 	if math.Abs(loss-math.Log(3)) > 1e-5 {
 		t.Fatalf("uniform loss = %v, want ln 3", loss)
 	}

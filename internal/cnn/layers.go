@@ -367,15 +367,23 @@ func (g *GlobalAvgPool) Forward(x *Tensor, train bool) *Tensor {
 	} else {
 		out = ensureTensor(&g.out, x.C, 1, 1)
 	}
-	n := float32(x.H * x.W)
+	channelMeans(x, out.Data)
+	return out
+}
+
+// channelMeans writes the mean of channel c of x to out[c], summing each
+// channel in index order in float32; GlobalAvgPool and the int8 graph's
+// average pool both use it.
+func channelMeans(x *Tensor, out []float32) {
+	hw := x.H * x.W
+	n := float32(hw)
 	for c := 0; c < x.C; c++ {
 		var s float32
-		for i := c * x.H * x.W; i < (c+1)*x.H*x.W; i++ {
-			s += x.Data[i]
+		for _, v := range x.Data[c*hw : (c+1)*hw] {
+			s += v
 		}
-		out.Data[c] = s / n
+		out[c] = s / n
 	}
-	return out
 }
 
 // Backward implements Layer.

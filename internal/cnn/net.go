@@ -127,19 +127,6 @@ func Softmax(v []float32) []float32 {
 	return out
 }
 
-// LossAndGrad computes softmax cross-entropy loss for a label and the
-// gradient with respect to the logits.
-func LossAndGrad(logits *Tensor, label int) (float64, *Tensor) {
-	probs := Softmax(logits.Data)
-	loss := -math.Log(math.Max(float64(probs[label]), 1e-12))
-	grad := NewTensor(logits.C, logits.H, logits.W)
-	for i, p := range probs {
-		grad.Data[i] = p
-	}
-	grad.Data[label] -= 1
-	return loss, grad
-}
-
 // Backward propagates a logit gradient through the network, accumulating
 // parameter gradients.
 func (n *Network) Backward(grad *Tensor) {
@@ -207,9 +194,9 @@ type TrainConfig struct {
 	// Workers is the number of goroutines that compute per-sample
 	// gradients within a minibatch; 0 or 1 trains serially. Trained
 	// weights are bit-identical for every value (see train.go), so this
-	// is purely a throughput knob. Parallel training requires every
-	// layer to be cloneable (the ResNetLite layer set); stateful layers
-	// like Dropout must train with Workers <= 1.
+	// is purely a throughput knob. Parallel training clones every layer,
+	// so it takes only the layer types this package defines; a network
+	// with a Layer implemented elsewhere must train with Workers <= 1.
 	Workers int
 	// Log, when set, is invoked after every epoch with the epoch's mean
 	// loss and training accuracy.

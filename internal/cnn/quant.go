@@ -357,14 +357,7 @@ func (q *qAvgPool) setWorkers(int) {}
 // passes through unchanged.
 func (q *qAvgPool) forward(x *Tensor, bound float32) (*Tensor, float32) {
 	out := ensureTensor(&q.out, x.C, 1, 1)
-	n := float32(x.H * x.W)
-	for c := 0; c < x.C; c++ {
-		var s float32
-		for i := c * x.H * x.W; i < (c+1)*x.H*x.W; i++ {
-			s += x.Data[i]
-		}
-		out.Data[c] = s / n
-	}
+	channelMeans(x, out.Data)
 	return out, bound
 }
 

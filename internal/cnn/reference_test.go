@@ -176,6 +176,9 @@ func refReLU(x *Tensor) *Tensor {
 	return out
 }
 
+// at returns element (c, y, x) of the CHW tensor t.
+func at(t *Tensor, c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
+
 // refMaxPool is the per-window 2×2 max pool the branch-free MaxPool2
 // paths replaced: each window is seeded at -3.4e38 and scanned in
 // (dy, dx) order, and a value replaces the running best only when
@@ -190,12 +193,12 @@ func refMaxPool(x *Tensor) *Tensor {
 				best := float32(-3.4e38)
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
-						if v := x.At(c, oy*2+dy, ox*2+dx); v > best {
+						if v := at(x, c, oy*2+dy, ox*2+dx); v > best {
 							best = v
 						}
 					}
 				}
-				out.Set(c, oy, ox, best)
+				out.Data[(c*oh+oy)*ow+ox] = best
 			}
 		}
 	}
@@ -210,15 +213,15 @@ func refQMaxPool(x *Tensor) *Tensor {
 	for c := 0; c < x.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := x.At(c, oy*2, ox*2)
+				best := at(x, c, oy*2, ox*2)
 				for _, v := range []float32{
-					x.At(c, oy*2, ox*2+1), x.At(c, oy*2+1, ox*2), x.At(c, oy*2+1, ox*2+1),
+					at(x, c, oy*2, ox*2+1), at(x, c, oy*2+1, ox*2), at(x, c, oy*2+1, ox*2+1),
 				} {
 					if v > best {
 						best = v
 					}
 				}
-				out.Set(c, oy, ox, best)
+				out.Data[(c*oh+oy)*ow+ox] = best
 			}
 		}
 	}

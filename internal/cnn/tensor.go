@@ -31,12 +31,6 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
-// At returns element (c, y, x).
-func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
-
-// Set writes element (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
-
 // SameShape reports whether two tensors have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	return t.C == o.C && t.H == o.H && t.W == o.W

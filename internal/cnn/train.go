@@ -164,8 +164,10 @@ func (r *trainReplica) runSample(s Sample, shard [][]float32, lossBuf []float64,
 	}
 }
 
-// lossAndGradInto is LossAndGrad writing into a caller-owned gradient
-// tensor, with the identical arithmetic (softmax in float64 partials).
+// lossAndGradInto returns the softmax cross-entropy loss of logits for
+// label and writes the loss's gradient with respect to the logits into
+// grad, a caller-owned tensor of the logits' shape. The softmax sums its
+// partials in float64.
 func lossAndGradInto(logits *Tensor, label int, grad *Tensor) float64 {
 	v := logits.Data
 	maxV := v[0]

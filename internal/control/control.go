@@ -139,11 +139,6 @@ func (d *Design) ClosedLoop() *mat.Mat {
 	return mat.Sub(d.Phi, mat.Mul(d.Gamma, d.K))
 }
 
-// IsStable reports whether the design's closed loop is Schur stable.
-func (d *Design) IsStable() bool {
-	return mat.SpectralRadius(d.ClosedLoop()) < 1
-}
-
 // Controller is the runtime LQR controller with its observer state.
 type Controller struct {
 	D     *Design
@@ -154,13 +149,6 @@ type Controller struct {
 // NewController returns a controller with zeroed observer state.
 func NewController(d *Design) *Controller {
 	return &Controller{D: d, zHat: mat.New(d.Phi.Rows, 1)}
-}
-
-// Reset clears the observer state (used after a controller switch when
-// the incoming situation differs drastically).
-func (c *Controller) Reset() {
-	c.zHat = mat.New(c.D.Phi.Rows, 1)
-	c.uPrev = 0
 }
 
 // CopyStateFrom transfers the observer estimate from another controller
@@ -197,9 +185,6 @@ func (c *Controller) Coast() float64 {
 	c.zHat = mat.Add(mat.Mul(c.D.Phi, c.zHat), mat.Scale(u, c.D.Gamma))
 	return u
 }
-
-// UPrev returns the previously commanded input.
-func (c *Controller) UPrev() float64 { return c.uPrev }
 
 // ErrNoCQLF is returned when the CQLF search does not prove stability of
 // the switched system.

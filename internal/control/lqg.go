@@ -26,11 +26,6 @@ type NoiseModel struct {
 	ProcessVar float64
 }
 
-// DefaultNoise is a mid-range noise model: ~15 cm measurement sigma.
-func DefaultNoise() NoiseModel {
-	return NoiseModel{MeasurementVar: 0.15 * 0.15, ProcessVar: 1e-4}
-}
-
 // NewLQGDesign builds a Design whose observer gain is the steady-state
 // Kalman gain for the given noise model instead of the generic dual-LQR
 // observer. The regulator gain is unchanged (certainty equivalence).

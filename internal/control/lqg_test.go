@@ -14,11 +14,11 @@ func TestNewLQGDesignValidation(t *testing.T) {
 	if _, err := NewLQGDesign(p, 50, 0.025, 0.02, lookAhead, NoiseModel{}); err == nil {
 		t.Fatal("zero noise variances accepted")
 	}
-	d, err := NewLQGDesign(p, 50, 0.025, 0.02, lookAhead, DefaultNoise())
+	d, err := NewLQGDesign(p, 50, 0.025, 0.02, lookAhead, NoiseModel{MeasurementVar: 0.15 * 0.15, ProcessVar: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsStable() {
+	if !stable(d) {
 		t.Fatal("LQG closed loop unstable")
 	}
 }

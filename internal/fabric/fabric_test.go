@@ -57,12 +57,13 @@ func stripWall(rs []*campaign.JobResult) []campaign.JobResult {
 	return out
 }
 
-func newTestWorker(t *testing.T) (*Worker, *httptest.Server) {
+// newTestWorker serves a two-worker Worker and returns its local cache.
+func newTestWorker(t *testing.T) (*campaign.MemCache, *httptest.Server) {
 	t.Helper()
-	w := NewWorker(WorkerConfig{Workers: 2})
-	srv := httptest.NewServer(w.Handler())
+	cache := campaign.NewMemCache()
+	srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 2, Cache: cache}).Handler())
 	t.Cleanup(srv.Close)
-	return w, srv
+	return cache, srv
 }
 
 func TestWorkerLeaseStreamsResultsAndTrailer(t *testing.T) {
@@ -129,7 +130,7 @@ func TestWorkerLeaseStreamsResultsAndTrailer(t *testing.T) {
 // exactly one leaseRequest is refused whole with a 400 and runs no job;
 // a trailing newline is fine.
 func TestWorkerLeaseRejectsEmptyAndMalformed(t *testing.T) {
-	w, srv := newTestWorker(t)
+	cache, srv := newTestWorker(t)
 	body, err := json.Marshal(leaseRequest{Jobs: []campaign.JobSpec{tinyJob(1)}})
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +159,10 @@ func TestWorkerLeaseRejectsEmptyAndMalformed(t *testing.T) {
 			t.Errorf("lease(%q) status = %d, want 400", body, code)
 		}
 	}
-	if n := w.Cache().(*campaign.MemCache).Len(); n != 0 {
+	if n := cache.Len(); n != 0 {
 		t.Fatalf("rejected leases ran %d jobs", n)
 	}
-	if err := w.Cache().Put(mustKey(t, tinyJob(1)), &campaign.JobResult{Frames: 1}); err != nil {
+	if err := cache.Put(mustKey(t, tinyJob(1)), &campaign.JobResult{Frames: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if code := post(valid + "\n"); code != http.StatusOK {
@@ -179,7 +180,7 @@ func mustKey(t testing.TB, j campaign.JobSpec) string {
 }
 
 func TestWorkerFederatedCacheEndpoints(t *testing.T) {
-	w, srv := newTestWorker(t)
+	cache, srv := newTestWorker(t)
 
 	// Miss first.
 	resp, err := http.Get(srv.URL + "/v1/cache/" + strings.Repeat("0", 64))
@@ -218,7 +219,7 @@ func TestWorkerFederatedCacheEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	want, ok, err := w.Cache().Get(key)
+	want, ok, err := cache.Get(key)
 	if err != nil || !ok {
 		t.Fatalf("worker cache missing %s: ok=%v err=%v", key, ok, err)
 	}
@@ -405,7 +406,7 @@ func TestCoordinatorFederatedCacheReadThrough(t *testing.T) {
 	jobs[1].RecordTrace = true
 
 	// Warm a worker's local cache by leasing the jobs through it once.
-	w, srv := newTestWorker(t)
+	peer, srv := newTestWorker(t)
 	warm, err := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +443,7 @@ func TestCoordinatorFederatedCacheReadThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("trace did not read through to the local cache")
 	}
-	wantT, ok, _ := w.Cache().GetTrace(key)
+	wantT, ok, _ := peer.GetTrace(key)
 	if !ok || !bytes.Equal(gotT, wantT) {
 		t.Fatal("read-through trace differs from the peer's copy")
 	}

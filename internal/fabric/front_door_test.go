@@ -49,11 +49,12 @@ func (b *brokenPipe) Write(p []byte) (int, error) {
 // cut, whether its jobs simulate or are all in the worker's cache.
 func TestHandlerStopsOnWriteError(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := NewWorker(WorkerConfig{Workers: 1, KernelWorkers: 1, Obs: &obs.Observer{Metrics: reg}})
+	cache := campaign.NewMemCache()
+	w := NewWorker(WorkerConfig{Workers: 1, KernelWorkers: 1, Cache: cache, Obs: &obs.Observer{Metrics: reg}})
 	jobsDone := reg.Counter("hsas_campaign_jobs_total", "")
 	planted, keys, res := plantedJobs(t, 8)
 	for i, k := range keys {
-		if err := w.Cache().Put(k, res[i]); err != nil {
+		if err := cache.Put(k, res[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hsas/internal/campaign"
 )
 
 var updatePins = flag.Bool("update-pins", false, "rewrite testdata/http_pins.ndjson from the handlers' responses")
@@ -113,16 +115,17 @@ func checkPins(t *testing.T, got []httpPin) {
 // testdata/http_pins.ndjson. Every lease job is a cache hit, so nothing
 // simulates and the streams are deterministic.
 func TestHTTPPins(t *testing.T) {
-	w := NewWorker(WorkerConfig{Workers: 1, MaxLeaseBytes: 1 << 12})
+	cache := campaign.NewMemCache()
+	w := NewWorker(WorkerConfig{Workers: 1, MaxLeaseBytes: 1 << 12, Cache: cache})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	jobs, keys, res := plantedJobs(t, 4)
 	for i := 0; i < 3; i++ {
-		if err := w.Cache().Put(keys[i], res[i]); err != nil {
+		if err := cache.Put(keys[i], res[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Cache().PutTrace(keys[1], []byte(validTrace)); err != nil {
+	if err := cache.PutTrace(keys[1], []byte(validTrace)); err != nil {
 		t.Fatal(err)
 	}
 

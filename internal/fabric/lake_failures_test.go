@@ -222,8 +222,9 @@ func TestRunnersCountLakeFailuresAlike(t *testing.T) {
 // lake's Cached column alike, just as FabricStats counts it.
 func TestCoordinatorWorkerCacheHitsAreCached(t *testing.T) {
 	jobs := tinyJobs(2)
-	w := NewWorker(WorkerConfig{Workers: 1})
-	if _, _, err := (&campaign.Engine{Workers: 1, Cache: w.Cache()}).Run(context.Background(), jobs); err != nil {
+	cache := campaign.NewMemCache()
+	w := NewWorker(WorkerConfig{Workers: 1, Cache: cache})
+	if _, _, err := (&campaign.Engine{Workers: 1, Cache: cache}).Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(lookupless(w))

@@ -74,16 +74,17 @@ func postLookup(t *testing.T, url string, body string) (*http.Response, []leaseL
 // miss, and counts every read on the serve counters.
 func TestWorkerCacheLookupStreamsHits(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := NewWorker(WorkerConfig{Obs: &obs.Observer{Metrics: reg}})
+	cache := campaign.NewMemCache()
+	w := NewWorker(WorkerConfig{Cache: cache, Obs: &obs.Observer{Metrics: reg}})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	_, keys, res := plantedJobs(t, 4)
 	for i := 0; i < 3; i++ {
-		if err := w.Cache().Put(keys[i], res[i]); err != nil {
+		if err := cache.Put(keys[i], res[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Cache().PutTrace(keys[1], []byte(validTrace)); err != nil {
+	if err := cache.PutTrace(keys[1], []byte(validTrace)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,16 +224,17 @@ func TestCoordinatorLooksUpOncePerPeer(t *testing.T) {
 	var peers []*countingHandler
 	var urls []string
 	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{})
+		cache := campaign.NewMemCache()
+		w := NewWorker(WorkerConfig{Cache: cache})
 		// Peer 0 holds jobs 0 and 1 (with its trace); peer 1 holds 1
 		// and 2, but not job 1's trace.
 		for _, k := range []int{i, i + 1} {
-			if err := w.Cache().Put(keys[k], res[k]); err != nil {
+			if err := cache.Put(keys[k], res[k]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if i == 0 {
-			if err := w.Cache().PutTrace(keys[1], []byte(validTrace)); err != nil {
+			if err := cache.PutTrace(keys[1], []byte(validTrace)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -77,9 +77,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}}
 }
 
-// Cache exposes the worker's local cache (for tests and embedding).
-func (w *Worker) Cache() campaign.Cache { return w.cfg.Cache }
-
 // Handler returns the worker's HTTP API:
 //
 //	POST /v1/lease             execute a job batch, stream NDJSON results

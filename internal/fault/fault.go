@@ -139,9 +139,6 @@ type Schedule struct {
 // Counts tallies injected fault events by kind.
 type Counts [NumKinds]int64
 
-// Of returns the count for one kind.
-func (c Counts) Of(k Kind) int64 { return c[k] }
-
 // Total returns the number of injected fault events of any kind.
 func (c Counts) Total() int64 {
 	var n int64

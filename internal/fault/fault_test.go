@@ -46,7 +46,7 @@ func TestWindowedEventFiresExactlyInWindow(t *testing.T) {
 			t.Fatalf("frame %d: dropped = %v, want %v", f, got, want)
 		}
 	}
-	if n := in.Counts().Of(FrameDrop); n != 10 {
+	if n := in.Counts()[FrameDrop]; n != 10 {
 		t.Fatalf("drop count = %d, want 10", n)
 	}
 	// Open-ended window.
@@ -272,7 +272,7 @@ func TestCorrelatedCouplesStages(t *testing.T) {
 	}
 	// One correlated firing is one event: tallied once (at the ISP
 	// stage), not once per coupled manifestation.
-	if n := in.Counts().Of(Correlated); n != int64(fired) {
+	if n := in.Counts()[Correlated]; n != int64(fired) {
 		t.Fatalf("counts[corr] = %d, want %d", n, fired)
 	}
 }
@@ -312,7 +312,7 @@ func TestOcclusionQuery(t *testing.T) {
 			t.Fatalf("Occlusion(%d) = (%g, %v), want (%g, %v)", tc.frame, frac, ok, tc.frac, tc.ok)
 		}
 	}
-	if n := in.Counts().Of(LaneOcclude); n != 4 {
+	if n := in.Counts()[LaneOcclude]; n != 4 {
 		t.Fatalf("counts[occlude] = %d, want 4", n)
 	}
 }

@@ -24,7 +24,7 @@ func syntheticRAW(w, h int) *raster.Bayer {
 			if x == 3 && y == 5 {
 				v = 1.7 // specular overshoot, exercises the gamut knee
 			}
-			raw.Set(x, y, v)
+			raw.Pix[y*w+x] = v
 		}
 	}
 	return raw

@@ -72,7 +72,7 @@ func flatBayer(w, h int, r, g, b float64) *raster.Bayer {
 			default:
 				v = m[2][0]*r + m[2][1]*g + m[2][2]*b
 			}
-			raw.Set(x, y, float32(v))
+			raw.Pix[y*raw.W+x] = float32(v)
 		}
 	}
 	return raw
@@ -179,8 +179,7 @@ func TestDenoisePreservesStrongEdges(t *testing.T) {
 	}
 	out := denoise(img, nil, 0, img.H, 1)
 	// Edge contrast across x=7..8 must remain large (bilateral, not box).
-	l, _, _ := out.At(7, 8)
-	r, _, _ := out.At(8, 8)
+	l, r := out.R[8*16+7], out.R[8*16+8]
 	if r-l < 0.6 {
 		t.Fatalf("edge destroyed by denoise: %v -> %v", l, r)
 	}
@@ -190,7 +189,7 @@ func TestGamutMapClipsAndCompresses(t *testing.T) {
 	img := raster.NewRGB(4, 1)
 	img.Set(0, 0, -0.2, 0.5, 2.5)
 	gamutMap(img, 0, img.H, 1)
-	r, g, b := img.At(0, 0)
+	r, g, b := img.R[0], img.G[0], img.B[0]
 	if r != 0 {
 		t.Fatalf("negative not clipped: %v", r)
 	}
@@ -208,7 +207,7 @@ func TestGamutMapMonotone(t *testing.T) {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, v, 0, 0)
 		gamutMap(img, 0, img.H, 1)
-		r, _, _ := img.At(0, 0)
+		r := img.R[0]
 		if r < prev {
 			t.Fatalf("gamut map not monotone at %v", v)
 		}
@@ -220,7 +219,7 @@ func TestToneMapLiftsShadows(t *testing.T) {
 	img := raster.NewRGB(1, 1)
 	img.Set(0, 0, 0.05, 0.5, 1.0)
 	toneMap(img, 0, img.H, 1)
-	r, g, b := img.At(0, 0)
+	r, g, b := img.R[0], img.G[0], img.B[0]
 	if r <= 0.05*2 {
 		t.Fatalf("shadow not lifted: %v", r)
 	}

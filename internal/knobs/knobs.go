@@ -95,24 +95,6 @@ func (c Case) String() string {
 	return fmt.Sprintf("Case(%d)", int(c))
 }
 
-// Classifiers returns how many classifiers the case invokes every frame
-// (the per-frame pipeline cost; CaseVariable runs exactly one per frame).
-func (c Case) Classifiers() int {
-	switch c {
-	case Case1:
-		return 0
-	case Case2:
-		return 1
-	case Case3:
-		return 2
-	case Case4:
-		return 3
-	case CaseVariable:
-		return 1
-	}
-	return 0
-}
-
 // Table maps situations to their best pre-characterized knob setting
 // (the product of the design-time characterization, Sec. III-B).
 type Table map[world.Situation]Setting

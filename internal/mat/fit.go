@@ -7,11 +7,11 @@ import (
 
 // Fitter performs repeated polynomial least-squares fits without
 // per-call allocations by reusing its factorization scratch across
-// calls. The arithmetic replicates PolyFit operation for operation
-// (Vandermonde build, Householder QR, reflection of the RHS, back
-// substitution), so the coefficients are bit-identical to PolyFit's —
-// a property TestFitterMatchesPolyFit pins. The zero value is ready to
-// use. Not safe for concurrent use.
+// calls. The arithmetic replicates the reference Householder QR fit in
+// qr_test.go operation for operation (Vandermonde build, Householder QR,
+// reflection of the RHS, back substitution), so the coefficients are
+// bit-identical to the reference's — a property TestFitterMatchesPolyFit
+// pins. The zero value is ready to use. Not safe for concurrent use.
 type Fitter struct {
 	qr     []float64 // m×n Vandermonde, factored in place
 	rhs    []float64 // right-hand side, reflected in place
@@ -20,9 +20,10 @@ type Fitter struct {
 	coeffs []float64
 }
 
-// PolyFit fits a polynomial of the given degree to (xs, ys) exactly as
-// mat.PolyFit does. The returned slice aliases the Fitter's scratch and
-// is valid only until the next call.
+// PolyFit fits a polynomial of the given degree to (xs, ys) by least
+// squares and returns coefficients c[0..degree] such that
+// y = c[0] + c[1]*x + ... + c[degree]*x^degree. The returned slice
+// aliases the Fitter's scratch and is valid only until the next call.
 func (f *Fitter) PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 	if len(xs) != len(ys) {
 		return nil, errors.New("mat: PolyFit length mismatch")
@@ -108,4 +109,13 @@ func growF(s *[]float64, n int) []float64 {
 	}
 	*s = (*s)[:n]
 	return *s
+}
+
+// PolyEval evaluates a polynomial with coefficients c (lowest order first).
+func PolyEval(c []float64, x float64) float64 {
+	v := 0.0
+	for i := len(c) - 1; i >= 0; i-- {
+		v = v*x + c[i]
+	}
+	return v
 }

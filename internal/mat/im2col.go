@@ -93,8 +93,13 @@ func ConvOutSize(in, k, stride, pad int) int {
 func Im2col(x []float32, c, h, w, k, stride, pad int, padded, col []float32) {
 	oh, ow := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
 	checkIm2col("Im2col", x, c, h, w, k, stride, pad, oh, ow, len(col))
-	src := PadImage(x, c, h, w, pad, padded)
-	ph, pw := h+2*pad, w+2*pad
+	gatherTaps(PadImage(x, c, h, w, pad, padded), c, k, stride, h+2*pad, w+2*pad, oh, ow, col)
+}
+
+// gatherTaps writes the (c·k·k) × (oh·ow) tap-major patch matrix of the
+// zero-bordered c×ph×pw image src into col, the gather Im2col and
+// Im2colQ share; each does its own padding at its own precision.
+func gatherTaps[T float32 | int8](src []T, c, k, stride, ph, pw, oh, ow int, col []T) {
 	p := oh * ow
 	for ic := 0; ic < c; ic++ {
 		for ky := 0; ky < k; ky++ {

@@ -24,31 +24,11 @@ func QuantizePad(x []float32, c, h, w, pad int, inv float32, padded8 []int8) []i
 	return dst
 }
 
+// Im2colQ is Im2col at int8: it quantizes x with QuantizePad (inv and
+// padded8 as there) and gathers the int8 patch matrix into col, which
+// must hold c·k·k·oh·ow elements and is fully written.
 func Im2colQ(x []float32, c, h, w, k, stride, pad int, inv float32, padded8, col []int8) {
 	oh, ow := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
 	checkIm2col("Im2colQ", x, c, h, w, k, stride, pad, oh, ow, len(col))
-	src := QuantizePad(x, c, h, w, pad, inv, padded8)
-	ph, pw := h+2*pad, w+2*pad
-	p := oh * ow
-	for ic := 0; ic < c; ic++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				l := (ic*k+ky)*k + kx
-				dst := col[l*p : (l+1)*p]
-				for oy := 0; oy < oh; oy++ {
-					base := (ic*ph+oy*stride+ky)*pw + kx
-					drow := dst[oy*ow : (oy+1)*ow]
-					if stride == 1 {
-						copy(drow, src[base:base+ow])
-					} else {
-						sx := base
-						for j := range drow {
-							drow[j] = src[sx]
-							sx += stride
-						}
-					}
-				}
-			}
-		}
-	}
+	gatherTaps(QuantizePad(x, c, h, w, pad, inv, padded8), c, k, stride, h+2*pad, w+2*pad, oh, ow, col)
 }

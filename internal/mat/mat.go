@@ -52,15 +52,6 @@ func Identity(n int) *Mat {
 	return m
 }
 
-// Diag returns a square matrix with v on the diagonal.
-func Diag(v ...float64) *Mat {
-	m := New(len(v), len(v))
-	for i, x := range v {
-		m.Set(i, i, x)
-	}
-	return m
-}
-
 // ColVec returns a column vector (n×1) holding v.
 func ColVec(v ...float64) *Mat {
 	m := New(len(v), 1)
@@ -179,19 +170,6 @@ func (m *Mat) FrobNorm() float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Equalish reports whether a and b agree element-wise within tol.
-func Equalish(a, b *Mat, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders m for debugging and test failure messages.

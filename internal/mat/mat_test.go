@@ -38,10 +38,10 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 
 func TestIdentityMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	if got := Mul(Identity(2), a); !Equalish(got, a, 0) {
+	if got := Mul(Identity(2), a); !equalish(got, a, 0) {
 		t.Fatalf("I*A != A:\n%v", got)
 	}
-	if got := Mul(a, Identity(2)); !Equalish(got, a, 0) {
+	if got := Mul(a, Identity(2)); !equalish(got, a, 0) {
 		t.Fatalf("A*I != A:\n%v", got)
 	}
 }
@@ -50,7 +50,7 @@ func TestMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if got := Mul(a, b); !Equalish(got, want, 1e-12) {
+	if got := Mul(a, b); !equalish(got, want, 1e-12) {
 		t.Fatalf("Mul =\n%v want\n%v", got, want)
 	}
 }
@@ -59,7 +59,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(vals [6]float64) bool {
 		m := New(2, 3)
 		copy(m.Data, vals[:])
-		return Equalish(m.T().T(), m, 0)
+		return equalish(m.T().T(), m, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 			b.Data[i] = math.Mod(b.Data[i], 1e6)
 		}
 		got := Sub(Add(a, b), b)
-		return Equalish(got, a, 1e-6)
+		return equalish(got, a, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestSliceSetSub(t *testing.T) {
 	m.SetSub(1, 1, FromRows([][]float64{{7, 8}, {9, 10}}))
 	s := m.Slice(1, 3, 1, 3)
 	want := FromRows([][]float64{{7, 8}, {9, 10}})
-	if !Equalish(s, want, 0) {
+	if !equalish(s, want, 0) {
 		t.Fatalf("Slice/SetSub mismatch:\n%v", s)
 	}
 }
@@ -120,7 +120,7 @@ func TestSolveRandomSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
-		if !Equalish(x, xTrue, 1e-8) {
+		if !equalish(x, xTrue, 1e-8) {
 			t.Fatalf("trial %d: solve mismatch:\n%v vs\n%v", trial, x, xTrue)
 		}
 	}
@@ -142,7 +142,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equalish(x, xTrue, 1e-10) {
+	if !equalish(x, xTrue, 1e-10) {
 		t.Fatalf("LeastSquares = %v, want %v", x, xTrue)
 	}
 }
@@ -175,16 +175,16 @@ func TestPolyFitErrors(t *testing.T) {
 }
 
 func TestExpmZeroIsIdentity(t *testing.T) {
-	if got := Expm(New(3, 3)); !Equalish(got, Identity(3), 1e-14) {
+	if got := Expm(New(3, 3)); !equalish(got, Identity(3), 1e-14) {
 		t.Fatalf("Expm(0) =\n%v", got)
 	}
 }
 
 func TestExpmDiagonal(t *testing.T) {
-	a := Diag(1, -2, 0.5)
+	a := diag(1, -2, 0.5)
 	got := Expm(a)
-	want := Diag(math.E, math.Exp(-2), math.Exp(0.5))
-	if !Equalish(got, want, 1e-10) {
+	want := diag(math.E, math.Exp(-2), math.Exp(0.5))
+	if !equalish(got, want, 1e-10) {
 		t.Fatalf("Expm(diag) =\n%v want\n%v", got, want)
 	}
 }
@@ -198,7 +198,7 @@ func TestExpmRotation(t *testing.T) {
 		{math.Cos(theta), -math.Sin(theta)},
 		{math.Sin(theta), math.Cos(theta)},
 	})
-	if !Equalish(got, want, 1e-10) {
+	if !equalish(got, want, 1e-10) {
 		t.Fatalf("Expm(rotation) =\n%v want\n%v", got, want)
 	}
 }
@@ -213,7 +213,7 @@ func TestExpmAdditiveProperty(t *testing.T) {
 		}
 		lhs := Mul(Expm(a), Expm(a))
 		rhs := Expm(Scale(2, a))
-		if !Equalish(lhs, rhs, 1e-8*(1+rhs.MaxAbs())) {
+		if !equalish(lhs, rhs, 1e-8*(1+rhs.MaxAbs())) {
 			t.Fatalf("trial %d: e^A e^A != e^2A", trial)
 		}
 	}
@@ -244,10 +244,10 @@ func TestIntegralExpmIntegratorChain(t *testing.T) {
 	phi, gamma := IntegralExpm(a, b, h)
 	wantPhi := FromRows([][]float64{{1, h}, {0, 1}})
 	wantGamma := ColVec(h*h/2, h)
-	if !Equalish(phi, wantPhi, 1e-12) {
+	if !equalish(phi, wantPhi, 1e-12) {
 		t.Fatalf("phi =\n%v", phi)
 	}
-	if !Equalish(gamma, wantGamma, 1e-12) {
+	if !equalish(gamma, wantGamma, 1e-12) {
 		t.Fatalf("gamma =\n%v", gamma)
 	}
 }
@@ -336,8 +336,8 @@ func TestSpectralRadiusKnown(t *testing.T) {
 		m    *Mat
 		want float64
 	}{
-		{Diag(0.5, 0.2), 0.5},
-		{Diag(2, -3), 3},
+		{diag(0.5, 0.2), 0.5},
+		{diag(2, -3), 3},
 		{FromRows([][]float64{{0, 1}, {-1, 0}}), 1}, // eigenvalues ±i
 	}
 	for i, c := range cases {
@@ -348,10 +348,10 @@ func TestSpectralRadiusKnown(t *testing.T) {
 }
 
 func TestIsPositiveDefinite(t *testing.T) {
-	if !IsPositiveDefinite(Diag(1, 2, 3)) {
+	if !IsPositiveDefinite(diag(1, 2, 3)) {
 		t.Fatal("diag(1,2,3) should be PD")
 	}
-	if IsPositiveDefinite(Diag(1, -1)) {
+	if IsPositiveDefinite(diag(1, -1)) {
 		t.Fatal("diag(1,-1) should not be PD")
 	}
 	if IsPositiveDefinite(FromRows([][]float64{{1, 2}, {2, 1}})) {
@@ -367,4 +367,26 @@ func TestPolyEvalHorner(t *testing.T) {
 	if got := PolyEval(nil, 5); got != 0 {
 		t.Fatalf("PolyEval(nil) = %v, want 0", got)
 	}
+}
+
+// diag returns a square matrix with v on the diagonal.
+func diag(v ...float64) *Mat {
+	m := New(len(v), len(v))
+	for i, x := range v {
+		m.Set(i, i, x)
+	}
+	return m
+}
+
+// equalish reports whether a and b agree element-wise within tol.
+func equalish(a, b *Mat, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

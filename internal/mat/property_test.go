@@ -25,7 +25,7 @@ func TestEigSymReconstruction(t *testing.T) {
 			col := vecs.Slice(0, n, k, k+1)
 			recon = Add(recon, Scale(vals[k], Mul(col, col.T())))
 		}
-		if !Equalish(recon, a, 1e-9) {
+		if !equalish(recon, a, 1e-9) {
 			t.Fatalf("trial %d: eigendecomposition does not reconstruct:\n%v\nvs\n%v", trial, recon, a)
 		}
 		// Eigenvalues ascending.
@@ -43,7 +43,7 @@ func TestMaxEigSymConsistency(t *testing.T) {
 	val, vec := MaxEigSym(a)
 	av := Mul(a, vec)
 	lv := Scale(val, vec)
-	if !Equalish(av, lv, 1e-9) {
+	if !equalish(av, lv, 1e-9) {
 		t.Fatalf("A v != lambda v:\n%v vs\n%v", av, lv)
 	}
 	// Unit norm.
@@ -62,7 +62,7 @@ func TestExpmInverseProperty(t *testing.T) {
 			a.Data[i] = rng.NormFloat64()
 		}
 		prod := Mul(Expm(a), Expm(Scale(-1, a)))
-		if !Equalish(prod, Identity(n), 1e-7) {
+		if !equalish(prod, Identity(n), 1e-7) {
 			t.Fatalf("trial %d: e^A e^-A != I:\n%v", trial, prod)
 		}
 	}
@@ -112,7 +112,7 @@ func TestLUSolveMultiRHS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equalish(col, x.Slice(0, 4, c, c+1), 1e-10) {
+		if !equalish(col, x.Slice(0, 4, c, c+1), 1e-10) {
 			t.Fatalf("column %d differs", c)
 		}
 	}

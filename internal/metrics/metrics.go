@@ -131,6 +131,3 @@ func (d *DetectionAccuracy) Value() float64 {
 	}
 	return float64(d.ok) / float64(d.total)
 }
-
-// N returns the number of recorded measurements.
-func (d *DetectionAccuracy) N() int { return d.total }

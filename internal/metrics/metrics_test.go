@@ -94,8 +94,8 @@ func TestDetectionAccuracy(t *testing.T) {
 	d.Add(0.1, 0.2, true)  // within tol
 	d.Add(1.0, 0.2, true)  // off
 	d.Add(0.2, 0.2, false) // not detected
-	if math.Abs(d.Value()-1.0/3) > 1e-12 || d.N() != 3 {
-		t.Fatalf("accuracy = %v n=%d", d.Value(), d.N())
+	if math.Abs(d.Value()-1.0/3) > 1e-12 || d.total != 3 {
+		t.Fatalf("accuracy = %v n=%d", d.Value(), d.total)
 	}
 	var empty DetectionAccuracy
 	if empty.Value() != 0 {

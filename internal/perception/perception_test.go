@@ -64,7 +64,7 @@ func TestROITable(t *testing.T) {
 		if r.NearLeft <= r.NearRight || r.FarLeft <= r.FarRight {
 			t.Fatalf("ROI %d lateral bounds inverted", r.ID)
 		}
-		if !r.Contains(LookAhead, 0) {
+		if l, rr := r.LatAt(LookAhead); LookAhead < r.NearDist || LookAhead > r.FarDist || l < 0 || rr > 0 {
 			t.Fatalf("ROI %d does not contain the look-ahead point", r.ID)
 		}
 	}
@@ -227,7 +227,7 @@ func TestBinarizeStatistics(t *testing.T) {
 	}
 	// Add a bright stripe: only it should binarize.
 	for y := 0; y < 10; y++ {
-		score.Set(4, y, 0.9)
+		score.Pix[y*score.W+4] = 0.9
 	}
 	mask, any := binarize(score)
 	if !any {

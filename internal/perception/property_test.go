@@ -35,7 +35,7 @@ func TestBinarizeRejectsStepEdge(t *testing.T) {
 			if x >= 40 {
 				v = 0.5
 			}
-			step.Set(x, y, v)
+			step.Pix[y*64+x] = v
 		}
 	}
 	mask, _ := binarize(step)
@@ -53,7 +53,7 @@ func TestBinarizeRejectsStepEdge(t *testing.T) {
 			if x >= 30 && x <= 32 {
 				v = 0.8
 			}
-			stripe.Set(x, y, v)
+			stripe.Pix[y*64+x] = v
 		}
 	}
 	mask, any := binarize(stripe)

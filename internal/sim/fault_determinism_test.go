@@ -121,7 +121,7 @@ func TestObservedRunMatchesBaseline(t *testing.T) {
 		t.Fatal("observed run traced different bytes than the bare run")
 	}
 	for _, k := range fault.Kinds() {
-		if k != fault.LaneOcclude && k != fault.Correlated && bare.Faults.Of(k) == 0 {
+		if k != fault.LaneOcclude && k != fault.Correlated && bare.Faults[k] == 0 {
 			t.Fatalf("schedule fired no %s fault: %s", k, bare.Faults)
 		}
 	}

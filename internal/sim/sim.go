@@ -765,7 +765,7 @@ func (l *loop) physics() bool {
 		if ylTrue, tok := l.truthYL(); tok {
 			l.res.PerSector.Add(track.SectorAt(s), ylTrue)
 		}
-		crashed = math.Abs(lat) > crashLat || math.Abs(normAngle(p.St.Psi-track.Pose(s).Theta)) > crashHeading
+		crashed = math.Abs(lat) > crashLat || math.Abs(world.NormAngle(p.St.Psi-track.Pose(s).Theta)) > crashHeading
 	}
 	if crashed {
 		l.res.Crashed, l.res.CrashSector, l.res.CrashTimeS = true, track.SectorAt(l.s), l.t/1000
@@ -785,14 +785,4 @@ func (l *loop) truthYL() (float64, bool) {
 		return 0, false
 	}
 	return -lat, true
-}
-
-func normAngle(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }

@@ -255,9 +255,8 @@ func TestOracleSensorLabels(t *testing.T) {
 func TestDetectionAccuracyTracked(t *testing.T) {
 	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
 	res := run(t, sit, knobs.Case1, 1)
-	if res.Detection.N() == 0 {
-		t.Fatal("no detection accuracy samples recorded")
-	}
+	// An accuracy with no samples reads 0, so this also shows that
+	// samples were recorded.
 	if res.Detection.Value() < 0.9 {
 		t.Fatalf("day straight detection accuracy = %v", res.Detection.Value())
 	}

@@ -1,9 +1,9 @@
-// Package trace records and analyzes closed-loop runs, the role the
-// IMACS framework [11] plays in the paper's HiL setup ("a framework for
-// performance evaluation of image approximation in a closed-loop
-// system"): persist per-cycle samples to CSV, load them back, and compute
-// the transient and steady-state metrics used to compare configurations —
-// settling time, peak deviation, control effort, detection availability.
+// Package trace records closed-loop runs, the role the IMACS framework
+// [11] plays in the paper's HiL setup ("a framework for performance
+// evaluation of image approximation in a closed-loop system"): it
+// persists per-cycle samples to CSV and loads them back. The paper's
+// quality of control, the MAE of the lateral deviation, is computed by
+// sim.Result.
 package trace
 
 import (
@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -241,71 +240,4 @@ func parseRow(row []string, rec int) (sim.TracePoint, error) {
 		return sim.TracePoint{}, fmt.Errorf("trace: row %d: %v", rec, errs[0])
 	}
 	return p, nil
-}
-
-// Metrics summarizes a trace.
-type Metrics struct {
-	// MAE of the true lateral deviation over all samples.
-	MAE float64
-	// Peak absolute true deviation and when it occurred. PeakTimeS is
-	// the time of the FIRST sample attaining the peak: a later sample
-	// must be strictly greater to move it, so a flat plateau at the
-	// maximum keeps the earliest time.
-	Peak      float64
-	PeakTimeS float64
-	// SettlingTimeS is the first time after which |yL| stays inside
-	// SettleBand for the rest of the trace; negative if never settled.
-	SettlingTimeS float64
-	// ControlEffort is the mean |steer| command.
-	ControlEffort float64
-	// DetectionAvailability is the fraction of cycles with a usable
-	// perception measurement.
-	DetectionAvailability float64
-	// Reconfigurations counts knob-setting changes.
-	Reconfigurations int
-}
-
-// SettleBand is the |yL| band used for settling time.
-const SettleBand = 0.2 // meters
-
-// Analyze computes the summary metrics of a trace.
-func Analyze(points []sim.TracePoint) Metrics {
-	var m Metrics
-	if len(points) == 0 {
-		m.SettlingTimeS = -1
-		return m
-	}
-	var absSum, effort float64
-	detOK := 0
-	settleIdx := -1
-	for i, p := range points {
-		a := math.Abs(p.YLTrue)
-		absSum += a
-		if a > m.Peak {
-			m.Peak = a
-			m.PeakTimeS = p.TimeS
-		}
-		effort += math.Abs(p.Steer)
-		if p.DetOK {
-			detOK++
-		}
-		if a > SettleBand {
-			settleIdx = -1
-		} else if settleIdx < 0 {
-			settleIdx = i
-		}
-		if i > 0 && points[i].Setting != points[i-1].Setting {
-			m.Reconfigurations++
-		}
-	}
-	n := float64(len(points))
-	m.MAE = absSum / n
-	m.ControlEffort = effort / n
-	m.DetectionAvailability = float64(detOK) / n
-	if settleIdx >= 0 {
-		m.SettlingTimeS = points[settleIdx].TimeS
-	} else {
-		m.SettlingTimeS = -1
-	}
-	return m
 }

@@ -37,43 +37,6 @@ func syntheticPoints() []sim.TracePoint {
 	return pts
 }
 
-func TestAnalyzeSynthetic(t *testing.T) {
-	m := Analyze(syntheticPoints())
-	if m.Peak < 0.75 || m.Peak > 0.85 {
-		t.Fatalf("peak = %v", m.Peak)
-	}
-	if m.PeakTimeS != 0 {
-		t.Fatalf("peak time = %v", m.PeakTimeS)
-	}
-	if m.SettlingTimeS < 0.5 || m.SettlingTimeS > 2.5 {
-		t.Fatalf("settling time = %v", m.SettlingTimeS)
-	}
-	if math.Abs(m.DetectionAvailability-0.9) > 0.01 {
-		t.Fatalf("availability = %v", m.DetectionAvailability)
-	}
-	// One setting change in, one out (points 50 and 51 differ from both
-	// neighbors).
-	if m.Reconfigurations != 2 {
-		t.Fatalf("reconfigurations = %d", m.Reconfigurations)
-	}
-	if m.ControlEffort <= 0 || m.MAE <= 0 {
-		t.Fatalf("effort %v mae %v", m.ControlEffort, m.MAE)
-	}
-}
-
-func TestAnalyzeNeverSettles(t *testing.T) {
-	pts := syntheticPoints()
-	for i := range pts {
-		pts[i].YLTrue = 0.5 // constant, outside the band
-	}
-	if m := Analyze(pts); m.SettlingTimeS >= 0 {
-		t.Fatalf("settling reported for an unsettled trace: %v", m.SettlingTimeS)
-	}
-	if m := Analyze(nil); m.SettlingTimeS >= 0 {
-		t.Fatal("empty trace settled")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	rec := &Recorder{Points: syntheticPoints()}
 	var buf bytes.Buffer
@@ -89,9 +52,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for i := range back {
 		a, b := back[i], rec.Points[i]
-		if math.Abs(a.YLTrue-b.YLTrue) > 1e-4 || a.Sector != b.Sector ||
-			a.DetOK != b.DetOK || a.RawDetOK != b.RawDetOK ||
-			a.Setting.ISP != b.Setting.ISP || a.Setting.ROI != b.Setting.ROI {
+		// time_s is written with 4 decimals, yl_true and steer with 5.
+		if math.Abs(a.TimeS-b.TimeS) > 1e-4 || math.Abs(a.YLTrue-b.YLTrue) > 1e-4 ||
+			math.Abs(a.Steer-b.Steer) > 1e-4 || a.Sector != b.Sector ||
+			a.DetOK != b.DetOK || a.RawDetOK != b.RawDetOK || a.Setting != b.Setting {
 			t.Fatalf("point %d mismatch: %+v vs %+v", i, a, b)
 		}
 	}
@@ -118,61 +82,6 @@ func TestReadCSVErrors(t *testing.T) {
 	old := "time_s,s_m,sector,yl_true,yl_meas,det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\n0,0,1,0,0,true,0,S0,1,50,25,25\n"
 	if _, err := ReadCSV(bytes.NewBufferString(old)); err == nil {
 		t.Fatal("legacy 12-column schema accepted")
-	}
-}
-
-// TestAnalyzePeakTieBreak pins the documented PeakTimeS rule: a later
-// sample must be STRICTLY greater to move the peak, so a flat plateau at
-// the maximum reports the earliest time it was reached.
-func TestAnalyzePeakTieBreak(t *testing.T) {
-	mk := func(t float64, yl float64) sim.TracePoint {
-		return sim.TracePoint{TimeS: t, YLTrue: yl, Setting: knobs.Setting{ISP: "S0", ROI: 1, SpeedKmph: 30}}
-	}
-	pts := []sim.TracePoint{
-		mk(0.0, 0.1), mk(0.1, 0.5), mk(0.2, 0.5), mk(0.3, -0.5), mk(0.4, 0.2),
-	}
-	m := Analyze(pts)
-	if m.Peak != 0.5 {
-		t.Fatalf("peak = %v, want 0.5", m.Peak)
-	}
-	if m.PeakTimeS != 0.1 {
-		t.Fatalf("peak time = %v, want 0.1 (first sample attaining the plateau)", m.PeakTimeS)
-	}
-}
-
-// TestAnalyzeRoundTripEquivalence requires Analyze over CSV-round-tripped
-// points to match Analyze over the originals within serialized precision,
-// including the detection failures and the mid-run knob reconfiguration
-// that syntheticPoints carries.
-func TestAnalyzeRoundTripEquivalence(t *testing.T) {
-	pts := syntheticPoints()
-	rec := &Recorder{Points: pts}
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, rt := Analyze(pts), Analyze(back)
-	// yl_true is written with 5 decimals and steer with 5, so the
-	// averaged metrics agree to well under 1e-4.
-	const tol = 1e-4
-	if math.Abs(orig.MAE-rt.MAE) > tol || math.Abs(orig.Peak-rt.Peak) > tol ||
-		math.Abs(orig.ControlEffort-rt.ControlEffort) > tol {
-		t.Fatalf("averaged metrics diverged:\norig %+v\nrt   %+v", orig, rt)
-	}
-	// time_s is written with 4 decimals; the identified samples must match.
-	if math.Abs(orig.PeakTimeS-rt.PeakTimeS) > 1e-4 || math.Abs(orig.SettlingTimeS-rt.SettlingTimeS) > 1e-4 {
-		t.Fatalf("timing metrics diverged:\norig %+v\nrt   %+v", orig, rt)
-	}
-	// Exact-count metrics survive serialization exactly.
-	if orig.DetectionAvailability != rt.DetectionAvailability {
-		t.Fatalf("availability %v vs %v", orig.DetectionAvailability, rt.DetectionAvailability)
-	}
-	if orig.Reconfigurations != rt.Reconfigurations || rt.Reconfigurations == 0 {
-		t.Fatalf("reconfigurations %d vs %d", orig.Reconfigurations, rt.Reconfigurations)
 	}
 }
 
@@ -208,11 +117,19 @@ func TestRecorderWithSim(t *testing.T) {
 	if gatedOff != res.DetectFails {
 		t.Fatalf("trace has %d det_ok=false points, Result.DetectFails = %d", gatedOff, res.DetectFails)
 	}
-	m := Analyze(rec.Points)
-	if m.DetectionAvailability < 0.9 {
-		t.Fatalf("availability = %v", m.DetectionAvailability)
+	if avail := 1 - float64(gatedOff)/float64(len(rec.Points)); avail < 0.9 {
+		t.Fatalf("availability = %v", avail)
 	}
-	if m.SettlingTimeS < 0 {
+	// The run settles: from some sample on, |yL| stays inside 0.2 m.
+	settled := -1
+	for i, p := range rec.Points {
+		if math.Abs(p.YLTrue) > 0.2 {
+			settled = -1
+		} else if settled < 0 {
+			settled = i
+		}
+	}
+	if settled < 0 {
 		t.Fatal("straight-day run never settled")
 	}
 }

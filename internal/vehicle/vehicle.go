@@ -100,9 +100,6 @@ func (pl *Plant) Command(delta float64) {
 	pl.steerCmd = clamp(delta, -pl.P.MaxSteer, pl.P.MaxSteer)
 }
 
-// SteerCmd returns the current steering command.
-func (pl *Plant) SteerCmd() float64 { return pl.steerCmd }
-
 // Step advances the plant by dt seconds using RK4 for the lateral
 // dynamics and explicit actuator integration.
 func (pl *Plant) Step(dt float64) {

@@ -84,8 +84,8 @@ func TestPlantSteadyStateYawRateMatchesBicycle(t *testing.T) {
 func TestActuatorSaturation(t *testing.T) {
 	pl := NewPlant(BMWX5(), Kmph(30), State{})
 	pl.Command(10) // far beyond MaxSteer
-	if pl.SteerCmd() != pl.P.MaxSteer {
-		t.Fatalf("command not saturated: %v", pl.SteerCmd())
+	if pl.steerCmd != pl.P.MaxSteer {
+		t.Fatalf("command not saturated: %v", pl.steerCmd)
 	}
 	for i := 0; i < 10000; i++ {
 		pl.Step(0.005)

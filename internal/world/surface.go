@@ -22,16 +22,11 @@ type Surface struct {
 // RoadHalfWidth is the paved half-width beyond the lane markings.
 const RoadHalfWidth = 5.0 // meters from the ego-lane center
 
-// SurfaceAt classifies the ground at arclength s, lateral offset lat
-// (positive left) of the ego-lane center. The ego lane is bounded by the
-// situation's left marking at +LaneWidth/2 and the segment's right
-// marking at -LaneWidth/2.
-func (t *Track) SurfaceAt(s, lat float64) Surface {
-	return t.surfaceAt(s, lat, len(t.Segments)-1)
-}
-
-// surfaceAt is SurfaceAt with the segment search started at from (see
-// segIndexFrom).
+// surfaceAt classifies the ground at arclength s, lateral offset lat
+// (positive left) of the ego-lane center, with the segment search started
+// at from (see segIndexFrom). The ego lane is bounded by the situation's
+// left marking at +LaneWidth/2 and the segment's right marking at
+// -LaneWidth/2.
 func (t *Track) surfaceAt(s, lat float64, from int) Surface {
 	if math.Abs(lat) > RoadHalfWidth {
 		return Surface{Kind: SurfaceOffRoad}

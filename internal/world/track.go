@@ -305,11 +305,13 @@ func (v *View) Locate(x, y, maxLat float64) (s, lat float64, ok bool) {
 	return s, bestLat, true
 }
 
-// SurfaceAt is Track.SurfaceAt. Its segment search starts at the view's
-// last candidate instead of the track's last segment: an s that Locate
-// returned lies at or below the window's end, and every later segment
-// starts beyond it. An s past the next segment's start takes the whole
-// search, so the result equals Track.SurfaceAt for every s.
+// SurfaceAt classifies the ground at arclength s, lateral offset lat
+// (positive left) of the ego-lane center. Its segment search starts at
+// the view's last candidate instead of the track's last segment: an s
+// that Locate returned lies at or below the window's end, and every later
+// segment starts beyond it. An s past the next segment's start takes the
+// whole search, so the result equals a search from the track's last
+// segment for every s.
 func (v *View) SurfaceAt(s, lat float64) Surface {
 	from := len(v.t.Segments) - 1
 	if v.end <= from && !(s >= v.t.cum[v.end]) {
@@ -344,12 +346,12 @@ func (f *segFrame) locate(start Pose, k, length, x, y, maxLat float64) (s, lat f
 		return 0, lat, false
 	}
 	phi := math.Atan2(vy, vx)
-	s = normAngle(phi-f.phi0) / k
+	s = NormAngle(phi-f.phi0) / k
 	return s, lat, s >= -1e-9 && s <= length+1e-9
 }
 
-// normAngle wraps an angle into (-pi, pi].
-func normAngle(a float64) float64 {
+// NormAngle wraps an angle into (-pi, pi].
+func NormAngle(a float64) float64 {
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}

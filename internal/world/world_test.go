@@ -175,23 +175,23 @@ func TestSurfaceAtMarkings(t *testing.T) {
 	tr := straightTrack(100)
 	half := tr.LaneWidth / 2
 	// Lane center is asphalt.
-	if got := tr.SurfaceAt(10, 0); got.Kind != SurfaceAsphalt {
+	if got := tr.surfaceAt(10, 0, len(tr.Segments)-1); got.Kind != SurfaceAsphalt {
 		t.Fatalf("center = %+v", got)
 	}
 	// Left marking (white continuous) painted at +half.
-	if got := tr.SurfaceAt(10, half); got.Kind != SurfaceMarking || got.Color != White {
+	if got := tr.surfaceAt(10, half, len(tr.Segments)-1); got.Kind != SurfaceMarking || got.Color != White {
 		t.Fatalf("left marking = %+v", got)
 	}
 	// Right marking is dotted with a half-period phase offset: painted at
 	// the offset dash phase, bare in the gap.
-	if got := tr.SurfaceAt(DashPeriod/2, -half); got.Kind != SurfaceMarking {
+	if got := tr.surfaceAt(DashPeriod/2, -half, len(tr.Segments)-1); got.Kind != SurfaceMarking {
 		t.Fatalf("right dash = %+v", got)
 	}
-	if got := tr.SurfaceAt(DashPeriod/2+DashLength+1, -half); got.Kind == SurfaceMarking {
+	if got := tr.surfaceAt(DashPeriod/2+DashLength+1, -half, len(tr.Segments)-1); got.Kind == SurfaceMarking {
 		t.Fatalf("right gap painted = %+v", got)
 	}
 	// Far off-road.
-	if got := tr.SurfaceAt(10, RoadHalfWidth+1); got.Kind != SurfaceOffRoad {
+	if got := tr.surfaceAt(10, RoadHalfWidth+1, len(tr.Segments)-1); got.Kind != SurfaceOffRoad {
 		t.Fatalf("off-road = %+v", got)
 	}
 }
@@ -201,13 +201,13 @@ func TestSurfaceDoubleMarking(t *testing.T) {
 	tr := NewTrack([]Segment{{Length: 50, Situation: sit, RightLane: rightDotted}}, 0)
 	half := tr.LaneWidth / 2
 	off := (MarkingWidth + DoubleGap) / 2
-	if got := tr.SurfaceAt(5, half+off); got.Kind != SurfaceMarking || got.Color != Yellow {
+	if got := tr.surfaceAt(5, half+off, len(tr.Segments)-1); got.Kind != SurfaceMarking || got.Color != Yellow {
 		t.Fatalf("outer stripe = %+v", got)
 	}
-	if got := tr.SurfaceAt(5, half-off); got.Kind != SurfaceMarking {
+	if got := tr.surfaceAt(5, half-off, len(tr.Segments)-1); got.Kind != SurfaceMarking {
 		t.Fatalf("inner stripe = %+v", got)
 	}
-	if got := tr.SurfaceAt(5, half); got.Kind == SurfaceMarking {
+	if got := tr.surfaceAt(5, half, len(tr.Segments)-1); got.Kind == SurfaceMarking {
 		t.Fatalf("gap between stripes painted = %+v", got)
 	}
 }
@@ -277,7 +277,7 @@ func TestAdvanceContinuity(t *testing.T) {
 		s := rng.Float64() * 50
 		one := advance(p, k, s)
 		two := advance(advance(p, k, s/2), k, s/2)
-		if math.Abs(one.X-two.X) > 1e-9 || math.Abs(one.Y-two.Y) > 1e-9 || math.Abs(normAngle(one.Theta-two.Theta)) > 1e-9 {
+		if math.Abs(one.X-two.X) > 1e-9 || math.Abs(one.Y-two.Y) > 1e-9 || math.Abs(NormAngle(one.Theta-two.Theta)) > 1e-9 {
 			t.Fatalf("trial %d: advance not additive: %+v vs %+v", trial, one, two)
 		}
 	}
