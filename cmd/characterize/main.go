@@ -4,10 +4,12 @@
 // through closed-loop simulation and records the knob tuning with the
 // best QoC, printing the result next to the paper's Table III.
 //
-// The sweep runs on the simulation-campaign engine: with -cache-dir it
+// Every mode runs its closed-loop jobs on one simulation-campaign engine
+// built from -workers, -cache-dir and -lake-dir: with -cache-dir it
 // checkpoints every run in a content-addressed cache, so an interrupted
 // sweep resumes where it stopped and a repeated sweep costs zero
-// simulations.
+// simulations; with -lake-dir it appends every run to the result lake,
+// labelled with the mode (characterize, sensitivity or adversarial).
 //
 // With -adversarial the command instead searches per-cell robustness
 // margins (see internal/adversarial): for every situation and knob cell
@@ -47,6 +49,11 @@ type cliConfig struct {
 	metricsOut  string
 	reg         *obs.Registry
 	quiet       bool
+
+	// The engine every mode runs on.
+	workers  int
+	cacheDir string
+	lakeDir  string
 
 	adversarial bool
 	adv         adversarial.Grid
@@ -99,14 +106,14 @@ func parseCLI(args []string, errOut io.Writer) (*cliConfig, error) {
 			Camera:       camera.Scaled(*width, *height),
 			Seed:         *seed,
 			FullROISweep: *full,
-			Workers:      *workers,
-			CacheDir:     *cacheDir,
-			LakeDir:      *lakeDir,
 		},
 		sensitivity: *sensitivity,
 		samples:     *samples,
 		metricsOut:  *metricsOut,
 		quiet:       *quiet,
+		workers:     *workers,
+		cacheDir:    *cacheDir,
+		lakeDir:     *lakeDir,
 	}
 	if *logLevel != "" || *metricsOut != "" {
 		c.reg = obs.NewRegistry()
@@ -201,72 +208,108 @@ func ispIDList() string {
 	return strings.Join(ids, ", ")
 }
 
+// mode names the command's mode; it labels the run's lake rows.
+func (c *cliConfig) mode() string {
+	switch {
+	case c.adversarial:
+		return "adversarial"
+	case c.sensitivity:
+		return "sensitivity"
+	}
+	return "characterize"
+}
+
+// newEngine builds the one campaign engine every mode runs its jobs on.
+// Without -cache-dir it caches in memory, so a margin search never
+// simulates the same probe twice.
+func newEngine(c *cliConfig) (*campaign.Engine, error) {
+	eng := &campaign.Engine{Workers: c.workers, Obs: c.char.Obs, LakeCampaign: c.mode()}
+	if c.cacheDir != "" {
+		cache, err := campaign.NewDirCache(c.cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		eng.Cache = cache
+	} else {
+		eng.Cache = campaign.NewMemCache()
+	}
+	if c.lakeDir != "" {
+		lw, err := lake.OpenWriter(c.lakeDir, nil)
+		if err != nil {
+			return nil, err
+		}
+		eng.Lake = lw
+	}
+	// The margin search reports per cell instead (runAdversarial).
+	if !c.quiet && !c.adversarial {
+		eng.Hooks.JobDone = func(ev campaign.JobEvent) {
+			if ev.Err == nil {
+				fmt.Fprintln(os.Stderr, progressLine(ev))
+			}
+		}
+	}
+	return eng, nil
+}
+
+// progressLine describes one completed sweep or screening job: its
+// situation, knob setting, eval-sector MAE and crash flag.
+func progressLine(ev campaign.JobEvent) string {
+	sit := *ev.Spec.Situation
+	line := fmt.Sprintf("%v | %v -> sector MAE %.4f crashed=%v",
+		sit, *ev.Spec.Fixed, ev.Result.Sector(world.SituationEvalSector(sit)), ev.Result.Crashed)
+	if ev.Cached {
+		line += " (cached)"
+	}
+	return line
+}
+
 func main() {
 	c, err := parseCLI(os.Args[1:], os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if !c.quiet {
-		c.char.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-	}
-
-	if c.adversarial {
-		if err := runAdversarial(c); err != nil {
-			fmt.Fprintln(os.Stderr, "adversarial:", err)
-			os.Exit(1)
-		}
-		if err := maybeDumpMetrics(c); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-out:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if c.sensitivity {
-		sits := c.char.Situations
-		if sits == nil {
-			sits = world.PaperSituations
-		}
-		for _, sit := range sits {
-			res, err := core.AnalyzeSensitivity(core.SensitivityConfig{
-				Situation:     sit,
-				Samples:       c.samples,
-				Camera:        c.char.Camera,
-				Seed:          c.char.Seed,
-				Progress:      c.char.Progress,
-				ISPCandidates: c.char.ISPCandidates,
-				Workers:       c.char.Workers,
-				CacheDir:      c.char.CacheDir,
-				Obs:           c.char.Obs,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sensitivity:", err)
-				os.Exit(1)
-			}
-			fmt.Print(res.Format())
-		}
-		// The screening shares the sweep's metrics plumbing: dump here
-		// too instead of returning early and silently ignoring
-		// -metrics-out.
-		if err := maybeDumpMetrics(c); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-out:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := core.Characterize(c.char)
+	eng, err := newEngine(c)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "characterize:", err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", c.mode(), err)
 		os.Exit(1)
 	}
 
-	if err := maybeDumpMetrics(c); err != nil {
-		fmt.Fprintln(os.Stderr, "metrics-out:", err)
+	switch {
+	case c.adversarial:
+		err = runAdversarial(c, eng)
+	case c.sensitivity:
+		err = runSensitivity(c, eng)
+	default:
+		err = runSweep(c, eng)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", c.mode(), err)
+	}
+	if eng.Lake != nil {
+		if cerr := eng.Lake.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "lake-dir:", cerr)
+			err = cerr
+		}
+	}
+	if err == nil && c.metricsOut != "" {
+		if err = c.reg.WritePrometheusFile(c.metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, "metrics-out:", err)
+		}
+	}
+	if err != nil {
 		os.Exit(1)
 	}
+}
 
+// runSweep regenerates Table III and prints it next to the paper's.
+func runSweep(c *cliConfig, eng *campaign.Engine) error {
+	cfg := c.char
+	cfg.Runner = eng
+	res, err := core.Characterize(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Println("Regenerated Table III (this substrate):")
 	fmt.Print(res.FormatTable())
 
@@ -276,38 +319,40 @@ func main() {
 		fmt.Printf("%-4d %-38s %-5s ROI %d [%g, %g, %g]\n",
 			i+1, row.Situation.String(), row.ISP, row.ROI, row.SpeedKmph, row.HMs, row.TauMs)
 	}
+	return nil
+}
+
+// runSensitivity runs the Monte-Carlo knob screening per situation.
+func runSensitivity(c *cliConfig, eng *campaign.Engine) error {
+	sits := c.char.Situations
+	if sits == nil {
+		sits = world.PaperSituations
+	}
+	for _, sit := range sits {
+		res, err := core.AnalyzeSensitivity(core.SensitivityConfig{
+			Situation:     sit,
+			Samples:       c.samples,
+			Camera:        c.char.Camera,
+			Seed:          c.char.Seed,
+			ISPCandidates: c.char.ISPCandidates,
+			Runner:        eng,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Print(res.Format())
+	}
+	return nil
 }
 
 // runAdversarial executes the robustness-margin search and prints the
-// per-cell table in the selected format. Probes run on the same
-// campaign engine as the characterization sweep, so -cache-dir makes a
-// repeated search free.
-func runAdversarial(c *cliConfig) error {
-	eng := &campaign.Engine{Workers: c.char.Workers, Obs: c.char.Obs}
-	if c.char.CacheDir != "" {
-		cache, err := campaign.NewDirCache(c.char.CacheDir)
-		if err != nil {
-			return err
-		}
-		eng.Cache = cache
-	} else {
-		eng.Cache = campaign.NewMemCache()
-	}
-	if c.char.LakeDir != "" {
-		lw, err := lake.OpenWriter(c.char.LakeDir, nil)
-		if err != nil {
-			return err
-		}
-		defer lw.Close()
-		eng.Lake = lw
-		eng.LakeCampaign = "adversarial"
-	}
-
+// per-cell table in the selected format.
+func runAdversarial(c *cliConfig, eng *campaign.Engine) error {
 	var progress func(adversarial.Cell)
-	if c.char.Progress != nil {
+	if !c.quiet {
 		progress = func(cell adversarial.Cell) {
-			c.char.Progress(fmt.Sprintf("sit %d | %s: margin %g (%s, %d probes)",
-				cell.SituationIndex, cell.Knob, cell.Search.Margin, cell.Search.Status, cell.Search.Probes))
+			fmt.Fprintf(os.Stderr, "sit %d | %s: margin %g (%s, %d probes)\n",
+				cell.SituationIndex, cell.Knob, cell.Search.Margin, cell.Search.Status, cell.Search.Probes)
 		}
 	}
 	res, err := adversarial.Run(context.Background(), adversarial.Config{
@@ -339,30 +384,4 @@ func runAdversarial(c *cliConfig) error {
 	fmt.Fprintf(os.Stderr, "adversarial: cells=%d probes=%d cache_hits=%d simulated=%d\n",
 		len(res.Cells), res.Stats.Jobs, res.Stats.CacheHits, res.Stats.Simulated)
 	return nil
-}
-
-// maybeDumpMetrics writes the Prometheus exposition when -metrics-out
-// was given.
-func maybeDumpMetrics(c *cliConfig) error {
-	if c.metricsOut == "" {
-		return nil
-	}
-	return dumpMetrics(c.metricsOut, c.reg)
-}
-
-// dumpMetrics writes the sweep's Prometheus exposition to path, or to
-// stderr for "-".
-func dumpMetrics(path string, reg *obs.Registry) error {
-	if path == "-" {
-		return reg.WritePrometheus(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = reg.WritePrometheus(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

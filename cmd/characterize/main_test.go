@@ -71,8 +71,8 @@ func TestParseCLIBuildsExpectedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.char.Camera.Width != 192 || c.char.Seed != 7 || !c.char.FullROISweep ||
-		c.char.Workers != 3 || c.char.CacheDir != "/tmp/x" || !c.quiet {
-		t.Fatalf("parsed config = %+v", c.char)
+		c.workers != 3 || c.cacheDir != "/tmp/x" || !c.quiet {
+		t.Fatalf("parsed config = %+v", c)
 	}
 	if len(c.char.Situations) != 2 || c.char.Situations[0] != world.PaperSituations[0] ||
 		c.char.Situations[1] != world.PaperSituations[7] {
@@ -118,11 +118,14 @@ func TestParseCLIPrecisions(t *testing.T) {
 // TestParseCLISensitivityKeepsMetricsAndWorkers is the regression test
 // for the silently-ignored flags: in -sensitivity mode the parsed
 // config must still carry the metrics registry (for -metrics-out), the
-// worker count and the ISP candidates, because main forwards all three
-// into SensitivityConfig now.
+// worker count, the lake directory and the ISP candidates, and the
+// engine it builds must carry the workers, the observer and a lake
+// labelled with the mode.
 func TestParseCLISensitivityKeepsMetricsAndWorkers(t *testing.T) {
+	lakeDir := t.TempDir()
 	c, err := parseCLI([]string{
 		"-sensitivity", "-samples", "5", "-metrics-out", "m.prom", "-workers", "4", "-isps", "S2",
+		"-lake-dir", lakeDir,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +136,22 @@ func TestParseCLISensitivityKeepsMetricsAndWorkers(t *testing.T) {
 	if c.metricsOut != "m.prom" || c.reg == nil || c.char.Obs == nil {
 		t.Fatalf("-metrics-out did not set up the registry: %+v", c)
 	}
-	if c.char.Workers != 4 || len(c.char.ISPCandidates) != 1 || c.char.ISPCandidates[0] != "S2" {
-		t.Fatalf("-workers/-isps not carried: workers=%d isps=%v", c.char.Workers, c.char.ISPCandidates)
+	if c.workers != 4 || len(c.char.ISPCandidates) != 1 || c.char.ISPCandidates[0] != "S2" {
+		t.Fatalf("-workers/-isps not carried: workers=%d isps=%v", c.workers, c.char.ISPCandidates)
+	}
+	eng, err := newEngine(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Lake == nil {
+		t.Fatal("-lake-dir opened no lake in -sensitivity mode")
+	}
+	if err := eng.Lake.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Workers != 4 || eng.Obs != c.char.Obs || eng.Cache == nil || eng.LakeCampaign != "sensitivity" {
+		t.Fatalf("engine = workers %d, obs %p (want %p), cache %v, lake label %q",
+			eng.Workers, eng.Obs, c.char.Obs, eng.Cache, eng.LakeCampaign)
 	}
 }
 

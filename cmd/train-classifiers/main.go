@@ -11,12 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"hsas/internal/classifier"
-	"hsas/internal/cnn"
 	"hsas/internal/obs"
 )
 
@@ -26,7 +24,6 @@ func main() {
 	workers := flag.Int("workers", 1, "data-parallel training goroutines (0 = GOMAXPROCS); trained weights are bit-identical for every value")
 	seed := flag.Int64("seed", 1, "dataset and init seed")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's Table IV dataset sizes")
-	out := flag.String("out", "", "directory to save trained models (gob)")
 	logLevel := flag.String("log-level", "", "enable per-epoch structured logging at this level: debug, info, warn or error")
 	metricsOut := flag.String("metrics-out", "", "after training, dump Prometheus text exposition (epoch wall-time, images/sec, accuracies) to this file ('-' for stderr)")
 	flag.Parse()
@@ -70,7 +67,7 @@ func main() {
 		tcfg.Workers = nWorkers
 
 		start := time.Now()
-		c, rep, err := classifier.TrainObserved(kind, dcfg, tcfg, observer)
+		_, rep, err := classifier.TrainObserved(kind, dcfg, tcfg, observer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "train:", err)
 			os.Exit(1)
@@ -79,43 +76,13 @@ func main() {
 			kind, kind.NumClasses(), rep.TrainN, rep.ValN,
 			100*rep.TrainAccuracy, 100*rep.ValAccuracy,
 			100*classifier.PaperAccuracy[kind], time.Since(start).Round(time.Second))
-
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*out, kind.String()+".gob")
-			if err := cnn.SaveFile(path, c.Net); err != nil {
-				fmt.Fprintln(os.Stderr, "save:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("        saved %s\n", path)
-		}
 	}
 	fmt.Println("\nProfiled per-classifier runtime on NVIDIA AGX Xavier: 5.5 ms (Table IV)")
 
 	if *metricsOut != "" {
-		if err := dumpMetrics(*metricsOut, reg); err != nil {
+		if err := reg.WritePrometheusFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics-out:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// dumpMetrics writes the training run's Prometheus exposition to path,
-// or to stderr for "-".
-func dumpMetrics(path string, reg *obs.Registry) error {
-	if path == "-" {
-		return reg.WritePrometheus(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = reg.WritePrometheus(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

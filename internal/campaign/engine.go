@@ -37,7 +37,7 @@ type Engine struct {
 	// Obs receives engine logs, campaign counters (jobs, cache hits and
 	// misses, in-flight gauge, per-job wall-time histogram) and one span
 	// per simulated job on its shard's trace lane. The inner closed-loop
-	// runs share the metrics registry only, as in core.Characterize.
+	// runs share the metrics registry only.
 	Obs *obs.Observer
 	// Hooks observe job lifecycle events (see Hooks).
 	Hooks Hooks

@@ -28,15 +28,6 @@ func NewNetwork(inC, inH, inW int, layers ...Layer) (*Network, error) {
 	return &Network{Layers: layers, InC: inC, InH: inH, InW: inW}, nil
 }
 
-// NumClasses returns the output width of the final layer.
-func (n *Network) NumClasses() int {
-	c, h, w := n.InC, n.InH, n.InW
-	for _, l := range n.Layers {
-		c, h, w = l.OutShape(c, h, w)
-	}
-	return c * h * w
-}
-
 // NumParams returns the total learnable parameter count.
 func (n *Network) NumParams() int {
 	total := 0

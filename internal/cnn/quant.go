@@ -3,9 +3,9 @@
 //
 // Scheme (per-tensor symmetric): a tensor x is represented as q·s with
 // q ∈ [-127, 127] int8 and s = max|x|/127 (mat.Scale8). Weight scales
-// are static — computed once from the trained float32 weights (and
-// persisted alongside them, see persist.go); activation scales are
-// dynamic, recomputed from each layer input per inference. Only the
+// are static — computed once from the trained float32 weights when
+// Quantize builds the QNet; activation scales are dynamic, recomputed
+// from each layer input per inference. Only the
 // GEMM-backed layers (Conv2D, Dense) run int8: products accumulate
 // exactly in int32 and a single requantize step rescales by sw·sx and
 // adds the float32 bias. ReLU, pooling and the residual sum stay

@@ -2,7 +2,9 @@
 // framework (float32, CPU) used to train and run the paper's three
 // light-weight situation classifiers (Table IV). It provides CHW tensors,
 // convolution / pooling / dense layers, ResNet-style residual blocks,
-// softmax cross-entropy training with momentum SGD, and gob persistence.
+// and softmax cross-entropy training with momentum SGD. Trained networks
+// live in memory only: training is bit-deterministic for a given seed and
+// configuration, so that configuration names a model.
 //
 // The paper uses ResNet-18 on an integrated Volta GPU; here the same
 // residual architecture family is scaled to laptop-CPU training (the
@@ -70,7 +72,7 @@ type Layer interface {
 	Params() []*Param
 	Name() string
 	// OutShape computes the output shape for a given input shape,
-	// used for architecture validation and persistence.
+	// used for architecture validation.
 	OutShape(c, h, w int) (int, int, int)
 }
 

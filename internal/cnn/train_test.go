@@ -22,6 +22,19 @@ func toyDataset(n, classes, c, h, w int, seed int64) []Sample {
 	return samples
 }
 
+// Weights returns copies of all parameter tensors in layer order.
+func (n *Network) Weights() [][]float32 {
+	var out [][]float32
+	for _, l := range n.Layers {
+		for _, p := range l.Params() {
+			w := make([]float32, len(p.Data))
+			copy(w, p.Data)
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 func trainedWeights(t *testing.T, samples []Sample, workers int) ([][]float32, float64, float64) {
 	t.Helper()
 	net, err := ResNetLite(2, 12, 12, 3, 21)

@@ -21,15 +21,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
 	"hsas/internal/camera"
 	"hsas/internal/campaign"
 	"hsas/internal/control"
+	"hsas/internal/isp"
 	"hsas/internal/knobs"
-	"hsas/internal/lake"
 	"hsas/internal/mat"
 	"hsas/internal/obs"
 	"hsas/internal/perception"
@@ -60,39 +59,19 @@ type CharacterizeConfig struct {
 	// 256×128 (the sweep is hundreds of runs; Fig. 6/8 use full size).
 	Camera camera.Camera
 	Seed   int64
-	// Progress, when set, receives one line per completed run. Calls are
-	// serialized even when the sweep runs on multiple workers.
-	Progress func(string)
-	// Workers bounds the parallel closed-loop evaluations within each
-	// situation; 0 uses GOMAXPROCS. The result is deterministic
-	// regardless of worker count (only Progress ordering varies).
-	Workers int
-	// KernelWorkers bounds the per-pixel image-kernel goroutines inside
-	// each closed-loop run. 0 divides GOMAXPROCS by the sweep worker
-	// count (so the two pools compose without oversubscription);
-	// negative forces serial kernels. Results are byte-identical for any
-	// value.
-	KernelWorkers int
-	// Obs, when set, receives sweep progress logs, per-run spans on one
-	// trace lane per worker, run counters/latency histograms and a
-	// busy-worker utilization gauge. The inner closed-loop runs share
-	// the metrics registry (stage histograms) but stay out of the span
-	// stream, which tracks the sweep itself.
+	// Runner executes the sweep's closed-loop jobs: a *campaign.Engine,
+	// whose workers, cache, result lake, observer and hooks then apply to
+	// the sweep, or a fabric coordinator. nil means
+	// &campaign.Engine{Obs: Obs}: GOMAXPROCS workers, no cache, no lake.
+	// The result is identical for any runner, worker count or cache
+	// state.
+	Runner campaign.Runner
+	// Obs, when set, receives one log line and one span per
+	// characterized situation.
 	Obs *obs.Observer
-	// CacheDir, when set, checkpoints every closed-loop run in the
-	// content-addressed campaign cache rooted there: an interrupted
-	// sweep resumes from the completed runs, and re-characterizing an
-	// unchanged configuration simulates nothing (see internal/campaign
-	// for the cache-key contract).
-	CacheDir string
-	// LakeDir, when set, appends every completed run's result row to the
-	// columnar result lake rooted there (campaign label "characterize"),
-	// making the sweep queryable by the fleet-analytics tooling
-	// (lkas-lake, lkas-serve /v1/analytics). See internal/lake.
-	LakeDir string
-	// Context cancels the sweep between runs; in-flight runs finish and
-	// are checkpointed before Characterize returns the context error.
-	// nil means context.Background().
+	// Context cancels the sweep between runs; nil means
+	// context.Background(). A cancelled engine sweep keeps every
+	// checkpointed run in its cache.
 	Context context.Context
 }
 
@@ -154,19 +133,16 @@ func (r *Result) FormatTable() string {
 // Characterize runs the design-time sweep: for every situation, evaluate
 // the candidate knob settings in closed loop (with the full three-
 // classifier pipeline charged to the timing, as the runtime will pay it)
-// and keep the setting with the best QoC. The sweep runs on the
-// simulation-campaign engine (internal/campaign): all situations'
-// candidates are flattened into one job list, evaluated on cfg.Workers
-// sharded workers, checkpointed in the content-addressed cache when
-// CacheDir is set, and re-assembled in enumeration order — the outcome
-// is identical to a serial sweep for any worker count or cache state
-// (only Progress ordering varies).
+// and keep the setting with the best QoC. All situations' candidates are
+// flattened into one job list for cfg.Runner and re-assembled in
+// enumeration order, so the outcome is identical to a serial sweep for
+// any runner, worker count or cache state.
 func Characterize(cfg CharacterizeConfig) (*Result, error) {
 	if cfg.Situations == nil {
 		cfg.Situations = world.PaperSituations
 	}
 	if cfg.ISPCandidates == nil {
-		cfg.ISPCandidates = []string{"S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"}
+		cfg.ISPCandidates = tableIIISPs()
 	}
 	if len(cfg.Precisions) == 0 {
 		cfg.Precisions = []string{knobs.PrecisionFP32}
@@ -184,36 +160,27 @@ func Characterize(cfg CharacterizeConfig) (*Result, error) {
 	if cfg.Camera.Width == 0 {
 		cfg.Camera = camera.Scaled(256, 128)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	runner := cfg.Runner
+	if runner == nil {
+		runner = &campaign.Engine{Obs: cfg.Obs}
+	}
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	xavier := platform.Xavier()
-
 	o := cfg.Obs
-	reg := o.Registry()
-	runsC := reg.Counter("hsas_characterize_runs_total", "closed-loop sweep runs completed")
-	crashC := reg.Counter("hsas_characterize_crashes_total", "sweep runs that crashed (penalized)")
-	runH := reg.Histogram("hsas_characterize_run_seconds", "wall time per sweep run",
-		[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
-	busyG := reg.Gauge("hsas_characterize_busy_workers", "sweep workers currently evaluating a candidate")
 
 	// Flatten the sweep into campaign jobs. Timings are resolved per
-	// ISP candidate up front, so an unknown candidate fails fast before
+	// candidate up front, so an unknown candidate fails fast before
 	// anything simulates.
-	type jobMeta struct {
-		sit        world.Situation
-		setting    knobs.Setting
-		evalSector int
-	}
 	type timingKey struct{ isp, precision string }
-	var jobs []campaign.JobSpec
-	var metas []jobMeta
 	timings := map[timingKey]platform.Timing{}
-	for _, sit := range cfg.Situations {
-		sit := sit
-		evalSector := world.SituationEvalSector(sit)
-		for _, setting := range candidateSettings(sit, cfg) {
+	perSit := make([][]knobs.Setting, len(cfg.Situations))
+	var jobs []campaign.JobSpec
+	for i, sit := range cfg.Situations {
+		perSit[i] = candidateSettings(sit, cfg)
+		for _, setting := range perSit[i] {
 			tk := timingKey{setting.ISP, setting.Precision}
 			if _, ok := timings[tk]; !ok {
 				tm, err := xavier.TimingForPrecision(setting.ISP, 3, setting.Precision)
@@ -222,91 +189,12 @@ func Characterize(cfg CharacterizeConfig) (*Result, error) {
 				}
 				timings[tk] = tm
 			}
-			setting := setting
-			jobs = append(jobs, campaign.JobSpec{
-				Situation:        &sit,
-				Camera:           cfg.Camera,
-				Fixed:            &setting,
-				FixedClassifiers: 3,
-				Seed:             cfg.Seed,
-			})
-			metas = append(metas, jobMeta{sit: sit, setting: setting, evalSector: evalSector})
+			jobs = append(jobs, sweepJob(sit, cfg.Camera, setting, cfg.Seed))
 		}
 	}
 
-	candidateFrom := func(m jobMeta, r *campaign.JobResult) Candidate {
-		tm := timings[timingKey{m.setting.ISP, m.setting.Precision}]
-		c := Candidate{Setting: m.setting, Crashed: r.Crashed, HMs: tm.HMs, TauMs: tm.TauMs}
-		c.MAE, c.Crashed = penalizedMAE(r.Sector(m.evalSector), r.Crashed)
-		return c
-	}
-
-	var cache campaign.Cache
-	if cfg.CacheDir != "" {
-		dc, err := campaign.NewDirCache(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("core: characterize: %w", err)
-		}
-		cache = dc
-	}
-	var lakeW *lake.Writer
-	if cfg.LakeDir != "" {
-		lw, err := lake.OpenWriter(cfg.LakeDir, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: characterize: %w", err)
-		}
-		lakeW = lw
-		defer func() {
-			if cerr := lakeW.Close(); cerr != nil {
-				o.Logger().Warn("closing result lake", "err", cerr)
-			}
-		}()
-	}
 	sweepStart := o.Tracer().Begin()
-	eng := &campaign.Engine{
-		Workers:       workers,
-		KernelWorkers: cfg.KernelWorkers,
-		Cache:         cache,
-		Obs:           o,
-		Lake:          lakeW,
-		LakeCampaign:  "characterize",
-		Hooks: campaign.Hooks{
-			JobStart: func(campaign.JobEvent) { busyG.Add(1) },
-			// JobDone is serialized by the engine, so Progress and log
-			// emission need no extra lock.
-			JobDone: func(ev campaign.JobEvent) {
-				if !ev.Cached {
-					busyG.Add(-1)
-				}
-				if ev.Err != nil {
-					return
-				}
-				m := metas[ev.Index]
-				c := candidateFrom(m, ev.Result)
-				if !ev.Cached {
-					runsC.Inc()
-					if c.Crashed {
-						crashC.Inc()
-					}
-					if o.Enabled() {
-						runH.Observe(ev.Result.WallMS / 1000)
-						o.Tracer().Span("run", "characterize", ev.Worker+1, ev.Start, map[string]any{
-							"situation": m.sit.String(), "isp": m.setting.ISP, "roi": m.setting.ROI,
-							"speed_kmph": m.setting.SpeedKmph, "mae_m": c.MAE, "crashed": c.Crashed,
-						})
-					}
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(fmt.Sprintf("%v | %v -> MAE %.4f crashed=%v", m.sit, m.setting, c.MAE, c.Crashed))
-				}
-				o.Logger().Debug("characterize run",
-					"situation", m.sit.String(), "isp", m.setting.ISP, "roi", m.setting.ROI,
-					"speed_kmph", m.setting.SpeedKmph, "mae_m", c.MAE, "crashed", c.Crashed,
-					"cached", ev.Cached)
-			},
-		},
-	}
-	results, _, err := eng.Run(cfg.Context, jobs)
+	results, _, err := runner.Run(ctx, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: characterize: %w", err)
 	}
@@ -314,39 +202,53 @@ func Characterize(cfg CharacterizeConfig) (*Result, error) {
 	// Re-assemble in enumeration order: candidates within a situation
 	// are scored independently, so the sweep outcome never depends on
 	// completion order, worker count or cache state.
-	n := workers
-	if n > len(jobs) {
-		n = len(jobs)
-	}
 	res := &Result{}
 	idx := 0
-	for _, sit := range cfg.Situations {
-		nSettings := len(candidateSettings(sit, cfg))
-		cands := make([]Candidate, nSettings)
-		for k := 0; k < nSettings; k++ {
-			cands[k] = candidateFrom(metas[idx], results[idx])
+	for i, sit := range cfg.Situations {
+		evalSector := world.SituationEvalSector(sit)
+		cands := make([]Candidate, len(perSit[i]))
+		for k, setting := range perSit[i] {
+			r := results[idx]
 			idx++
+			tm := timings[timingKey{setting.ISP, setting.Precision}]
+			cands[k] = Candidate{Setting: setting, HMs: tm.HMs, TauMs: tm.TauMs}
+			cands[k].MAE, cands[k].Crashed = penalizedMAE(r.Sector(evalSector), r.Crashed)
 		}
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].MAE < cands[j].MAE })
 		res.Entries = append(res.Entries, Entry{Situation: sit, Best: cands[0], Candidates: cands})
 		o.Tracer().Span("situation", "characterize", 0, sweepStart,
 			map[string]any{"situation": sit.String(), "candidates": len(cands)})
 		o.Logger().Info("situation characterized",
-			"situation", sit.String(), "candidates", len(cands), "workers", n,
+			"situation", sit.String(), "candidates", len(cands),
 			"best_isp", cands[0].Setting.ISP, "best_roi", cands[0].Setting.ROI,
 			"best_speed_kmph", cands[0].Setting.SpeedKmph,
 			"best_precision", knobs.PrecisionName(cands[0].Setting.Precision),
 			"best_mae_m", cands[0].MAE)
 	}
-	// End-of-run latency summary from the bucketed wall-time histogram
-	// (simulated runs only; cache hits never touch runH).
-	if runH.Count() > 0 {
-		o.Logger().Info("characterize run latency",
-			"runs", runH.Count(),
-			"p50_s", runH.Quantile(0.5),
-			"p95_s", runH.Quantile(0.95))
-	}
 	return res, nil
+}
+
+// sweepJob is the closed-loop job both design-time sweeps evaluate: the
+// situation's track at one fixed knob setting, with all three
+// classifiers charged to the timing as the runtime pays them.
+func sweepJob(sit world.Situation, cam camera.Camera, setting knobs.Setting, seed int64) campaign.JobSpec {
+	return campaign.JobSpec{
+		Situation:        &sit,
+		Camera:           cam,
+		Fixed:            &setting,
+		FixedClassifiers: 3,
+		Seed:             seed,
+	}
+}
+
+// tableIIISPs lists the ISP configurations of Table II in order (S0–S8):
+// the default candidates of both sweeps.
+func tableIIISPs() []string {
+	ids := make([]string, len(isp.Knobs))
+	for i, k := range isp.Knobs {
+		ids[i] = k.ID
+	}
+	return ids
 }
 
 // crashPenalty is added to a candidate's eval-sector MAE when its run

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsas/internal/camera"
+	"hsas/internal/campaign"
 	"hsas/internal/knobs"
 	"hsas/internal/vehicle"
 	"hsas/internal/world"
@@ -37,7 +38,7 @@ func TestCharacterizeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization sweep skipped in -short")
 	}
-	var lines int
+	var done int
 	res, err := Characterize(CharacterizeConfig{
 		Situations: []world.Situation{
 			{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day},
@@ -46,7 +47,7 @@ func TestCharacterizeSmall(t *testing.T) {
 		ISPCandidates: []string{"S0", "S5", "S8"},
 		Camera:        camera.Scaled(160, 80),
 		Seed:          1,
-		Progress:      func(string) { lines++ },
+		Runner:        &campaign.Engine{Hooks: campaign.Hooks{JobDone: func(campaign.JobEvent) { done++ }}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +55,8 @@ func TestCharacterizeSmall(t *testing.T) {
 	if len(res.Entries) != 2 {
 		t.Fatalf("entries = %d", len(res.Entries))
 	}
-	if lines != 6 {
-		t.Fatalf("progress lines = %d, want 6", lines)
+	if done != 6 {
+		t.Fatalf("completed jobs = %d, want 6", done)
 	}
 	for _, e := range res.Entries {
 		if e.Best.Crashed {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hsas/internal/camera"
+	"hsas/internal/campaign"
 	"hsas/internal/obs"
 	"hsas/internal/world"
 )
@@ -28,14 +29,13 @@ func TestCharacterizeWorkersDeterministic(t *testing.T) {
 	}
 
 	serial := base
-	serial.Workers = 1
+	serial.Runner = &campaign.Engine{Workers: 1}
 	want, err := Characterize(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pooled := base
-	pooled.Workers = 4
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
 	pooled.Obs = &obs.Observer{
@@ -43,6 +43,7 @@ func TestCharacterizeWorkersDeterministic(t *testing.T) {
 		Metrics: reg,
 		Trace:   obs.NewTracer(),
 	}
+	pooled.Runner = &campaign.Engine{Workers: 4, Obs: pooled.Obs}
 	got, err := Characterize(pooled)
 	if err != nil {
 		t.Fatal(err)
@@ -64,34 +65,33 @@ func TestCharacterizeWorkersDeterministic(t *testing.T) {
 		}
 	}
 
-	// Sweep instrumentation: run counter, latency histogram and per-run
-	// spans on the worker lanes; busy-worker gauge back to zero.
+	// Sweep instrumentation comes from the engine: one simulated job
+	// and one job-latency sample per candidate, one job span per
+	// candidate on its worker lane, the in-flight gauge back to zero,
+	// and one situation span from the sweep itself.
 	runs := int64(len(base.ISPCandidates))
-	if got := reg.Counter("hsas_characterize_runs_total", "").Value(); got != runs {
-		t.Fatalf("run counter = %d, want %d", got, runs)
+	if got := reg.Counter("hsas_campaign_cache_misses_total", "").Value(); got != runs {
+		t.Fatalf("simulated jobs = %d, want %d", got, runs)
 	}
-	if h := reg.Histogram("hsas_characterize_run_seconds", "", nil); h.Count() != runs {
-		t.Fatalf("run histogram count = %d, want %d", h.Count(), runs)
+	if h := reg.Histogram("hsas_campaign_job_seconds", "", nil); h.Count() != runs {
+		t.Fatalf("job histogram count = %d, want %d", h.Count(), runs)
 	}
-	if g := reg.Gauge("hsas_characterize_busy_workers", "").Value(); g != 0 {
-		t.Fatalf("busy workers after sweep = %v", g)
+	if g := reg.Gauge("hsas_campaign_jobs_inflight", "").Value(); g != 0 {
+		t.Fatalf("jobs in flight after sweep = %v", g)
 	}
-	spans := pooled.Obs.Trace.Spans()
-	runSpans := 0
-	for _, s := range spans {
-		if s.Name == "run" {
-			runSpans++
-		}
+	spanCount := map[string]int{}
+	for _, s := range pooled.Obs.Trace.Spans() {
+		spanCount[s.Name]++
 	}
-	if int64(runSpans) != runs {
-		t.Fatalf("run spans = %d, want %d", runSpans, runs)
+	if int64(spanCount["job"]) != runs || spanCount["situation"] != 1 {
+		t.Fatalf("spans = %v, want %d job and 1 situation", spanCount, runs)
 	}
 	// The shared registry also collects the inner sims' stage latencies.
 	if h := reg.Histogram("hsas_sim_stage_seconds", "", nil, obs.L("stage", "isp")); h.Count() == 0 {
 		t.Fatal("inner sim stage histograms not populated during sweep")
 	}
 	logs := logBuf.String()
-	if !strings.Contains(logs, "characterize run") || !strings.Contains(logs, "situation characterized") {
+	if !strings.Contains(logs, "campaign complete") || !strings.Contains(logs, "situation characterized") {
 		t.Fatalf("sweep logs missing:\n%s", logs)
 	}
 }

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"math"
 	"sort"
 	"testing"
+
+	"hsas/internal/campaign"
+	"hsas/internal/world"
 )
 
 // TestPenalizedMAERanking pins the crash-penalty fix: crashed candidates
@@ -58,5 +63,41 @@ func TestPenalizedMAEUnsampledSector(t *testing.T) {
 	mae, crashed = penalizedMAE(0.5, false)
 	if crashed || mae != 0.5 {
 		t.Fatalf("clean survivor rescored to %v crashed=%v", mae, crashed)
+	}
+}
+
+// stubRunner answers every job with a copy of one canned result.
+type stubRunner struct{ result campaign.JobResult }
+
+func (s stubRunner) Run(_ context.Context, jobs []campaign.JobSpec) ([]*campaign.JobResult, campaign.RunStats, error) {
+	out := make([]*campaign.JobResult, len(jobs))
+	for i := range out {
+		r := s.result
+		out[i] = &r
+	}
+	return out, campaign.RunStats{Jobs: len(jobs), Unique: len(jobs), Simulated: len(jobs)}, nil
+}
+
+// TestSensitivityPenalizesCrashOnSectorBasis: the screening scores a
+// crashed sample as the sweep scores a crashed candidate, eval-sector
+// MAE + crashPenalty, not whole-track MAE + crashPenalty. Every sample
+// here crashed with a sector MAE (0.3) that differs from its
+// whole-track MAE (2.0), so every per-value mean must be 10.3.
+func TestSensitivityPenalizesCrashOnSectorBasis(t *testing.T) {
+	sit := world.PaperSituations[0]
+	sector := world.SituationEvalSector(sit)
+	r := campaign.JobResult{MAE: 2.0, Crashed: true, SectorMAE: make([]float64, sector), SectorN: make([]int, sector)}
+	r.SectorMAE[sector-1], r.SectorN[sector-1] = 0.3, 10
+	res, err := AnalyzeSensitivity(SensitivityConfig{Situation: sit, Samples: 4, Seed: 1, Runner: stubRunner{r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.3 + crashPenalty
+	for _, k := range res.Knobs {
+		for v, got := range k.MeanByValue {
+			if math.Abs(got-want) > 1e-9 {
+				t.Fatalf("%s=%s scored %v, want sector MAE + penalty = %v", k.Knob, v, got, want)
+			}
+		}
 	}
 }

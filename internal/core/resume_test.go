@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hsas/internal/camera"
+	"hsas/internal/campaign"
 	"hsas/internal/obs"
 	"hsas/internal/world"
 )
@@ -20,7 +21,6 @@ func fastSweep() CharacterizeConfig {
 		ISPCandidates: []string{"S0", "S3", "S5"},
 		Camera:        camera.Scaled(64, 32),
 		Seed:          1,
-		Workers:       1,
 	}
 }
 
@@ -34,15 +34,26 @@ func TestCharacterizeResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupt after the first candidate checkpoints: Progress fires
-	// once per completed job, after the cache write.
+	// cachedEngine runs one job at a time on the shared cache directory,
+	// reporting to reg.
 	dir := t.TempDir()
+	cachedEngine := func(reg *obs.Registry) *campaign.Engine {
+		cache, err := campaign.NewDirCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &campaign.Engine{Workers: 1, Cache: cache, Obs: &obs.Observer{Metrics: reg}}
+	}
+
+	// Interrupt after the first candidate checkpoints: JobDone fires
+	// once per completed job, after the cache write.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := fastSweep()
-	cfg.CacheDir = dir
 	cfg.Context = ctx
-	cfg.Progress = func(string) { cancel() }
+	eng := cachedEngine(obs.NewRegistry())
+	eng.Hooks.JobDone = func(campaign.JobEvent) { cancel() }
+	cfg.Runner = eng
 	if _, err := Characterize(cfg); err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("interrupted sweep returned %v", err)
 	}
@@ -51,8 +62,7 @@ func TestCharacterizeResumeByteIdentical(t *testing.T) {
 	// the rest simulate, and the table matches the uninterrupted sweep.
 	reg := obs.NewRegistry()
 	cfg2 := fastSweep()
-	cfg2.CacheDir = dir
-	cfg2.Obs = &obs.Observer{Metrics: reg}
+	cfg2.Runner = cachedEngine(reg)
 	resumed, err := Characterize(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +70,14 @@ func TestCharacterizeResumeByteIdentical(t *testing.T) {
 	if got, want := resumed.FormatTable(), truth.FormatTable(); got != want {
 		t.Fatalf("resumed table differs from uninterrupted sweep:\n--- resumed\n%s--- truth\n%s", got, want)
 	}
-	if runs := counter(t, reg, "hsas_characterize_runs_total"); runs != 2 {
+	if runs := counter(t, reg, "hsas_campaign_cache_misses_total"); runs != 2 {
 		t.Fatalf("resume simulated %v candidates, want 2 (one was checkpointed)", runs)
 	}
 
 	// Re-running against the now-full cache costs zero simulations.
 	reg2 := obs.NewRegistry()
 	cfg3 := fastSweep()
-	cfg3.CacheDir = dir
-	cfg3.Obs = &obs.Observer{Metrics: reg2}
+	cfg3.Runner = cachedEngine(reg2)
 	again, err := Characterize(cfg3)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +85,7 @@ func TestCharacterizeResumeByteIdentical(t *testing.T) {
 	if got := again.FormatTable(); got != truth.FormatTable() {
 		t.Fatal("fully cached sweep produced a different table")
 	}
-	if runs := counter(t, reg2, "hsas_characterize_runs_total"); runs != 0 {
+	if runs := counter(t, reg2, "hsas_campaign_cache_misses_total"); runs != 0 {
 		t.Fatalf("fully cached sweep still simulated %v candidates", runs)
 	}
 	if hits := counter(t, reg2, "hsas_campaign_cache_hits_total"); hits != 3 {
@@ -103,8 +112,8 @@ func counter(t *testing.T, reg *obs.Registry, name string) float64 {
 
 // TestSensitivityHonorsCandidatesAndWorkers is the regression test for
 // the dead -workers/-isps flags in sensitivity mode: a restricted ISP
-// candidate list must actually restrict the sampling, and the worker
-// count must not change the outcome.
+// candidate list must actually restrict the sampling, and the engine's
+// worker count must not change the outcome.
 func TestSensitivityHonorsCandidatesAndWorkers(t *testing.T) {
 	base := SensitivityConfig{
 		Situation:     world.PaperSituations[0],
@@ -114,12 +123,14 @@ func TestSensitivityHonorsCandidatesAndWorkers(t *testing.T) {
 		ISPCandidates: []string{"S0"},
 	}
 
-	var lines []string
-	cfg := base
-	cfg.Workers = 2
-	cfg.Progress = func(s string) { lines = append(lines, s) }
+	done := 0
 	reg := obs.NewRegistry()
-	cfg.Obs = &obs.Observer{Metrics: reg}
+	cfg := base
+	cfg.Runner = &campaign.Engine{
+		Workers: 2,
+		Obs:     &obs.Observer{Metrics: reg},
+		Hooks:   campaign.Hooks{JobDone: func(campaign.JobEvent) { done++ }},
+	}
 	res, err := AnalyzeSensitivity(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +146,10 @@ func TestSensitivityHonorsCandidatesAndWorkers(t *testing.T) {
 			t.Fatalf("expected only S0 samples, got %v", k.MeanByValue)
 		}
 	}
-	if len(lines) != 3 {
-		t.Fatalf("Progress fired %d times, want one per sample", len(lines))
+	if done != 3 {
+		t.Fatalf("JobDone fired %d times, want one per sample", done)
 	}
-	// The screening's simulations land in the supplied registry — the
+	// The screening's simulations land in the engine's registry — the
 	// -metrics-out path has something to dump.
 	if jobs := counter(t, reg, "hsas_campaign_jobs_total"); jobs != 3 {
 		t.Fatalf("campaign jobs counter = %v, want 3", jobs)
@@ -146,7 +157,7 @@ func TestSensitivityHonorsCandidatesAndWorkers(t *testing.T) {
 
 	// Same screening on one worker: identical outcome.
 	serial := base
-	serial.Workers = 1
+	serial.Runner = &campaign.Engine{Workers: 1}
 	res2, err := AnalyzeSensitivity(serial)
 	if err != nil {
 		t.Fatal(err)

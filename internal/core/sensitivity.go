@@ -10,7 +10,6 @@ import (
 	"hsas/internal/camera"
 	"hsas/internal/campaign"
 	"hsas/internal/knobs"
-	"hsas/internal/obs"
 	"hsas/internal/world"
 )
 
@@ -27,22 +26,14 @@ type SensitivityConfig struct {
 	Samples   int // random knob assignments (default 24)
 	Camera    camera.Camera
 	Seed      int64
-	Progress  func(string)
 	// ISPCandidates restricts the ISP configurations sampled (default
 	// S0..S8). The sampling sequence with the default list is identical
 	// to earlier releases for a given Seed.
 	ISPCandidates []string
-	// Workers is the number of samples evaluated in parallel (default
-	// all CPUs); KernelWorkers the per-run kernel goroutines (default
-	// CPUs/Workers). Neither affects the screening outcome.
-	Workers       int
-	KernelWorkers int
-	// CacheDir points the screening at a content-addressed campaign
-	// cache; repeated screenings with identical parameters then cost
-	// zero simulations.
-	CacheDir string
-	// Obs receives metrics from the inner simulation runs. Nil disables.
-	Obs *obs.Observer
+	// Runner executes the samples' closed-loop jobs (see
+	// CharacterizeConfig.Runner); nil means &campaign.Engine{}. The
+	// screening outcome is identical for any runner.
+	Runner campaign.Runner
 	// Context cancels the screening between runs; nil = Background.
 	Context context.Context
 }
@@ -84,10 +75,10 @@ func (r *SensitivityResult) Format() string {
 }
 
 // AnalyzeSensitivity runs the Monte-Carlo screening for one situation.
-// Samples are evaluated on the campaign engine (cfg.Workers parallel
-// workers, optional content-addressed cache); the screening outcome is
-// identical for any worker count or cache state because the random knob
-// assignments and per-sample seeds are drawn up front.
+// Every sample is a job for cfg.Runner, scored as the sweep scores a
+// candidate (penalizedMAE); the outcome is identical for any runner,
+// worker count or cache state because the random knob assignments and
+// per-sample seeds are drawn up front.
 func AnalyzeSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 	if cfg.Samples == 0 {
 		cfg.Samples = 24
@@ -95,16 +86,22 @@ func AnalyzeSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 	if cfg.Camera.Width == 0 {
 		cfg.Camera = camera.Scaled(192, 96)
 	}
+	runner := cfg.Runner
+	if runner == nil {
+		runner = &campaign.Engine{}
+	}
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	evalSector := world.SituationEvalSector(cfg.Situation)
 	ispIDs := cfg.ISPCandidates
 	if ispIDs == nil {
-		ispIDs = []string{"S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"}
+		ispIDs = tableIIISPs()
 	}
 
 	// Draw every random knob assignment before anything simulates, so
 	// the sampling sequence never depends on worker scheduling.
-	sit := cfg.Situation
 	settings := make([]knobs.Setting, cfg.Samples)
 	jobs := make([]campaign.JobSpec, cfg.Samples)
 	for i := range settings {
@@ -113,67 +110,25 @@ func AnalyzeSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 			ROI:       1 + rng.Intn(5),
 			SpeedKmph: knobs.Speeds[rng.Intn(len(knobs.Speeds))],
 		}
-		jobs[i] = campaign.JobSpec{
-			Situation:        &sit,
-			Camera:           cfg.Camera,
-			Fixed:            &settings[i],
-			FixedClassifiers: 3,
-			Seed:             cfg.Seed + int64(i),
-		}
+		jobs[i] = sweepJob(cfg.Situation, cfg.Camera, settings[i], cfg.Seed+int64(i))
 	}
-
-	penalized := func(r *campaign.JobResult) float64 {
-		mae := r.Sector(evalSector)
-		if r.Crashed || mae == 0 {
-			mae = r.MAE + 10 // crash penalty, as in Characterize
-		}
-		return mae
-	}
-
-	var cache campaign.Cache
-	if cfg.CacheDir != "" {
-		dc, err := campaign.NewDirCache(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("core: sensitivity: %w", err)
-		}
-		cache = dc
-	}
-	eng := &campaign.Engine{
-		Workers:       cfg.Workers,
-		KernelWorkers: cfg.KernelWorkers,
-		Cache:         cache,
-		Obs:           cfg.Obs,
-		Hooks: campaign.Hooks{
-			// JobDone is serialized by the engine; samples complete in
-			// worker order, so Progress lines may interleave but the
-			// screening outcome does not depend on them.
-			JobDone: func(ev campaign.JobEvent) {
-				if cfg.Progress != nil && ev.Err == nil {
-					cfg.Progress(fmt.Sprintf("%v -> %.4f", *ev.Spec.Fixed, penalized(ev.Result)))
-				}
-			},
-		},
-	}
-	results, _, err := eng.Run(cfg.Context, jobs)
+	results, _, err := runner.Run(ctx, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity: %w", err)
 	}
 
-	type sample struct {
-		setting knobs.Setting
-		mae     float64
-	}
-	samples := make([]sample, cfg.Samples)
+	evalSector := world.SituationEvalSector(cfg.Situation)
+	maes := make([]float64, cfg.Samples)
 	for i, r := range results {
-		samples[i] = sample{settings[i], penalized(r)}
+		maes[i], _ = penalizedMAE(r.Sector(evalSector), r.Crashed)
 	}
 
 	group := func(key func(knobs.Setting) string) KnobSensitivity {
 		sums := map[string]float64{}
 		counts := map[string]int{}
-		for _, s := range samples {
-			k := key(s.setting)
-			sums[k] += s.mae
+		for i, s := range settings {
+			k := key(s)
+			sums[k] += maes[i]
 			counts[k]++
 		}
 		out := KnobSensitivity{MeanByValue: map[string]float64{}}

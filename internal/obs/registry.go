@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,52 +125,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket
-// counts, Prometheus-style: the owning bucket is found by cumulative
-// rank and the value interpolated linearly inside it. Samples in the
-// +Inf overflow bucket clamp to the highest finite bound. Returns NaN
-// on a nil or empty histogram or when q is outside [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) < rank {
-			cum += n
-			continue
-		}
-		if i >= len(h.bounds) {
-			// Overflow bucket: unbounded above, so the best available
-			// estimate is the largest finite bound (or NaN when the
-			// histogram has no finite buckets at all).
-			if len(h.bounds) == 0 {
-				return math.NaN()
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		return lo + (hi-lo)*(rank-float64(cum))/float64(n)
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // metric type names used in the TYPE exposition line.
@@ -330,6 +285,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	_, err := io.WriteString(w, sb.String())
+	return err
+}
+
+// WritePrometheusFile writes the exposition to the named file, or to
+// stderr for "-" (the commands' -metrics-out flag).
+func (r *Registry) WritePrometheusFile(path string) error {
+	if path == "-" {
+		return r.WritePrometheus(os.Stderr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = r.WritePrometheus(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,6 +187,31 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusFile: the file dump holds exactly the exposition,
+// and an unwritable path is an error, not a silent no-op.
+func TestWritePrometheusFile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("cycles_total", "control cycles").Add(7)
+	var want bytes.Buffer
+	if err := r.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := r.WritePrometheusFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("file holds\n%s\nwant\n%s", got, want.String())
+	}
+	if err := r.WritePrometheusFile(filepath.Join(path, "under-a-file")); err == nil {
+		t.Fatal("dump under a regular file succeeded")
+	}
+}
+
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m", "")
@@ -275,56 +302,6 @@ func TestNilSafety(t *testing.T) {
 	var srv *Server
 	if srv.Addr() != "" || srv.Close() != nil {
 		t.Fatal("nil server misbehaved")
-	}
-}
-
-// TestHistogramQuantile pins the bucket-interpolation estimator:
-// linear within the owning bucket, clamped to the top finite bound
-// for overflow samples, NaN when empty or out of range.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewRegistry().Histogram("q", "", []float64{1, 2, 4})
-	for _, q := range []float64{-0.1, 0, 0.5, 1, 1.1} {
-		if v := h.Quantile(q); !math.IsNaN(v) {
-			t.Fatalf("empty histogram Quantile(%v) = %v, want NaN", q, v)
-		}
-	}
-	// 10 samples uniform in (0,1]: every quantile lands in bucket
-	// [0,1] and interpolates to exactly q.
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 1} {
-		if v := h.Quantile(q); math.Abs(v-q) > 1e-12 {
-			t.Fatalf("Quantile(%v) = %v, want %v", q, v, q)
-		}
-	}
-
-	// Two buckets: 10 in (0,1], 10 in (1,2]. p50 is the bucket edge,
-	// p75 halfway into the second bucket.
-	h2 := NewRegistry().Histogram("q2", "", []float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h2.Observe(0.5)
-		h2.Observe(1.5)
-	}
-	if v := h2.Quantile(0.5); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("p50 = %v, want 1", v)
-	}
-	if v := h2.Quantile(0.75); math.Abs(v-1.5) > 1e-12 {
-		t.Fatalf("p75 = %v, want 1.5", v)
-	}
-
-	// Overflow samples clamp to the highest finite bound.
-	h3 := NewRegistry().Histogram("q3", "", []float64{1, 2, 4})
-	h3.Observe(100)
-	if v := h3.Quantile(0.5); v != 4 {
-		t.Fatalf("overflow p50 = %v, want 4 (top bound)", v)
-	}
-	if v := h3.Quantile(math.NaN()); !math.IsNaN(v) {
-		t.Fatalf("Quantile(NaN) = %v, want NaN", v)
-	}
-	var nilH *Histogram
-	if v := nilH.Quantile(0.5); !math.IsNaN(v) {
-		t.Fatalf("nil Quantile = %v, want NaN", v)
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 // declaration as its package path relative to the module, a dot, and the
 // name; a method adds its receiver's type name.
 var reachAllowlist = map[string]string{
-	"internal/cnn.Load":                        "README.md's uncompiled example loads trained weights with it",
-	"internal/cnn.Network.SetWeights":          "Load's counterpart; the CNN roadmap item decides both",
 	"internal/core.Reconfigurator.Observe":     "README.md's uncompiled reconfiguration example calls it",
 	"internal/core.Reconfigurator.Step":        "README.md's uncompiled reconfiguration example calls it",
 	"internal/core.Result.Table":               "README.md's uncompiled example prints a run's table with it",
