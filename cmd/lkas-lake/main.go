@@ -85,27 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var scan lake.ScanStats
 	switch cmd {
 	case "summary":
-		groups, s1, err := lake.Aggregate(*dir, lake.Query{Campaign: *campaign})
+		sum, s, err := lake.Summarize(*dir, *campaign)
 		if err != nil {
 			fmt.Fprintln(stderr, "lkas-lake:", err)
 			return 1
 		}
-		traces, s2, err := lake.SummarizeTraces(*dir, *campaign)
-		if err != nil {
-			fmt.Fprintln(stderr, "lkas-lake:", err)
-			return 1
-		}
-		scan = lake.ScanStats{Segments: s1.Segments + s2.Segments,
-			Rows: s1.Rows + s2.Rows, Bytes: s1.Bytes + s2.Bytes}
-		out := struct {
-			Campaign string            `json:"campaign,omitempty"`
-			Results  *lake.GroupStats  `json:"results"`
-			Traces   lake.TraceSummary `json:"traces"`
-		}{Campaign: *campaign, Traces: traces}
-		if len(groups) > 0 {
-			out.Results = &groups[0]
-		}
-		if err := enc.Encode(out); err != nil {
+		scan = s
+		if err := enc.Encode(sum); err != nil {
 			return 1
 		}
 	case "query":

@@ -203,8 +203,7 @@ func handler(s *campaign.Server, cfg campaign.ServerConfig, o *options) http.Han
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.Handle("POST /v1/adversarial", adversarial.NewHandler(adversarial.ServerConfig{
-		Parallel: 1,
-		Obs:      cfg.Obs,
+		Obs: cfg.Obs,
 		NewRunner: func() campaign.Runner {
 			if cfg.NewRunner != nil {
 				return cfg.NewRunner("adversarial", s.Cache(), campaign.Hooks{})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hsas/internal/camera"
 	"hsas/internal/campaign"
@@ -195,15 +194,11 @@ type Config struct {
 	// margin table is bit-identical for any runner because probe
 	// outcomes are. Required.
 	Runner campaign.Runner
-	// Parallel bounds concurrent cell searches; 0/1 is serial. Each
-	// cell's own probes are sequential (bisection is); parallelism
-	// across cells composes with the runner's own workers.
-	Parallel int
 	// Obs receives hsas_adversarial_* metrics and progress logs.
 	Obs *obs.Observer
-	// Progress, when set, observes each completed cell. Calls are
-	// serialized but arrive in completion order, which under Parallel
-	// > 1 varies run to run; the Result's Cells do not.
+	// Progress, when set, observes each completed cell. Cells are
+	// searched one after another, in grid order, so Progress sees them
+	// in the order of the Result's Cells.
 	Progress func(Cell)
 }
 
@@ -238,12 +233,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Fault: g.Fault, Cells: make([]Cell, len(axes))}
-	var (
-		mu       sync.Mutex // guards res.Stats and Progress
-		firstErr error
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	specFor := func(a cellAxes, mag float64) (campaign.JobSpec, error) {
 		fs, err := MagSpec(g.Fault, mag)
@@ -278,12 +267,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			jobs[i] = spec
 		}
 		results, stats, err := cfg.Runner.Run(ctx, jobs)
-		mu.Lock()
 		res.Stats.Jobs += stats.Jobs
 		res.Stats.Unique += stats.Unique
 		res.Stats.CacheHits += stats.CacheHits
 		res.Stats.Simulated += stats.Simulated
-		mu.Unlock()
 		probesC.Add(int64(len(mags)))
 		hitsC.Add(int64(stats.CacheHits))
 		if err != nil {
@@ -300,19 +287,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	search := Search{Lo: g.Lo, Hi: g.Hi, Tol: g.Tol, Refine: g.Refine}
-	runCell := func(i int) error {
-		a := axes[i]
-		probe := func(mag float64) (bool, error) {
-			v, err := runProbes(a, []float64{mag})
-			if err != nil {
-				return false, err
-			}
-			return v[0], nil
+	for i, a := range axes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		batch := func(mags []float64) ([]bool, error) { return runProbes(a, mags) }
-		sr, err := search.FindMargin(probe, batch)
+		sr, err := search.FindMargin(func(mags []float64) ([]bool, error) { return runProbes(a, mags) })
 		if err != nil {
-			return fmt.Errorf("adversarial: situation %d, %s: %w", a.sit, a.knob, err)
+			return nil, fmt.Errorf("adversarial: situation %d, %s: %w", a.sit, a.knob, err)
 		}
 		cell := Cell{
 			SituationIndex: a.sit,
@@ -325,48 +306,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Obs.Logger().Info("adversarial cell done",
 			"situation", a.sit, "knob", cell.Knob,
 			"margin", sr.Margin, "status", sr.Status, "probes", sr.Probes)
-		mu.Lock()
 		if cfg.Progress != nil {
 			cfg.Progress(cell)
 		}
-		mu.Unlock()
-		return nil
-	}
-
-	parallel := cfg.Parallel
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(axes) {
-		parallel = len(axes)
-	}
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := range axes {
-		if ctx.Err() != nil {
-			break // select picks at random when a slot frees as ctx ends
-		}
-		select {
-		case <-ctx.Done():
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := runCell(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel() // fail fast: stop launching further cells
-				}
-			}(i)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -64,11 +64,10 @@ func TestSearchDeterminismAcrossRunners(t *testing.T) {
 		t.Fatal("cold serial search simulated nothing")
 	}
 
-	// Variant 2: 4 engine workers, cells searched in parallel.
+	// Variant 2: 4 engine workers.
 	par, err := Run(ctx, Config{
-		Grid:     grid,
-		Runner:   &campaign.Engine{Workers: 4, KernelWorkers: 1, Cache: campaign.NewMemCache()},
-		Parallel: 2,
+		Grid:   grid,
+		Runner: &campaign.Engine{Workers: 4, KernelWorkers: 1, Cache: campaign.NewMemCache()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,6 @@ type ServerConfig struct {
 	// a closure over the server's shared cache so warm searches are
 	// pure cache hits. Required.
 	NewRunner func() campaign.Runner
-	// Parallel bounds concurrent cell searches per request (see
-	// Config.Parallel).
-	Parallel int
 	// Obs receives metrics and logs.
 	Obs *obs.Observer
 }
@@ -42,7 +39,7 @@ func NewHandler(cfg ServerConfig) http.Handler {
 		}
 
 		// A write failure means the client hung up: cancel the search.
-		// Progress calls are serialized and the last lines are written
+		// Progress runs on this goroutine and the last lines are written
 		// after Run returns, so the stream needs no lock.
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
@@ -54,10 +51,9 @@ func NewHandler(cfg ServerConfig) http.Handler {
 		}
 
 		res, err := Run(ctx, Config{
-			Grid:     grid,
-			Runner:   cfg.NewRunner(),
-			Parallel: cfg.Parallel,
-			Obs:      cfg.Obs,
+			Grid:   grid,
+			Runner: cfg.NewRunner(),
+			Obs:    cfg.Obs,
 			Progress: func(c Cell) {
 				send(map[string]any{"cell": c})
 			},

@@ -13,18 +13,11 @@ package adversarial
 
 import "fmt"
 
-// Probe evaluates one magnitude: pass reports a non-crash,
-// non-fallback run at that magnitude.
-type Probe func(mag float64) (pass bool, err error)
-
-// BatchProbe evaluates several magnitudes at once — the hook that lets
-// the refinement pass submit all its samples as one campaign run
-// (engine-parallel) instead of sequentially. Implementations must
-// return one verdict per magnitude, in order. A nil BatchProbe falls
-// back to calling Probe sequentially; both paths evaluate the same
-// magnitudes in the same order, so probe counts and results are
-// identical either way.
-type BatchProbe func(mags []float64) ([]bool, error)
+// Probe evaluates magnitudes and returns one verdict per magnitude, in
+// order: pass reports a non-crash, non-fallback run at that magnitude.
+// Bisection passes one magnitude at a time; the refinement pass passes
+// all its samples at once, so they can run as one campaign run.
+type Probe func(mags []float64) (pass []bool, err error)
 
 // Search configures a margin search over the magnitude range [Lo, Hi].
 type Search struct {
@@ -42,10 +35,10 @@ type Search struct {
 	// islands — a gate that recovers at high magnitude would otherwise
 	// hide a failing band under a passing Hi. Any failure found
 	// re-brackets and re-bisects, so the search converges on the
-	// CONSERVATIVE (lowest) margin. All Refine samples of a pass are
-	// always evaluated (no early exit), keeping probe counts — and
-	// therefore cache contents — identical between sequential and
-	// batched execution.
+	// CONSERVATIVE (lowest) margin. All Refine samples of a pass go to
+	// the probe in one call and are always evaluated (no early exit), so
+	// probe counts and cache contents do not depend on how the runner
+	// orders them.
 	Refine int
 }
 
@@ -76,9 +69,8 @@ type SearchResult struct {
 	Probes int `json:"probes"`
 }
 
-// FindMargin runs the search. probe is required; batch is optional
-// (nil evaluates refinement samples sequentially through probe).
-func (s Search) FindMargin(probe Probe, batch BatchProbe) (SearchResult, error) {
+// FindMargin runs the search.
+func (s Search) FindMargin(probe Probe) (SearchResult, error) {
 	var res SearchResult
 	if !(s.Hi > s.Lo) {
 		return res, fmt.Errorf("adversarial: magnitude range [%g, %g] is empty", s.Lo, s.Hi)
@@ -87,28 +79,20 @@ func (s Search) FindMargin(probe Probe, batch BatchProbe) (SearchResult, error) 
 		return res, fmt.Errorf("adversarial: tolerance %g must be positive", s.Tol)
 	}
 
-	eval := func(mag float64) (bool, error) {
-		res.Probes++
-		return probe(mag)
-	}
 	evalAll := func(mags []float64) ([]bool, error) {
 		res.Probes += len(mags)
-		if batch != nil {
-			out, err := batch(mags)
-			if err == nil && len(out) != len(mags) {
-				err = fmt.Errorf("adversarial: batch probe returned %d verdicts for %d magnitudes", len(out), len(mags))
-			}
-			return out, err
+		out, err := probe(mags)
+		if err == nil && len(out) != len(mags) {
+			err = fmt.Errorf("adversarial: probe returned %d verdicts for %d magnitudes", len(out), len(mags))
 		}
-		out := make([]bool, len(mags))
-		for i, m := range mags {
-			ok, err := probe(m)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ok
+		return out, err
+	}
+	eval := func(mag float64) (bool, error) {
+		out, err := evalAll([]float64{mag})
+		if err != nil {
+			return false, err
 		}
-		return out, nil
+		return out[0], nil
 	}
 
 	// bisect narrows a bracket with lo passing and hi failing down to

@@ -8,11 +8,15 @@ import (
 
 // countProbe wraps a pass predicate, recording evaluated magnitudes.
 func countProbe(pass func(float64) bool) (Probe, *[]float64) {
-	var mags []float64
-	return func(mag float64) (bool, error) {
-		mags = append(mags, mag)
-		return pass(mag), nil
-	}, &mags
+	var seen []float64
+	return func(mags []float64) ([]bool, error) {
+		out := make([]bool, len(mags))
+		for i, m := range mags {
+			seen = append(seen, m)
+			out[i] = pass(m)
+		}
+		return out, nil
+	}, &seen
 }
 
 // TestBisectionInvariant is the satellite property test: for a monotone
@@ -22,7 +26,7 @@ func TestBisectionInvariant(t *testing.T) {
 	for _, theta := range []float64{0.1, 0.31830988, 0.5, 0.73, 0.999} {
 		tol := 1.0 / 1024
 		probe, mags := countProbe(func(m float64) bool { return m <= theta })
-		res, err := Search{Lo: 0, Hi: 1, Tol: tol}.FindMargin(probe, nil)
+		res, err := Search{Lo: 0, Hi: 1, Tol: tol}.FindMargin(probe)
 		if err != nil {
 			t.Fatalf("theta %g: %v", theta, err)
 		}
@@ -55,7 +59,7 @@ func TestBisectionInvariant(t *testing.T) {
 func TestNonMonotoneConservativeMargin(t *testing.T) {
 	island := func(m float64) bool { return m < 0.3 || m >= 0.7 }
 	probe, _ := countProbe(island)
-	res, err := Search{Lo: 0, Hi: 1, Tol: 0.01, Refine: 4}.FindMargin(probe, nil)
+	res, err := Search{Lo: 0, Hi: 1, Tol: 0.01, Refine: 4}.FindMargin(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestNonMonotoneConservativeMargin(t *testing.T) {
 	// documented saturated blind spot, pinned here so a behavior change
 	// is loud.
 	probe2, _ := countProbe(island)
-	res2, err := Search{Lo: 0, Hi: 1, Tol: 0.01}.FindMargin(probe2, nil)
+	res2, err := Search{Lo: 0, Hi: 1, Tol: 0.01}.FindMargin(probe2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,7 @@ func TestNonMonotoneConservativeMargin(t *testing.T) {
 func TestSearchEdges(t *testing.T) {
 	// Fails at Lo: unsafe after exactly one probe.
 	probe, _ := countProbe(func(m float64) bool { return false })
-	res, err := Search{Lo: 0, Hi: 1, Tol: 0.1}.FindMargin(probe, nil)
+	res, err := Search{Lo: 0, Hi: 1, Tol: 0.1}.FindMargin(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestSearchEdges(t *testing.T) {
 
 	// Passes everywhere: saturated, margin = Hi, even with refinement.
 	probe2, _ := countProbe(func(m float64) bool { return true })
-	res2, err := Search{Lo: 0, Hi: 1, Tol: 0.1, Refine: 3}.FindMargin(probe2, nil)
+	res2, err := Search{Lo: 0, Hi: 1, Tol: 0.1, Refine: 3}.FindMargin(probe2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,61 +108,17 @@ func TestSearchEdges(t *testing.T) {
 	}
 
 	// Invalid ranges are rejected.
-	if _, err := (Search{Lo: 1, Hi: 1, Tol: 0.1}).FindMargin(probe2, nil); err == nil {
+	if _, err := (Search{Lo: 1, Hi: 1, Tol: 0.1}).FindMargin(probe2); err == nil {
 		t.Error("empty range accepted")
 	}
-	if _, err := (Search{Lo: 0, Hi: 1}).FindMargin(probe2, nil); err == nil {
+	if _, err := (Search{Lo: 0, Hi: 1}).FindMargin(probe2); err == nil {
 		t.Error("zero tolerance accepted")
 	}
 
 	// Probe errors propagate.
 	boom := errors.New("boom")
-	_, err = Search{Lo: 0, Hi: 1, Tol: 0.1}.FindMargin(func(float64) (bool, error) { return false, boom }, nil)
+	_, err = Search{Lo: 0, Hi: 1, Tol: 0.1}.FindMargin(func([]float64) ([]bool, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("probe error lost: %v", err)
-	}
-}
-
-// TestBatchMatchesSequential: the batched refinement path evaluates the
-// same magnitudes and returns the same result as the sequential one —
-// the property that makes engine-parallel refinement safe.
-func TestBatchMatchesSequential(t *testing.T) {
-	island := func(m float64) bool { return m < 0.22 || (m > 0.4 && m < 0.55) }
-	s := Search{Lo: 0, Hi: 1, Tol: 1.0 / 512, Refine: 5}
-
-	seqProbe, seqMags := countProbe(island)
-	seq, err := s.FindMargin(seqProbe, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var batMags []float64
-	batProbe := func(m float64) (bool, error) {
-		batMags = append(batMags, m)
-		return island(m), nil
-	}
-	batch := func(mags []float64) ([]bool, error) {
-		out := make([]bool, len(mags))
-		for i, m := range mags {
-			batMags = append(batMags, m)
-			out[i] = island(m)
-		}
-		return out, nil
-	}
-	bat, err := s.FindMargin(batProbe, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if seq != bat {
-		t.Errorf("sequential %+v != batched %+v", seq, bat)
-	}
-	if len(*seqMags) != len(batMags) {
-		t.Fatalf("probe sequences differ in length: %d vs %d", len(*seqMags), len(batMags))
-	}
-	for i := range batMags {
-		if (*seqMags)[i] != batMags[i] {
-			t.Errorf("probe %d: sequential evaluated %g, batched %g", i, (*seqMags)[i], batMags[i])
-		}
 	}
 }

@@ -64,12 +64,10 @@ type JobEvent struct {
 	Start time.Time
 }
 
-// Hooks observe engine progress. JobStart fires from the shard
-// goroutine (concurrently); JobDone calls are serialized across shards,
-// in completion order.
+// Hooks observe engine progress. JobDone calls are serialized across
+// shards, in completion order.
 type Hooks struct {
-	JobStart func(JobEvent)
-	JobDone  func(JobEvent)
+	JobDone func(JobEvent)
 }
 
 // RunStats summarizes one Run: Jobs submitted, Unique after dedup,

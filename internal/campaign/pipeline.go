@@ -362,9 +362,6 @@ func (p *Plan) Simulate(ctx context.Context, jobs []*Job) error {
 				u := jobs[i]
 				ev := JobEvent{Index: u.Indices[0], Indices: u.Indices, Spec: &u.Spec,
 					Worker: w, Start: time.Now()}
-				if e.Hooks.JobStart != nil {
-					e.Hooks.JobStart(ev)
-				}
 				p.met.inflight.Add(1)
 				res, points, traceCSV, err := u.Spec.run(kernelWorkers, inner)
 				p.met.inflight.Add(-1)

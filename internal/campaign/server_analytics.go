@@ -52,30 +52,16 @@ func (s *Server) handleAnalyticsSummary(w http.ResponseWriter, r *http.Request) 
 	}
 	campaign := r.URL.Query().Get("campaign")
 	start := time.Now()
-	groups, scan, err := lake.Aggregate(dir, lake.Query{Campaign: campaign})
+	sum, scan, err := lake.Summarize(dir, campaign)
 	if err != nil {
-		httpjson.Error(w, http.StatusInternalServerError, "lake scan: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	traces, tscan, err := lake.SummarizeTraces(dir, campaign)
-	if err != nil {
-		httpjson.Error(w, http.StatusInternalServerError, "trace scan: %v", err)
-		return
-	}
-	scan.Segments += tscan.Segments
-	scan.Rows += tscan.Rows
-	scan.Bytes += tscan.Bytes
 	s.observeScan(time.Since(start), scan)
-	out := struct {
-		Campaign string            `json:"campaign,omitempty"`
-		Results  *lake.GroupStats  `json:"results"`
-		Traces   lake.TraceSummary `json:"traces"`
-		Scan     lake.ScanStats    `json:"scan"`
-	}{Campaign: campaign, Traces: traces, Scan: scan}
-	if len(groups) > 0 {
-		out.Results = &groups[0]
-	}
-	httpjson.Write(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, struct {
+		lake.Summary
+		Scan lake.ScanStats `json:"scan"`
+	}{sum, scan})
 }
 
 func (s *Server) handleAnalyticsQuery(w http.ResponseWriter, r *http.Request) {

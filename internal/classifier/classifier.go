@@ -85,20 +85,13 @@ type DatasetConfig struct {
 	InW, InH  int   // classifier input resolution
 	Seed      int64 //
 	ISPConfig string
-	// WhiteBalance applies gray-world normalization to the inputs. The
-	// lane classifier needs it — marking color must be judged relative to
-	// the illumination (sodium street lights and dawn tint make white
-	// paint physically yellow) — while the scene classifier must NOT use
-	// it, since global tint and brightness are exactly its features.
-	WhiteBalance bool
 }
 
 // DefaultDatasetConfig returns the laptop-scale defaults for a classifier
 // kind. The paper's dataset sizes (Table IV) are reproduced by
 // cmd/train-classifiers with -paper-scale; the class taxonomy is
-// identical either way. The lane classifier gets a higher input
-// resolution (dash patterns and the double-marking gap are fine spatial
-// detail) and white-balanced inputs.
+// identical either way. Every classifier sees the ISP output as is: the
+// scene classifier's features are exactly the global tint and brightness.
 func DefaultDatasetConfig() DatasetConfig {
 	return DatasetConfig{N: 1200, InW: 48, InH: 24, Seed: 1, ISPConfig: "S0"}
 }
@@ -154,7 +147,7 @@ func Generate(kind Kind, cfg DatasetConfig) []cnn.Sample {
 		dpsi := (rng.Float64() - 0.5) * 0.08
 		raw := rend.RenderRAW(camera.PoseOnTrack(tr, s, lat, dpsi), rng.Int63())
 		img := ispCfg.Process(raw)
-		samples = append(samples, cnn.Sample{X: toInput(img, cfg.WhiteBalance), Label: class})
+		samples = append(samples, cnn.Sample{X: ToTensor(img), Label: class})
 	}
 	return samples
 }
@@ -181,42 +174,6 @@ func sampleSituation(kind Kind, class int, rng *rand.Rand) world.Situation {
 		sit.Scene = world.Scene(class)
 	}
 	return sit
-}
-
-// toInput builds the network input, optionally white-balanced.
-func toInput(img *raster.RGB, whiteBalance bool) *cnn.Tensor {
-	if whiteBalance {
-		img = grayWorld(img)
-	}
-	return ToTensor(img)
-}
-
-// grayWorld normalizes each channel by its mean (scaled to a 0.35 gray),
-// removing global illumination tint and level.
-func grayWorld(img *raster.RGB) *raster.RGB {
-	return grayWorldInto(raster.NewRGB(img.W, img.H), img)
-}
-
-// grayWorldInto is grayWorld writing into a caller-held buffer of the
-// same dimensions. Every output pixel is written. out must not alias img.
-func grayWorldInto(out, img *raster.RGB) *raster.RGB {
-	planes := [3][2][]float32{{img.R, out.R}, {img.G, out.G}, {img.B, out.B}}
-	for _, p := range planes {
-		src, dst := p[0], p[1]
-		var mean float64
-		for _, v := range src {
-			mean += float64(v)
-		}
-		mean /= float64(len(src))
-		gain := float32(1)
-		if mean > 1e-4 {
-			gain = float32(0.35 / mean)
-		}
-		for i, v := range src {
-			dst[i] = raster.Clamp01(v * gain)
-		}
-	}
-	return out
 }
 
 // ToTensor converts an RGB image into a mean-centered CHW tensor for the
@@ -258,10 +215,9 @@ func Split(samples []cnn.Sample, valFrac float64, seed int64) (train, val []cnn.
 // output caches), so a Classifier must not run Classify concurrently
 // with itself.
 type Classifier struct {
-	Kind         Kind
-	Net          *cnn.Network
-	InW, InH     int
-	WhiteBalance bool
+	Kind     Kind
+	Net      *cnn.Network
+	InW, InH int
 
 	// precision is the canonical arithmetic-precision knob value Classify
 	// runs at (knobs.PrecisionFP32 or knobs.PrecisionInt8); qnet is the
@@ -275,7 +231,6 @@ type Classifier struct {
 
 	// Inference scratch, lazily sized on first Classify.
 	resized *raster.RGB
-	wb      *raster.RGB
 	input   *cnn.Tensor
 }
 
@@ -406,26 +361,20 @@ func TrainObserved(kind Kind, dcfg DatasetConfig, tcfg cnn.TrainConfig, o *obs.O
 	o.Logger().Info("classifier trained",
 		"classifier", kind.String(), "train_n", rep.TrainN, "val_n", rep.ValN,
 		"train_accuracy", rep.TrainAccuracy, "val_accuracy", rep.ValAccuracy, "params", rep.Params)
-	return &Classifier{Kind: kind, Net: net, InW: dcfg.InW, InH: dcfg.InH, WhiteBalance: dcfg.WhiteBalance}, rep, nil
+	return &Classifier{Kind: kind, Net: net, InW: dcfg.InW, InH: dcfg.InH}, rep, nil
 }
 
 // Classify predicts the class of an ISP-processed frame, resizing to the
-// network's input resolution and applying the classifier's input
-// normalization. Steady-state calls are allocation-free: the resize,
-// white-balance and tensor buffers are classifier-held scratch and the
-// argmax comes from Net.Infer, which reuses the layer output caches.
+// network's input resolution and centering its values. Steady-state
+// calls are allocation-free: the resize and tensor buffers are
+// classifier-held scratch and the argmax comes from Net.Infer, which
+// reuses the layer output caches.
 func (c *Classifier) Classify(img *raster.RGB) int {
 	if img.W != c.InW || img.H != c.InH {
 		if c.resized == nil || c.resized.W != c.InW || c.resized.H != c.InH {
 			c.resized = raster.NewRGB(c.InW, c.InH)
 		}
 		img = img.ResizeInto(c.resized)
-	}
-	if c.WhiteBalance {
-		if c.wb == nil || c.wb.W != img.W || c.wb.H != img.H {
-			c.wb = raster.NewRGB(img.W, img.H)
-		}
-		img = grayWorldInto(c.wb, img)
 	}
 	if c.input == nil || c.input.H != img.H || c.input.W != img.W {
 		c.input = cnn.NewTensor(3, img.H, img.W)

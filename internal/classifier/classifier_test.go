@@ -80,7 +80,7 @@ func TestGenerateBalancedAndLabeled(t *testing.T) {
 // for every sample.
 func TestGenerateMatchesFreshRenderers(t *testing.T) {
 	for _, kind := range []Kind{Road, Lane, Scene} {
-		cfg := DatasetConfig{N: 2 * kind.NumClasses(), InW: 40, InH: 20, Seed: 9, ISPConfig: "S3", WhiteBalance: kind == Lane}
+		cfg := DatasetConfig{N: 2 * kind.NumClasses(), InW: 40, InH: 20, Seed: 9, ISPConfig: "S3"}
 		got, want := Generate(kind, cfg), generateFresh(kind, cfg)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d samples, want %d", kind, len(got), len(want))
@@ -115,7 +115,7 @@ func generateFresh(kind Kind, cfg DatasetConfig) []cnn.Sample {
 		lat := (rng.Float64() - 0.5) * 0.8
 		dpsi := (rng.Float64() - 0.5) * 0.08
 		raw := camera.NewRenderer(tr, cam).RenderRAW(camera.PoseOnTrack(tr, s, lat, dpsi), rng.Int63())
-		samples = append(samples, cnn.Sample{X: toInput(ispCfg.Process(raw), cfg.WhiteBalance), Label: class})
+		samples = append(samples, cnn.Sample{X: ToTensor(ispCfg.Process(raw)), Label: class})
 	}
 	return samples
 }

@@ -34,8 +34,6 @@ type SensitivityConfig struct {
 	// CharacterizeConfig.Runner); nil means &campaign.Engine{}. The
 	// screening outcome is identical for any runner.
 	Runner campaign.Runner
-	// Context cancels the screening between runs; nil = Background.
-	Context context.Context
 }
 
 // KnobSensitivity is the screening outcome for one knob dimension: the
@@ -90,10 +88,6 @@ func AnalyzeSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 	if runner == nil {
 		runner = &campaign.Engine{}
 	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ispIDs := cfg.ISPCandidates
 	if ispIDs == nil {
@@ -112,7 +106,7 @@ func AnalyzeSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 		}
 		jobs[i] = sweepJob(cfg.Situation, cfg.Camera, settings[i], cfg.Seed+int64(i))
 	}
-	results, _, err := runner.Run(ctx, jobs)
+	results, _, err := runner.Run(context.Background(), jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity: %w", err)
 	}

@@ -39,8 +39,7 @@ type CoordinatorConfig struct {
 	// Hooks observe job completion exactly like Engine.Hooks: JobDone
 	// fires once per unique job, serialized, with Cached reporting
 	// whether any cache tier (local, remote peer, or worker-local)
-	// avoided a fresh simulation. JobStart fires only for jobs the
-	// local fallback simulates.
+	// avoided a fresh simulation.
 	Hooks campaign.Hooks
 
 	// BatchSize caps jobs per lease request (default 64). One request

@@ -286,3 +286,34 @@ func SummarizeTraces(dir, campaign string) (TraceSummary, ScanStats, error) {
 	})
 	return sum, scan, err
 }
+
+// Summary is the rollup of one campaign, or of the whole lake when
+// Campaign is empty: its result rows as one group (nil when there are
+// none) and its trace table's summary.
+type Summary struct {
+	Campaign string       `json:"campaign,omitempty"`
+	Results  *GroupStats  `json:"results"`
+	Traces   TraceSummary `json:"traces"`
+}
+
+// Summarize scans the result table and then the trace table, each once,
+// and returns their Summary with the two scans' statistics summed.
+func Summarize(dir, campaign string) (Summary, ScanStats, error) {
+	sum := Summary{Campaign: campaign}
+	groups, scan, err := Aggregate(dir, Query{Campaign: campaign})
+	if err != nil {
+		return sum, scan, fmt.Errorf("lake scan: %w", err)
+	}
+	if len(groups) > 0 {
+		sum.Results = &groups[0]
+	}
+	var tscan ScanStats
+	if sum.Traces, tscan, err = SummarizeTraces(dir, campaign); err != nil {
+		return sum, scan, fmt.Errorf("trace scan: %w", err)
+	}
+	scan.Segments += tscan.Segments
+	scan.Rows += tscan.Rows
+	scan.Bytes += tscan.Bytes
+	scan.Corrupt += tscan.Corrupt
+	return sum, scan, nil
+}

@@ -92,18 +92,16 @@ func TestLatColRoundTrip(t *testing.T) {
 }
 
 // TestROILatAtConsistency: LatAt at the near/far distances matches the
-// declared bounds (trapezoid) or the curvature-shifted band (curved).
+// declared bounds.
 func TestROILatAtConsistency(t *testing.T) {
 	for _, roi := range ROIs {
 		nl, nr := roi.LatAt(roi.NearDist)
-		if roi.Curv == 0 {
-			if nl != roi.NearLeft || nr != roi.NearRight {
-				t.Fatalf("ROI %d near bounds: (%v, %v)", roi.ID, nl, nr)
-			}
-			fl, fr := roi.LatAt(roi.FarDist)
-			if fl != roi.FarLeft || fr != roi.FarRight {
-				t.Fatalf("ROI %d far bounds: (%v, %v)", roi.ID, fl, fr)
-			}
+		if nl != roi.NearLeft || nr != roi.NearRight {
+			t.Fatalf("ROI %d near bounds: (%v, %v)", roi.ID, nl, nr)
+		}
+		fl, fr := roi.LatAt(roi.FarDist)
+		if fl != roi.FarLeft || fr != roi.FarRight {
+			t.Fatalf("ROI %d far bounds: (%v, %v)", roi.ID, fl, fr)
 		}
 		if nl <= nr {
 			t.Fatalf("ROI %d inverted at near", roi.ID)

@@ -17,13 +17,7 @@ type ROI struct {
 	ID                  int
 	NearDist, FarDist   float64 // meters ahead
 	NearLeft, NearRight float64 // lateral bounds at NearDist (left > right)
-	FarLeft, FarRight   float64 // lateral bounds at FarDist (trapezoid ROIs)
-	// Curv, when nonzero, makes the ROI a constant-width band following
-	// the expected curve: bounds at distance d are the near bounds shifted
-	// by Curv*d^2/2. This is the "fine-grained" ROI variant for turns with
-	// dotted markings: it unbends the expected arc so sparse dashes stay
-	// centered in the search band with minimal off-road clutter.
-	Curv float64
+	FarLeft, FarRight   float64 // lateral bounds at FarDist
 }
 
 // ROIs lists the five perception knobs (our analog of Table II's ROI
@@ -52,13 +46,8 @@ func ROIByID(id int) (ROI, bool) {
 }
 
 // LatAt returns the ROI's left/right lateral bounds at forward distance
-// d: linear interpolation between the near and far edges for trapezoid
-// ROIs, or the curvature-shifted constant-width band for curved ROIs.
+// d: linear interpolation between the near and far edges.
 func (r ROI) LatAt(d float64) (left, right float64) {
-	if r.Curv != 0 {
-		shift := r.Curv * d * d / 2
-		return r.NearLeft + shift, r.NearRight + shift
-	}
 	t := (d - r.NearDist) / (r.FarDist - r.NearDist)
 	left = r.NearLeft + t*(r.FarLeft-r.NearLeft)
 	right = r.NearRight + t*(r.FarRight-r.NearRight)

@@ -9,7 +9,6 @@ import (
 	"hsas/internal/knobs"
 	"hsas/internal/obs"
 	"hsas/internal/raster"
-	"hsas/internal/scheduler"
 	"hsas/internal/world"
 )
 
@@ -368,36 +367,6 @@ func TestNilScheduleKeepsDegradationSilent(t *testing.T) {
 	}
 	if res.Faults.Total() != 0 {
 		t.Fatalf("clean run counted faults: %s", res.Faults)
-	}
-}
-
-// TestCustomPolicyInjection: a custom invocation policy can replace the
-// case default.
-func TestCustomPolicyInjection(t *testing.T) {
-	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
-	res, err := Run(Config{
-		Track:  world.SituationTrack(sit),
-		Camera: camera.Scaled(160, 80),
-		Case:   knobs.Case4,
-		Policy: scheduler.Fixed{Inv: scheduler.Invocation{Road: true}, Label: "road-only-override"},
-		Seed:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Road-only at case 4's table: pipeline charges one classifier,
-	// so the loop samples faster than the stock case 4.
-	stock, err := Run(Config{
-		Track:  world.SituationTrack(sit),
-		Camera: camera.Scaled(160, 80),
-		Case:   knobs.Case4,
-		Seed:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frames <= stock.Frames {
-		t.Fatalf("policy override did not change the pipeline: %d vs %d", res.Frames, stock.Frames)
 	}
 }
 

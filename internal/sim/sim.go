@@ -4,15 +4,15 @@
 // perception, situation classifiers, the delay-aware LQR controller and
 // the dynamic runtime reconfiguration of Sec. III-D.
 //
-// Two clocks run: physics advances every Config.StepS seconds; the
-// sensing pipeline samples every h (ceiled to the step, footnote 5) and
-// actuates tau after each capture. PR and control knobs reconfigure in
-// the same cycle as situation identification; the ISP knob applies one
-// cycle later, exactly as the paper argues is safe.
+// Two clocks run: physics advances every Platform.SimStepMs; the sensing
+// pipeline samples every h (ceiled to that step, footnote 5) and actuates
+// tau after each capture. A run starts centered at the track's start and
+// drives the BMW X5 plant. PR and control knobs reconfigure in the same
+// cycle as situation identification; the ISP knob applies one cycle
+// later, exactly as the paper argues is safe.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -80,13 +80,11 @@ func OracleSensors() Sensors {
 type Config struct {
 	Track    *world.Track
 	Camera   camera.Camera
-	Plant    vehicle.Params
-	Platform platform.Platform
+	Platform platform.Platform // its SimStepMs is the physics step
 
-	Case   knobs.Case
-	Table  knobs.Table      // characterized table (cases 4 / variable)
-	Policy scheduler.Policy // defaults to scheduler.ForCase(Case)
-	Sens   Sensors          // defaults to OracleSensors
+	Case  knobs.Case
+	Table knobs.Table // characterized table (cases 4 / variable)
+	Sens  Sensors     // defaults to OracleSensors
 
 	// FixedSetting, when non-nil, disables runtime reconfiguration and
 	// runs the whole track with this knob setting and the given number of
@@ -104,13 +102,8 @@ type Config struct {
 	// Results are byte-identical for any worker count.
 	KernelWorkers int
 
-	Seed       int64
-	StepS      float64 // physics step, default 0.005 (5 ms)
-	PreviewM   float64 // classifier preview distance, default 15 m
-	MaxTimeS   float64 // wall-clock cap, default sized from track length
-	StartS     float64 // initial arclength
-	InitialLat float64 // initial lateral offset
-	EndMargin  float64 // stop this many meters before the track end
+	Seed     int64
+	MaxTimeS float64 // wall-clock cap, default sized from track length
 
 	// UseFeedforward enables the measured-curvature steering feedforward.
 	// The paper's controller is a pure LQR on yL (Sec. II); feedforward is
@@ -147,8 +140,8 @@ type TracePoint struct {
 	TimeS float64
 	S     float64
 	// Lat is the vehicle's lateral offset from the lane center (meters,
-	// same sign as Config.InitialLat) as of the most recent physics
-	// localization; the first sample reports the initial offset.
+	// positive left) as of the most recent physics localization; the
+	// first sample reports the centered start, 0.
 	Lat    float64
 	YLTrue float64
 	YLMeas float64
@@ -204,6 +197,8 @@ const (
 	ylGate       = 1.2 // meters: max credible yL change between samples
 	speedAccel   = 2.0 // m/s^2 when speeding up to the knob
 	speedDecel   = 4.0 // m/s^2 when braking down to the knob
+	previewM     = 15  // meters ahead the classifiers' ground truth covers
+	endMargin    = 22  // meters before the track end where a run stops
 )
 
 // Run executes the closed-loop simulation to the end of the track, a
@@ -215,20 +210,14 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Degrade.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.StepS = cmp.Or(cfg.StepS, 0.005)
-	cfg.EndMargin = cmp.Or(cfg.EndMargin, 22)
-	cfg.PreviewM = cmp.Or(cfg.PreviewM, 15)
 	if cfg.Camera.Width == 0 {
 		cfg.Camera = camera.Default()
-	}
-	if cfg.Plant.Mass == 0 {
-		cfg.Plant = vehicle.BMWX5()
 	}
 	if cfg.Platform.Name == "" {
 		cfg.Platform = platform.Xavier()
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = scheduler.ForCase(cfg.Case)
+	if !(cfg.Platform.SimStepMs > 0) {
+		return nil, fmt.Errorf("sim: Platform.SimStepMs %v is not positive", cfg.Platform.SimStepMs)
 	}
 	if cfg.Sens.Road == nil {
 		cfg.Sens = OracleSensors()
@@ -285,7 +274,8 @@ type loop struct {
 	sens    [3]Sensor
 	cnns    []*classifier.Classifier // the trained sensors among sens
 	designs map[designKey]*control.Design
-	inj     *fault.Injector // nil without a fault schedule
+	policy  scheduler.Policy // the case's classifier invocations
+	inj     *fault.Injector  // nil without a fault schedule
 	deg     degrade
 	res     *Result
 
@@ -356,6 +346,7 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 		det:     perception.NewDetector(perception.NewGeometry(cfg.Camera)),
 		sens:    [3]Sensor{cfg.Sens.Road, cfg.Sens.Lane, cfg.Sens.Scene},
 		designs: map[designKey]*control.Design{},
+		policy:  scheduler.ForCase(cfg.Case),
 		// A nil schedule yields a nil injector whose queries are nil
 		// checks, and an inactive degrade state that reproduces the
 		// fault-free loop bit-identically.
@@ -365,12 +356,10 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 			PerSector: metrics.NewPerSector(len(cfg.Track.Segments)),
 			Detection: metrics.DetectionAccuracy{Tol: 0.3},
 		},
-		perFrame: cfg.Policy.PerFrame(),
-		s:        cfg.StartS,
-		lastLat:  cfg.InitialLat,
-		endS:     cfg.Track.Length() - cfg.EndMargin,
-		actT:     math.Inf(1),
+		endS: cfg.Track.Length() - endMargin,
+		actT: math.Inf(1),
 	}
+	l.perFrame = l.policy.PerFrame()
 	l.rend.Workers = kw
 	// CNN sensors inherit the same bound for their GEMM kernels (on both
 	// precision paths); results are bit-identical for any worker count
@@ -389,7 +378,7 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 
 	// Initial belief: ground truth at the starting position (the first
 	// frame immediately refreshes whatever the policy invokes).
-	truth0 := cfg.Track.SituationAt(cfg.StartS)
+	truth0 := cfg.Track.SituationAt(0)
 	l.bel[0], l.bel[2] = int(truth0.Layout), int(truth0.Scene)
 	if lc, ok := world.LaneClass(truth0.Lane); ok {
 		l.bel[1] = lc
@@ -399,8 +388,8 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 	}
 
 	// Vehicle starts centered, aligned, at the setting's speed.
-	vp := camera.PoseOnTrack(cfg.Track, cfg.StartS, cfg.InitialLat, 0)
-	l.plant = vehicle.NewPlant(cfg.Plant, l.targetSpeed, vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
+	vp := camera.PoseOnTrack(cfg.Track, 0, 0, 0)
+	l.plant = vehicle.NewPlant(vehicle.BMWX5(), l.targetSpeed, vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
 	fw, fh := cfg.Camera.Width, cfg.Camera.Height
 	l.raw, l.frameA, l.frameB = raster.GetBayer(fw, fh), raster.GetRGB(fw, fh), raster.GetRGB(fw, fh)
 	l.rows, l.rawRows = l.frameRows(fw, fh)
@@ -445,7 +434,7 @@ func (l *loop) release() {
 // time cap: physics every step, a control cycle at every sampling
 // instant.
 func (l *loop) simulate() (*Result, error) {
-	stepMs := l.cfg.StepS * 1000
+	stepMs := l.cfg.Platform.SimStepMs
 	for l.t = 0; l.t < l.cfg.MaxTimeS*1000; l.t += stepMs {
 		// Actuation due at this instant, before a new capture may
 		// schedule the next command: tau ceiled to the step can land
@@ -473,7 +462,7 @@ func (l *loop) simulate() (*Result, error) {
 	}
 
 	res := l.res
-	res.CompletedS, res.Frames, res.MAE = l.s-l.cfg.StartS, l.frame, res.PerSector.Overall()
+	res.CompletedS, res.Frames, res.MAE = l.s, l.frame, res.PerSector.Overall()
 	res.Faults, res.Degraded = l.inj.Counts(), l.deg.stats
 	if l.inj != nil {
 		l.cfg.Obs.Logger().Info("fault injection summary",
@@ -551,7 +540,7 @@ func (l *loop) capture(c *cycle) {
 	// Classifier ground truth is what the frame depicts: the visible
 	// ground window, starting AT the vehicle, so a frame taken mid-curve
 	// shows curve and turn handling holds until the arc has passed.
-	c.truth = l.cfg.Track.CameraSituationAhead(l.s, 0, l.cfg.PreviewM)
+	c.truth = l.cfg.Track.CameraSituationAhead(l.s, 0, previewM)
 	// Adversarial lane-marking occlusion acts at render time: the
 	// renderer consults the pure world-space predicate, so the
 	// row-parallel render stays byte-identical to the serial one.
@@ -585,7 +574,7 @@ func (l *loop) identify(c *cycle) {
 	}
 	l.marks[2] = l.now()
 
-	inv := l.cfg.Policy.Next(l.t)
+	inv := l.policy.Next(l.t)
 	for k, on := range [3]bool{inv.Road, inv.Lane, inv.Scene} {
 		if !on {
 			continue
@@ -725,7 +714,7 @@ func (l *loop) retune(k knobs.Setting) error {
 	key := designKey{k.SpeedKmph, timing.HMs, l.cfg.Platform.CeilToStep(timing.TauMs)}
 	des, ok := l.designs[key]
 	if !ok {
-		if des, err = control.NewDesign(l.cfg.Plant, key.speed, key.hMs/1000, key.tauMs/1000, perception.LookAhead); err != nil {
+		if des, err = control.NewDesign(vehicle.BMWX5(), key.speed, key.hMs/1000, key.tauMs/1000, perception.LookAhead); err != nil {
 			return err
 		}
 		l.designs[key] = des
@@ -749,7 +738,7 @@ func (l *loop) retune(k knobs.Setting) error {
 // and reports whether the run ends: the end of the track, or a crash,
 // recorded here.
 func (l *loop) physics() bool {
-	track, p, dt := l.cfg.Track, l.plant, l.cfg.StepS
+	track, p, dt := l.cfg.Track, l.plant, l.cfg.Platform.SimStepMs/1000
 	if p.Vx < l.targetSpeed {
 		p.Vx = math.Min(l.targetSpeed, p.Vx+speedAccel*dt)
 	} else if p.Vx > l.targetSpeed {

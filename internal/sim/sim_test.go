@@ -7,6 +7,7 @@ import (
 	"hsas/internal/camera"
 	"hsas/internal/classifier"
 	"hsas/internal/knobs"
+	"hsas/internal/platform"
 	"hsas/internal/world"
 )
 
@@ -125,6 +126,11 @@ func TestVariableInvocationFasterSampling(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("Run without a track did not error")
+	}
+	// A zero physics step would never advance the clock.
+	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
+	if _, err := Run(Config{Track: world.SituationTrack(sit), Platform: platform.Platform{Name: "no step"}}); err == nil {
+		t.Fatal("Run with a zero SimStepMs did not error")
 	}
 }
 

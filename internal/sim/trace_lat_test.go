@@ -9,32 +9,31 @@ import (
 )
 
 // TestTraceLatCarriesLocalization pins the TracePoint.Lat fix: the trace
-// must carry the vehicle's actual lateral offset (seeded with
-// Config.InitialLat, then updated from every physics localization), not
-// a constant. With a 0.5 m initial offset the first sample reports it
-// and the controller then visibly shrinks |Lat| toward the lane center.
+// must carry the vehicle's actual lateral offset (0 at the centered
+// start, then updated from every physics localization), not a constant.
+// The first sample reports the start, later samples move with the
+// vehicle, and the controller keeps |Lat| near the lane center.
 func TestTraceLatCarriesLocalization(t *testing.T) {
 	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
 	var pts []TracePoint
 	res, err := Run(Config{
-		Track:      world.SituationTrack(sit),
-		Camera:     testCam(),
-		Case:       knobs.Case4,
-		Seed:       1,
-		InitialLat: 0.5,
-		Trace:      func(p TracePoint) { pts = append(pts, p) },
+		Track:  world.SituationTrack(sit),
+		Camera: testCam(),
+		Case:   knobs.Case4,
+		Seed:   1,
+		Trace:  func(p TracePoint) { pts = append(pts, p) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Crashed {
-		t.Fatal("offset straight-day run crashed")
+		t.Fatal("straight-day run crashed")
 	}
 	if len(pts) < 20 {
 		t.Fatalf("only %d trace points", len(pts))
 	}
-	if math.Abs(pts[0].Lat-0.5) > 1e-6 {
-		t.Fatalf("first sample Lat = %v, want the 0.5 initial offset", pts[0].Lat)
+	if pts[0].Lat != 0 {
+		t.Fatalf("first sample Lat = %v, want the centered start 0", pts[0].Lat)
 	}
 	distinct := map[float64]bool{}
 	for _, p := range pts {
@@ -43,12 +42,11 @@ func TestTraceLatCarriesLocalization(t *testing.T) {
 	if len(distinct) < 5 {
 		t.Fatalf("Lat takes only %d distinct values over %d samples — still a constant?", len(distinct), len(pts))
 	}
-	// Steady state: the loop recenters, so late samples sit well inside
-	// the initial offset.
+	// Steady state: the loop holds the vehicle near the lane center.
 	tail := pts[len(pts)-10:]
 	for _, p := range tail {
 		if math.Abs(p.Lat) > 0.4 {
-			t.Fatalf("late sample Lat = %v, loop did not recenter", p.Lat)
+			t.Fatalf("late sample Lat = %v, loop did not hold the center", p.Lat)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,7 +29,8 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Add([]byte(strings.Join(csvHeader, ",") + "\nx,y,z,a,b,c,d,e,f,g,h,i,j,k,l\n"))
-	// Legacy 13-column trace without the fault annotations.
+	// A 13-column trace without the fault annotations, which no
+	// SimVersion still in use wrote; ReadCSV rejects it.
 	f.Add([]byte("time_s,s_m,sector,yl_true,yl_meas,det_ok,raw_det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\n0.025,0.2,1,0.1,0.1,true,true,0.01,S0,1,50,25,24.60\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts, err := ReadCSV(bytes.NewReader(data))
@@ -37,9 +40,10 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzReadCSVMatchesOracle: ReadCSV's split-on-commas path must agree
-// with the encoding/csv loader on every input, accepting and rejecting
-// the same files and returning the same points (nil for header-only).
+// FuzzReadCSVMatchesOracle: on input without '"' and '\r', ReadCSV's
+// split-on-commas path must agree with the encoding/csv loader, accepting
+// and rejecting the same files and returning the same points (nil for
+// header-only); on any other input ReadCSV must fail.
 func FuzzReadCSVMatchesOracle(f *testing.F) {
 	var good bytes.Buffer
 	rec := &Recorder{Points: syntheticPoints()[:3]}
@@ -57,9 +61,15 @@ func FuzzReadCSVMatchesOracle(f *testing.F) {
 	f.Add([]byte(header + row + "0.05,0.4,1,0.1\n"))                  // a ragged row
 	f.Add([]byte(header))                                             // header-only
 	f.Add([]byte("time_s,s_m,sector,yl_true,yl_meas,det_ok,raw_det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\n" +
-		"0.025,0.2,1,0.1,0.1,true,true,0.01,S0,1,50,25,24.60\n")) // legacy 13 columns
+		"0.025,0.2,1,0.1,0.1,true,true,0.01,S0,1,50,25,24.60\n")) // 13 columns
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCSV(bytes.NewReader(data))
+		if bytes.ContainsAny(data, "\"\r") {
+			if err == nil || got != nil {
+				t.Fatalf("ReadCSV accepted input holding a quote or CR: %d points, err %v", len(got), err)
+			}
+			return
+		}
 		want, werr := readCSVRecords(bytes.NewReader(data))
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("ReadCSV err = %v, encoding/csv err = %v", err, werr)
@@ -68,6 +78,31 @@ func FuzzReadCSVMatchesOracle(f *testing.F) {
 			t.Fatalf("ReadCSV points differ from encoding/csv:\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// readCSVRecords is the oracle ReadCSV's split path must match:
+// encoding/csv splits the records, so quoting and CRLF line ends follow
+// RFC 4180.
+func readCSVRecords(r io.Reader) ([]sim.TracePoint, error) {
+	rows, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, errEmpty
+	}
+	if err := checkHeader(len(rows[0])); err != nil {
+		return nil, err
+	}
+	var out []sim.TracePoint
+	for i, row := range rows[1:] {
+		p, err := parseRow(row, i+2)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // BenchmarkReadCSV loads a recorded 96×48 closed-loop trace.

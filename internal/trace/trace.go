@@ -39,10 +39,6 @@ var csvHeader = []string{
 	"steer", "isp", "roi", "speed_kmph", "h_ms", "tau_ms", "fault", "degraded",
 }
 
-// legacyFields is the pre-fault-layer column count; ReadCSV still
-// accepts such traces, defaulting the fault annotations.
-const legacyFields = 13
-
 // WriteCSV serializes the recorded points.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -78,11 +74,10 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 // ReadCSV loads points written by WriteCSV. A header-only trace loads
 // as nil points.
 //
-// Input with no '"' and no '\r' — everything WriteCSV emits — takes a
-// split-on-commas path: one string conversion, fields as substrings,
-// points preallocated from the newline count. Anything else goes
-// through encoding/csv (readCSVRecords), which also serves the tests
-// as the oracle the split path must match.
+// WriteCSV never quotes a field or writes a '\r', so input holding
+// either is rejected. The rest is split on commas exactly as
+// encoding/csv would split it: one string conversion, fields as
+// substrings, points preallocated from the newline count.
 func ReadCSV(r io.Reader) ([]sim.TracePoint, error) {
 	var buf bytes.Buffer
 	if n, ok := r.(interface{ Len() int }); ok {
@@ -92,34 +87,12 @@ func ReadCSV(r io.Reader) ([]sim.TracePoint, error) {
 		return nil, fmt.Errorf("trace: reading CSV: %w", err)
 	}
 	b := buf.Bytes()
-	if bytes.IndexByte(b, '"') >= 0 || bytes.IndexByte(b, '\r') >= 0 {
-		return readCSVRecords(bytes.NewReader(b))
+	for _, c := range []byte{'"', '\r'} {
+		if i := bytes.IndexByte(b, c); i >= 0 {
+			return nil, fmt.Errorf("trace: byte %d is %q, which WriteCSV never writes", i, c)
+		}
 	}
 	return readPlainCSV(string(b))
-}
-
-// readCSVRecords is the general loader: encoding/csv splits the
-// records, so quoting and CRLF line ends follow RFC 4180.
-func readCSVRecords(r io.Reader) ([]sim.TracePoint, error) {
-	rows, err := csv.NewReader(r).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errEmpty
-	}
-	if err := checkHeader(len(rows[0])); err != nil {
-		return nil, err
-	}
-	var out []sim.TracePoint
-	for i, row := range rows[1:] {
-		p, err := parseRow(row, i+2)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // readPlainCSV loads a trace holding no '"' and no '\r', splitting it
@@ -178,12 +151,10 @@ func readPlainCSV(s string) ([]sim.TracePoint, error) {
 
 var errEmpty = errors.New("trace: empty CSV")
 
-// checkHeader accepts the current schema's field count or the legacy
-// one.
+// checkHeader accepts the schema's field count.
 func checkHeader(n int) error {
-	if n != len(csvHeader) && n != legacyFields {
-		return fmt.Errorf("trace: header has %d fields, want %d (or the legacy %d)",
-			n, len(csvHeader), legacyFields)
+	if n != len(csvHeader) {
+		return fmt.Errorf("trace: header has %d fields, want %d", n, len(csvHeader))
 	}
 	return nil
 }
@@ -228,14 +199,12 @@ func parseRow(row []string, rec int) (sim.TracePoint, error) {
 	p.Setting.SpeedKmph = f(10)
 	p.HMs = f(11)
 	p.TauMs = f(12)
-	if len(row) > legacyFields {
-		p.Fault = row[13]
-		degraded, berr := strconv.ParseBool(row[14])
-		if berr != nil {
-			errs = append(errs, berr)
-		}
-		p.Degraded = degraded
+	p.Fault = row[13]
+	degraded, berr := strconv.ParseBool(row[14])
+	if berr != nil {
+		errs = append(errs, berr)
 	}
+	p.Degraded = degraded
 	if len(errs) > 0 {
 		return sim.TracePoint{}, fmt.Errorf("trace: row %d: %v", rec, errs[0])
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"hsas/internal/camera"
@@ -68,14 +69,24 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
 		t.Fatal("wrong header accepted")
 	}
-	bad := "time_s,s_m,sector,yl_true,yl_meas,det_ok,raw_det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\nx,0,1,0,0,true,true,0,S0,1,50,25,25\n"
+	header := strings.Join(csvHeader, ",") + "\n"
+	if _, err := ReadCSV(bytes.NewBufferString(header + "0,0,1,0,0,true,true,0,S0,1,50,25,25,,false\n")); err != nil {
+		t.Fatalf("well-formed row rejected: %v", err)
+	}
+	bad := header + "x,0,1,0,0,true,true,0,S0,1,50,25,25,,false\n"
 	if _, err := ReadCSV(bytes.NewBufferString(bad)); err == nil {
 		t.Fatal("malformed float accepted")
 	}
 	// det_ok must be a parseable bool, not silently coerced to false.
-	badBool := "time_s,s_m,sector,yl_true,yl_meas,det_ok,raw_det_ok,steer,isp,roi,speed_kmph,h_ms,tau_ms\n0,0,1,0,0,yes,true,0,S0,1,50,25,25\n"
+	badBool := header + "0,0,1,0,0,yes,true,0,S0,1,50,25,25,,false\n"
 	if _, err := ReadCSV(bytes.NewBufferString(badBool)); err == nil {
 		t.Fatal("malformed det_ok accepted")
+	}
+	// WriteCSV never quotes a field or writes a CR.
+	for _, odd := range []string{strings.Replace(header, "isp", `"isp"`, 1), strings.ReplaceAll(header, "\n", "\r\n")} {
+		if _, err := ReadCSV(bytes.NewBufferString(odd)); err == nil {
+			t.Fatalf("%q accepted", odd)
+		}
 	}
 	// The pre-PR-2 11-column schema (no raw_det_ok) must be rejected, not
 	// misparsed with shifted columns.
