@@ -98,7 +98,7 @@ type Renderer struct {
 	Cam Camera
 
 	// Workers bounds the row-parallel render: 0 uses GOMAXPROCS, 1
-	// forces serial. With two or more, RenderRAWRowsInto also draws the
+	// forces serial. With two or more, RenderRAWSpansInto also draws the
 	// frame's sensor noise on its own goroutine while the scene shades.
 	// The rendered image is byte-identical for every worker count — the
 	// split only decides which goroutine computes which independent row,
@@ -117,23 +117,23 @@ type Renderer struct {
 	ground *groundTable // shared with every renderer of Cam; read only
 	vig    []float32    // per-pixel vignetting gain; shared like ground
 
-	rng     *rand.Rand     // RenderRAWRowsInto's reusable noise stream
+	rng     *rand.Rand     // RenderRAWSpansInto's reusable noise stream
 	noise   []float64      // the frame's normals: pixel i takes 2i and 2i+1
 	drawTo  int            // normals the frame draws: those of its last raw row and above
 	draw    func()         // r.drawNoise, bound once so go r.draw() allocates nothing
 	drawn   sync.WaitGroup // done once noise holds the frame's normals
 	split   func(_, _ int) // r.claimRows, bound once so the row split allocates nothing
 	claimed atomic.Int64   // rows the row split's goroutines have claimed
-	scene   *raster.RGB    // RenderRAWRowsInto's scene scratch
+	scene   *raster.RGB    // RenderRAWSpansInto's scene scratch
 	view    world.View     // the frame's track window
 	frame   frameState     // what the row split reads
 }
 
 // frameState is the frame being rendered, as the row split's goroutines
 // read it. render sets their claim order once per frame: claim c below
-// ground shades ground row g0+c, and, rendering RAW, claim c from ground
-// up to claims takes the sky or haze row lo+c-ground, which the calling
-// goroutine filled.
+// ground shades the span of ground row g0+c, and, rendering RAW, claim c
+// from ground up to claims takes the span of the sky or haze row
+// lo+c-ground, which the calling goroutine filled.
 type frameState struct {
 	vp        VehiclePose
 	ax        frameAxes
@@ -141,6 +141,7 @@ type frameState struct {
 	sky, haze [3]float32
 	out       *raster.RGB
 	raw       *raster.Bayer // nil rendering the scene alone
+	spans     []raster.Span // the pixels rendered, one span per row
 	lo, g0    int
 	ground    int
 	claims    int
@@ -298,28 +299,30 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 	if out.W != w || out.H != h {
 		panic(fmt.Sprintf("camera: RenderSceneInto buffer is %dx%d, camera is %dx%d", out.W, out.H, w, h))
 	}
-	r.render(out, nil, vp, 0, h)
+	r.render(out, nil, vp, raster.FullSpans(w, h))
 	return out
 }
 
-// render shades rows [lo, hi) of the frame into out. When raw is non-nil
-// it also applies the sensor model to those rows once the frame's noise
-// is drawn. Every pixel of those rows is written and no other is.
+// render shades the pixels of spans into out. When raw is non-nil it
+// also applies the sensor model to them once the frame's noise is drawn.
+// Every pixel of spans is written and no other is.
 //
-// The sky and haze rows above the first ground row are filled on the
-// calling goroutine. The row split's goroutines then claim rows one at a
-// time from a shared counter (claimRows): first the ground rows, which
-// they shade, then, rendering RAW, the sky and haze rows. A goroutine
-// keeps the ground rows it shaded and applies the sensor model to them
-// once the noise is drawn, at the latest when it claims a sky row, whose
-// sensor model it then applies too. A goroutine that starts late, behind
-// the noise draw on its CPU, so claims fewer rows than one that starts
-// at once, which fixed halves of the rows could not allow.
-func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, lo, hi int) {
+// The spans of the sky and haze rows above the first ground row are
+// filled on the calling goroutine. The row split's goroutines then claim
+// rows one at a time from a shared counter (claimRows): first the ground
+// rows, whose spans they shade, then, rendering RAW, the sky and haze
+// rows. A goroutine keeps the ground rows it shaded and applies the
+// sensor model to them once the noise is drawn, at the latest when it
+// claims a sky row, whose sensor model it then applies too. A goroutine
+// that starts late, behind the noise draw on its CPU, so claims fewer
+// rows than one that starts at once, which fixed halves of the rows
+// could not allow.
+func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, spans []raster.Span) {
 	w := r.Cam.Width
 	g := r.ground
 	f := &r.frame
-	f.vp, f.ax, f.out, f.raw = vp, g.axes(vp.Psi), out, raw
+	lo, hi := raster.SpanRows(spans)
+	f.vp, f.ax, f.out, f.raw, f.spans = vp, g.axes(vp.Psi), out, raw, spans
 	f.scene = r.Track.SituationAt(vp.S).Scene
 	f.sky = skyColor(f.scene)
 	// Haze fades the ground into the sky color.
@@ -328,12 +331,14 @@ func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, lo
 
 	off := g.skyRows * w
 	skyHi := max(min(g.groundRow, hi), lo)
-	for i := lo * w; i < skyHi*w; i++ {
-		c := f.sky
-		if i >= off && g.class[i-off] == pixelHaze {
-			c = f.haze
+	for y := lo; y < skyHi; y++ {
+		for i, end := y*w+spans[y].A, y*w+spans[y].B; i < end; i++ {
+			c := f.sky
+			if i >= off && g.class[i-off] == pixelHaze {
+				c = f.haze
+			}
+			out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
 		}
-		out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
 	}
 	f.lo, f.g0 = lo, max(g.groundRow, lo)
 	f.ground = max(hi-f.g0, 0)
@@ -346,7 +351,7 @@ func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, lo
 	}
 	r.claimed.Store(0)
 	mat.ParallelRows(f.ground, r.Workers, r.split)
-	f.out, f.raw = nil, nil
+	f.out, f.raw, f.spans = nil, nil, nil
 }
 
 // claimRows is one goroutine of render's row split; its row range is
@@ -364,7 +369,7 @@ func (r *Renderer) claimRows(_, _ int) {
 		y := f.lo + c - f.ground // claims past the ground rows are sky rows
 		if c < f.ground {
 			y = f.g0 + c
-			for i := y * w; i < (y+1)*w; i++ {
+			for i, end := y*w+f.spans[y].A, y*w+f.spans[y].B; i < end; i++ {
 				switch g.class[i-off] {
 				case pixelSky:
 					f.out.R[i], f.out.G[i], f.out.B[i] = f.sky[0], f.sky[1], f.sky[2]
@@ -540,40 +545,40 @@ func skyColor(scene world.Scene) [3]float32 {
 }
 
 // RenderRAW renders the scene and applies the full sensor model into a
-// new mosaic; see RenderRAWRowsInto.
+// new mosaic; see RenderRAWSpansInto.
 func (r *Renderer) RenderRAW(vp VehiclePose, seed int64) *raster.Bayer {
 	return r.RenderRAWInto(raster.NewBayer(r.Cam.Width, r.Cam.Height), vp, seed)
 }
 
-// RenderRAWInto is RenderRAWRowsInto over every row.
+// RenderRAWInto is RenderRAWSpansInto over every pixel.
 func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) *raster.Bayer {
-	return r.RenderRAWRowsInto(raw, vp, seed, 0, r.Cam.Height)
+	return r.RenderRAWSpansInto(raw, vp, seed, raster.FullSpans(r.Cam.Width, r.Cam.Height))
 }
 
-// RenderRAWRowsInto renders rows [lo, hi) of the scene into per-renderer
-// scratch and applies the full sensor model to them into raw: spectral
-// crosstalk, vignetting, CFA sampling, shot + read noise, and 10-bit
-// quantization. The result is the RAW mosaic the ISP consumes; seed
-// makes the per-frame noise deterministic. Every sample of those rows is
-// written and no other is, so raw may be a recycled buffer. It returns
-// raw.
+// RenderRAWSpansInto renders the pixels of spans (one per row) of the
+// scene into per-renderer scratch and applies the full sensor model to
+// them into raw: spectral crosstalk, vignetting, CFA sampling, shot +
+// read noise, and 10-bit quantization. The result is the RAW mosaic the
+// ISP consumes; seed makes the per-frame noise deterministic. Every
+// sample of spans is written and no other is, so raw may be a recycled
+// buffer. It returns raw.
 //
 // The noise is one stream reseeded per frame, two normals per pixel in
 // raster order (shot, then read), and reseeding a rand.Rand restores
 // exactly the state of rand.New(rand.NewSource(seed)), so the mosaic
-// depends only on the scene and the seed. The stream stops at row hi-1,
-// so rows [lo, hi) get the normals the whole frame gives them. The
-// normals never depend on the scene, so with two or more workers a
-// goroutine draws them while the scene shades; with one the calling
-// goroutine draws them first. Either way the sensor model runs in the
-// row split; see render.
-func (r *Renderer) RenderRAWRowsInto(raw *raster.Bayer, vp VehiclePose, seed int64, lo, hi int) *raster.Bayer {
+// depends only on the scene and the seed. The stream stops at the last
+// row with a non-empty span, so every pixel of spans gets the normals
+// the whole frame gives it. The normals never depend on the scene, so
+// with two or more workers a goroutine draws them while the scene
+// shades; with one the calling goroutine draws them first. Either way
+// the sensor model runs in the row split; see render.
+func (r *Renderer) RenderRAWSpansInto(raw *raster.Bayer, vp VehiclePose, seed int64, spans []raster.Span) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
 	if raw.W != w || raw.H != h {
-		panic(fmt.Sprintf("camera: RenderRAWRowsInto buffer is %dx%d, camera is %dx%d", raw.W, raw.H, w, h))
+		panic(fmt.Sprintf("camera: RenderRAWSpansInto buffer is %dx%d, camera is %dx%d", raw.W, raw.H, w, h))
 	}
-	if lo < 0 || lo > hi || hi > h {
-		panic(fmt.Sprintf("camera: rows [%d, %d) outside a frame of %d rows", lo, hi, h))
+	if err := raster.CheckSpans(spans, w, h); err != nil {
+		panic("camera: " + err.Error())
 	}
 	if r.scene == nil || r.scene.W != w || r.scene.H != h {
 		r.scene = raster.NewRGB(w, h)
@@ -593,6 +598,7 @@ func (r *Renderer) RenderRAWRowsInto(raw *raster.Bayer, vp VehiclePose, seed int
 	if r.draw == nil {
 		r.draw = r.drawNoise
 	}
+	_, hi := raster.SpanRows(spans)
 	r.drawTo = 2 * w * hi
 	r.drawn.Add(1)
 	if workers >= 2 {
@@ -600,7 +606,7 @@ func (r *Renderer) RenderRAWRowsInto(raw *raster.Bayer, vp VehiclePose, seed int
 	} else {
 		r.draw()
 	}
-	r.render(r.scene, raw, vp, lo, hi)
+	r.render(r.scene, raw, vp, spans)
 	return raw
 }
 
@@ -615,20 +621,22 @@ func (r *Renderer) drawNoise() {
 }
 
 // sensorRows waits for the frame's noise and applies the sensor model to
-// the given rows of the scene radiance into raw, pixel i taking the
-// normals noise[2i] and noise[2i+1]. Each row is sliced out once, so the
-// pixel loop indexes within the row.
+// the spans of the given rows of the scene radiance into raw, pixel i
+// taking the normals noise[2i] and noise[2i+1]. Each span is sliced out
+// once, so the pixel loop indexes within the span.
 func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, rows []int32) {
 	r.drawn.Wait()
 	w := scene.W
 	m := &SensorMatrix
 	for _, y := range rows {
-		row := int(y) * w
-		sR, sG, sB := scene.R[row:row+w], scene.G[row:row+w], scene.B[row:row+w]
-		vig, out := r.vig[row:row+w], raw.Pix[row:row+w]
-		n := r.noise[2*row : 2*row+2*w]
-		for x := range out {
-			sr, sg, sb := float64(sR[x]), float64(sG[x]), float64(sB[x])
+		s := r.frame.spans[y]
+		i0, i1 := int(y)*w+s.A, int(y)*w+s.B
+		sR, sG, sB := scene.R[i0:i1], scene.G[i0:i1], scene.B[i0:i1]
+		vig, out := r.vig[i0:i1], raw.Pix[i0:i1]
+		n := r.noise[2*i0 : 2*i1]
+		for i := range out {
+			x := s.A + i
+			sr, sg, sb := float64(sR[i]), float64(sG[i]), float64(sB[i])
 			var v float64
 			switch raster.ColorAt(x, int(y)) {
 			case raster.CFARed:
@@ -638,8 +646,8 @@ func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, rows []int32
 			default:
 				v = m[2][0]*sr + m[2][1]*sg + m[2][2]*sb
 			}
-			v *= float64(vig[x])
-			v += math.Sqrt(math.Max(v, 0))*ShotNoise*n[2*x] + ReadNoise*n[2*x+1]
+			v *= float64(vig[i])
+			v += math.Sqrt(math.Max(v, 0))*ShotNoise*n[2*i] + ReadNoise*n[2*i+1]
 			if v < 0 {
 				v = 0
 			}
@@ -649,7 +657,7 @@ func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, rows []int32
 				v = 1
 			}
 			v = math.Round(v*QuantLevel) / QuantLevel
-			out[x] = float32(v)
+			out[i] = float32(v)
 		}
 	}
 }

@@ -167,6 +167,7 @@ func TestMosaicCrosstalkOnWhite(t *testing.T) {
 	r.drawn.Add(1)
 	r.drawNoise()
 	raw := raster.NewBayer(scene.W, scene.H)
+	r.frame.spans = raster.FullSpans(scene.W, scene.H)
 	r.sensorRows(raw, scene, []int32{0, 1, 2, 3})
 	// Average G cells: should be near SensorMatrix[1][0] = 0.18, not 0.
 	var g float64

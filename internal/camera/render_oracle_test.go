@@ -386,13 +386,15 @@ func dirtyBayer(b *raster.Bayer, n int) {
 	}
 }
 
-// TestRenderRAWRowsMatchesFullFrame renders row ranges that the loop's
-// detection band never takes: ranges inside the all-sky rows, across the
-// first ground row, at both frame borders, single rows and empty ones.
-// Each must hold the whole frame's bits in its rows and leave every other
-// row of a dirtied mosaic as it was, at worker counts 1, 2, 3 and 8, with
-// renderers reused from range to range and a new seed for each range, so
-// normals left from the previous frame cannot pass for this one's.
+// TestRenderRAWRowsMatchesFullFrame renders span sets that the loop's
+// ROIs never take: whole-width row ranges inside the all-sky rows,
+// across the first ground row, at both frame borders, single rows and
+// empty ones, and column spans at either frame border, of one pixel, or
+// moving from row to row with rows left out. Each must hold the whole
+// frame's bits on its pixels and leave every other pixel of a dirtied
+// mosaic as it was, at worker counts 1, 2, 3 and 8, with renderers
+// reused from set to set and a new seed for each set, so normals left
+// from the previous frame cannot pass for this one's.
 func TestRenderRAWRowsMatchesFullFrame(t *testing.T) {
 	tr := fiveSceneTrack()
 	poses := oraclePoses(tr)
@@ -400,9 +402,30 @@ func TestRenderRAWRowsMatchesFullFrame(t *testing.T) {
 		w, h := cam.Width, cam.Height
 		full := NewRenderer(tr, cam)
 		g := full.ground
-		ranges := [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
+		rows := func(lo, hi, a, b int) []raster.Span {
+			spans := make([]raster.Span, h)
+			for y := lo; y < hi; y++ {
+				spans[y] = raster.Span{A: a, B: b}
+			}
+			return spans
+		}
+		var sets [][]raster.Span
+		for _, r := range [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
 			{0, g.skyRows}, {max(g.skyRows-1, 0), min(g.groundRow+2, h)}, {g.groundRow, h},
-			{max(g.groundRow-3, 0), g.groundRow}, {h / 3, 2 * h / 3}, {1, h - 1}}
+			{max(g.groundRow-3, 0), g.groundRow}, {h / 3, 2 * h / 3}, {1, h - 1}} {
+			sets = append(sets, rows(r[0], r[1], 0, w))
+		}
+		for _, c := range [][2]int{{0, 1}, {w - 1, w}, {w / 3, 2 * w / 3}, {1, w}, {w / 2, w / 2}} {
+			sets = append(sets, rows(0, h, c[0], c[1]), rows(h/3, 2*h/3, c[0], c[1]))
+		}
+		moving := make([]raster.Span, h)
+		for y := range moving {
+			if y%5 != 2 {
+				a := (y * 7) % w
+				moving[y] = raster.Span{A: a, B: min(a+1+(y*3)%9, w)}
+			}
+		}
+		sets = append(sets, moving)
 		rends := map[int]*Renderer{}
 		for _, n := range []int{1, 2, 3, 8} {
 			rends[n] = NewRenderer(tr, cam)
@@ -412,20 +435,20 @@ func TestRenderRAWRowsMatchesFullFrame(t *testing.T) {
 		dirtyBayer(dirt, 0)
 		raw := raster.NewBayer(w, h)
 		for pi, vp := range poses {
-			for ri, rows := range ranges {
-				seed := int64(5 + 7919*pi + 31*ri)
+			for si, spans := range sets {
+				seed := int64(5 + 7919*pi + 31*si)
 				want := full.RenderRAW(vp, seed)
 				for _, n := range []int{1, 2, 3, 8} {
 					copy(raw.Pix, dirt.Pix)
-					rends[n].RenderRAWRowsInto(raw, vp, seed, rows[0], rows[1])
+					rends[n].RenderRAWSpansInto(raw, vp, seed, spans)
 					for i := range raw.Pix {
 						ref := want.Pix[i]
-						if y := i / w; y < rows[0] || y >= rows[1] {
+						if s := spans[i/w]; i%w < s.A || i%w >= s.B {
 							ref = dirt.Pix[i]
 						}
 						if math.Float32bits(raw.Pix[i]) != math.Float32bits(ref) {
-							t.Fatalf("%dx%d pose %d rows %d [%d, %d) workers=%d: sample (%d, %d) is %v, want %v",
-								w, h, pi, ri, rows[0], rows[1], n, i%w, i/w, raw.Pix[i], ref)
+							t.Fatalf("%dx%d pose %d spans %d workers=%d: sample (%d, %d) is %v, want %v",
+								w, h, pi, si, n, i%w, i/w, raw.Pix[i], ref)
 						}
 					}
 				}

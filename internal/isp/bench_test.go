@@ -22,16 +22,16 @@ func BenchmarkISPStages(b *testing.B) {
 	h := cam.Height
 	demo := raster.NewRGB(cam.Width, h)
 	den := raster.NewRGB(cam.Width, h)
-	demosaic(raw, demo, 0, h, 1)
+	demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, 1)
 	stages := []struct {
 		name string
 		fn   func(workers int)
 	}{
-		{"demosaic", func(w int) { demosaic(raw, demo, 0, h, w) }},
-		{"denoise", func(w int) { denoise(demo, den, 0, h, w) }},
-		{"colormap", func(w int) { colorMap(den, 0, h, w) }},
-		{"gamutmap", func(w int) { gamutMap(den, 0, h, w) }},
-		{"tonemap", func(w int) { toneMap(den, 0, h, w) }},
+		{"demosaic", func(w int) { demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, w) }},
+		{"denoise", func(w int) { denoise(demo, den, raster.FullSpans(demo.W, demo.H), w) }},
+		{"colormap", func(w int) { colorMap(den, raster.FullSpans(den.W, den.H), w) }},
+		{"gamutmap", func(w int) { gamutMap(den, raster.FullSpans(den.W, den.H), w) }},
+		{"tonemap", func(w int) { toneMap(den, raster.FullSpans(den.W, den.H), w) }},
 	}
 	for _, st := range stages {
 		for _, par := range []struct {

@@ -193,9 +193,9 @@ func TestDemosaicDenoiseMatchOracle(t *testing.T) {
 		denoiseRowsOracle(dmWant, dnWant, 0, h)
 		for _, workers := range []int{1, 2, 3} {
 			what := fmt.Sprintf("%s workers=%d", name, workers)
-			dm := demosaic(raw, dirtyRGB(w, h), 0, raw.H, workers)
+			dm := demosaic(raw, dirtyRGB(w, h), raster.FullSpans(w, h), 0, workers)
 			assertSameRGB(t, "demosaic "+what, dm, dmWant)
-			dn := denoise(dmWant, dirtyRGB(w, h), 0, dmWant.H, workers)
+			dn := denoise(dmWant, dirtyRGB(w, h), raster.FullSpans(dmWant.W, dmWant.H), workers)
 			assertSameRGB(t, "denoise "+what, dn, dnWant)
 		}
 	}

@@ -88,32 +88,32 @@ func TestProcessIntoNilBuffers(t *testing.T) {
 // its serial counterpart on its own (not just composed in Process).
 func TestStageWorkersMatchSerial(t *testing.T) {
 	raw := syntheticRAW(64, 32)
-	base := demosaic(raw, nil, 0, raw.H, 1)
+	base := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
 	for _, workers := range []int{2, 5} {
-		dm := demosaic(raw, dirtyRGB(64, 32), 0, raw.H, workers)
+		dm := demosaic(raw, dirtyRGB(64, 32), raster.FullSpans(raw.W, raw.H), 0, workers)
 		for i := range base.R {
 			if dm.R[i] != base.R[i] || dm.G[i] != base.G[i] || dm.B[i] != base.B[i] {
 				t.Fatalf("demosaic workers=%d differs at %d", workers, i)
 			}
 		}
-		dnSerial := denoise(base, nil, 0, base.H, 1)
-		dn := denoise(base, dirtyRGB(64, 32), 0, base.H, workers)
+		dnSerial := denoise(base, nil, raster.FullSpans(base.W, base.H), 1)
+		dn := denoise(base, dirtyRGB(64, 32), raster.FullSpans(base.W, base.H), workers)
 		for i := range dnSerial.R {
 			if dn.R[i] != dnSerial.R[i] {
 				t.Fatalf("denoise workers=%d differs at %d", workers, i)
 			}
 		}
 		cmSerial, cmPar := base.Clone(), base.Clone()
-		colorMap(cmSerial, 0, cmSerial.H, 1)
-		colorMap(cmPar, 0, cmPar.H, workers)
+		colorMap(cmSerial, raster.FullSpans(cmSerial.W, cmSerial.H), 1)
+		colorMap(cmPar, raster.FullSpans(cmPar.W, cmPar.H), workers)
 		gmSerial, gmPar := base.Clone(), base.Clone()
 		gmSerial.R[5] = float32(math.NaN())
 		gmPar.R[5] = float32(math.NaN())
-		gamutMap(gmSerial, 0, gmSerial.H, 1)
-		gamutMap(gmPar, 0, gmPar.H, workers)
+		gamutMap(gmSerial, raster.FullSpans(gmSerial.W, gmSerial.H), 1)
+		gamutMap(gmPar, raster.FullSpans(gmPar.W, gmPar.H), workers)
 		tmSerial, tmPar := base.Clone(), base.Clone()
-		toneMap(tmSerial, 0, tmSerial.H, 1)
-		toneMap(tmPar, 0, tmPar.H, workers)
+		toneMap(tmSerial, raster.FullSpans(tmSerial.W, tmSerial.H), 1)
+		toneMap(tmPar, raster.FullSpans(tmPar.W, tmPar.H), workers)
 		for i := range base.R {
 			if cmPar.R[i] != cmSerial.R[i] || gmPar.R[i] != gmSerial.R[i] || tmPar.R[i] != tmSerial.R[i] {
 				t.Fatalf("in-place stage workers=%d differs at %d", workers, i)
@@ -122,33 +122,33 @@ func TestStageWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestProcessRowsMatchesFullFrame runs every configuration over row
-// ranges of the oracle mosaics (rendered frames and odd, degenerate
-// sizes): ranges touching either border, single rows, empty ranges and
-// interior bands. Rows [lo, hi) of the result must hold the whole
-// frame's bits, and every other row must keep the dirt the buffers held,
-// at worker counts 1, 2, 3 and 8.
+// TestProcessRowsMatchesFullFrame runs every configuration over span
+// sets of the oracle mosaics (rendered frames and odd, degenerate
+// sizes): whole-width row ranges touching either border, single rows
+// and empty sets, and column spans that start or end at a frame border,
+// start on either CFA parity, cover one pixel, or shift from row to row
+// with gaps between them. The spans' pixels of the result must hold the
+// whole frame's bits, and every other pixel must keep the dirt the
+// buffers held, at worker counts 1, 2, 3 and 8.
 func TestProcessRowsMatchesFullFrame(t *testing.T) {
 	for name, raw := range oracleMosaics() {
 		w, h := raw.W, raw.H
-		ranges := [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
-			{0, (h + 1) / 2}, {h / 2, h}, {1, max(h-1, 1)}, {h / 3, max(2*h/3, h/3)}, {min(2, h), min(3, h)}}
 		for _, cfg := range Knobs {
 			want := cfg.Process(raw)
-			for _, rows := range ranges {
+			for si, spans := range spanSets(w, h) {
 				for _, workers := range []int{1, 2, 3, 8} {
 					out, tmp := dirtyRGB(w, h), dirtyRGB(w, h)
-					got := cfg.ProcessObservedInto(raw, out, tmp, rows[0], rows[1], workers, nil)
+					got := cfg.ProcessObservedInto(raw, out, tmp, spans, workers, nil)
 					dirt := dirtyRGB(w, h)
 					for c, pl := range [3][3][]float32{{got.R, want.R, dirt.R}, {got.G, want.G, dirt.G}, {got.B, want.B, dirt.B}} {
 						for i := range pl[0] {
 							ref := pl[1][i]
-							if y := i / w; y < rows[0] || y >= rows[1] {
+							if s := spans[i/w]; i%w < s.A || i%w >= s.B {
 								ref = pl[2][i]
 							}
 							if math.Float32bits(pl[0][i]) != math.Float32bits(ref) {
-								t.Fatalf("%s %s rows [%d, %d) workers=%d: channel %d pixel (%d, %d) is %v, want %v",
-									name, cfg.ID, rows[0], rows[1], workers, c, i%w, i/w, pl[0][i], ref)
+								t.Fatalf("%s %s spans %d workers=%d: channel %d pixel (%d, %d) is %v, want %v",
+									name, cfg.ID, si, workers, c, i%w, i/w, pl[0][i], ref)
 							}
 						}
 					}
@@ -156,4 +156,44 @@ func TestProcessRowsMatchesFullFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spanSets returns the span sets TestProcessRowsMatchesFullFrame runs
+// on a w×h frame.
+func spanSets(w, h int) [][]raster.Span {
+	rows := func(lo, hi int, s raster.Span) []raster.Span {
+		spans := make([]raster.Span, h)
+		for y := max(lo, 0); y < min(hi, h); y++ {
+			spans[y] = s
+		}
+		return spans
+	}
+	all := raster.Span{A: 0, B: w}
+	sets := [][]raster.Span{}
+	for _, r := range [][2]int{{0, h}, {0, 1}, {h - 1, h}, {0, 0}, {h, h}, {h / 2, h / 2},
+		{0, (h + 1) / 2}, {h / 2, h}, {1, max(h-1, 1)}, {h / 3, max(2*h/3, h/3)}, {min(2, h), min(3, h)}} {
+		sets = append(sets, rows(r[0], r[1], all))
+	}
+	for _, c := range [][2]int{{0, 1}, {w - 1, w}, {w / 3, max(2*w/3, w/3)}, {min(1, w), w}, {0, max(w-1, 0)},
+		{min(2, w), min(3, w)}, {min(3, w), min(4, w)}, {w / 2, w / 2}} {
+		s := raster.Span{A: c[0], B: c[1]}
+		sets = append(sets, rows(0, h, s), rows(h/3, max(2*h/3, h/3+1), s))
+	}
+	// Spans that move with the row, leave rows out and end at either
+	// border, as a ROI's footprint does.
+	shifted := make([]raster.Span, h)
+	for y := range shifted {
+		if y%5 == 2 {
+			continue
+		}
+		a := (y * 7) % max(w, 1)
+		shifted[y] = raster.Span{A: a, B: min(a+1+(y*3)%9, w)}
+		if y%4 == 0 {
+			shifted[y].A = 0
+		}
+		if y%6 == 1 {
+			shifted[y].B = w
+		}
+	}
+	return append(sets, shifted)
 }

@@ -13,6 +13,7 @@ package isp
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"hsas/internal/camera"
@@ -114,46 +115,46 @@ var XavierRuntimeMs = map[string]float64{
 // Process runs the configured pipeline over a RAW mosaic into new
 // buffers; see ProcessObservedInto.
 func (c Config) Process(raw *raster.Bayer) *raster.RGB {
-	return c.ProcessObservedInto(raw, nil, nil, 0, raw.H, 1, nil)
+	return c.ProcessObservedInto(raw, nil, nil, raster.FullSpans(raw.W, raw.H), 1, nil)
 }
 
-// ProcessInto is ProcessObservedInto over every row, without an
+// ProcessInto is ProcessObservedInto over every pixel, without an
 // observer.
 func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int) *raster.RGB {
-	return c.ProcessObservedInto(raw, out, tmp, 0, raw.H, workers, nil)
+	return c.ProcessObservedInto(raw, out, tmp, raster.FullSpans(raw.W, raw.H), workers, nil)
 }
 
-// ProcessObservedInto runs the configured pipeline over the output rows
-// [lo, hi) with caller-held buffers and row-parallel kernels. Stages
-// execute in canonical order regardless of their order in the Config.
-// out receives the demosaic result; tmp is the ping-pong target when the
-// configuration denoises (pass nil to allocate either). The returned
-// image is whichever buffer holds the final stage's output — callers
-// reusing buffers across frames must use the return value, not assume
-// out.
+// ProcessObservedInto runs the configured pipeline over the pixels of
+// spans (one per row of raw) with caller-held buffers and row-parallel
+// kernels. Stages execute in canonical order regardless of their order
+// in the Config. out receives the demosaic result; tmp is the ping-pong
+// target when the configuration denoises (pass nil to allocate either).
+// The returned image is whichever buffer holds the final stage's output
+// — callers reusing buffers across frames must use the return value,
+// not assume out.
 //
-// The range only bounds the stages' row splits. Demosaic covers one more
-// row on each side when the configuration denoises, since the 3×3
-// filter reads them; every other stage covers [lo, hi). The image's own
-// first and last rows keep their border code, and the range's edges are
-// interior rows, so rows [lo, hi) of the result are bit for bit those of
-// the whole frame [0, H) whatever the range, the worker count or the
-// buffers' old contents. The rows of raw the demosaic reads (one beyond
-// its own on each side) must hold the frame. Rows a stage does not cover
-// are left as they were, so the result holds its old contents outside
-// [lo, hi).
+// The spans only bound what each stage computes. Demosaic covers them
+// dilated by one row and one column when the configuration denoises,
+// since the 3×3 filter reads that ring (raster.Dilated); every other
+// stage covers the spans. Each pixel keeps the border code of its place
+// in the frame, so the result holds the whole frame's bits on every
+// pixel of spans whatever the spans, the worker count or the buffers'
+// old contents. The pixels of raw the demosaic reads (those of its own
+// pixels dilated by one) must hold the frame. Pixels a stage does not
+// cover are left as they were, so the result holds its old contents
+// outside spans.
 //
 // With an enabled observer each executed stage records one wall-time
 // sample of hsas_isp_stage_seconds and one trace span (the per-stage
 // timings Table II profiles per configuration). A nil observer reads no
 // clock and allocates nothing.
-func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, lo, hi, workers int, o *obs.Observer) *raster.RGB {
-	if lo < 0 || lo > hi || hi > raw.H {
-		panic(fmt.Sprintf("isp: rows [%d, %d) outside a raw frame of %d rows", lo, hi, raw.H))
+func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, spans []raster.Span, workers int, o *obs.Observer) *raster.RGB {
+	if err := raster.CheckSpans(spans, raw.W, raw.H); err != nil {
+		panic("isp: " + err.Error())
 	}
-	dlo, dhi := lo, hi
-	if c.Has(Denoise) && lo < hi {
-		dlo, dhi = max(lo-1, 0), min(hi+1, raw.H)
+	ring := 0
+	if c.Has(Denoise) {
+		ring = 1
 	}
 	var img *raster.RGB
 	for s := Demosaic; s <= ToneMap; s++ {
@@ -166,15 +167,15 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, lo,
 		}
 		switch s {
 		case Demosaic:
-			img = demosaic(raw, out, dlo, dhi, workers)
+			img = demosaic(raw, out, spans, ring, workers)
 		case Denoise:
-			img = denoise(img, tmp, lo, hi, workers)
+			img = denoise(img, tmp, spans, workers)
 		case ColorMap:
-			colorMap(img, lo, hi, workers)
+			colorMap(img, spans, workers)
 		case GamutMap:
-			gamutMap(img, lo, hi, workers)
+			gamutMap(img, spans, workers)
 		case ToneMap:
-			toneMap(img, lo, hi, workers)
+			toneMap(img, spans, workers)
 		}
 		if o.Enabled() {
 			o.Registry().Histogram("hsas_isp_stage_seconds", "wall time per executed ISP stage",
@@ -185,33 +186,83 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, lo,
 	return img
 }
 
-// demosaic reconstructs rows [lo, hi) of an RGB image from an RGGB
-// mosaic with bilinear interpolation of the missing samples, into out
-// (allocated when nil) with row-parallel interpolation. Every sample of
-// those rows is written.
-func demosaic(raw *raster.Bayer, out *raster.RGB, lo, hi, workers int) *raster.RGB {
+// A pass is one stage's run over a frame's spans, as the goroutines of
+// its row split read it. Its row kernels are method values bound once,
+// when the pass is built, and passes are recycled through passes, so a
+// stage allocates nothing but what mat.ParallelRows starts.
+type pass struct {
+	raw      *raster.Bayer // demosaic's input
+	src, dst *raster.RGB   // the stage's input and output; one image in place
+	spans    []raster.Span
+	ring     int // the stage covers spans dilated by ring
+	lo       int // the row split's first row
+	kernels  [ToneMap + 1]func(i0, i1 int)
+}
+
+var passes = sync.Pool{New: func() any {
+	p := &pass{}
+	p.kernels = [...]func(i0, i1 int){p.demosaicRows, p.denoiseRows, p.colorMapRows, p.gamutMapRows, p.toneMapRows}
+	return p
+}}
+
+// run runs stage s's row kernel from src (or raw) into dst over spans
+// dilated by ring, with the rows split over workers.
+func run(s Stage, raw *raster.Bayer, src, dst *raster.RGB, spans []raster.Span, ring, workers int) {
+	p := passes.Get().(*pass)
+	lo, hi := raster.SpanRows(spans)
+	if lo < hi {
+		lo, hi = max(lo-ring, 0), min(hi+ring, len(spans))
+	}
+	p.raw, p.src, p.dst, p.spans, p.ring, p.lo = raw, src, dst, spans, ring, lo
+	mat.ParallelRows(hi-lo, workers, p.kernels[s])
+	p.raw, p.src, p.dst, p.spans = nil, nil, nil, nil
+	passes.Put(p)
+}
+
+// span returns the columns of row y the pass covers.
+func (p *pass) span(y int) raster.Span {
+	if p.ring == 0 {
+		return p.spans[y]
+	}
+	return raster.Dilated(p.spans, y, p.ring, p.dst.W)
+}
+
+// demosaic reconstructs the pixels of spans dilated by ring of an RGB
+// image from an RGGB mosaic with bilinear interpolation of the missing
+// samples, into out (allocated when nil) with row-parallel
+// interpolation. Every sample of those pixels is written.
+func demosaic(raw *raster.Bayer, out *raster.RGB, spans []raster.Span, ring, workers int) *raster.RGB {
 	w, h := raw.W, raw.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
 	} else if out.W != w || out.H != h {
 		panic(fmt.Sprintf("isp: demosaic buffer is %dx%d, raw is %dx%d", out.W, out.H, w, h))
 	}
-	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) { demosaicRows(raw, out, lo+i0, lo+i1) })
+	run(Demosaic, raw, nil, out, spans, ring, workers)
 	return out
 }
 
-func demosaicRows(raw *raster.Bayer, out *raster.RGB, y0, y1 int) {
+func (p *pass) demosaicRows(i0, i1 int) {
+	raw, out := p.raw, p.dst
 	w, h := raw.W, raw.H
-	for y := y0; y < y1; y++ {
+	for y := p.lo + i0; y < p.lo+i1; y++ {
+		s := p.span(y)
+		if s.A == s.B {
+			continue
+		}
 		if y == 0 || y == h-1 || w < 3 {
-			for x := 0; x < w; x++ {
+			for x := s.A; x < s.B; x++ {
 				demosaicPixel(raw, out, x, y)
 			}
 			continue
 		}
-		demosaicPixel(raw, out, 0, y)
-		demosaicInterior(raw, out, y)
-		demosaicPixel(raw, out, w-1, y)
+		if s.A == 0 {
+			demosaicPixel(raw, out, 0, y)
+		}
+		demosaicInterior(raw, out, y, max(s.A, 1), min(s.B, w-1))
+		if s.B == w {
+			demosaicPixel(raw, out, w-1, y)
+		}
 	}
 }
 
@@ -240,10 +291,11 @@ func demosaicPixel(raw *raster.Bayer, out *raster.RGB, x, y int) {
 	}
 }
 
-// demosaicInterior is demosaicPixel for x in [1, w-1) of an interior row
-// y, where no neighbor needs mirroring: the same averages over the
-// neighbor rows up, mid and dn, one loop per CFA color of the row.
-func demosaicInterior(raw *raster.Bayer, out *raster.RGB, y int) {
+// demosaicInterior is demosaicPixel for x in [a, b) ⊆ [1, w-1) of an
+// interior row y, where no neighbor needs mirroring: the same averages
+// over the neighbor rows up, mid and dn, one loop per CFA color of the
+// row.
+func demosaicInterior(raw *raster.Bayer, out *raster.RGB, y, a, b int) {
 	w := raw.W
 	up, mid, dn := raw.Pix[(y-1)*w:y*w], raw.Pix[y*w:(y+1)*w], raw.Pix[(y+1)*w:(y+2)*w]
 	oR, oG, oB := out.R[y*w:(y+1)*w], out.G[y*w:(y+1)*w], out.B[y*w:(y+1)*w]
@@ -251,17 +303,18 @@ func demosaicInterior(raw *raster.Bayer, out *raster.RGB, y int) {
 	// R G R G row, blue at odd x of a G B G B row); other is the color
 	// sampled by the rows above and below. The rest of the row is green.
 	own, other := oR, oB
-	first := 2
+	parity := 0
 	if y%2 == 1 {
 		own, other = oB, oR
-		first = 1
+		parity = 1
 	}
-	for x := first; x < w-1; x += 2 {
+	first := a + (a+parity)&1 // the first column of [a, b) of the row's own color
+	for x := first; x < b; x += 2 {
 		own[x] = mid[x]
 		oG[x] = avg4(mid[x-1], mid[x+1], up[x], dn[x])
 		other[x] = avg4(up[x-1], up[x+1], dn[x-1], dn[x+1])
 	}
-	for x := 3 - first; x < w-1; x += 2 {
+	for x := a + (a+parity+1)&1; x < b; x += 2 {
 		oG[x] = mid[x]
 		own[x] = avg2(mid[x-1], mid[x+1])
 		other[x] = avg2(up[x], dn[x])
@@ -279,11 +332,11 @@ const (
 )
 
 // denoise applies an edge-preserving 3×3 bilateral filter per channel
-// to rows [lo, hi) of img into out (allocated when nil) with row-parallel
-// kernels and returns out. The filter reads only img, one row beyond the
-// range on each side, and writes every pixel of those rows of out, so
+// to the pixels of spans of img into out (allocated when nil) with
+// row-parallel kernels and returns out. The filter reads only img, at
+// the spans dilated by one, and writes every pixel of spans of out, so
 // out may be recycled but must not alias img.
-func denoise(img, out *raster.RGB, lo, hi, workers int) *raster.RGB {
+func denoise(img, out *raster.RGB, spans []raster.Span, workers int) *raster.RGB {
 	w, h := img.W, img.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
@@ -293,7 +346,7 @@ func denoise(img, out *raster.RGB, lo, hi, workers int) *raster.RGB {
 	if out == img {
 		panic("isp: denoise output aliases input")
 	}
-	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) { denoiseRows(img, out, lo+i0, lo+i1) })
+	run(Denoise, nil, img, out, spans, 0, workers)
 	return out
 }
 
@@ -312,21 +365,37 @@ var denoiseSpatial = func() (k [9]float32) {
 
 const denoiseInv2s2 = float32(1 / (2 * denoiseRangeSigma * denoiseRangeSigma))
 
-func denoiseRows(img, out *raster.RGB, y0, y1 int) {
+// denoiseRows filters the pass's spans. An interior row's columns from
+// the span's first interior column run through denoiseInteriorRow; the
+// frame's border pixels take denoisePixel.
+func (p *pass) denoiseRows(i0, i1 int) {
+	img, out := p.src, p.dst
 	w, h := img.W, img.H
 	planes := [3][2][]float32{{img.R, out.R}, {img.G, out.G}, {img.B, out.B}}
-	for _, p := range planes {
-		src, dst := p[0], p[1]
-		for y := y0; y < y1; y++ {
+	for _, pl := range planes {
+		src, dst := pl[0], pl[1]
+		for y := p.lo + i0; y < p.lo+i1; y++ {
+			s := p.spans[y]
+			if s.A == s.B {
+				continue
+			}
 			if y == 0 || y == h-1 || w < 3 {
-				for x := 0; x < w; x++ {
+				for x := s.A; x < s.B; x++ {
 					dst[y*w+x] = denoisePixel(src, w, h, x, y)
 				}
 				continue
 			}
-			dst[y*w] = denoisePixel(src, w, h, 0, y)
-			denoiseInteriorRow(src[(y-1)*w:y*w], src[y*w:(y+1)*w], src[(y+1)*w:(y+2)*w], dst[y*w:(y+1)*w])
-			dst[y*w+w-1] = denoisePixel(src, w, h, w-1, y)
+			if s.A == 0 {
+				dst[y*w] = denoisePixel(src, w, h, 0, y)
+			}
+			// The window columns [a-1, b+1) around the interior columns [a, b).
+			if a, b := max(s.A, 1), min(s.B, w-1); a < b {
+				lo, hi := a-1, b+1
+				denoiseInteriorRow(src[(y-1)*w+lo:(y-1)*w+hi], src[y*w+lo:y*w+hi], src[(y+1)*w+lo:(y+1)*w+hi], dst[y*w+lo:y*w+hi])
+			}
+			if s.B == w {
+				dst[y*w+w-1] = denoisePixel(src, w, h, w-1, y)
+			}
 		}
 	}
 }
@@ -359,7 +428,8 @@ var denoiseAVX = cpufeat.AVX2
 // denoiseInteriorRow is denoiseInterior with the columns in groups of
 // eight through the bit-identical AVX kernel when the CPU has it; the
 // last (len(mid)-2) mod 8 columns, or all of them without AVX, run the
-// pure-Go loop.
+// pure-Go loop. The rows are a window of the frame's rows, so the
+// groups start at the window's first interior column.
 func denoiseInteriorRow(up, mid, dn, dst []float32) {
 	n := len(mid)
 	if v := (n - 2) &^ 7; denoiseAVX && v > 0 {
@@ -370,9 +440,10 @@ func denoiseInteriorRow(up, mid, dn, dst []float32) {
 	denoiseInterior(up, mid, dn, dst)
 }
 
-// denoiseInterior is denoisePixel for x in [1, w-1) of an interior row
-// whose neighbor rows are up, mid and dn: all nine taps exist, so they
-// run unrolled in denoisePixel's order (float32 sums depend on it).
+// denoiseInterior is denoisePixel for x in [1, len(mid)-1) of a window
+// of an interior row whose neighbor rows are up, mid and dn: all nine
+// taps exist, so they run unrolled in denoisePixel's order (float32 sums
+// depend on it).
 func denoiseInterior(up, mid, dn, dst []float32) {
 	k := &denoiseSpatial
 	n := len(mid)
@@ -444,64 +515,83 @@ func invert3(m [3][3]float64) [3][3]float32 {
 	return out
 }
 
-// colorMap applies the color-correction matrix in place to rows
-// [lo, hi), restoring scene colorimetry from the sensor's crosstalked
+// colorMap applies the color-correction matrix in place to the pixels
+// of spans, restoring scene colorimetry from the sensor's crosstalked
 // channels, with row-parallel execution.
-func colorMap(img *raster.RGB, lo, hi, workers int) {
-	w := img.W
+func colorMap(img *raster.RGB, spans []raster.Span, workers int) {
+	run(ColorMap, nil, img, img, spans, 0, workers)
+}
+
+func (p *pass) colorMapRows(i0, i1 int) {
+	img, w := p.dst, p.dst.W
 	m := &ColorMapMatrix
-	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
-		for i := (lo + i0) * w; i < (lo+i1)*w; i++ {
+	for y := p.lo + i0; y < p.lo+i1; y++ {
+		s := p.spans[y]
+		for i := y*w + s.A; i < y*w+s.B; i++ {
 			r, g, b := img.R[i], img.G[i], img.B[i]
 			img.R[i] = m[0][0]*r + m[0][1]*g + m[0][2]*b
 			img.G[i] = m[1][0]*r + m[1][1]*g + m[1][2]*b
 			img.B[i] = m[2][0]*r + m[2][1]*g + m[2][2]*b
 		}
-	})
+	}
 }
 
 // Gamut-map knee: values above the knee are compressed smoothly toward 1,
 // negatives (possible after color correction) are clipped.
 const gamutKnee = 0.85
 
-// gamutMap compresses out-of-gamut values of rows [lo, hi) in place: a
-// soft knee above gamutKnee and a hard clip below zero, with row-parallel
-// execution.
-func gamutMap(img *raster.RGB, lo, hi, workers int) {
-	w := img.W
-	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
+// gamutMap compresses out-of-gamut values of the pixels of spans in
+// place: a soft knee above gamutKnee and a hard clip below zero, with
+// row-parallel execution.
+func gamutMap(img *raster.RGB, spans []raster.Span, workers int) {
+	run(GamutMap, nil, img, img, spans, 0, workers)
+}
+
+func (p *pass) gamutMapRows(i0, i1 int) {
+	img, w := p.dst, p.dst.W
+	for y := p.lo + i0; y < p.lo+i1; y++ {
+		s := p.spans[y]
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
-			row := ch[(lo+i0)*w : (lo+i1)*w]
-			for i, v := range row {
-				switch {
-				case v != v: // NaN from upstream arithmetic: map to black
-					row[i] = 0
-				case v < 0:
-					row[i] = 0
-				case v > gamutKnee:
-					// Smooth rational knee mapping [knee, inf) -> [knee, 1].
-					t := v - gamutKnee
-					out := gamutKnee + (1-gamutKnee)*t/(t+(1-gamutKnee))
-					if !(out <= 1) { // saturates Inf/Inf artifacts
-						out = 1
-					}
-					row[i] = out
-				}
-			}
+			gamutRow(ch[y*w+s.A : y*w+s.B])
 		}
-	})
+	}
+}
+
+// gamutRow applies the gamut map to row in place.
+func gamutRow(row []float32) {
+	for i, v := range row {
+		switch {
+		case v != v: // NaN from upstream arithmetic: map to black
+			row[i] = 0
+		case v < 0:
+			row[i] = 0
+		case v > gamutKnee:
+			// Smooth rational knee mapping [knee, inf) -> [knee, 1].
+			t := v - gamutKnee
+			out := gamutKnee + (1-gamutKnee)*t/(t+(1-gamutKnee))
+			if !(out <= 1) { // saturates Inf/Inf artifacts
+				out = 1
+			}
+			row[i] = out
+		}
+	}
 }
 
 // toneMap applies the sRGB-like transfer curve (gamma 1/2.2 with a
-// linear toe) in place to rows [lo, hi), lifting shadows before 8-bit
-// quantization, with row-parallel execution.
-func toneMap(img *raster.RGB, lo, hi, workers int) {
-	w := img.W
-	mat.ParallelRows(hi-lo, workers, func(i0, i1 int) {
+// linear toe) in place to the pixels of spans, lifting shadows before
+// 8-bit quantization, with row-parallel execution.
+func toneMap(img *raster.RGB, spans []raster.Span, workers int) {
+	run(ToneMap, nil, img, img, spans, 0, workers)
+}
+
+func (p *pass) toneMapRows(i0, i1 int) {
+	img, w := p.dst, p.dst.W
+	for y := p.lo + i0; y < p.lo+i1; y++ {
+		s := p.spans[y]
 		for _, ch := range [3][]float32{img.R, img.G, img.B} {
-			toneRow(ch[(lo+i0)*w : (lo+i1)*w])
+			toneRow(ch[y*w+s.A : y*w+s.B])
 		}
-	})
+	}
 }
 
 // toneToe is where the tone curve leaves its linear toe for the power

@@ -83,7 +83,7 @@ func TestDemosaicConstantField(t *testing.T) {
 	for i := range raw.Pix {
 		raw.Pix[i] = 0.5
 	}
-	img := demosaic(raw, nil, 0, raw.H, 1)
+	img := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
 	for i := range img.R {
 		if img.R[i] != 0.5 || img.G[i] != 0.5 || img.B[i] != 0.5 {
 			t.Fatalf("constant mosaic demosaiced wrong at %d: %v %v %v", i, img.R[i], img.G[i], img.B[i])
@@ -93,8 +93,8 @@ func TestDemosaicConstantField(t *testing.T) {
 
 func TestDemosaicPlusColorMapRecoversSceneColor(t *testing.T) {
 	raw := flatBayer(16, 16, 0.6, 0.4, 0.1)
-	img := demosaic(raw, nil, 0, raw.H, 1)
-	colorMap(img, 0, img.H, 1)
+	img := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
+	colorMap(img, raster.FullSpans(img.W, img.H), 1)
 	// Interior pixels must recover the scene color.
 	i := 8*16 + 8
 	if math.Abs(float64(img.R[i])-0.6) > 1e-3 ||
@@ -127,9 +127,9 @@ func TestColorMapMatrixIsInverse(t *testing.T) {
 func TestWithoutColorMapYellowIsDesaturated(t *testing.T) {
 	// Yellow scene: R-B gap shrinks through crosstalk without CM.
 	raw := flatBayer(16, 16, 0.8, 0.62, 0.12)
-	noCM := demosaic(raw, nil, 0, raw.H, 1)
-	withCM := demosaic(raw, nil, 0, raw.H, 1)
-	colorMap(withCM, 0, withCM.H, 1)
+	noCM := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
+	withCM := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
+	colorMap(withCM, raster.FullSpans(withCM.W, withCM.H), 1)
 	i := 8*16 + 8
 	gapNo := noCM.R[i] - noCM.B[i]
 	gapWith := withCM.R[i] - withCM.B[i]
@@ -147,7 +147,7 @@ func TestDenoiseReducesNoiseVariance(t *testing.T) {
 		img.G[i] = 0.5 + n
 		img.B[i] = 0.5 + n
 	}
-	out := denoise(img, nil, 0, img.H, 1)
+	out := denoise(img, nil, raster.FullSpans(img.W, img.H), 1)
 	varOf := func(p []float32) float64 {
 		var mean float64
 		for _, v := range p {
@@ -177,7 +177,7 @@ func TestDenoisePreservesStrongEdges(t *testing.T) {
 			img.Set(x, y, v, v, v)
 		}
 	}
-	out := denoise(img, nil, 0, img.H, 1)
+	out := denoise(img, nil, raster.FullSpans(img.W, img.H), 1)
 	// Edge contrast across x=7..8 must remain large (bilateral, not box).
 	l, r := out.R[8*16+7], out.R[8*16+8]
 	if r-l < 0.6 {
@@ -188,7 +188,7 @@ func TestDenoisePreservesStrongEdges(t *testing.T) {
 func TestGamutMapClipsAndCompresses(t *testing.T) {
 	img := raster.NewRGB(4, 1)
 	img.Set(0, 0, -0.2, 0.5, 2.5)
-	gamutMap(img, 0, img.H, 1)
+	gamutMap(img, raster.FullSpans(img.W, img.H), 1)
 	r, g, b := img.R[0], img.G[0], img.B[0]
 	if r != 0 {
 		t.Fatalf("negative not clipped: %v", r)
@@ -206,7 +206,7 @@ func TestGamutMapMonotone(t *testing.T) {
 	for v := float32(0); v < 3; v += 0.01 {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, v, 0, 0)
-		gamutMap(img, 0, img.H, 1)
+		gamutMap(img, raster.FullSpans(img.W, img.H), 1)
 		r := img.R[0]
 		if r < prev {
 			t.Fatalf("gamut map not monotone at %v", v)
@@ -218,7 +218,7 @@ func TestGamutMapMonotone(t *testing.T) {
 func TestToneMapLiftsShadows(t *testing.T) {
 	img := raster.NewRGB(1, 1)
 	img.Set(0, 0, 0.05, 0.5, 1.0)
-	toneMap(img, 0, img.H, 1)
+	toneMap(img, raster.FullSpans(img.W, img.H), 1)
 	r, g, b := img.R[0], img.G[0], img.B[0]
 	if r <= 0.05*2 {
 		t.Fatalf("shadow not lifted: %v", r)

@@ -8,6 +8,7 @@ import (
 
 	"hsas/internal/camera"
 	"hsas/internal/obs"
+	"hsas/internal/raster"
 	"hsas/internal/world"
 )
 
@@ -33,7 +34,7 @@ func TestProcessObservedIntoRecordsStages(t *testing.T) {
 			what := fmt.Sprintf("%s workers=%d", cfg.ID, workers)
 			want := cfg.ProcessInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), workers)
 			o := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
-			got := cfg.ProcessObservedInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), 0, h, workers, o)
+			got := cfg.ProcessObservedInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), raster.FullSpans(w, h), workers, o)
 			assertSameRGB(t, what, got, want)
 
 			var names []string

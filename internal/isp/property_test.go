@@ -14,7 +14,7 @@ func TestGamutMapIdentityBelowKnee(t *testing.T) {
 	for _, v := range []float32{0, 0.2, 0.5, 0.84} {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, v, v, v)
-		gamutMap(img, 0, img.H, 1)
+		gamutMap(img, raster.FullSpans(img.W, img.H), 1)
 		r := img.R[0]
 		if r != v {
 			t.Fatalf("in-gamut value %v changed to %v", v, r)
@@ -28,7 +28,7 @@ func TestGamutMapRangeProperty(t *testing.T) {
 	f := func(v float64) bool {
 		img := raster.NewRGB(1, 1)
 		img.Set(0, 0, float32(v), 0, 0)
-		gamutMap(img, 0, img.H, 1)
+		gamutMap(img, raster.FullSpans(img.W, img.H), 1)
 		r := img.R[0]
 		return r >= 0 && r <= 1
 	}
@@ -44,7 +44,7 @@ func TestDenoisePreservesConstantField(t *testing.T) {
 	for i := range img.R {
 		img.R[i], img.G[i], img.B[i] = 0.4, 0.5, 0.6
 	}
-	out := denoise(img, nil, 0, img.H, 1)
+	out := denoise(img, nil, raster.FullSpans(img.W, img.H), 1)
 	for i := range out.R {
 		if d := out.R[i] - 0.4; d > 1e-5 || d < -1e-5 {
 			t.Fatalf("flat field changed: %v", out.R[i])
@@ -60,7 +60,7 @@ func TestDemosaicPreservesMean(t *testing.T) {
 	for i := range raw.Pix {
 		raw.Pix[i] = float32(0.3 + 0.1*rng.Float64())
 	}
-	img := demosaic(raw, nil, 0, raw.H, 1)
+	img := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
 	var rawMean, gMean float64
 	for _, v := range raw.Pix {
 		rawMean += float64(v)

@@ -2,6 +2,7 @@ package perception
 
 import (
 	"math"
+	"sort"
 
 	"hsas/internal/cpufeat"
 	"hsas/internal/mat"
@@ -224,33 +225,62 @@ func (d *Detector) project(dist, left, right float64, col, iw, ih int) (u, v flo
 	return u, v, ok && u >= 0 && v >= 0 && u <= float64(iw-1) && v <= float64(ih-1)
 }
 
-// SourceRows returns the rows [lo, hi) of an iw×ih frame that Detect
-// can read under any of rois: both bilinear source rows of every BEV row
-// that lands on the image, which is all its footprint reads. It is empty
-// (lo == hi) when no such row exists. It allocates nothing, and each BEV
-// row stops at its first sample on the image, because every sample of a
-// row has the same image row v (see bevRow).
-func (d *Detector) SourceRows(iw, ih int, rois ...ROI) (lo, hi int) {
-	lo, hi = ih, 0
-	for _, roi := range rois {
-		work := *d
-		work.BevW = d.bevWidth(roi)
-		for row := 0; row < work.BevH; row++ {
-			dist := work.rowToDist(roi, row)
-			left, right := roi.LatAt(dist)
-			for col := 0; col < work.BevW; col++ {
-				if _, v, ok := work.project(dist, left, right, col, iw, ih); ok {
-					y0 := int(v)
-					lo, hi = min(lo, y0), max(hi, min(y0+1, ih-1)+1)
-					break
-				}
+// SourceSpans sets dst, resized to ih rows, to the pixels of an iw×ih
+// frame that Detect reads under roi, and returns it: on both bilinear
+// source rows of every BEV row that lands on the image, the columns x0
+// and min(x0+1, iw-1) of each of its samples on the image, which is all
+// its footprint reads. A row's span is the hull of what its BEV rows
+// read, so its first and last columns are read; a row nothing reads is
+// empty.
+//
+// It projects O(log BevW) samples per BEV row, not all BevW: every
+// sample of a row has the same image row v (see bevRow), and its column
+// u is monotone in the BEV column, since each rounded operation from the
+// column to u is. So a row's samples on the image are one run of
+// columns, whose ends a bisection finds, and whose first and last
+// samples hold the least and greatest x0.
+func (d *Detector) SourceSpans(dst []raster.Span, iw, ih int, roi ROI) []raster.Span {
+	dst = grow(dst, ih)
+	clear(dst)
+	work := *d
+	work.BevW = d.bevWidth(roi)
+	n := work.BevW
+	for row := 0; row < work.BevH; row++ {
+		dist := work.rowToDist(roi, row)
+		left, right := roi.LatAt(dist)
+		u := func(col int) float64 {
+			u, _, _ := work.project(dist, left, right, col, iw, ih)
+			return u
+		}
+		// The run [c0, c1] of columns with 0 <= u <= iw-1; NaN columns
+		// satisfy neither bound, so a row of them has an empty run.
+		var c0, c1 int
+		if u(0) <= u(n-1) {
+			c0 = sort.Search(n, func(c int) bool { return u(c) >= 0 })
+			c1 = sort.Search(n, func(c int) bool { return u(c) > float64(iw-1) }) - 1
+		} else {
+			c0 = sort.Search(n, func(c int) bool { return u(c) <= float64(iw-1) })
+			c1 = sort.Search(n, func(c int) bool { return u(c) < 0 }) - 1
+		}
+		if c0 > c1 {
+			continue
+		}
+		u0, v, ok0 := work.project(dist, left, right, c0, iw, ih)
+		u1, _, ok1 := work.project(dist, left, right, c1, iw, ih)
+		if !ok0 || !ok1 {
+			continue // the row's v is off the image
+		}
+		x0, x1 := min(int(u0), int(u1)), max(int(u0), int(u1))
+		read := raster.Span{A: x0, B: min(x1+1, iw-1) + 1}
+		for _, y := range [2]int{int(v), min(int(v)+1, ih-1)} {
+			if s := dst[y]; s.A < s.B {
+				dst[y] = raster.Span{A: min(s.A, read.A), B: max(s.B, read.B)}
+			} else {
+				dst[y] = read
 			}
 		}
 	}
-	if lo >= hi {
-		return 0, 0
-	}
-	return lo, hi
+	return dst
 }
 
 // scoreBEVInto samples the bird's-eye view of the ROI into out (sized

@@ -12,18 +12,18 @@ import (
 	"hsas/internal/world"
 )
 
-// TestBandMatchesFullFrame is the oracle of the loop's band: rendering
-// RAW rows rawRowsFor(lo, hi) and running the ISP over rows [lo, hi)
-// must give exactly the whole frame's bits in those rows, and leave every
-// other row as it was. The bands are each ROI's source rows and their
-// union, which the loop uses, on cameras from 64×32 to 512×256 and poses
-// in every sector of the nine-sector track, into mosaics and RGB buffers
-// dirtied with NaN, infinities and out-of-range values before every
-// frame. Each band is rendered at every worker count from 1 to 8, and
-// the last mosaic goes through each configuration S0–S8 at a worker
-// count that turns with the configuration, band and pose, so the 8
-// counts meet every configuration. The 512×256 camera takes two poses
-// to bound the test's time.
+// TestBandMatchesFullFrame is the oracle of the loop's spans: rendering
+// the RAW spans roiSpans gives for a ROI and running the ISP over its
+// spans must give exactly the whole frame's bits on those pixels, and
+// leave every other pixel as it was. The spans are each ROI's, on
+// cameras from 64×32 to 512×256 and poses in every sector of the
+// nine-sector track, into mosaics and RGB buffers dirtied with NaN,
+// infinities and out-of-range values before every frame. Each ROI's
+// spans are rendered at every worker count from 1 to 8, and the last
+// mosaic goes through each configuration S0–S8 at a worker count that
+// turns with the configuration, ROI and pose, so the 8 counts meet every
+// configuration. The 512×256 camera takes two poses to bound the test's
+// time.
 func TestBandMatchesFullFrame(t *testing.T) {
 	tr := world.NineSectorTrack()
 	var poses []camera.VehiclePose
@@ -35,14 +35,6 @@ func TestBandMatchesFullFrame(t *testing.T) {
 	for _, cam := range []camera.Camera{camera.Scaled(64, 32), camera.Scaled(96, 48), camera.Scaled(192, 96), camera.Default()} {
 		w, h := cam.Width, cam.Height
 		det := perception.NewDetector(perception.NewGeometry(cam))
-		bands := [][2]int{}
-		for _, roi := range perception.ROIs {
-			lo, hi := det.SourceRows(w, h, roi)
-			bands = append(bands, [2]int{lo, hi})
-		}
-		lo, hi := det.SourceRows(w, h, perception.ROIs...)
-		bands = append(bands, [2]int{lo, hi})
-
 		rends := make([]*camera.Renderer, 8)
 		for k := range rends {
 			rends[k] = camera.NewRenderer(tr, cam)
@@ -54,6 +46,7 @@ func TestBandMatchesFullFrame(t *testing.T) {
 		dirtyRGB(dirtyA, 1)
 		dirtyRGB(dirtyB, 2)
 		raw, a, b := raster.NewBayer(w, h), raster.NewRGB(w, h), raster.NewRGB(w, h)
+		var spans, rawSpans []raster.Span
 		stride := 1
 		if w >= 512 {
 			stride = 5
@@ -65,26 +58,26 @@ func TestBandMatchesFullFrame(t *testing.T) {
 			for ci, cfg := range isp.Knobs {
 				wantRGB[ci] = cfg.Process(wantRaw)
 			}
-			for bi, band := range bands {
-				where := fmt.Sprintf("%dx%d pose %d band %d [%d, %d)", w, h, pi, bi, band[0], band[1])
-				rawRows := rawRowsFor(band[0], band[1], h)
+			for ri, roi := range perception.ROIs {
+				where := fmt.Sprintf("%dx%d pose %d ROI %d", w, h, pi, roi.ID)
+				spans, rawSpans = roiSpans(det, roi, cam, spans, rawSpans)
 				for _, rend := range rends {
 					copy(raw.Pix, dirtyRaw.Pix)
-					rend.RenderRAWRowsInto(raw, vp, seed, rawRows[0], rawRows[1])
-					checkRows(t, fmt.Sprintf("%s RAW workers=%d", where, rend.Workers), w, rawRows,
+					rend.RenderRAWSpansInto(raw, vp, seed, rawSpans)
+					checkSpans(t, fmt.Sprintf("%s RAW workers=%d", where, rend.Workers), w, rawSpans,
 						[][2][]float32{{raw.Pix, wantRaw.Pix}}, [][]float32{dirtyRaw.Pix})
 				}
 				for ci, cfg := range isp.Knobs {
-					workers := (ci+bi+pi)%8 + 1
+					workers := (ci+ri+pi)%8 + 1
 					copyRGB(a, dirtyA)
 					copyRGB(b, dirtyB)
-					got := cfg.ProcessObservedInto(raw, a, b, band[0], band[1], workers, nil)
+					got := cfg.ProcessObservedInto(raw, a, b, spans, workers, nil)
 					dirt := dirtyA
 					if got == b {
 						dirt = dirtyB
 					}
 					want := wantRGB[ci]
-					checkRows(t, fmt.Sprintf("%s %s workers=%d", where, cfg.ID, workers), w, band,
+					checkSpans(t, fmt.Sprintf("%s %s workers=%d", where, cfg.ID, workers), w, spans,
 						[][2][]float32{{got.R, want.R}, {got.G, want.G}, {got.B, want.B}},
 						[][]float32{dirt.R, dirt.G, dirt.B})
 				}
@@ -93,21 +86,21 @@ func TestBandMatchesFullFrame(t *testing.T) {
 	}
 }
 
-// checkRows fails unless each plane pair holds the same bits in rows
-// [rows[0], rows[1]) of width w, and each plane still holds its dirt
-// outside them.
-func checkRows(t *testing.T, where string, w int, rows [2]int, planes [][2][]float32, dirt [][]float32) {
+// checkSpans fails unless each plane pair holds the same bits on the
+// pixels of spans, rows of width w, and each plane still holds its dirt
+// elsewhere.
+func checkSpans(t *testing.T, where string, w int, spans []raster.Span, planes [][2][]float32, dirt [][]float32) {
 	t.Helper()
 	for p, pl := range planes {
 		got, want := pl[0], pl[1]
 		for i := range got {
-			y := i / w
+			x, y := i%w, i/w
 			ref, what := want[i], "the whole frame's"
-			if y < rows[0] || y >= rows[1] {
+			if x < spans[y].A || x >= spans[y].B {
 				ref, what = dirt[p][i], "its old"
 			}
 			if math.Float32bits(got[i]) != math.Float32bits(ref) {
-				t.Fatalf("%s: plane %d pixel (%d, %d) is %v, want %s %v", where, p, i%w, y, got[i], what, ref)
+				t.Fatalf("%s: plane %d pixel (%d, %d) is %v, want %s %v", where, p, x, y, got[i], what, ref)
 			}
 		}
 	}
@@ -135,41 +128,56 @@ func dirtyBayer(b *raster.Bayer, n int) {
 	}
 }
 
-// BenchmarkBand times one 192×96 frame's RAW render and S0 ISP over the
-// whole frame and over the band the loop computes with oracle sensors,
-// at one and two workers, over poses spread across the nine-sector lap.
-// One op is one frame of one stage.
+// BenchmarkBand times one 192×96 frame's RAW render and S0 ISP over
+// three kinds of area, at one and two workers, over poses spread across
+// the nine-sector lap: the whole frame (area=frame), the rows of the
+// union of the five ROIs' spans at full width (area=band, what the loop
+// computed before it computed spans), and each ROI's spans as the loop
+// computes them with oracle sensors (area=roiN). One op is one frame of
+// one stage.
 func BenchmarkBand(b *testing.B) {
 	tr := world.NineSectorTrack()
 	cam := camera.Scaled(192, 96)
 	w, h := cam.Width, cam.Height
-	lo, hi := perception.NewDetector(perception.NewGeometry(cam)).SourceRows(w, h, perception.ROIs...)
+	det := perception.NewDetector(perception.NewGeometry(cam))
 	poses := make([]camera.VehiclePose, 36)
 	for i := range poses {
 		poses[i] = camera.PoseOnTrack(tr, tr.Length()*(float64(i)+0.5)/float64(len(poses)), 0, 0)
 	}
+	type area struct {
+		name            string
+		spans, rawSpans []raster.Span
+	}
+	areas := []area{{"frame", raster.FullSpans(w, h), raster.FullSpans(w, h)}}
+	band := area{name: "band", spans: make([]raster.Span, h)}
+	var roiAreas []area
+	for _, roi := range perception.ROIs {
+		spans, rawSpans := roiSpans(det, roi, cam, nil, nil)
+		roiAreas = append(roiAreas, area{fmt.Sprintf("roi%d", roi.ID), spans, rawSpans})
+		lo, hi := raster.SpanRows(spans)
+		for y := lo; y < hi; y++ {
+			band.spans[y] = raster.Span{A: 0, B: w}
+		}
+	}
+	band.rawSpans = raster.DilateSpans(nil, band.spans, 2, w)
+	areas = append(append(areas, band), roiAreas...)
 	s0, _ := isp.ByID("S0")
 	for _, workers := range []int{1, 2} {
-		for _, band := range []bool{false, true} {
-			rows := [2]int{0, h}
-			if band {
-				rows = [2]int{lo, hi}
-			}
-			rawRows := rawRowsFor(rows[0], rows[1], h)
+		for _, ar := range areas {
 			rend := camera.NewRenderer(tr, cam)
 			rend.Workers = workers
 			raw := rend.RenderRAW(poses[0], 1)
 			a, c := raster.NewRGB(w, h), raster.NewRGB(w, h)
-			b.Run(fmt.Sprintf("render/workers=%d/band=%v", workers, band), func(b *testing.B) {
+			b.Run(fmt.Sprintf("render/workers=%d/area=%s", workers, ar.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rend.RenderRAWRowsInto(raw, poses[i%len(poses)], int64(i), rawRows[0], rawRows[1])
+					rend.RenderRAWSpansInto(raw, poses[i%len(poses)], int64(i), ar.rawSpans)
 				}
 			})
-			b.Run(fmt.Sprintf("isp-S0/workers=%d/band=%v", workers, band), func(b *testing.B) {
+			b.Run(fmt.Sprintf("isp-S0/workers=%d/area=%s", workers, ar.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s0.ProcessObservedInto(raw, a, c, rows[0], rows[1], workers, nil)
+					s0.ProcessObservedInto(raw, a, c, ar.spans, workers, nil)
 				}
 			})
 		}

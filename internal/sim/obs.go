@@ -9,17 +9,25 @@ import (
 )
 
 // Stage names for the stage spans and the hsas_sim_stage_seconds labels.
-// The first pipelineStages run back to back in every processed cycle:
-// "render" is the synthetic camera, "classify" covers situation
-// identification plus knob selection, "detect" the perception ROI +
-// sliding-window search, "control" the gating + LQR step + actuation
-// scheduling. "classify.road/lane/scene" time each invoked classifier
-// inside "classify"; "physics" covers the physics steps from a processed
-// cycle's capture to the next. Dropped cycles record no stage.
+// The first pipelineStages run once in every processed cycle, each
+// stamping its own start and end: "render" is the synthetic camera,
+// "isp" the ISP, "classify" covers situation identification plus knob
+// selection, "detect" the perception ROI + sliding-window search,
+// "control" the gating + LQR step + actuation scheduling. They run in
+// that order, except that "classify" runs first when no sensor reads
+// the frame (see loop.step). "classify.road/lane/scene" time each
+// invoked classifier inside "classify"; "physics" covers the physics
+// steps from a processed cycle's capture to the next. Dropped cycles
+// record no stage.
 var stageNames = [...]string{"render", "isp", "classify", "detect", "control",
 	"classify.road", "classify.lane", "classify.scene", "physics"}
 
 const (
+	renderStage          = 0
+	ispStage             = 1
+	classifyStage        = 2
+	detectStage          = 3
+	controlStage         = 4
 	pipelineStages       = 5
 	firstClassifierStage = 5 // classify.road; lane and scene follow
 	physicsStage         = 8
@@ -139,12 +147,12 @@ func (m *simMetrics) cycle(l *loop, c *cycle) {
 	}
 	if !c.dropped {
 		for i := 0; i < pipelineStages; i++ {
-			m.stage(i, l.marks[i], l.marks[i+1])
+			m.stage(i, l.stageT[i][0], l.stageT[i][1])
 		}
 	}
 	if tr := m.o.Tracer(); tr != nil {
 		st := c.setting
-		tr.SpanAt("cycle", "sim", 0, l.marks[0], l.marks[pipelineStages], map[string]any{
+		tr.SpanAt("cycle", "sim", 0, l.cycleT[0], l.cycleT[1], map[string]any{
 			"frame": l.frame, "sector": sector, "sim_t_ms": l.t,
 			"isp": st.ISP, "roi": st.ROI, "speed_kmph": st.SpeedKmph,
 			"h_ms": l.timing.HMs, "tau_ms": l.timing.TauMs, "det_ok": c.pres.OK,

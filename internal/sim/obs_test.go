@@ -22,24 +22,46 @@ import (
 // Case 4 nine-sector run with an Observer attached must emit one span
 // per pipeline stage per control cycle in valid Chrome trace-event JSON,
 // and serve Prometheus text exposition with cycle counters, per-stage
-// latency histograms and detection-failure/reconfiguration counters.
+// latency histograms and detection-failure/reconfiguration counters. It
+// runs once with wrapped oracles, which count their calls and get whole
+// frames captured first, and once with plain oracles, which classify
+// before capture: in both, each stage span lies inside its cycle span,
+// the stages do not overlap, and they run in their path's order.
 func TestObservedRunSpansAndMetrics(t *testing.T) {
+	var calls [3]int
+	sens := OracleSensors()
+	wrapped := Sensors{Road: countingSensor{sens.Road, &calls[0]},
+		Lane: countingSensor{sens.Lane, &calls[1]}, Scene: countingSensor{sens.Scene, &calls[2]}}
+	for _, run := range []struct {
+		name  string
+		sens  Sensors
+		order []string
+	}{
+		{"wrapped", wrapped, []string{"render", "isp", "classify", "detect", "control"}},
+		{"plain", sens, []string{"classify", "render", "isp", "detect", "control"}},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			checkObservedRun(t, run.sens, &calls, run.order)
+		})
+	}
+}
+
+// checkObservedRun runs the observed Case 4 slice with sens, whose
+// classifiers the plain and wrapped runs invoke calls times, and checks
+// its spans, metrics and logs; order is the order of its stages.
+func checkObservedRun(t *testing.T, sens Sensors, calls *[3]int, order []string) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	var logBuf bytes.Buffer
 	o := &obs.Observer{Log: obs.NewLogger(&logBuf, slog.LevelInfo), Metrics: reg, Trace: tr}
-
-	var calls [3]int
-	sens := OracleSensors()
 	res, err := Run(Config{
 		Track:    world.NineSectorTrack(),
 		Camera:   camera.Scaled(128, 64),
 		Case:     knobs.Case4,
 		Seed:     1,
 		MaxTimeS: 12, // bounded slice of the track: plenty of cycles
-		Sens: Sensors{Road: countingSensor{sens.Road, &calls[0]},
-			Lane: countingSensor{sens.Lane, &calls[1]}, Scene: countingSensor{sens.Scene, &calls[2]}},
-		Obs: o,
+		Sens:     sens,
+		Obs:      o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,15 +75,16 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
+	type event struct {
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Phase string         `json:"ph"`
+		TS    int64          `json:"ts"`
+		Dur   int64          `json:"dur"`
+		Args  map[string]any `json:"args"`
+	}
 	var decoded struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Cat   string         `json:"cat"`
-			Phase string         `json:"ph"`
-			TS    int64          `json:"ts"`
-			Dur   int64          `json:"dur"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
+		TraceEvents []event `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("trace not valid Chrome trace JSON: %v", err)
@@ -86,20 +109,44 @@ func TestObservedRunSpansAndMetrics(t *testing.T) {
 		t.Fatalf("case 4 left a classifier uninvoked: %v", calls)
 	}
 	// Classifier spans nest inside the classify span of their cycle,
-	// which is recorded after them (1 µs slack for rounding).
+	// which is recorded after them, and the five stage spans, recorded
+	// before their cycle span, lie inside it one after another in the
+	// path's order (1 µs slack for rounding each bound).
 	var open []int
+	stages := map[string]event{}
 	for i, e := range decoded.TraceEvents {
 		switch e.Name {
 		case "classify.road", "classify.lane", "classify.scene":
 			open = append(open, i)
-		case "classify":
+		case "render", "isp", "classify", "detect", "control":
+			stages[e.Name] = e
+			if e.Name != "classify" {
+				break
+			}
 			for _, j := range open {
 				c := decoded.TraceEvents[j]
-				if c.TS < e.TS || c.TS+c.Dur > e.TS+e.Dur+1 {
+				if c.TS < e.TS-1 || c.TS+c.Dur > e.TS+e.Dur+1 {
 					t.Fatalf("%s span [%d, +%d] outside classify [%d, +%d]", c.Name, c.TS, c.Dur, e.TS, e.Dur)
 				}
 			}
 			open = open[:0]
+		case "cycle":
+			if len(stages) == 0 {
+				continue // a dropped cycle
+			}
+			if len(stages) != len(order) {
+				t.Fatalf("cycle at %d µs holds %d stage spans, want %d", e.TS, len(stages), len(order))
+			}
+			end, before := e.TS, "the cycle's start"
+			for _, name := range order {
+				st := stages[name]
+				if st.TS < end-1 || st.TS+st.Dur > e.TS+e.Dur+1 {
+					t.Fatalf("cycle [%d, +%d]: %s span [%d, +%d] starts before %s (%d) or leaves the cycle",
+						e.TS, e.Dur, name, st.TS, st.Dur, before, end)
+				}
+				end, before = st.TS+st.Dur, name+"'s end"
+			}
+			clear(stages)
 		}
 	}
 	// The delayed actuation fires once per capture; the run may end with

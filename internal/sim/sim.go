@@ -263,8 +263,9 @@ type designKey struct{ speed, hMs, tauMs float64 }
 var numClasses = [3]int{world.NumRoadClasses, world.NumLaneClasses, world.NumSceneClasses}
 
 // loop is the state of one closed-loop run. step is one control cycle
-// (capture → identify → select → perceive → act, or drop for a lost
-// frame, then finishCycle); physics advances the plant between captures.
+// (capture → process → classify and select → perceive → act; classify
+// and select first when no sensor reads the frame; drop for a lost
+// frame; then finishCycle); physics advances the plant between captures.
 type loop struct {
 	cfg     Config
 	met     *simMetrics // nil when observability is disabled
@@ -292,10 +293,12 @@ type loop struct {
 
 	// Frame buffers leased from the raster pool for the whole run: the RAW
 	// mosaic and the ISP's ping/pong RGB pair. Every frame overwrites the
-	// mosaic's rows rawRows and the RGB pair's rows rows; see frameRows.
-	raw            *raster.Bayer
-	frameA, frameB *raster.RGB
-	rows, rawRows  [2]int
+	// mosaic on rawSpans and the RGB pair on spans; see setSpans.
+	raw             *raster.Bayer
+	frameA, frameB  *raster.RGB
+	imageFree       bool // no sensor reads a frame; see newLoop
+	spanROI         int  // the ROI spans are of, when imageFree
+	spans, rawSpans []raster.Span
 
 	// One occlusion closure for the whole run (the pattern is fixed in
 	// world space; only its area fraction varies per frame).
@@ -311,10 +314,11 @@ type loop struct {
 	haveYl              bool
 	gateRejects         int
 
-	// marks are the wall-clock boundaries of the pipeline stages of the
-	// current cycle (marks[i] -> marks[i+1] is stageNames[i]), stamped
-	// only when instrumented.
-	marks [pipelineStages + 1]time.Time
+	// stageT holds the wall-clock start and end of each pipeline stage
+	// of the current cycle (indexed as stageNames), and cycleT the
+	// cycle's, stamped only when instrumented.
+	stageT [pipelineStages][2]time.Time
+	cycleT [2]time.Time
 }
 
 // cycle is one control cycle's record, filled in stage order and closed
@@ -392,35 +396,42 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 	l.plant = vehicle.NewPlant(vehicle.BMWX5(), l.targetSpeed, vehicle.State{X: vp.X, Y: vp.Y, Psi: vp.Psi})
 	fw, fh := cfg.Camera.Width, cfg.Camera.Height
 	l.raw, l.frameA, l.frameB = raster.GetBayer(fw, fh), raster.GetRGB(fw, fh), raster.GetRGB(fw, fh)
-	l.rows, l.rawRows = l.frameRows(fw, fh)
+	// With plain oracle sensors nothing but lane detection reads a frame,
+	// so a cycle classifies and selects its setting before capture and
+	// computes only the selected ROI's spans (setSpans). Any other sensor
+	// may read every pixel, so it gets whole frames, captured first.
+	l.imageFree, l.spanROI = true, -1
+	for _, s := range l.sens {
+		if _, ok := s.(Oracle); !ok {
+			l.imageFree = false
+		}
+	}
+	if !l.imageFree {
+		l.spans, l.rawSpans = raster.FullSpans(fw, fh), raster.FullSpans(fw, fh)
+	}
 	return l, nil
 }
 
-// frameRows returns the rows [lo, hi) of each frame the run computes:
-// rows through the ISP and rawRows through the renderer. With oracle
-// sensors nothing but lane detection reads a frame, and detection reads
-// only its footprint's source rows, so rows are the union of the source
-// rows of every ROI (the ROI is chosen after the ISP runs). The band's
-// rows come out bit for bit as the whole frame's. Any other sensor may
-// read every pixel, so then the whole frame is computed.
-func (l *loop) frameRows(fw, fh int) (rows, rawRows [2]int) {
-	for _, s := range l.sens {
-		if _, ok := s.(Oracle); !ok {
-			return [2]int{0, fh}, [2]int{0, fh}
-		}
+// setSpans points spans and rawSpans at the pixels a frame computes for
+// ROI roiID (see roiSpans), when no sensor reads the frame.
+func (l *loop) setSpans(roiID int) {
+	if !l.imageFree || roiID == l.spanROI {
+		return
 	}
-	lo, hi := l.det.SourceRows(fw, fh, perception.ROIs...)
-	return [2]int{lo, hi}, rawRowsFor(lo, hi, fh)
+	roi, _ := perception.ROIByID(roiID)
+	l.spans, l.rawSpans = roiSpans(l.det, roi, l.cfg.Camera, l.spans, l.rawSpans)
+	l.spanROI = roiID
 }
 
-// rawRowsFor returns the rows of a RAW frame of fh rows that the ISP
-// reads to compute rows [lo, hi): two more on each side, one for the
-// denoise filter's 3×3 window and one for the demosaic's under it.
-func rawRowsFor(lo, hi, fh int) [2]int {
-	if lo >= hi {
-		return [2]int{lo, hi}
-	}
-	return [2]int{max(lo-2, 0), min(hi+2, fh)}
+// roiSpans sets spans, through the ISP, to the pixels of a cam frame
+// that detection reads under roi, and rawSpans, through the renderer, to
+// those dilated by two rows and columns: one for the denoise filter's
+// 3×3 window and one for the demosaic's under it. It returns both,
+// reusing their memory. Those pixels come out bit for bit as the whole
+// frame's.
+func roiSpans(det *perception.Detector, roi perception.ROI, cam camera.Camera, spans, rawSpans []raster.Span) ([]raster.Span, []raster.Span) {
+	spans = det.SourceSpans(spans, cam.Width, cam.Height, roi)
+	return spans, raster.DilateSpans(rawSpans, spans, 2, cam.Width)
 }
 
 // release returns the frame buffers to the raster pool.
@@ -481,24 +492,38 @@ func (l *loop) now() (t time.Time) {
 	return t
 }
 
-// step is one control cycle at a sampling instant.
+// step is one control cycle at a sampling instant. When no sensor reads
+// the frame, identification needs no image, so the cycle classifies and
+// selects its setting first and then captures and processes only what
+// the selected ROI reads; otherwise the sensors classify the processed
+// frame. The order moves no bit: every stage's inputs are the same.
 func (l *loop) step() error {
 	l.watchdog()
+	l.cycleT[0] = l.now()
 	c := cycle{setting: l.setting, tauMs: l.timing.TauMs}
-	if l.inj.Dropped(l.frame) {
+	switch {
+	case l.inj.Dropped(l.frame):
 		l.drop(&c)
-	} else {
+	case l.imageFree:
+		l.classify(&c)
 		l.capture(&c)
-		l.identify(&c)
-		// Knob selection from the believed situation: PR and control
-		// knobs apply in this cycle, the ISP knob next cycle.
-		c.setting = l.choose()
-		l.marks[3] = l.now()
+		l.process(&c)
+		l.perceive(&c)
+		l.act(&c)
+	default:
+		l.capture(&c)
+		l.process(&c)
+		l.classify(&c)
 		l.perceive(&c)
 		l.act(&c)
 	}
 	return l.finishCycle(&c)
 }
+
+// begin and end stamp the start and end of pipeline stage i of the
+// current cycle, when instrumented.
+func (l *loop) begin(i int) { l.stageT[i][0] = l.now() }
+func (l *loop) end(i int)   { l.stageT[i][1] = l.now() }
 
 // watchdog records a command still pending at the next capture (tau
 // stretched past h by an injected overrun, or a retiming that shortened
@@ -522,7 +547,6 @@ func (l *loop) watchdog() {
 // the controller's predictor; finishCycle counts the cycle as a
 // detection failure and feeds it to the fallback machine.
 func (l *loop) drop(c *cycle) {
-	l.marks[0] = l.now()
 	c.dropped = true
 	c.fault.Add(fault.FrameDrop)
 	if l.deg.holdLast {
@@ -534,13 +558,10 @@ func (l *loop) drop(c *cycle) {
 	c.ylTrue, _ = l.truthYL()
 }
 
-// capture renders the RAW frame with the RAW-domain faults.
+// capture renders the RAW frame's rawSpans with the RAW-domain faults.
 func (l *loop) capture(c *cycle) {
-	l.marks[0] = l.now()
-	// Classifier ground truth is what the frame depicts: the visible
-	// ground window, starting AT the vehicle, so a frame taken mid-curve
-	// shows curve and turn handling holds until the arc has passed.
-	c.truth = l.cfg.Track.CameraSituationAhead(l.s, 0, previewM)
+	l.begin(renderStage)
+	l.setSpans(c.setting.ROI)
 	// Adversarial lane-marking occlusion acts at render time: the
 	// renderer consults the pure world-space predicate, so the
 	// row-parallel render stays byte-identical to the serial one.
@@ -552,28 +573,40 @@ func (l *loop) capture(c *cycle) {
 		l.rend.Occlude = nil
 	}
 	st := l.plant.St
-	l.rend.RenderRAWRowsInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919,
-		l.rawRows[0], l.rawRows[1])
+	l.rend.RenderRAWSpansInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919, l.rawSpans)
 	if sigma, ok := l.inj.Noise(l.frame); ok {
 		fault.AddBayerNoise(l.raw, sigma, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault.Add(fault.NoiseBurst)
 	}
-	l.marks[1] = l.now()
+	l.end(renderStage)
 }
 
-// identify runs the ISP, then situation identification on its output
-// (Fig. 2): the classifiers the policy invokes this frame, in Road,
-// Lane, Scene order. Classifier faults (stuck-at / bit flip) overwrite a
-// sensor's verdict at its output, so they corrupt the belief exactly
-// when the policy actually invokes that classifier.
-func (l *loop) identify(c *cycle) {
-	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.rows[0], l.rows[1], l.workers, l.cfg.Obs)
+// process runs the ISP over the frame's spans, with the ISP-output
+// faults.
+func (l *loop) process(c *cycle) {
+	l.begin(ispStage)
+	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.spans, l.workers, l.cfg.Obs)
 	if frac, kinds := l.inj.CorruptFrac(l.frame); kinds != 0 {
 		fault.CorruptRGBBand(c.rgb, frac, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault |= kinds
 	}
-	l.marks[2] = l.now()
+	l.end(ispStage)
+}
 
+// classify is situation identification (Fig. 2), then knob selection
+// from the believed situation: the classifiers the policy invokes this
+// frame, in Road, Lane, Scene order, each given the processed frame
+// (nil when no sensor reads it) and the ground truth. Classifier faults
+// (stuck-at / bit flip) overwrite a sensor's verdict at its output, so
+// they corrupt the belief exactly when the policy actually invokes that
+// classifier. PR and control knobs apply in this cycle, the ISP knob
+// next cycle.
+func (l *loop) classify(c *cycle) {
+	l.begin(classifyStage)
+	// Classifier ground truth is what the frame depicts: the visible
+	// ground window, starting AT the vehicle, so a frame taken mid-curve
+	// shows curve and turn handling holds until the arc has passed.
+	c.truth = l.cfg.Track.CameraSituationAhead(l.s, 0, previewM)
 	inv := l.policy.Next(l.t)
 	for k, on := range [3]bool{inv.Road, inv.Lane, inv.Scene} {
 		if !on {
@@ -589,6 +622,8 @@ func (l *loop) identify(c *cycle) {
 			l.met.stage(firstClassifierStage+k, start, time.Now())
 		}
 	}
+	c.setting = l.choose()
+	l.end(classifyStage)
 }
 
 // choose is the knob selector, at start-up and every cycle: the pinned
@@ -614,13 +649,15 @@ func (l *loop) choose() knobs.Setting {
 // genuine change cannot be locked out. A saturated accept is flagged
 // forced: the fallback machine counts it as a bad sample.
 func (l *loop) perceive(c *cycle) {
+	l.begin(detectStage)
 	roi, _ := perception.ROIByID(c.setting.ROI)
 	c.pres = l.det.Detect(c.rgb, roi, perception.LookAhead)
 	var trueOK bool
 	if c.ylTrue, trueOK = l.truthYL(); trueOK {
 		l.res.Detection.Add(c.pres.YL, c.ylTrue, c.pres.OK && c.pres.CandidatePixels > 0)
 	}
-	l.marks[4] = l.now()
+	l.end(detectStage)
+	l.begin(controlStage)
 
 	c.measOK = c.pres.OK
 	if c.measOK && l.haveYl && math.Abs(c.pres.YL-l.ylPrev) > ylGate {
@@ -666,7 +703,8 @@ func (l *loop) finishCycle(c *cycle) error {
 	// Actuation tau after capture, ceiled to the simulation step.
 	l.actT = l.t + l.cfg.Platform.CeilToStep(c.tauMs)
 	l.actU, l.lastU = c.u, c.u
-	l.marks[pipelineStages] = l.now()
+	l.end(controlStage)
+	l.cycleT[1] = l.stageT[controlStage][1]
 	if l.met != nil {
 		l.met.cycle(l, c)
 	}
