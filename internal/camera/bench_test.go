@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -23,10 +24,11 @@ func lapPoses(tr *world.Track, n int) []VehiclePose {
 
 // BenchmarkRender times one frame of the loop's camera at 192×96 over
 // poses spread across the nine-sector lap (every sector's scene and
-// layout) at one and two workers, in two forms: the scene shading alone
-// (RenderSceneInto), and the whole RAW frame (RenderRAWInto: shading,
-// noise draw and sensor model) as the loop renders it. One op is one
-// frame; the poses are taken in turn, each with its own seed.
+// layout) on teams of one and two workers, in two forms: the scene
+// shading alone (RenderSceneInto), and the whole RAW frame
+// (RenderRAWInto: shading, noise draw and sensor model), its noise drawn
+// inline. One op is one frame; the poses are taken in turn, each with
+// its own seed.
 func BenchmarkRender(b *testing.B) {
 	tr := world.NineSectorTrack()
 	cam := Scaled(192, 96)
@@ -34,7 +36,8 @@ func BenchmarkRender(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("scene/workers=%d", workers), func(b *testing.B) {
 			rend := NewRenderer(tr, cam)
-			rend.Workers = workers
+			rend.Team, rend.Workers = mat.NewTeam(workers), workers
+			defer rend.Team.Close()
 			out := raster.NewRGB(cam.Width, cam.Height)
 			rend.RenderSceneInto(out, poses[0])
 			b.ReportAllocs()
@@ -47,7 +50,8 @@ func BenchmarkRender(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("raw/workers=%d", workers), func(b *testing.B) {
 			rend := NewRenderer(tr, cam)
-			rend.Workers = workers
+			rend.Team, rend.Workers = mat.NewTeam(workers), workers
+			defer rend.Team.Close()
 			raw := raster.NewBayer(cam.Width, cam.Height)
 			rend.RenderRAWInto(raw, poses[0], 1)
 			b.ReportAllocs()

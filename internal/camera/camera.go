@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"hsas/internal/mat"
@@ -85,9 +83,11 @@ const (
 // frame's state and track view, the noise stream and its drawn normals),
 // so a Renderer must be used from one goroutine at a time; run-level
 // parallelism (the characterization sweep) gives each run its own
-// Renderer. Within a frame the rows are split over Workers, which shade
-// them and apply the sensor model to them, while the frame's sensor
-// noise is drawn alongside.
+// Renderer. Within a frame the rows are split over Team (or a team of
+// Workers), which shades each row and applies the sensor model to it at
+// once. The frame's sensor noise is drawn before the split, either
+// inline or ahead of time on a helper of Team while the previous frame
+// is processed (see DrawAhead).
 type Renderer struct {
 	Track *world.Track
 
@@ -97,13 +97,14 @@ type Renderer struct {
 	// build a new Renderer for another camera.
 	Cam Camera
 
-	// Workers bounds the row-parallel render: 0 uses GOMAXPROCS, 1
-	// forces serial. With two or more, RenderRAWSpansInto also draws the
-	// frame's sensor noise on its own goroutine while the scene shades.
-	// The rendered image is byte-identical for every worker count — the
-	// split only decides which goroutine computes which independent row,
-	// and the noise is one stream drawn in raster order whatever the
-	// split.
+	// Team splits the rows of a render and draws the noise ahead. A
+	// render without one splits its rows over a team of Workers started
+	// for the frame: 0 means GOMAXPROCS, 1 renders on the calling
+	// goroutine alone. The rendered image is byte-identical for every
+	// team — the split only decides which goroutine computes which
+	// independent row, and the noise is one stream drawn in raster order
+	// whoever draws it.
+	Team    *mat.Team
 	Workers int
 
 	// Occlude, when non-nil, masks lane-marking paint: a marking point at
@@ -117,23 +118,19 @@ type Renderer struct {
 	ground *groundTable // shared with every renderer of Cam; read only
 	vig    []float32    // per-pixel vignetting gain; shared like ground
 
-	rng     *rand.Rand     // RenderRAWSpansInto's reusable noise stream
-	noise   []float64      // the frame's normals: pixel i takes 2i and 2i+1
-	drawTo  int            // normals the frame draws: those of its last raw row and above
-	draw    func()         // r.drawNoise, bound once so go r.draw() allocates nothing
-	drawn   sync.WaitGroup // done once noise holds the frame's normals
-	split   func(_, _ int) // r.claimRows, bound once so the row split allocates nothing
-	claimed atomic.Int64   // rows the row split's goroutines have claimed
-	scene   *raster.RGB    // RenderRAWSpansInto's scene scratch
-	view    world.View     // the frame's track window
-	frame   frameState     // what the row split reads
+	rng      *rand.Rand     // the reusable noise stream
+	noise    []float64      // normals: pixel i takes 2i and 2i+1
+	drawSeed int64          // the frame seed noise holds normals of ...
+	drawRows int            // ... for the pixels of rows [0, drawRows)
+	draw     func()         // r.drawNoise, bound once so a task allocates nothing
+	split    func(_, _ int) // r.renderRows, bound once so the row split allocates nothing
+	scene    *raster.RGB    // RenderRAWSpansInto's scene scratch
+	view     world.View     // the frame's track window
+	frame    frameState     // what the row split reads
 }
 
 // frameState is the frame being rendered, as the row split's goroutines
-// read it. render sets their claim order once per frame: claim c below
-// ground shades the span of ground row g0+c, and, rendering RAW, claim c
-// from ground up to claims takes the span of the sky or haze row
-// lo+c-ground, which the calling goroutine filled.
+// read it: the split's rows [0, n) are the frame's rows lo to lo+n.
 type frameState struct {
 	vp        VehiclePose
 	ax        frameAxes
@@ -142,9 +139,7 @@ type frameState struct {
 	out       *raster.RGB
 	raw       *raster.Bayer // nil rendering the scene alone
 	spans     []raster.Span // the pixels rendered, one span per row
-	lo, g0    int
-	ground    int
-	claims    int
+	lo        int
 }
 
 // cameraTables are what NewRenderer derives from the camera alone. They
@@ -289,11 +284,9 @@ func newGroundTable(cam Camera) groundTable {
 
 // RenderSceneInto renders the linear scene radiance (before the sensor
 // model) into out and returns it. Every pixel is written, so out may be
-// a recycled buffer. Rows above the first ground row hold only sky and
-// haze and are filled on the calling goroutine; the ground rows are
-// split over r.Workers. The track query (Locate/SurfaceAt) and the
-// texture hash are pure, so the output is byte-identical to the serial
-// render.
+// a recycled buffer. The rows are split as render splits them. The
+// track query (Locate/SurfaceAt) and the texture hash are pure, so the
+// output is byte-identical to the serial render.
 func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB {
 	w, h := r.Cam.Width, r.Cam.Height
 	if out.W != w || out.H != h {
@@ -304,98 +297,59 @@ func (r *Renderer) RenderSceneInto(out *raster.RGB, vp VehiclePose) *raster.RGB 
 }
 
 // render shades the pixels of spans into out. When raw is non-nil it
-// also applies the sensor model to them once the frame's noise is drawn.
-// Every pixel of spans is written and no other is.
-//
-// The spans of the sky and haze rows above the first ground row are
-// filled on the calling goroutine. The row split's goroutines then claim
-// rows one at a time from a shared counter (claimRows): first the ground
-// rows, whose spans they shade, then, rendering RAW, the sky and haze
-// rows. A goroutine keeps the ground rows it shaded and applies the
-// sensor model to them once the noise is drawn, at the latest when it
-// claims a sky row, whose sensor model it then applies too. A goroutine
-// that starts late, behind the noise draw on its CPU, so claims fewer
-// rows than one that starts at once, which fixed halves of the rows
-// could not allow.
+// also applies the sensor model to them, whose normals r.noise must
+// hold. Every pixel of spans is written and no other is. The rows from
+// the first to the last non-empty span are split over r.Team, or a team
+// of r.Workers for the frame, whose goroutines claim them in chunks
+// (renderRows).
 func (r *Renderer) render(out *raster.RGB, raw *raster.Bayer, vp VehiclePose, spans []raster.Span) {
-	w := r.Cam.Width
-	g := r.ground
 	f := &r.frame
 	lo, hi := raster.SpanRows(spans)
-	f.vp, f.ax, f.out, f.raw, f.spans = vp, g.axes(vp.Psi), out, raw, spans
+	f.vp, f.ax, f.out, f.raw, f.spans, f.lo = vp, r.ground.axes(vp.Psi), out, raw, spans, lo
 	f.scene = r.Track.SituationAt(vp.S).Scene
 	f.sky = skyColor(f.scene)
 	// Haze fades the ground into the sky color.
 	f.haze = [3]float32{f.sky[0] * 0.9, f.sky[1] * 0.9, f.sky[2] * 0.9}
 	r.view = r.Track.View(vp.S, 20, r.Cam.MaxDist+10)
-
-	off := g.skyRows * w
-	skyHi := max(min(g.groundRow, hi), lo)
-	for y := lo; y < skyHi; y++ {
-		for i, end := y*w+spans[y].A, y*w+spans[y].B; i < end; i++ {
-			c := f.sky
-			if i >= off && g.class[i-off] == pixelHaze {
-				c = f.haze
-			}
-			out.R[i], out.G[i], out.B[i] = c[0], c[1], c[2]
-		}
-	}
-	f.lo, f.g0 = lo, max(g.groundRow, lo)
-	f.ground = max(hi-f.g0, 0)
-	f.claims = f.ground
-	if raw != nil {
-		f.claims += skyHi - lo
-	}
 	if r.split == nil {
-		r.split = r.claimRows
+		r.split = r.renderRows
 	}
-	r.claimed.Store(0)
-	mat.ParallelRows(f.ground, r.Workers, r.split)
+	team := r.Team
+	if team == nil {
+		team = mat.NewTeam(r.Workers)
+		defer team.Close()
+	}
+	team.Rows(hi-lo, r.split)
 	f.out, f.raw, f.spans = nil, nil, nil
 }
 
-// claimRows is one goroutine of render's row split; its row range is
-// unused, since the rows are claimed from r.claimed.
-func (r *Renderer) claimRows(_, _ int) {
+// renderRows is one chunk of render's row split: it shades the spans of
+// the frame rows lo+i0 to lo+i1 and, rendering RAW, applies the sensor
+// model to each row as soon as it is shaded.
+func (r *Renderer) renderRows(i0, i1 int) {
 	f, g, w := &r.frame, r.ground, r.Cam.Width
 	off := g.skyRows * w
-	var mine [256]int32 // claimed rows awaiting the sensor model
-	n := 0
-	for {
-		c := int(r.claimed.Add(1)) - 1
-		if c >= f.claims {
-			break
-		}
-		y := f.lo + c - f.ground // claims past the ground rows are sky rows
-		if c < f.ground {
-			y = f.g0 + c
-			for i, end := y*w+f.spans[y].A, y*w+f.spans[y].B; i < end; i++ {
-				switch g.class[i-off] {
-				case pixelSky:
-					f.out.R[i], f.out.G[i], f.out.B[i] = f.sky[0], f.sky[1], f.sky[2]
-					continue
-				case pixelHaze:
-					f.out.R[i], f.out.G[i], f.out.B[i] = f.haze[0], f.haze[1], f.haze[2]
-					continue
-				}
+	for y := f.lo + i0; y < f.lo+i1; y++ {
+		for i, end := y*w+f.spans[y].A, y*w+f.spans[y].B; i < end; i++ {
+			class := pixelSky // rows above the ground table are all sky
+			if i >= off {
+				class = g.class[i-off]
+			}
+			switch class {
+			case pixelSky:
+				f.out.R[i], f.out.G[i], f.out.B[i] = f.sky[0], f.sky[1], f.sky[2]
+			case pixelHaze:
+				f.out.R[i], f.out.G[i], f.out.B[i] = f.haze[0], f.haze[1], f.haze[2]
+			default:
 				ray := &g.ray[i-off]
 				gx, gy := ray.hit(f.vp.X, f.vp.Y, f.ax)
 				rad := r.shadeGround(gx, gy, f.vp, f.scene, ray.t)
 				f.out.R[i], f.out.G[i], f.out.B[i] = rad[0], rad[1], rad[2]
 			}
 		}
-		if f.raw == nil {
-			continue
+		if f.raw != nil {
+			r.sensorRow(f.raw, f.out, y)
 		}
-		mine[n] = int32(y)
-		n++
-		if n == len(mine) || c >= f.ground {
-			r.sensorRows(f.raw, f.out, mine[:n])
-			n = 0
-		}
-	}
-	if f.raw != nil {
-		r.sensorRows(f.raw, f.out, mine[:n])
 	}
 }
 
@@ -568,10 +522,9 @@ func (r *Renderer) RenderRAWInto(raw *raster.Bayer, vp VehiclePose, seed int64) 
 // exactly the state of rand.New(rand.NewSource(seed)), so the mosaic
 // depends only on the scene and the seed. The stream stops at the last
 // row with a non-empty span, so every pixel of spans gets the normals
-// the whole frame gives it. The normals never depend on the scene, so
-// with two or more workers a goroutine draws them while the scene
-// shades; with one the calling goroutine draws them first. Either way
-// the sensor model runs in the row split; see render.
+// the whole frame gives it. The normals never depend on the scene: when
+// DrawAhead has drawn this seed's through that row they are used as
+// they are, and otherwise they are drawn here, before the row split.
 func (r *Renderer) RenderRAWSpansInto(raw *raster.Bayer, vp VehiclePose, seed int64, spans []raster.Span) *raster.Bayer {
 	w, h := r.Cam.Width, r.Cam.Height
 	if raw.W != w || raw.H != h {
@@ -583,82 +536,93 @@ func (r *Renderer) RenderRAWSpansInto(raw *raster.Bayer, vp VehiclePose, seed in
 	if r.scene == nil || r.scene.W != w || r.scene.H != h {
 		r.scene = raster.NewRGB(w, h)
 	}
-	if len(r.noise) != 2*w*h {
-		r.noise = make([]float64, 2*w*h)
-	}
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(seed))
-	} else {
-		r.rng.Seed(seed)
-	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if r.draw == nil {
-		r.draw = r.drawNoise
-	}
 	_, hi := raster.SpanRows(spans)
-	r.drawTo = 2 * w * hi
-	r.drawn.Add(1)
-	if workers >= 2 {
-		go r.draw()
-	} else {
-		r.draw()
+	r.Team.Wait() // a draw ahead is done with r.noise
+	if r.drawSeed != seed || r.drawRows < hi {
+		r.setDraw(seed, hi)
+		r.drawNoise()
 	}
 	r.render(r.scene, raw, vp, spans)
 	return raw
 }
 
-// drawNoise fills r.noise through r.drawTo from the freshly seeded
-// stream.
+// DrawAhead starts drawing the normals of the pixels of rows [0, rows)
+// of the frame seed on a helper of r.Team, so that a later
+// RenderRAWSpansInto of that seed whose spans end by that row uses
+// them instead of drawing its own. The draw overlaps whatever the
+// caller does until then. Without a team it does nothing: a render then
+// draws its normals inline.
+func (r *Renderer) DrawAhead(seed int64, rows int) {
+	if r.Team == nil {
+		return
+	}
+	r.Team.Wait()
+	r.setDraw(seed, min(rows, r.Cam.Height))
+	if r.draw == nil {
+		r.draw = r.drawNoise
+	}
+	r.Team.Go(r.draw)
+}
+
+// setDraw records that r.noise is to hold the normals of rows [0, rows)
+// of the frame seed, sizing it for the whole frame once.
+func (r *Renderer) setDraw(seed int64, rows int) {
+	if n := 2 * r.Cam.Width * r.Cam.Height; len(r.noise) != n {
+		r.noise = make([]float64, n)
+	}
+	r.drawSeed, r.drawRows = seed, rows
+}
+
+// drawNoise fills r.noise with the normals setDraw recorded, from the
+// stream reseeded with their frame seed.
 func (r *Renderer) drawNoise() {
-	defer r.drawn.Done()
-	rng, noise := r.rng, r.noise[:r.drawTo]
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.drawSeed))
+	} else {
+		r.rng.Seed(r.drawSeed)
+	}
+	rng, noise := r.rng, r.noise[:2*r.Cam.Width*r.drawRows]
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
 }
 
-// sensorRows waits for the frame's noise and applies the sensor model to
-// the spans of the given rows of the scene radiance into raw, pixel i
-// taking the normals noise[2i] and noise[2i+1]. Each span is sliced out
-// once, so the pixel loop indexes within the span.
-func (r *Renderer) sensorRows(raw *raster.Bayer, scene *raster.RGB, rows []int32) {
-	r.drawn.Wait()
+// sensorRow applies the sensor model to the span of row y of the scene
+// radiance into raw, pixel i taking the normals noise[2i] and
+// noise[2i+1]. The span is sliced out once, so the pixel loop indexes
+// within it.
+func (r *Renderer) sensorRow(raw *raster.Bayer, scene *raster.RGB, y int) {
 	w := scene.W
 	m := &SensorMatrix
-	for _, y := range rows {
-		s := r.frame.spans[y]
-		i0, i1 := int(y)*w+s.A, int(y)*w+s.B
-		sR, sG, sB := scene.R[i0:i1], scene.G[i0:i1], scene.B[i0:i1]
-		vig, out := r.vig[i0:i1], raw.Pix[i0:i1]
-		n := r.noise[2*i0 : 2*i1]
-		for i := range out {
-			x := s.A + i
-			sr, sg, sb := float64(sR[i]), float64(sG[i]), float64(sB[i])
-			var v float64
-			switch raster.ColorAt(x, int(y)) {
-			case raster.CFARed:
-				v = m[0][0]*sr + m[0][1]*sg + m[0][2]*sb
-			case raster.CFAGreen:
-				v = m[1][0]*sr + m[1][1]*sg + m[1][2]*sb
-			default:
-				v = m[2][0]*sr + m[2][1]*sg + m[2][2]*sb
-			}
-			v *= float64(vig[i])
-			v += math.Sqrt(math.Max(v, 0))*ShotNoise*n[2*i] + ReadNoise*n[2*i+1]
-			if v < 0 {
-				v = 0
-			}
-			// 10-bit quantization; values may exceed 1 before the ISP's
-			// gamut/tone stages, so clip at the sensor's full well (1.0).
-			if v > 1 {
-				v = 1
-			}
-			v = math.Round(v*QuantLevel) / QuantLevel
-			out[i] = float32(v)
+	s := r.frame.spans[y]
+	i0, i1 := y*w+s.A, y*w+s.B
+	sR, sG, sB := scene.R[i0:i1], scene.G[i0:i1], scene.B[i0:i1]
+	vig, out := r.vig[i0:i1], raw.Pix[i0:i1]
+	n := r.noise[2*i0 : 2*i1]
+	for i := range out {
+		x := s.A + i
+		sr, sg, sb := float64(sR[i]), float64(sG[i]), float64(sB[i])
+		var v float64
+		switch raster.ColorAt(x, y) {
+		case raster.CFARed:
+			v = m[0][0]*sr + m[0][1]*sg + m[0][2]*sb
+		case raster.CFAGreen:
+			v = m[1][0]*sr + m[1][1]*sg + m[1][2]*sb
+		default:
+			v = m[2][0]*sr + m[2][1]*sg + m[2][2]*sb
 		}
+		v *= float64(vig[i])
+		v += math.Sqrt(math.Max(v, 0))*ShotNoise*n[2*i] + ReadNoise*n[2*i+1]
+		if v < 0 {
+			v = 0
+		}
+		// 10-bit quantization; values may exceed 1 before the ISP's
+		// gamut/tone stages, so clip at the sensor's full well (1.0).
+		if v > 1 {
+			v = 1
+		}
+		v = math.Round(v*QuantLevel) / QuantLevel
+		out[i] = float32(v)
 	}
 }
 

@@ -2,7 +2,6 @@ package camera
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"hsas/internal/fault"
@@ -162,13 +161,13 @@ func TestMosaicCrosstalkOnWhite(t *testing.T) {
 		scene.R[i] = 1
 	}
 	r := NewRenderer(dayTrack(), Scaled(4, 4))
-	r.noise = make([]float64, 2*len(scene.R))
-	r.rng = rand.New(rand.NewSource(1))
-	r.drawn.Add(1)
+	r.setDraw(1, scene.H)
 	r.drawNoise()
 	raw := raster.NewBayer(scene.W, scene.H)
 	r.frame.spans = raster.FullSpans(scene.W, scene.H)
-	r.sensorRows(raw, scene, []int32{0, 1, 2, 3})
+	for y := range scene.H {
+		r.sensorRow(raw, scene, y)
+	}
 	// Average G cells: should be near SensorMatrix[1][0] = 0.18, not 0.
 	var g float64
 	var n int
@@ -289,8 +288,8 @@ func TestOccluderMasksMarkings(t *testing.T) {
 	}
 	serial := NewRenderer(dayTrack(), testCam())
 	serial.Workers, serial.Occlude = 1, patchy
-	par := NewRenderer(dayTrack(), testCam())
-	par.Workers, par.Occlude = 4, patchy
+	par := teamRenderer(t, dayTrack(), testCam(), 4)
+	par.Occlude = patchy
 	a := serial.RenderSceneInto(raster.NewRGB(serial.Cam.Width, serial.Cam.Height), pose(serial))
 	b := par.RenderSceneInto(raster.NewRGB(par.Cam.Width, par.Cam.Height), pose(par))
 	for i := range a.R {

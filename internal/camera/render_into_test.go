@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -26,8 +29,7 @@ func TestRenderRAWIntoMatchesRenderRAW(t *testing.T) {
 		PoseOnTrack(track, 20, -0.3, -0.02),
 	}
 	for _, workers := range []int{1, 3, 8} {
-		rend := NewRenderer(track, cam)
-		rend.Workers = workers
+		rend := teamRenderer(t, track, cam, workers)
 		raw := raster.NewBayer(cam.Width, cam.Height)
 		for i := range raw.Pix {
 			raw.Pix[i] = float32(math.Inf(1)) // dirty recycled contents
@@ -61,7 +63,7 @@ func TestRenderSceneIntoParallelMatchesSerial(t *testing.T) {
 	ser.Workers = 1
 	serial := ser.RenderSceneInto(raster.NewRGB(cam.Width, cam.Height), vp)
 	par := NewRenderer(track, cam)
-	par.Workers = 5
+	par.Workers = 5 // a team started for each frame
 	out := raster.NewRGB(cam.Width, cam.Height)
 	for i := range out.R {
 		out.R[i], out.G[i], out.B[i] = -1, 2, float32(math.NaN())
@@ -83,8 +85,7 @@ func TestRenderRAWIntoReseedsDeterministically(t *testing.T) {
 	cam := testCam()
 	vp := PoseOnTrack(track, 8, 0, 0)
 	for _, workers := range []int{1, 2} {
-		rend := NewRenderer(track, cam)
-		rend.Workers = workers
+		rend := teamRenderer(t, track, cam, workers)
 		raw := raster.NewBayer(cam.Width, cam.Height)
 		for _, seed := range []int64{3, 99, 3} {
 			fresh := NewRenderer(track, cam)
@@ -109,8 +110,7 @@ func TestNoiseStreamMatchesRand(t *testing.T) {
 	vp := PoseOnTrack(track, 8, 0, 0)
 	raw := raster.NewBayer(cam.Width, cam.Height)
 	for _, workers := range []int{1, 2} {
-		rend := NewRenderer(track, cam)
-		rend.Workers = workers
+		rend := teamRenderer(t, track, cam, workers)
 		for k := range 200 {
 			seed := int64(k*k)*1_000_003 - 5_000_000
 			rend.RenderRAWInto(raw, vp, seed)
@@ -176,5 +176,82 @@ func TestSharedTablesMatchUnshared(t *testing.T) {
 	a, b := NewRenderer(track, cams[0]), NewRenderer(track, cams[0])
 	if a.ground != b.ground || &a.vig[0] != &b.vig[0] {
 		t.Error("two renderers built in a row for one camera do not share its tables")
+	}
+}
+
+// teamRenderer returns a renderer of track through cam on a team of
+// workers, which the test's cleanup closes.
+func teamRenderer(t testing.TB, track *world.Track, cam Camera, workers int) *Renderer {
+	rend := NewRenderer(track, cam)
+	rend.Team, rend.Workers = mat.NewTeam(workers), workers
+	t.Cleanup(rend.Team.Close)
+	return rend
+}
+
+// TestDrawAheadMatchesInline renders frames with seeds 0 to 200 on
+// teams of one to four workers, drawing each next frame's noise ahead
+// as the loop does, and compares every frame with a serial renderer
+// that draws its own. The sequence skips a frame now and then (a
+// dropped frame, whose drawn seed the next render does not take) and
+// sometimes draws fewer rows ahead than the next frame's spans reach;
+// both renders must then draw inline. Every frame's normals must be
+// the seed's stream and its RAW the serial one's. At the end a draw is
+// left in flight when the team closes, as at the end of a run, and no
+// goroutine may outlive it.
+func TestDrawAheadMatchesInline(t *testing.T) {
+	track := dayTrack()
+	cam := Scaled(24, 12)
+	w, h := cam.Width, cam.Height
+	vp := PoseOnTrack(track, 8, 0.1, 0.01)
+	half := make([]raster.Span, h)
+	for y := 2; y < h/2+2; y++ {
+		half[y] = raster.Span{A: 3, B: w - 5}
+	}
+	before := runtime.NumGoroutine()
+	for workers := 1; workers <= 4; workers++ {
+		rend := NewRenderer(track, cam)
+		rend.Team, rend.Workers = mat.NewTeam(workers), workers
+		serial := NewRenderer(track, cam)
+		serial.Workers = 1
+		raw, want := raster.NewBayer(w, h), raster.NewBayer(w, h)
+		for seed := int64(0); seed <= 200; seed++ {
+			if seed%9 == 4 {
+				continue // dropped: the seed drawn ahead for it goes unused
+			}
+			spans := raster.FullSpans(w, h)
+			if seed%3 == 0 {
+				spans = half
+			}
+			serial.RenderRAWSpansInto(want, vp, seed, spans)
+			rend.RenderRAWSpansInto(raw, vp, seed, spans)
+			_, hi := raster.SpanRows(spans)
+			stream := rand.New(rand.NewSource(seed))
+			for i, n := range rend.noise[:2*w*hi] {
+				if s := stream.NormFloat64(); math.Float64bits(n) != math.Float64bits(s) {
+					t.Fatalf("workers=%d seed %d: normal %d is %v, the stream's is %v", workers, seed, i, n, s)
+				}
+			}
+			for y, s := range spans {
+				for i := y*w + s.A; i < y*w+s.B; i++ {
+					if math.Float32bits(raw.Pix[i]) != math.Float32bits(want.Pix[i]) {
+						t.Fatalf("workers=%d seed %d: sample %d is %v, inline draw gives %v", workers, seed, i, raw.Pix[i], want.Pix[i])
+					}
+				}
+			}
+			rows := h
+			if seed%5 == 1 {
+				rows = h / 3 // short of the next frame's rows
+			}
+			rend.DrawAhead(seed+1, rows)
+		}
+		rend.DrawAhead(1000, h)
+		rend.Team.Close()
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the teams closed, want %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

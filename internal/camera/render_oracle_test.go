@@ -229,8 +229,8 @@ func oracleSweep(t *testing.T, workerCounts []int,
 			for _, occlude := range []func(s, lat float64) bool{nil, patchy} {
 				rends := make([]*Renderer, len(workerCounts))
 				for k, n := range workerCounts {
-					rends[k] = NewRenderer(tr, cam)
-					rends[k].Workers, rends[k].Occlude = n, occlude
+					rends[k] = teamRenderer(t, tr, cam, n)
+					rends[k].Occlude = occlude
 				}
 				oracle := newOracleRenderer(rends[0])
 				for pi := 0; pi < len(poses); pi += stride {
@@ -252,14 +252,15 @@ func oracleSweep(t *testing.T, workerCounts []int,
 // and 8, rendering into buffers dirtied before every frame.
 func TestRenderMatchesOracle(t *testing.T) {
 	var scene *raster.RGB
-	oracleSweep(t, []int{1, 2, 3, 8}, func(where string, pi int, vp VehiclePose, rends []*Renderer, _ *oracleRenderer, want *raster.RGB) {
+	workerCounts := []int{1, 2, 3, 8}
+	oracleSweep(t, workerCounts, func(where string, pi int, vp VehiclePose, rends []*Renderer, _ *oracleRenderer, want *raster.RGB) {
 		if scene == nil || scene.W != want.W || scene.H != want.H {
 			scene = raster.NewRGB(want.W, want.H)
 		}
 		for k, rend := range rends {
 			dirtyRGB(scene, pi+k)
 			rend.RenderSceneInto(scene, vp)
-			checkSceneBits(t, fmt.Sprintf("%s workers=%d", where, rend.Workers), scene, want)
+			checkSceneBits(t, fmt.Sprintf("%s workers=%d", where, workerCounts[k]), scene, want)
 		}
 	})
 }
@@ -268,10 +269,14 @@ func TestRenderMatchesOracle(t *testing.T) {
 // the serial mosaic applied to the oracle's scene, over the oracle sweep
 // at every worker count from 1 to 8, rendering into mosaics dirtied
 // before every frame. The renderers are reused from pose to pose with a
-// new seed each, as the loop uses them.
+// new seed each, as the loop uses them, and after each frame draw the
+// next pose's noise ahead, as the loop does: where the sweep skips
+// poses the drawn seed is not the next frame's, which must then draw
+// its own.
 func TestRenderRAWMatchesOracle(t *testing.T) {
 	var raw *raster.Bayer
-	oracleSweep(t, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(where string, pi int, vp VehiclePose, rends []*Renderer, oracle *oracleRenderer, wantScene *raster.RGB) {
+	workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	oracleSweep(t, workerCounts, func(where string, pi int, vp VehiclePose, rends []*Renderer, oracle *oracleRenderer, wantScene *raster.RGB) {
 		seed := int64(17 + 7919*pi)
 		want := oracle.mosaic(wantScene, seed)
 		if raw == nil || raw.W != want.W || raw.H != want.H {
@@ -280,9 +285,10 @@ func TestRenderRAWMatchesOracle(t *testing.T) {
 		for k, rend := range rends {
 			dirtyBayer(raw, pi+k)
 			if got := rend.RenderRAWInto(raw, vp, seed); got != raw {
-				t.Fatalf("%s workers=%d: RenderRAWInto did not return its buffer", where, rend.Workers)
+				t.Fatalf("%s workers=%d: RenderRAWInto did not return its buffer", where, workerCounts[k])
 			}
-			checkRAWBits(t, fmt.Sprintf("%s workers=%d", where, rend.Workers), raw, want)
+			checkRAWBits(t, fmt.Sprintf("%s workers=%d", where, workerCounts[k]), raw, want)
+			rend.DrawAhead(seed+7919, want.H)
 		}
 	})
 }
@@ -336,8 +342,7 @@ func TestGroundTableMatchesOracle(t *testing.T) {
 // scene bits.
 func TestRenderSceneMatchesOracle(t *testing.T) {
 	tr := fiveSceneTrack()
-	rend := NewRenderer(tr, Scaled(96, 48))
-	rend.Workers = 2
+	rend := teamRenderer(t, tr, Scaled(96, 48), 2)
 	oracle := newOracleRenderer(rend)
 	for pi, vp := range oraclePoses(tr) {
 		out := raster.NewRGB(96, 48)
@@ -428,8 +433,7 @@ func TestRenderRAWRowsMatchesFullFrame(t *testing.T) {
 		sets = append(sets, moving)
 		rends := map[int]*Renderer{}
 		for _, n := range []int{1, 2, 3, 8} {
-			rends[n] = NewRenderer(tr, cam)
-			rends[n].Workers = n
+			rends[n] = teamRenderer(t, tr, cam, n)
 		}
 		dirt := raster.NewBayer(w, h)
 		dirtyBayer(dirt, 0)

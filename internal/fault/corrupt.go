@@ -22,20 +22,35 @@ func xorshift64(x uint64) uint64 {
 }
 
 // AddBayerNoise adds a zero-mean uniform burst of amplitude sigma
-// (normalized photosite units) to every RAW sample, clamped to [0, 1].
-func AddBayerNoise(raw *raster.Bayer, sigma float64, streamSeed uint64) {
+// (normalized photosite units) to the RAW samples of spans (one per
+// row), clamped to [0, 1]. The burst is one stream over the frame in
+// raster order, so each sample of spans gets the value the whole-frame
+// burst gives it: the stream steps through the samples between spans
+// without touching them, and stops after the last span.
+func AddBayerNoise(raw *raster.Bayer, spans []raster.Span, sigma float64, streamSeed uint64) {
 	x := streamSeed | 1
 	s := float32(sigma)
-	for i := range raw.Pix {
-		x = xorshift64(x)
-		u := float32(rand01(x))*2 - 1
-		v := raw.Pix[i] + u*s
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
+	next := 0 // the raster index of the sample x was last stepped to, plus one
+	for y, sp := range spans {
+		if sp.A >= sp.B {
+			continue
 		}
-		raw.Pix[i] = v
+		for range y*raw.W + sp.A - next {
+			x = xorshift64(x)
+		}
+		row := raw.Pix[y*raw.W+sp.A : y*raw.W+sp.B]
+		for i, p := range row {
+			x = xorshift64(x)
+			u := float32(rand01(x))*2 - 1
+			v := p + u*s
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			row[i] = v
+		}
+		next = y*raw.W + sp.B
 	}
 }
 

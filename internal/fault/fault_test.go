@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"hsas/internal/raster"
@@ -190,8 +191,8 @@ func TestCorruptionKernelsDeterministic(t *testing.T) {
 		return b
 	}
 	a, b := mk(), mk()
-	AddBayerNoise(a, 0.2, FrameHash(3, 11))
-	AddBayerNoise(b, 0.2, FrameHash(3, 11))
+	AddBayerNoise(a, raster.FullSpans(32, 16), 0.2, FrameHash(3, 11))
+	AddBayerNoise(b, raster.FullSpans(32, 16), 0.2, FrameHash(3, 11))
 	changed := false
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
@@ -359,5 +360,71 @@ func TestMarkingOccludedProperties(t *testing.T) {
 	}
 	if !diff {
 		t.Error("occlusion pattern ignores the seed")
+	}
+}
+
+// wholeFrameBurst is the burst AddBayerNoise adds over every sample: one
+// xorshift step per sample in raster order, clamped to [0, 1]. It is
+// the oracle of the span burst.
+func wholeFrameBurst(raw *raster.Bayer, sigma float64, streamSeed uint64) {
+	x := streamSeed | 1
+	for i := range raw.Pix {
+		x = xorshift64(x)
+		raw.Pix[i] = min(max(raw.Pix[i]+(float32(rand01(x))*2-1)*float32(sigma), 0), 1)
+	}
+}
+
+// TestAddBayerNoiseSpansMatchWholeFrame: over span sets of every shape
+// the loop's RAW spans take and some it never does (whole rows, column
+// runs, spans at either border, single samples, empty rows and sets),
+// every sample of the spans must equal the whole-frame burst, for
+// several seeds and amplitudes, and every other sample must keep its
+// value.
+func TestAddBayerNoiseSpansMatchWholeFrame(t *testing.T) {
+	const w, h = 24, 10
+	mk := func() *raster.Bayer {
+		b := raster.NewBayer(w, h)
+		for i := range b.Pix {
+			b.Pix[i] = float32(i%11) / 10
+		}
+		return b
+	}
+	rows := func(lo, hi, a, b int) []raster.Span {
+		spans := make([]raster.Span, h)
+		for y := lo; y < hi; y++ {
+			spans[y] = raster.Span{A: a, B: b}
+		}
+		return spans
+	}
+	moving := make([]raster.Span, h)
+	for y := range moving {
+		if y%3 != 1 {
+			a := (y * 5) % w
+			moving[y] = raster.Span{A: a, B: min(a+1+(y*7)%9, w)}
+		}
+	}
+	sets := [][]raster.Span{
+		raster.FullSpans(w, h), rows(0, 0, 0, w), rows(2, 7, 0, w), rows(0, h, 3, 9),
+		rows(h-1, h, w-1, w), rows(0, 1, 0, 1), rows(4, 5, 7, 8), rows(1, h-1, 0, w-2), moving,
+	}
+	for _, seed := range []uint64{FrameHash(1, 0), FrameHash(3, 11), FrameHash(-9, 12345), 0, 1 << 63} {
+		for _, sigma := range []float64{0.05, 0.4, 2} {
+			want := mk()
+			wholeFrameBurst(want, sigma, seed)
+			for si, spans := range sets {
+				got, orig := mk(), mk()
+				AddBayerNoise(got, spans, sigma, seed)
+				for i := range got.Pix {
+					ref := orig.Pix[i]
+					if s := spans[i/w]; i%w >= s.A && i%w < s.B {
+						ref = want.Pix[i]
+					}
+					if math.Float32bits(got.Pix[i]) != math.Float32bits(ref) {
+						t.Fatalf("seed %#x sigma %v spans %d: sample (%d, %d) is %v, want %v",
+							seed, sigma, si, i%w, i/w, got.Pix[i], ref)
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hsas/internal/camera"
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -22,17 +23,18 @@ func BenchmarkISPStages(b *testing.B) {
 	h := cam.Height
 	demo := raster.NewRGB(cam.Width, h)
 	den := raster.NewRGB(cam.Width, h)
-	demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, 1)
+	demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, nil)
 	stages := []struct {
 		name string
-		fn   func(workers int)
+		fn   func(team *mat.Team)
 	}{
-		{"demosaic", func(w int) { demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, w) }},
-		{"denoise", func(w int) { denoise(demo, den, raster.FullSpans(demo.W, demo.H), w) }},
-		{"colormap", func(w int) { colorMap(den, raster.FullSpans(den.W, den.H), w) }},
-		{"gamutmap", func(w int) { gamutMap(den, raster.FullSpans(den.W, den.H), w) }},
-		{"tonemap", func(w int) { toneMap(den, raster.FullSpans(den.W, den.H), w) }},
+		{"demosaic", func(tm *mat.Team) { demosaic(raw, demo, raster.FullSpans(raw.W, raw.H), 0, tm) }},
+		{"denoise", func(tm *mat.Team) { denoise(demo, den, raster.FullSpans(demo.W, demo.H), tm) }},
+		{"colormap", func(tm *mat.Team) { colorMap(den, raster.FullSpans(den.W, den.H), tm) }},
+		{"gamutmap", func(tm *mat.Team) { gamutMap(den, raster.FullSpans(den.W, den.H), tm) }},
+		{"tonemap", func(tm *mat.Team) { toneMap(den, raster.FullSpans(den.W, den.H), tm) }},
 	}
+	team := testTeams(b)
 	for _, st := range stages {
 		for _, par := range []struct {
 			name    string
@@ -41,7 +43,7 @@ func BenchmarkISPStages(b *testing.B) {
 			b.Run(st.name+"/"+par.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					st.fn(par.workers)
+					st.fn(team(par.workers))
 				}
 			})
 		}

@@ -173,7 +173,7 @@ func BenchmarkDenoise(b *testing.B) {
 	for _, sz := range [][2]int{{192, 96}, {512, 256}} {
 		w, h := sz[0], sz[1]
 		rend := camera.NewRenderer(tr, camera.Scaled(w, h))
-		img := demosaic(rend.RenderRAW(camera.PoseOnTrack(tr, 40, 0, 0), 1), nil, raster.FullSpans(w, h), 0, 1)
+		img := demosaic(rend.RenderRAW(camera.PoseOnTrack(tr, 40, 0, 0), 1), nil, raster.FullSpans(w, h), 0, nil)
 		out := raster.NewRGB(w, h)
 		for _, path := range []struct {
 			name string
@@ -185,7 +185,7 @@ func BenchmarkDenoise(b *testing.B) {
 				b.SetBytes(int64(3 * 4 * w * h))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					denoise(img, out, raster.FullSpans(img.W, img.H), 1)
+					denoise(img, out, raster.FullSpans(img.W, img.H), nil)
 				}
 			})
 		}

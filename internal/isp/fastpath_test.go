@@ -185,6 +185,7 @@ func assertSameRGB(t *testing.T, what string, got, want *raster.RGB) {
 // demosaic and denoise against the per-pixel oracles on rendered frames
 // and odd sizes for several worker counts.
 func TestDemosaicDenoiseMatchOracle(t *testing.T) {
+	team := testTeams(t)
 	for name, raw := range oracleMosaics() {
 		w, h := raw.W, raw.H
 		dmWant := raster.NewRGB(w, h)
@@ -193,9 +194,9 @@ func TestDemosaicDenoiseMatchOracle(t *testing.T) {
 		denoiseRowsOracle(dmWant, dnWant, 0, h)
 		for _, workers := range []int{1, 2, 3} {
 			what := fmt.Sprintf("%s workers=%d", name, workers)
-			dm := demosaic(raw, dirtyRGB(w, h), raster.FullSpans(w, h), 0, workers)
+			dm := demosaic(raw, dirtyRGB(w, h), raster.FullSpans(w, h), 0, team(workers))
 			assertSameRGB(t, "demosaic "+what, dm, dmWant)
-			dn := denoise(dmWant, dirtyRGB(w, h), raster.FullSpans(dmWant.W, dmWant.H), workers)
+			dn := denoise(dmWant, dirtyRGB(w, h), raster.FullSpans(dmWant.W, dmWant.H), team(workers))
 			assertSameRGB(t, "denoise "+what, dn, dnWant)
 		}
 	}

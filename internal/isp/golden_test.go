@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 )
 
@@ -87,33 +88,34 @@ func TestProcessIntoNilBuffers(t *testing.T) {
 // TestStageWorkersMatchSerial pins each parallel stage kernel against
 // its serial counterpart on its own (not just composed in Process).
 func TestStageWorkersMatchSerial(t *testing.T) {
+	team := testTeams(t)
 	raw := syntheticRAW(64, 32)
-	base := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, 1)
+	base := demosaic(raw, nil, raster.FullSpans(raw.W, raw.H), 0, nil)
 	for _, workers := range []int{2, 5} {
-		dm := demosaic(raw, dirtyRGB(64, 32), raster.FullSpans(raw.W, raw.H), 0, workers)
+		dm := demosaic(raw, dirtyRGB(64, 32), raster.FullSpans(raw.W, raw.H), 0, team(workers))
 		for i := range base.R {
 			if dm.R[i] != base.R[i] || dm.G[i] != base.G[i] || dm.B[i] != base.B[i] {
 				t.Fatalf("demosaic workers=%d differs at %d", workers, i)
 			}
 		}
-		dnSerial := denoise(base, nil, raster.FullSpans(base.W, base.H), 1)
-		dn := denoise(base, dirtyRGB(64, 32), raster.FullSpans(base.W, base.H), workers)
+		dnSerial := denoise(base, nil, raster.FullSpans(base.W, base.H), nil)
+		dn := denoise(base, dirtyRGB(64, 32), raster.FullSpans(base.W, base.H), team(workers))
 		for i := range dnSerial.R {
 			if dn.R[i] != dnSerial.R[i] {
 				t.Fatalf("denoise workers=%d differs at %d", workers, i)
 			}
 		}
 		cmSerial, cmPar := base.Clone(), base.Clone()
-		colorMap(cmSerial, raster.FullSpans(cmSerial.W, cmSerial.H), 1)
-		colorMap(cmPar, raster.FullSpans(cmPar.W, cmPar.H), workers)
+		colorMap(cmSerial, raster.FullSpans(cmSerial.W, cmSerial.H), nil)
+		colorMap(cmPar, raster.FullSpans(cmPar.W, cmPar.H), team(workers))
 		gmSerial, gmPar := base.Clone(), base.Clone()
 		gmSerial.R[5] = float32(math.NaN())
 		gmPar.R[5] = float32(math.NaN())
-		gamutMap(gmSerial, raster.FullSpans(gmSerial.W, gmSerial.H), 1)
-		gamutMap(gmPar, raster.FullSpans(gmPar.W, gmPar.H), workers)
+		gamutMap(gmSerial, raster.FullSpans(gmSerial.W, gmSerial.H), nil)
+		gamutMap(gmPar, raster.FullSpans(gmPar.W, gmPar.H), team(workers))
 		tmSerial, tmPar := base.Clone(), base.Clone()
-		toneMap(tmSerial, raster.FullSpans(tmSerial.W, tmSerial.H), 1)
-		toneMap(tmPar, raster.FullSpans(tmPar.W, tmPar.H), workers)
+		toneMap(tmSerial, raster.FullSpans(tmSerial.W, tmSerial.H), nil)
+		toneMap(tmPar, raster.FullSpans(tmPar.W, tmPar.H), team(workers))
 		for i := range base.R {
 			if cmPar.R[i] != cmSerial.R[i] || gmPar.R[i] != gmSerial.R[i] || tmPar.R[i] != tmSerial.R[i] {
 				t.Fatalf("in-place stage workers=%d differs at %d", workers, i)
@@ -131,6 +133,7 @@ func TestStageWorkersMatchSerial(t *testing.T) {
 // whole frame's bits, and every other pixel must keep the dirt the
 // buffers held, at worker counts 1, 2, 3 and 8.
 func TestProcessRowsMatchesFullFrame(t *testing.T) {
+	team := testTeams(t)
 	for name, raw := range oracleMosaics() {
 		w, h := raw.W, raw.H
 		for _, cfg := range Knobs {
@@ -138,7 +141,7 @@ func TestProcessRowsMatchesFullFrame(t *testing.T) {
 			for si, spans := range spanSets(w, h) {
 				for _, workers := range []int{1, 2, 3, 8} {
 					out, tmp := dirtyRGB(w, h), dirtyRGB(w, h)
-					got := cfg.ProcessObservedInto(raw, out, tmp, spans, workers, nil)
+					got := cfg.ProcessObservedInto(raw, out, tmp, spans, team(workers), nil)
 					dirt := dirtyRGB(w, h)
 					for c, pl := range [3][3][]float32{{got.R, want.R, dirt.R}, {got.G, want.G, dirt.G}, {got.B, want.B, dirt.B}} {
 						for i := range pl[0] {
@@ -196,4 +199,23 @@ func spanSets(w, h int) [][]raster.Span {
 		}
 	}
 	return append(sets, shifted)
+}
+
+// testTeams returns a function giving a team of each worker count,
+// started on first use and closed when the test ends.
+func testTeams(t testing.TB) func(workers int) *mat.Team {
+	teams := map[int]*mat.Team{}
+	t.Cleanup(func() {
+		for _, team := range teams {
+			team.Close()
+		}
+	})
+	return func(workers int) *mat.Team {
+		team, ok := teams[workers]
+		if !ok {
+			team = mat.NewTeam(workers)
+			teams[workers] = team
+		}
+		return team
+	}
 }

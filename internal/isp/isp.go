@@ -115,18 +115,21 @@ var XavierRuntimeMs = map[string]float64{
 // Process runs the configured pipeline over a RAW mosaic into new
 // buffers; see ProcessObservedInto.
 func (c Config) Process(raw *raster.Bayer) *raster.RGB {
-	return c.ProcessObservedInto(raw, nil, nil, raster.FullSpans(raw.W, raw.H), 1, nil)
+	return c.ProcessObservedInto(raw, nil, nil, raster.FullSpans(raw.W, raw.H), nil, nil)
 }
 
 // ProcessInto is ProcessObservedInto over every pixel, without an
-// observer.
+// observer, on a team of workers goroutines (0: GOMAXPROCS) started for
+// the call.
 func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int) *raster.RGB {
-	return c.ProcessObservedInto(raw, out, tmp, raster.FullSpans(raw.W, raw.H), workers, nil)
+	team := mat.NewTeam(workers)
+	defer team.Close()
+	return c.ProcessObservedInto(raw, out, tmp, raster.FullSpans(raw.W, raw.H), team, nil)
 }
 
 // ProcessObservedInto runs the configured pipeline over the pixels of
-// spans (one per row of raw) with caller-held buffers and row-parallel
-// kernels. Stages execute in canonical order regardless of their order
+// spans (one per row of raw) with caller-held buffers, each stage's
+// rows split over team (nil: the calling goroutine alone). Stages execute in canonical order regardless of their order
 // in the Config. out receives the demosaic result; tmp is the ping-pong
 // target when the configuration denoises (pass nil to allocate either).
 // The returned image is whichever buffer holds the final stage's output
@@ -138,7 +141,7 @@ func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int
 // since the 3×3 filter reads that ring (raster.Dilated); every other
 // stage covers the spans. Each pixel keeps the border code of its place
 // in the frame, so the result holds the whole frame's bits on every
-// pixel of spans whatever the spans, the worker count or the buffers'
+// pixel of spans whatever the spans, the team or the buffers'
 // old contents. The pixels of raw the demosaic reads (those of its own
 // pixels dilated by one) must hold the frame. Pixels a stage does not
 // cover are left as they were, so the result holds its old contents
@@ -148,7 +151,7 @@ func (c Config) ProcessInto(raw *raster.Bayer, out, tmp *raster.RGB, workers int
 // sample of hsas_isp_stage_seconds and one trace span (the per-stage
 // timings Table II profiles per configuration). A nil observer reads no
 // clock and allocates nothing.
-func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, spans []raster.Span, workers int, o *obs.Observer) *raster.RGB {
+func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, spans []raster.Span, team *mat.Team, o *obs.Observer) *raster.RGB {
 	if err := raster.CheckSpans(spans, raw.W, raw.H); err != nil {
 		panic("isp: " + err.Error())
 	}
@@ -167,15 +170,15 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, spa
 		}
 		switch s {
 		case Demosaic:
-			img = demosaic(raw, out, spans, ring, workers)
+			img = demosaic(raw, out, spans, ring, team)
 		case Denoise:
-			img = denoise(img, tmp, spans, workers)
+			img = denoise(img, tmp, spans, team)
 		case ColorMap:
-			colorMap(img, spans, workers)
+			colorMap(img, spans, team)
 		case GamutMap:
-			gamutMap(img, spans, workers)
+			gamutMap(img, spans, team)
 		case ToneMap:
-			toneMap(img, spans, workers)
+			toneMap(img, spans, team)
 		}
 		if o.Enabled() {
 			o.Registry().Histogram("hsas_isp_stage_seconds", "wall time per executed ISP stage",
@@ -189,7 +192,7 @@ func (c Config) ProcessObservedInto(raw *raster.Bayer, out, tmp *raster.RGB, spa
 // A pass is one stage's run over a frame's spans, as the goroutines of
 // its row split read it. Its row kernels are method values bound once,
 // when the pass is built, and passes are recycled through passes, so a
-// stage allocates nothing but what mat.ParallelRows starts.
+// stage allocates nothing.
 type pass struct {
 	raw      *raster.Bayer // demosaic's input
 	src, dst *raster.RGB   // the stage's input and output; one image in place
@@ -206,15 +209,15 @@ var passes = sync.Pool{New: func() any {
 }}
 
 // run runs stage s's row kernel from src (or raw) into dst over spans
-// dilated by ring, with the rows split over workers.
-func run(s Stage, raw *raster.Bayer, src, dst *raster.RGB, spans []raster.Span, ring, workers int) {
+// dilated by ring, with the rows split over team.
+func run(s Stage, raw *raster.Bayer, src, dst *raster.RGB, spans []raster.Span, ring int, team *mat.Team) {
 	p := passes.Get().(*pass)
 	lo, hi := raster.SpanRows(spans)
 	if lo < hi {
 		lo, hi = max(lo-ring, 0), min(hi+ring, len(spans))
 	}
 	p.raw, p.src, p.dst, p.spans, p.ring, p.lo = raw, src, dst, spans, ring, lo
-	mat.ParallelRows(hi-lo, workers, p.kernels[s])
+	team.Rows(hi-lo, p.kernels[s])
 	p.raw, p.src, p.dst, p.spans = nil, nil, nil, nil
 	passes.Put(p)
 }
@@ -229,16 +232,16 @@ func (p *pass) span(y int) raster.Span {
 
 // demosaic reconstructs the pixels of spans dilated by ring of an RGB
 // image from an RGGB mosaic with bilinear interpolation of the missing
-// samples, into out (allocated when nil) with row-parallel
-// interpolation. Every sample of those pixels is written.
-func demosaic(raw *raster.Bayer, out *raster.RGB, spans []raster.Span, ring, workers int) *raster.RGB {
+// samples, into out (allocated when nil) with its rows split over team.
+// Every sample of those pixels is written.
+func demosaic(raw *raster.Bayer, out *raster.RGB, spans []raster.Span, ring int, team *mat.Team) *raster.RGB {
 	w, h := raw.W, raw.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
 	} else if out.W != w || out.H != h {
 		panic(fmt.Sprintf("isp: demosaic buffer is %dx%d, raw is %dx%d", out.W, out.H, w, h))
 	}
-	run(Demosaic, raw, nil, out, spans, ring, workers)
+	run(Demosaic, raw, nil, out, spans, ring, team)
 	return out
 }
 
@@ -332,11 +335,11 @@ const (
 )
 
 // denoise applies an edge-preserving 3×3 bilateral filter per channel
-// to the pixels of spans of img into out (allocated when nil) with
-// row-parallel kernels and returns out. The filter reads only img, at
+// to the pixels of spans of img into out (allocated when nil), its rows
+// split over team, and returns out. The filter reads only img, at
 // the spans dilated by one, and writes every pixel of spans of out, so
 // out may be recycled but must not alias img.
-func denoise(img, out *raster.RGB, spans []raster.Span, workers int) *raster.RGB {
+func denoise(img, out *raster.RGB, spans []raster.Span, team *mat.Team) *raster.RGB {
 	w, h := img.W, img.H
 	if out == nil {
 		out = raster.NewRGB(w, h)
@@ -346,7 +349,7 @@ func denoise(img, out *raster.RGB, spans []raster.Span, workers int) *raster.RGB
 	if out == img {
 		panic("isp: denoise output aliases input")
 	}
-	run(Denoise, nil, img, out, spans, 0, workers)
+	run(Denoise, nil, img, out, spans, 0, team)
 	return out
 }
 
@@ -517,9 +520,9 @@ func invert3(m [3][3]float64) [3][3]float32 {
 
 // colorMap applies the color-correction matrix in place to the pixels
 // of spans, restoring scene colorimetry from the sensor's crosstalked
-// channels, with row-parallel execution.
-func colorMap(img *raster.RGB, spans []raster.Span, workers int) {
-	run(ColorMap, nil, img, img, spans, 0, workers)
+// channels, its rows split over team.
+func colorMap(img *raster.RGB, spans []raster.Span, team *mat.Team) {
+	run(ColorMap, nil, img, img, spans, 0, team)
 }
 
 func (p *pass) colorMapRows(i0, i1 int) {
@@ -542,9 +545,9 @@ const gamutKnee = 0.85
 
 // gamutMap compresses out-of-gamut values of the pixels of spans in
 // place: a soft knee above gamutKnee and a hard clip below zero, with
-// row-parallel execution.
-func gamutMap(img *raster.RGB, spans []raster.Span, workers int) {
-	run(GamutMap, nil, img, img, spans, 0, workers)
+// its rows split over team.
+func gamutMap(img *raster.RGB, spans []raster.Span, team *mat.Team) {
+	run(GamutMap, nil, img, img, spans, 0, team)
 }
 
 func (p *pass) gamutMapRows(i0, i1 int) {
@@ -579,9 +582,9 @@ func gamutRow(row []float32) {
 
 // toneMap applies the sRGB-like transfer curve (gamma 1/2.2 with a
 // linear toe) in place to the pixels of spans, lifting shadows before
-// 8-bit quantization, with row-parallel execution.
-func toneMap(img *raster.RGB, spans []raster.Span, workers int) {
-	run(ToneMap, nil, img, img, spans, 0, workers)
+// 8-bit quantization, its rows split over team.
+func toneMap(img *raster.RGB, spans []raster.Span, team *mat.Team) {
+	run(ToneMap, nil, img, img, spans, 0, team)
 }
 
 func (p *pass) toneMapRows(i0, i1 int) {

@@ -19,6 +19,7 @@ import (
 // configuration) and one hsas_isp_stage_seconds sample, both in
 // canonical stage order; a skipped stage leaves neither.
 func TestProcessObservedIntoRecordsStages(t *testing.T) {
+	team := testTeams(t)
 	tr := world.NineSectorTrack()
 	const w, h = 96, 48
 	raw := camera.NewRenderer(tr, camera.Scaled(w, h)).RenderRAW(camera.PoseOnTrack(tr, 40, 0.2, 0.01), 7)
@@ -34,7 +35,7 @@ func TestProcessObservedIntoRecordsStages(t *testing.T) {
 			what := fmt.Sprintf("%s workers=%d", cfg.ID, workers)
 			want := cfg.ProcessInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), workers)
 			o := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
-			got := cfg.ProcessObservedInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), raster.FullSpans(w, h), workers, o)
+			got := cfg.ProcessObservedInto(raw, dirtyRGB(w, h), dirtyRGB(w, h), raster.FullSpans(w, h), team(workers), o)
 			assertSameRGB(t, what, got, want)
 
 			var names []string

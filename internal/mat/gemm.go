@@ -14,12 +14,11 @@
 // dispatch decision. A vector lane is one output element: VMULPS then
 // VADDPS round exactly like the scalar `v += a*b`, and no kernel uses a
 // fused multiply-add, whose single rounding would move result bits.
-// Workers partition disjoint output rows (ParallelRows, which the image
-// kernels share) and never share accumulators, so results are
-// bit-identical for any worker count and with or without the vector
-// kernel — the property the cnn golden tests pin against the naive
-// reference convolution. NaN payloads are the one exception:
-// when both operands are NaN the hardware returns the first, and the
+// Workers partition disjoint output rows (ParallelRows) and never share
+// accumulators, so results are bit-identical for any worker count and
+// with or without the vector kernel — the property the cnn golden tests
+// pin against the naive reference convolution. NaN payloads are the one
+// exception: when both operands are NaN the hardware returns the first, and the
 // compiler does not pin the operand order of commutative operations, so
 // which NaN comes out may differ; that a NaN comes out does not.
 package mat

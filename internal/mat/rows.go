@@ -15,15 +15,16 @@ func resolveWorkers(rows, workers int) int {
 }
 
 // ParallelRows splits the row range [0, rows) into up to `workers`
-// contiguous chunks and runs fn on each concurrently, returning when all
-// chunks are done. workers <= 0 uses GOMAXPROCS; workers == 1 (or
-// rows == 1) runs fn(0, rows) on the calling goroutine.
+// contiguous chunks and runs fn on each concurrently, on goroutines
+// started for the call, returning when all chunks are done. workers <= 0
+// uses GOMAXPROCS; workers == 1 (or rows == 1) runs fn(0, rows) on the
+// calling goroutine. It is the one-shot split of the GEMMs; the frame
+// stages of a closed-loop run split over its Team.
 //
 // The split only partitions loop bounds: a kernel whose per-row output
 // depends solely on its (immutable) inputs produces byte-identical
-// results for every worker count. The GEMMs here and the image kernels
-// in internal/camera and internal/isp satisfy this, which their golden
-// and oracle tests enforce.
+// results for every worker count. The GEMMs here satisfy this, which
+// their golden and oracle tests enforce.
 func ParallelRows(rows, workers int, fn func(i0, i1 int)) {
 	workers = resolveWorkers(rows, workers)
 	if workers <= 1 {

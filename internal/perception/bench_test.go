@@ -6,6 +6,7 @@ import (
 
 	"hsas/internal/camera"
 	"hsas/internal/isp"
+	"hsas/internal/mat"
 	"hsas/internal/world"
 )
 
@@ -35,5 +36,23 @@ func BenchmarkDetect(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestDetectOnTeamAllocatesNothing: with the BEV rows split over a
+// team, a steady-state Detect still allocates nothing.
+func TestDetectOnTeamAllocatesNothing(t *testing.T) {
+	sit := world.Situation{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Continuous}, Scene: world.Day}
+	tr := world.SituationTrack(sit)
+	cam := camera.Scaled(192, 96)
+	cfg, _ := isp.ByID("S0")
+	img := cfg.Process(camera.NewRenderer(tr, cam).RenderRAW(camera.PoseOnTrack(tr, 10, 0, 0), 1))
+	roi, _ := ROIByID(1)
+	d := NewDetector(NewGeometry(cam))
+	d.Team = mat.NewTeam(2)
+	defer d.Team.Close()
+	d.Detect(img, roi, LookAhead)
+	if n := testing.AllocsPerRun(50, func() { benchResult = d.Detect(img, roi, LookAhead) }); n != 0 {
+		t.Fatalf("Detect on a team of two allocates %v times per call, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"hsas/internal/camera"
 	"hsas/internal/isp"
+	"hsas/internal/mat"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -89,8 +90,8 @@ func checkDetectMatchesOracle(t *testing.T, name string, d *Detector, img *raste
 // TestScoreBEVMatchesOracle checks the cached footprint, the table
 // quantizer and the fused binarization against the per-sample oracles
 // on rendered S0 frames: every ROI, one situation per scene, three
-// frame sizes. It compares the BEV score, the mask, the any flag and the
-// full Result.
+// frame sizes, the BEV rows split over teams of one to four workers. It
+// compares the BEV score, the mask, the any flag and the full Result.
 func TestScoreBEVMatchesOracle(t *testing.T) { forEachDetectPath(t, checkScoreBEVMatchesOracle) }
 
 func checkScoreBEVMatchesOracle(t *testing.T) {
@@ -102,8 +103,15 @@ func checkScoreBEVMatchesOracle(t *testing.T) {
 		{Layout: world.Straight, Lane: world.LaneMarking{Color: world.White, Form: world.Dotted}, Scene: world.Dusk},
 	}
 	cfg, _ := isp.ByID("S0")
+	// The detectors score on teams of one to four workers in turn.
+	teams := []*mat.Team{nil, mat.NewTeam(2), mat.NewTeam(3), mat.NewTeam(4)}
+	defer func() {
+		for _, team := range teams {
+			team.Close()
+		}
+	}()
 	detected := 0
-	for _, cam := range []camera.Camera{camera.Scaled(96, 48), camera.Scaled(192, 96), camera.Default()} {
+	for ci, cam := range []camera.Camera{camera.Scaled(96, 48), camera.Scaled(192, 96), camera.Default()} {
 		for si, sit := range sits {
 			tr := world.SituationTrack(sit)
 			rend := camera.NewRenderer(tr, cam)
@@ -111,8 +119,10 @@ func checkScoreBEVMatchesOracle(t *testing.T) {
 			// One detector per sweep, so the ROI switches also exercise
 			// the footprint rebuild.
 			d := NewDetector(NewGeometry(cam))
+			workers := (ci+si)%len(teams) + 1
+			d.Team = teams[workers-1]
 			for _, roi := range ROIs {
-				name := fmt.Sprintf("%dx%d %v ROI %d", cam.Width, cam.Height, sit, roi.ID)
+				name := fmt.Sprintf("%dx%d %v ROI %d workers=%d", cam.Width, cam.Height, sit, roi.ID, workers)
 				res := checkDetectMatchesOracle(t, name, d, img, roi)
 				if d.scratch.bev.Pix[len(d.scratch.bev.Pix)/2] == 0 {
 					t.Fatalf("%s: BEV center not scored", name)

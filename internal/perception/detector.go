@@ -22,6 +22,11 @@ import (
 type Detector struct {
 	Geo Geometry
 
+	// Team splits the rows of the BEV scoring; nil scores them on the
+	// calling goroutine. Each BEV row is scored from its own samples, so
+	// the result is the same for every team.
+	Team *mat.Team
+
 	// BEV raster dimensions. Rows run far (0) to near (BevH-1). BevW is
 	// the width for a nominal ROI; wide turn ROIs get proportionally more
 	// columns (constant ColsPerMeter) so the 0.15 m painted stripe always
@@ -57,6 +62,13 @@ type detScratch struct {
 	leftDs, leftCs, rightDs, rightCs []float64
 	ds, cs                           []float64
 	fit                              mat.Fitter
+
+	// The BEV scoring's row split reads its frame from here, through
+	// score, sc.scoreRows bound once so the split allocates nothing.
+	score    func(i0, i1 int)
+	scoreOut *raster.Gray
+	scoreImg *raster.RGB
+	scoreFP  *bevFootprint
 }
 
 // ensure sizes the dense BEV buffers for a w×h raster.
@@ -293,21 +305,33 @@ func (d *Detector) SourceSpans(dst []raster.Span, iw, ih int, roi ROI) []raster.
 // buffer with arbitrary contents. The footprint lives in d.scratch,
 // which Detect allocates.
 //
-// With AVX2 present, scoreRowAVX scores each row eight pixels at a time
-// and scoreRow the last BevW mod 8; otherwise scoreRow scores every
-// pixel.
+// The rows are split over d.Team. With AVX2 present, scoreRowAVX
+// scores each row eight pixels at a time and scoreRow the last BevW mod
+// 8; otherwise scoreRow scores every pixel.
 func (d *Detector) scoreBEVInto(out *raster.Gray, img *raster.RGB, roi ROI) *raster.Gray {
-	fp := d.footprint(roi, img.W, img.H)
-	w := d.BevW
-	for row, fr := range fp.rows {
-		orow := out.Pix[row*w : (row+1)*w]
-		if !fr.ok {
-			clear(orow)
-			continue
-		}
-		scoreBEVRow(orow, fp.samples[row*w:(row+1)*w], img, fr)
+	sc := d.scratch
+	if sc.score == nil {
+		sc.score = sc.scoreRows
 	}
+	sc.scoreOut, sc.scoreImg, sc.scoreFP = out, img, d.footprint(roi, img.W, img.H)
+	d.Team.Rows(len(sc.scoreFP.rows), sc.score)
+	sc.scoreOut, sc.scoreImg = nil, nil
 	return out
+}
+
+// scoreRows is one chunk of scoreBEVInto's row split: it scores the BEV
+// rows [i0, i1).
+func (sc *detScratch) scoreRows(i0, i1 int) {
+	fp, out := sc.scoreFP, sc.scoreOut
+	w := fp.key.bevW
+	for row := i0; row < i1; row++ {
+		orow := out.Pix[row*w : (row+1)*w]
+		if fr := fp.rows[row]; fr.ok {
+			scoreBEVRow(orow, fp.samples[row*w:(row+1)*w], sc.scoreImg, fr)
+		} else {
+			clear(orow)
+		}
+	}
 }
 
 // scoreBEVRow scores one on-image BEV row, whose per-pixel footprints

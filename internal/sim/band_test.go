@@ -7,7 +7,10 @@ import (
 
 	"hsas/internal/camera"
 	"hsas/internal/isp"
+	"hsas/internal/knobs"
+	"hsas/internal/mat"
 	"hsas/internal/perception"
+	"hsas/internal/platform"
 	"hsas/internal/raster"
 	"hsas/internal/world"
 )
@@ -32,13 +35,18 @@ func TestBandMatchesFullFrame(t *testing.T) {
 		poses = append(poses, camera.PoseOnTrack(tr, cum+seg.Length/2, 0.3*float64(i%3-1), 0.02*float64(i%2)))
 		cum += seg.Length
 	}
+	teams := make([]*mat.Team, 8) // teams[k] has k+1 workers
+	for k := range teams {
+		teams[k] = mat.NewTeam(k + 1)
+		defer teams[k].Close()
+	}
 	for _, cam := range []camera.Camera{camera.Scaled(64, 32), camera.Scaled(96, 48), camera.Scaled(192, 96), camera.Default()} {
 		w, h := cam.Width, cam.Height
 		det := perception.NewDetector(perception.NewGeometry(cam))
 		rends := make([]*camera.Renderer, 8)
 		for k := range rends {
 			rends[k] = camera.NewRenderer(tr, cam)
-			rends[k].Workers = k + 1
+			rends[k].Team, rends[k].Workers = teams[k], k+1
 		}
 		full := camera.NewRenderer(tr, cam)
 		dirtyRaw, dirtyA, dirtyB := raster.NewBayer(w, h), raster.NewRGB(w, h), raster.NewRGB(w, h)
@@ -61,17 +69,17 @@ func TestBandMatchesFullFrame(t *testing.T) {
 			for ri, roi := range perception.ROIs {
 				where := fmt.Sprintf("%dx%d pose %d ROI %d", w, h, pi, roi.ID)
 				spans, rawSpans = roiSpans(det, roi, cam, spans, rawSpans)
-				for _, rend := range rends {
+				for k, rend := range rends {
 					copy(raw.Pix, dirtyRaw.Pix)
 					rend.RenderRAWSpansInto(raw, vp, seed, rawSpans)
-					checkSpans(t, fmt.Sprintf("%s RAW workers=%d", where, rend.Workers), w, rawSpans,
+					checkSpans(t, fmt.Sprintf("%s RAW workers=%d", where, k+1), w, rawSpans,
 						[][2][]float32{{raw.Pix, wantRaw.Pix}}, [][]float32{dirtyRaw.Pix})
 				}
 				for ci, cfg := range isp.Knobs {
 					workers := (ci+ri+pi)%8 + 1
 					copyRGB(a, dirtyA)
 					copyRGB(b, dirtyB)
-					got := cfg.ProcessObservedInto(raw, a, b, spans, workers, nil)
+					got := cfg.ProcessObservedInto(raw, a, b, spans, teams[workers-1], nil)
 					dirt := dirtyA
 					if got == b {
 						dirt = dirtyB
@@ -129,7 +137,7 @@ func dirtyBayer(b *raster.Bayer, n int) {
 }
 
 // BenchmarkBand times one 192×96 frame's RAW render and S0 ISP over
-// three kinds of area, at one and two workers, over poses spread across
+// three kinds of area, on teams of one and two workers, over poses spread across
 // the nine-sector lap: the whole frame (area=frame), the rows of the
 // union of the five ROIs' spans at full width (area=band, what the loop
 // computed before it computed spans), and each ROI's spans as the loop
@@ -163,9 +171,11 @@ func BenchmarkBand(b *testing.B) {
 	areas = append(append(areas, band), roiAreas...)
 	s0, _ := isp.ByID("S0")
 	for _, workers := range []int{1, 2} {
+		team := mat.NewTeam(workers)
+		defer team.Close()
 		for _, ar := range areas {
 			rend := camera.NewRenderer(tr, cam)
-			rend.Workers = workers
+			rend.Team, rend.Workers = team, workers
 			raw := rend.RenderRAW(poses[0], 1)
 			a, c := raster.NewRGB(w, h), raster.NewRGB(w, h)
 			b.Run(fmt.Sprintf("render/workers=%d/area=%s", workers, ar.name), func(b *testing.B) {
@@ -177,9 +187,32 @@ func BenchmarkBand(b *testing.B) {
 			b.Run(fmt.Sprintf("isp-S0/workers=%d/area=%s", workers, ar.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s0.ProcessObservedInto(raw, a, c, ar.spans, workers, nil)
+					s0.ProcessObservedInto(raw, a, c, ar.spans, team, nil)
 				}
 			})
 		}
+	}
+}
+
+// TestSerialLoopHasNoTeam: at one kernel worker (or a negative count)
+// the loop builds no team, and its renderer and detector run on the
+// calling goroutine alone, so the frame cycle starts no goroutine; at
+// two the three share one team.
+func TestSerialLoopHasNoTeam(t *testing.T) {
+	cfg := Config{Track: world.NineSectorTrack(), Camera: camera.Scaled(64, 32), Platform: platform.Xavier(),
+		Sens: OracleSensors(), Table: knobs.PaperTable(), Case: knobs.Case3}
+	for _, workers := range []int{1, -1, 2} {
+		cfg.KernelWorkers = workers
+		l, err := newLoop(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := l.team == nil && l.rend.Team == nil && l.rend.Workers == 1 && l.det.Team == nil
+		shared := l.team != nil && l.rend.Team == l.team && l.det.Team == l.team
+		if serial != (workers < 2) || shared != (workers >= 2) {
+			t.Fatalf("KernelWorkers %d: loop team %p, renderer team %p with %d workers, detector team %p",
+				workers, l.team, l.rend.Team, l.rend.Workers, l.det.Team)
+		}
+		l.release()
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"hsas/internal/fault"
 	"hsas/internal/isp"
 	"hsas/internal/knobs"
+	"hsas/internal/mat"
 	"hsas/internal/metrics"
 	"hsas/internal/obs"
 	"hsas/internal/perception"
@@ -271,7 +272,7 @@ type loop struct {
 	met     *simMetrics // nil when observability is disabled
 	rend    *camera.Renderer
 	det     *perception.Detector
-	workers int // resolved kernel worker count
+	team    *mat.Team // the run's kernel workers; nil at one
 	sens    [3]Sensor
 	cnns    []*classifier.Classifier // the trained sensors among sens
 	designs map[designKey]*control.Design
@@ -299,6 +300,7 @@ type loop struct {
 	imageFree       bool // no sensor reads a frame; see newLoop
 	spanROI         int  // the ROI spans are of, when imageFree
 	spans, rawSpans []raster.Span
+	drawRows        int // the rows any frame's rawSpans can reach
 
 	// One occlusion closure for the whole run (the pattern is fixed in
 	// world space; only its area fraction varies per frame).
@@ -345,7 +347,7 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 	}
 	kw = max(kw, 1)
 	l := &loop{
-		cfg: cfg, met: met, workers: kw,
+		cfg: cfg, met: met,
 		rend:    camera.NewRenderer(cfg.Track, cfg.Camera),
 		det:     perception.NewDetector(perception.NewGeometry(cfg.Camera)),
 		sens:    [3]Sensor{cfg.Sens.Road, cfg.Sens.Lane, cfg.Sens.Scene},
@@ -364,7 +366,6 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 		actT: math.Inf(1),
 	}
 	l.perFrame = l.policy.PerFrame()
-	l.rend.Workers = kw
 	// CNN sensors inherit the same bound for their GEMM kernels (on both
 	// precision paths); results are bit-identical for any worker count
 	// (the mat determinism contract), so this is purely a latency knob.
@@ -409,6 +410,21 @@ func newLoop(cfg Config, met *simMetrics) (*loop, error) {
 	if !l.imageFree {
 		l.spans, l.rawSpans = raster.FullSpans(fw, fh), raster.FullSpans(fw, fh)
 	}
+	l.drawRows = fh
+	if l.imageFree {
+		l.drawRows = 0
+		var spans, rawSpans []raster.Span
+		for _, roi := range perception.ROIs {
+			spans, rawSpans = roiSpans(l.det, roi, cfg.Camera, spans, rawSpans)
+			_, hi := raster.SpanRows(rawSpans)
+			l.drawRows = max(l.drawRows, hi)
+		}
+	}
+	// The render, the ISP stages and the BEV scoring split their rows
+	// over one team for the whole run, and a frame's sensor noise is
+	// drawn on it while the frame before is processed (process).
+	l.team = mat.NewTeam(kw)
+	l.rend.Team, l.rend.Workers, l.det.Team = l.team, kw, l.team
 	return l, nil
 }
 
@@ -434,8 +450,10 @@ func roiSpans(det *perception.Detector, roi perception.ROI, cam camera.Camera, s
 	return spans, raster.DilateSpans(rawSpans, spans, 2, cam.Width)
 }
 
-// release returns the frame buffers to the raster pool.
+// release stops the team and returns the frame buffers to the raster
+// pool.
 func (l *loop) release() {
+	l.team.Close()
 	raster.PutRGB(l.frameB)
 	raster.PutRGB(l.frameA)
 	raster.PutBayer(l.raw)
@@ -573,19 +591,26 @@ func (l *loop) capture(c *cycle) {
 		l.rend.Occlude = nil
 	}
 	st := l.plant.St
-	l.rend.RenderRAWSpansInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.cfg.Seed+int64(l.frame)*7919, l.rawSpans)
+	l.rend.RenderRAWSpansInto(l.raw, camera.VehiclePose{X: st.X, Y: st.Y, Psi: st.Psi, S: l.s}, l.frameSeed(l.frame), l.rawSpans)
 	if sigma, ok := l.inj.Noise(l.frame); ok {
-		fault.AddBayerNoise(l.raw, sigma, fault.FrameHash(l.cfg.Seed, l.frame))
+		fault.AddBayerNoise(l.raw, l.rawSpans, sigma, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault.Add(fault.NoiseBurst)
 	}
 	l.end(renderStage)
 }
 
+// frameSeed is the sensor-noise seed of frame n.
+func (l *loop) frameSeed(n int) int64 { return l.cfg.Seed + int64(n)*7919 }
+
 // process runs the ISP over the frame's spans, with the ISP-output
-// faults.
+// faults. Then the team draws the next frame's sensor noise while the
+// caller detects, controls and steps the plant; should the next frame be
+// dropped, the one after draws its own. Posted after the ISP rather than
+// after the render, the draw leaves the ISP stages both workers.
 func (l *loop) process(c *cycle) {
 	l.begin(ispStage)
-	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.spans, l.workers, l.cfg.Obs)
+	c.rgb = l.activeISP.ProcessObservedInto(l.raw, l.frameA, l.frameB, l.spans, l.team, l.cfg.Obs)
+	l.rend.DrawAhead(l.frameSeed(l.frame+1), l.drawRows)
 	if frac, kinds := l.inj.CorruptFrac(l.frame); kinds != 0 {
 		fault.CorruptRGBBand(c.rgb, frac, fault.FrameHash(l.cfg.Seed, l.frame))
 		c.fault |= kinds
